@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -289,6 +288,8 @@ def _run_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> dict[str, Any]:
     dirs = [out / f"{param}_{v:g}" for v, _ in children]
     raws = [raw for _, raw in children]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_sweep_child, raws, [str(d) for d in dirs]))
     else:

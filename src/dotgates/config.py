@@ -34,8 +34,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .dynamics import IntegratorConfig
-from .gates import RamanParams, ZGateParams, commensurate_gate_time
+from .dynamics import IntegratorConfig, check_sample_count
+from .gates import RamanParams, ZGateParams, commensurate_gate_time, raman_window
 from .model import DotPairParams, GaussianPulse, SquarePulse
 from .operators import HBAR_MEV_PS
 
@@ -304,6 +304,20 @@ class ExperimentConfig:
         return out
 
 
+def _run_spans(cfg: ExperimentConfig) -> list[float]:
+    """Time span of every trajectory a cphase, zrot or raman run samples."""
+    if cfg.kind == "cphase":
+        ratios = cfg["ratios"]
+        omegas = [None] if ratios is None else [r * abs(cfg["v_f"]) for r in ratios]
+        return [hi - lo for lo, hi in (cfg.envelope(om).support() for om in omegas)]
+    if cfg.kind == "zrot":
+        lo, hi = cfg.envelope().support()
+        return [2.0 * (hi - lo) + cfg["wait"]]
+    detunings = cfg["detunings"] or (cfg["detuning"],)
+    return [raman_window(cfg.raman_params(detuning=nu), cfg["time_window"])
+            for nu in detunings]
+
+
 def _validate_keys(raw: dict[str, Any], kind: str,
                    schema: dict[str, _Key]) -> dict[str, Any]:
     values: dict[str, Any] = {}
@@ -352,10 +366,10 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
                 f"sweep_param {param!r} is not a config key of kind {child_kind!r}")
         if not child_schema[param].sweepable:
             raise ConfigError(f"sweep_param {param!r} is not a numeric, sweepable key")
-        # validate the child base once up front
-        base = _validate_keys({**child_raw, "kind": child_kind}, child_kind, child_schema)
+        # validate the child base, then every child, before anything runs
+        _validate_keys({**child_raw, "kind": child_kind}, child_kind, child_schema)
         cfg = ExperimentConfig("sweep", {**values, "child_base": dict(child_raw)})
-        del base
+        cfg.sweep_children()
         return cfg
 
     schema = _schema(kind)
@@ -369,4 +383,11 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         cfg.integrator()
     if kind == "raman":
         cfg.raman_params()
+    if kind in ("cphase", "zrot", "raman"):
+        # reject a runaway sample grid here, before anything is allocated
+        for span in _run_spans(cfg):
+            try:
+                check_sample_count(span, cfg["sample_interval"])
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
     return cfg

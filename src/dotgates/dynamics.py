@@ -1,11 +1,20 @@
 """Time evolution, trajectories, and phase bookkeeping.
 
-Two integrators are provided: :func:`evolve_schrodinger` for pure states
+Two propagators are provided: :func:`evolve_schrodinger` for pure states
 and :func:`evolve_lindblad` for density matrices with collapse channels.
-Both wrap an adaptive high-order Runge-Kutta scheme (DOP853) and store the
-solution on a regular sample grid.  Pulse discontinuities should be passed
-as ``breakpoints`` so the integration restarts there instead of stepping
-across a kink.
+Both store the solution on a regular sample grid and pick an exact method
+from the structure of their input where one exists:
+
+* a constant Hamiltonian is diagonalized once (``eigh``), and a constant
+  Lindblad generator is eigendecomposed once as a superoperator;
+* a Hamiltonian with a stated period is integrated over one period only,
+  and the rest follows from powers of that propagator (Floquet);
+* everything else - smooth envelopes, arbitrary callables - goes to an
+  adaptive high-order Runge-Kutta scheme (DOP853).  Pulse discontinuities
+  should be passed as ``breakpoints`` so the integration restarts there
+  instead of stepping across a kink.
+
+``Trajectory.metadata["propagator"]`` names the method that ran.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
 exact for piecewise-constant Hamiltonians and is what the regression tests
@@ -25,9 +34,9 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .operators import (
+    _HERMITIAN_RTOL,
     HBAR_MEV_PS,
     LAB_FRAME,
     Basis,
@@ -35,6 +44,7 @@ from .operators import (
     DensityMatrix,
     OperatorMatrix,
     QuantumState,
+    _hermitian_defect,
     rotating_frame_tag,
 )
 
@@ -52,6 +62,8 @@ __all__ = [
     "to_rotating_frame",
     "to_lab_frame",
     "concatenate_trajectories",
+    "MAX_SAMPLES",
+    "check_sample_count",
 ]
 
 # Norm/trace conservation expected from the integrator at default tolerances.
@@ -61,6 +73,25 @@ _POSITIVITY_TOL = 1e-6
 
 #: amplitudes below this magnitude carry no numerically meaningful phase
 PHASE_FLOOR = 1e-10
+
+#: most samples one trajectory may hold; a 4x4 density trajectory of this
+#: length already takes 256 MB
+MAX_SAMPLES = 1_000_000
+
+# Above this condition number the eigenvectors of a Liouvillian are too
+# close to defective to trust (errors grow as cond * eps); DOP853 takes over.
+_MAX_EIGVEC_COND = 1e6
+
+
+def solve_ivp(*args: Any, **kwargs: Any) -> Any:
+    """:func:`scipy.integrate.solve_ivp`, imported on first call.
+
+    Importing ``scipy.integrate`` costs about 0.3 s, and only the adaptive
+    paths need it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 class IntegrationError(RuntimeError):
@@ -73,10 +104,12 @@ class PhaseUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Numerical knobs shared by both integrators.
+    """Numerical knobs shared by both propagators.
 
-    ``sample_interval`` controls only how densely the solution is stored;
-    step size is governed by the error tolerances.
+    ``sample_interval`` controls only how densely the solution is stored.
+    ``rtol``, ``atol`` and ``max_step`` govern the adaptive solves alone:
+    smooth envelopes, and the single carrier period of the Floquet path.
+    The exact constant-generator paths do not read them.
     """
 
     rtol: float = 1e-9
@@ -194,8 +227,11 @@ class Trajectory:
 
 
 def _as_matrix_fn(h: Any, basis: Basis, frame: str,
-                  t_probe: float) -> Callable[[float], np.ndarray]:
-    """Normalize constant/callable Hamiltonian inputs to ``t -> ndarray``."""
+                  t_probe: float) -> tuple[Callable[[float], np.ndarray], np.ndarray | None]:
+    """Normalize constant/callable Hamiltonian inputs to ``t -> ndarray``.
+
+    The second item is the matrix itself when ``h`` is constant, else None.
+    """
     d = basis.dim
 
     def check_shape(m: np.ndarray) -> None:
@@ -206,20 +242,34 @@ def _as_matrix_fn(h: Any, basis: Basis, frame: str,
         if h.basis.labels != basis.labels or h.frame != frame:
             raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
         m = h.matrix
-        return lambda t: m
+        return (lambda t: m), m
     if isinstance(h, np.ndarray):
         m = np.asarray(h, dtype=complex)
         check_shape(m)
-        return lambda t: m
+        return (lambda t: m), m
     if callable(h):
         sample = h(t_probe)
         if isinstance(sample, OperatorMatrix):
             if sample.basis.labels != basis.labels or sample.frame != frame:
                 raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
-            return lambda t: h(t).matrix
+            return (lambda t: h(t).matrix), None
         check_shape(np.asarray(sample))
-        return h
+        return h, None
     raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
+
+
+def check_sample_count(span: float, dt: float) -> int:
+    """Number of grid cells over ``span`` at spacing ``dt``.
+
+    Raises :class:`ValueError` when the grid would hold more than
+    :data:`MAX_SAMPLES` samples, before anything is allocated.
+    """
+    cells = math.ceil(abs(span) / dt)
+    if cells + 1 > MAX_SAMPLES:
+        raise ValueError(
+            f"sample_interval {dt:g} ps over a {abs(span):g} ps span asks for "
+            f"{cells + 1:.3g} samples; the limit is {MAX_SAMPLES:.3g}")
+    return max(1, cells)
 
 
 def _sample_grid(t0: float, t1: float, dt: float,
@@ -228,7 +278,7 @@ def _sample_grid(t0: float, t1: float, dt: float,
     forward = t1 > t0
     lo, hi = (t0, t1) if forward else (t1, t0)
     interior = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
-    n = max(1, int(math.ceil((hi - lo) / dt)))
+    n = check_sample_count(hi - lo, dt)
     grid = np.linspace(lo, hi, n + 1)
     if interior:
         grid = np.unique(np.concatenate([grid, np.asarray(interior)]))
@@ -238,13 +288,18 @@ def _sample_grid(t0: float, t1: float, dt: float,
     return grid, interior
 
 
-def _integrate(rhs: Callable, y0: np.ndarray, t0: float, t1: float,
-               cfg: IntegratorConfig, breakpoints: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    grid, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+def _integrate(rhs: Callable, y0: np.ndarray, grid: np.ndarray, interior: list[float],
+               cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+    """Adaptive solve onto ``grid``, restarting at each interior breakpoint.
+
+    Returns the states and the number of right-hand-side evaluations.
+    """
     states = np.empty((grid.size, y0.size), dtype=complex)
     states[0] = y0
     y = y0
     pos = 1
+    nfev = 0
+    t0, t1 = float(grid[0]), float(grid[-1])
     knots = [t0, *interior, t1]
     forward = t1 > t0
     for a, b in zip(knots[:-1], knots[1:]):
@@ -256,55 +311,133 @@ def _integrate(rhs: Callable, y0: np.ndarray, t0: float, t1: float,
             raise IntegrationError(f"solver failed on [{a:g}, {b:g}]: {sol.message}")
         states[pos:pos + pts.size] = sol.y.T
         pos += pts.size
+        nfev += sol.nfev
         y = states[pos - 1]
-    return grid, states
+    return states, nfev
+
+
+def _eigh_states(m: np.ndarray, psi0: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """``exp(-i m dt / hbar) psi0`` for each ``dt``, shape ``(n, d)``, from one eigh."""
+    w, v = np.linalg.eigh(m)
+    phases = np.exp(np.outer(dts, w) * (-1j / HBAR_MEV_PS))
+    return (phases * (v.conj().T @ psi0)) @ v.T
+
+
+def _floquet_states(hfun: Callable[[float], np.ndarray], psi0: np.ndarray,
+                    grid: np.ndarray, period: float,
+                    cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+    """States on a forward ``grid`` under an ``H`` of the given period.
+
+    One adaptive solve gives the propagator ``U(tau)`` over the first
+    period at every distinct remainder ``tau`` of the grid; a sample
+    ``n`` periods later is ``U(tau) U(period)^n psi0``.
+    """
+    d = psi0.size
+    t0 = float(grid[0])
+    # divmod takes its remainder from fmod, which is exact: for the
+    # non-negative offsets of a forward grid every tau lies in [0, period),
+    # so the t_eval below stays sorted and inside the span
+    cycles, tau = np.divmod(grid - t0, period)
+    taus, which = np.unique(tau, return_inverse=True)
+    scale = -1j / HBAR_MEV_PS
+
+    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+        return (scale * (hfun(t0 + s) @ y.reshape(d, d))).ravel()
+
+    sol = solve_ivp(rhs, (0.0, period), np.eye(d, dtype=complex).ravel(),
+                    method=cfg.method, t_eval=np.append(taus, period),
+                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
+    if not sol.success:
+        raise IntegrationError(f"solver failed over one period {period:g}: {sol.message}")
+    u = sol.y.T.reshape(-1, d, d)
+    cycles = cycles.astype(int)
+    starts = np.empty((int(cycles[-1]) + 1, d), dtype=complex)
+    starts[0] = psi0
+    for k in range(1, starts.shape[0]):
+        starts[k] = u[-1] @ starts[k - 1]
+    states = np.einsum("kij,kj->ki", u[which], starts[cycles])
+    return states, int(sol.nfev)
 
 
 def evolve_schrodinger(h_of_t: Any, state: QuantumState, t_span: tuple[float, float],
                        config: IntegratorConfig | None = None,
-                       breakpoints: Sequence[float] = ()) -> Trajectory:
-    """Integrate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
+                       breakpoints: Sequence[float] = (),
+                       period: float | None = None) -> Trajectory:
+    """Propagate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
 
-    ``t_span`` may run backwards for time-reversed evolution.  Raises
-    :class:`IntegrationError` when the solver fails or the final norm
-    drifts by more than ``1e-7``.
+    A constant Hermitian ``h_of_t`` (:class:`OperatorMatrix` or ndarray)
+    is diagonalized once.  A callable with a ``period`` and no interior
+    breakpoints, over a span of at least one period, takes the Floquet
+    path: one adaptive solve over the first period of ``t_span``.  Anything
+    else is integrated adaptively.  ``t_span`` may run backwards for
+    time-reversed evolution.  Raises :class:`IntegrationError` when the
+    solver fails or the norm drifts by more than ``1e-7`` at the end (or
+    ``1e-6`` anywhere).
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     psi0 = state.amplitudes.astype(complex)
-    hfun = _as_matrix_fn(h_of_t, state.basis, state.frame, t0)
+    hfun, const = _as_matrix_fn(h_of_t, state.basis, state.frame, t0)
     if t0 == t1:
         return Trajectory(np.array([t0]), psi0[None, :], state.basis, state.frame, "pure")
 
-    scale = -1j / HBAR_MEV_PS
+    times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    meta: dict[str, Any]
+    if const is not None and _hermitian_defect(const) <= _HERMITIAN_RTOL:
+        states = _eigh_states(const, psi0, times - t0)
+        states[0] = psi0
+        meta = {"propagator": "eigh"}
+    elif period is not None and not interior and t1 - t0 >= period:
+        states, nfev = _floquet_states(hfun, psi0, times, period, cfg)
+        meta = {"propagator": "floquet", "nfev": nfev}
+    else:
+        scale = -1j / HBAR_MEV_PS
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return scale * (hfun(t) @ y)
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            return scale * (hfun(t) @ y)
 
-    times, states = _integrate(rhs, psi0, t0, t1, cfg, breakpoints)
+        states, nfev = _integrate(rhs, psi0, times, interior, cfg)
+        meta = {"propagator": cfg.method, "nfev": nfev}
     norms = np.linalg.norm(states, axis=1)
     drift = np.abs(norms - 1.0)
     if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
         raise IntegrationError(
             f"norm drifted by {np.max(drift):.3e}; tighten rtol/atol or shrink max_step"
         )
-    return Trajectory(times, states, state.basis, state.frame, "pure")
+    return Trajectory(times, states, state.basis, state.frame, "pure", meta)
+
+
+def _liouvillian(h: np.ndarray,
+                 ops: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """Lindblad generator acting on row-major ``vec(rho)``.
+
+    Uses ``vec(A X B) = kron(A, B.T) vec(X)``.
+    """
+    eye = np.eye(h.shape[0])
+    sup = (-1j / HBAR_MEV_PS) * (np.kron(h, eye) - np.kron(eye, h.T))
+    for L, _, LdL, g in ops:
+        sup += g * (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
+    return sup
 
 
 def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float],
                     channels: Sequence[CollapseChannel] = (),
                     config: IntegratorConfig | None = None,
                     breakpoints: Sequence[float] = ()) -> Trajectory:
-    """Integrate the Lindblad master equation for ``rho0`` over ``t_span``.
+    """Propagate the Lindblad master equation for ``rho0`` over ``t_span``.
 
-    Collapse terms use rates in 1/ps and are not divided by hbar.  The
-    final trace must stay within ``1e-7`` of one and eigenvalues above
-    ``-1e-6`` or :class:`IntegrationError` is raised.
+    With a constant ``h_of_t`` the ``d^2 x d^2`` generator is
+    eigendecomposed once and ``rho(t) = V exp(lam t) V^-1 rho0``; when the
+    eigenvectors are too ill-conditioned to trust, and for a time-dependent
+    ``h_of_t``, the equation is integrated adaptively.  Collapse terms use
+    rates in 1/ps and are not divided by hbar.  The final trace must stay
+    within ``1e-7`` of one and eigenvalues above ``-1e-6`` or
+    :class:`IntegrationError` is raised.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     d = rho0.basis.dim
-    hfun = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0)
+    hfun, const = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0)
     ops: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
     for ch in channels:
         L = ch.operator.matrix if isinstance(ch.operator, OperatorMatrix) else np.asarray(
@@ -319,19 +452,30 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
         return Trajectory(np.array([t0]), rho0.matrix[None, :, :], rho0.basis,
                           rho0.frame, "density")
 
-    scale = -1j / HBAR_MEV_PS
+    times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    flat = None
+    meta: dict[str, Any] = {"propagator": "liouvillian-eig"}
+    if const is not None:
+        lam, v = np.linalg.eig(_liouvillian(const, ops))
+        if np.linalg.cond(v) <= _MAX_EIGVEC_COND:
+            coeffs = np.linalg.solve(v, rho0.matrix.ravel())
+            flat = (np.exp(np.outer(times - t0, lam)) * coeffs) @ v.T
+            flat[0] = rho0.matrix.ravel()
+    if flat is None:
+        scale = -1j / HBAR_MEV_PS
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = y.reshape(d, d)
-        h = hfun(t)
-        drho = scale * (h @ rho - rho @ h)
-        for L, Ld, LdL, g in ops:
-            drho = drho + g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
-        return drho.ravel()
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            rho = y.reshape(d, d)
+            h = hfun(t)
+            drho = scale * (h @ rho - rho @ h)
+            for L, Ld, LdL, g in ops:
+                drho = drho + g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
+            return drho.ravel()
 
-    times, flat = _integrate(rhs, rho0.matrix.ravel(), t0, t1, cfg, breakpoints)
+        flat, nfev = _integrate(rhs, rho0.matrix.ravel(), times, interior, cfg)
+        meta = {"propagator": cfg.method, "nfev": nfev}
     states = flat.reshape(times.size, d, d)
-    traj = Trajectory(times, states, rho0.basis, rho0.frame, "density")
+    traj = Trajectory(times, states, rho0.basis, rho0.frame, "density", meta)
     drift = np.abs(traj.traces() - 1.0)
     if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
         raise IntegrationError(
@@ -341,11 +485,6 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     if lo < -_POSITIVITY_TOL:
         raise IntegrationError(f"density matrix lost positivity: min eigenvalue {lo:.3e}")
     return traj
-
-
-def _expm_step(m: np.ndarray, dt: float) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * w * dt / HBAR_MEV_PS)) @ v.conj().T
 
 
 def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Trajectory:
@@ -358,13 +497,13 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    hfun = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
+    hfun, _ = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
     states = np.empty((times.size, state.basis.dim), dtype=complex)
     states[0] = state.amplitudes
     for i in range(1, times.size):
-        dt = float(times[i] - times[i - 1])
+        dt = times[i:i + 1] - times[i - 1]
         mid = 0.5 * (times[i] + times[i - 1])
-        states[i] = _expm_step(hfun(float(mid)), dt) @ states[i - 1]
+        states[i] = _eigh_states(hfun(float(mid)), states[i - 1], dt)[0]
     return Trajectory(times, states, state.basis, state.frame, "pure")
 
 
@@ -374,8 +513,10 @@ class PhaseSeries:
 
     ``interpolated`` marks samples whose magnitude was below the floor
     (their phase is filled in linearly); ``jump_mask`` marks intervals
-    where the unwrapped phase moved by more than pi/2 between samples,
-    which usually means the sampling is too coarse to trust continuity.
+    where the unwrapped phase moved by more than pi/2 between consecutive
+    defined samples, which usually means the sampling is too coarse to
+    trust continuity or the amplitude passed through a node.  A hop across
+    interpolated samples marks every interval it spans.
     """
 
     times: np.ndarray
@@ -397,9 +538,9 @@ class PhaseSeries:
 
     @property
     def max_jump(self) -> float:
-        if self.jump_mask.size == 0:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values))))
+        """Largest phase step between consecutive defined samples."""
+        steps = np.diff(self.values[~self.interpolated])
+        return float(np.max(np.abs(steps))) if steps.size else 0.0
 
     @property
     def any_jump_flag(self) -> bool:
@@ -433,12 +574,18 @@ def accumulated_phase(traj: Trajectory, label: str,
     values = np.interp(traj.times, traj.times[defined], unwrapped)
     # pin the defined samples exactly (interp can round)
     values[defined] = unwrapped
-    jumps = np.abs(np.diff(values))
+    # hops are measured between defined samples: interpolation across a
+    # node would split a pi hop into steps that each stay below pi/2
+    idx = np.flatnonzero(defined)
+    hops = np.abs(np.diff(unwrapped)) > (math.pi / 2.0)
+    jump_mask = np.zeros(amp.size - 1, dtype=bool)
+    for a, b in zip(idx[:-1][hops], idx[1:][hops]):
+        jump_mask[a:b] = True
     return PhaseSeries(
         times=traj.times.copy(),
         values=values,
         interpolated=~defined,
-        jump_mask=jumps > (math.pi / 2.0),
+        jump_mask=jump_mask,
         label=label,
         floor=floor,
     )
@@ -492,6 +639,8 @@ def concatenate_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
 
     Segments must share basis, frame, and kind, and each must start where
     the previous one ended (the duplicated junction sample is dropped).
+    Metadata is merged with later segments winning, except ``nfev``, which
+    is summed.
     """
     if not parts:
         raise ValueError("nothing to concatenate")
@@ -510,5 +659,7 @@ def concatenate_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
     meta: dict[str, Any] = {}
     for part in parts:
         meta.update(part.metadata)
+    if "nfev" in meta:
+        meta["nfev"] = sum(part.metadata.get("nfev", 0) for part in parts)
     return Trajectory(np.concatenate(times), np.concatenate(states, axis=0),
                       first.basis, first.frame, first.kind, meta)

@@ -85,6 +85,7 @@ __all__ = [
     "run_z_rotation",
     "raman_rate",
     "raman_pi_time",
+    "raman_window",
     "RamanParams",
     "RamanReport",
     "run_raman_x",
@@ -326,11 +327,15 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
     frame = rotating_frame_tag(omega_l)
     bps = envelope.breakpoints()
 
-    traj_11 = evolve_schrodinger(
-        rwa_subspace_generator(p, envelope),
-        QuantumState.basis_state(PSI_SUBSPACE, "11", frame),
-        (t0, t1), cfg, breakpoints=bps)
+    h11 = rwa_subspace_generator(p, envelope)
     spect = spectator_generator(p, envelope)
+    if isinstance(envelope, SquarePulse):
+        # constant over the support: hand over the matrices for exact eigh
+        mid = 0.5 * (t0 + t1)
+        h11, spect = h11(mid), spect(mid)
+    traj_11 = evolve_schrodinger(
+        h11, QuantumState.basis_state(PSI_SUBSPACE, "11", frame),
+        (t0, t1), cfg, breakpoints=bps)
     traj_01 = evolve_schrodinger(
         spect, QuantumState.basis_state(SPECTATOR_A_IDLE, "01", frame),
         (t0, t1), cfg, breakpoints=bps)
@@ -428,8 +433,11 @@ class ZRotationReport:
     zero-wait baseline is subtracted; ``target_phase`` is the wrapped
     optical phase ``omega_a * wait / hbar`` the protocol is designed to
     imprint.  ``composite_phase`` is the baseline pulse-pair contribution
-    itself (pi for ideal pi pulses) and ``trion_leakage`` the population
-    stranded in the exciton level at the end.
+    itself.  Because each pulse resets the laser phase, the carrier phase
+    gathered during the first pulse stays in it: for square pi pulses of
+    length ``T`` it is ``wrap(pi - omega_a * T / hbar)``, which is +-pi only
+    when the carrier makes whole cycles per pulse.  ``trion_leakage`` is
+    the population stranded in the exciton level at the end.
     """
 
     omega_a: float
@@ -465,17 +473,6 @@ class ZRotationReport:
         }
 
 
-def _free_segment(omega_a: float, start: float, wait: float, psi: np.ndarray,
-                  dt: float, frame_basis: Basis) -> Trajectory:
-    # exact diagonal propagation of (0, 0, omega_a) over the wait window
-    n = max(1, int(math.ceil(wait / dt)))
-    times = np.linspace(start, start + wait, n + 1)
-    states = np.tile(psi, (times.size, 1))
-    ix = frame_basis.index("X")
-    states[:, ix] = psi[ix] * np.exp(-1j * omega_a * (times - start) / HBAR_MEV_PS)
-    return Trajectory(times, states, frame_basis, LAB_FRAME, "pure")
-
-
 def run_z_rotation(p: DotPairParams, gate: ZGateParams,
                    config: IntegratorConfig | None = None,
                    ) -> tuple[ZRotationReport, Trajectory]:
@@ -506,12 +503,15 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     a0, a1 = gate.amplitudes
     psi0 = QuantumState(np.array([a0, a1, 0.0], dtype=complex), SINGLE_DOT, LAB_FRAME)
 
+    # a square envelope leaves only the carrier, periodic from its origin
+    period = _TWO_PI * HBAR_MEV_PS / p.omega_a if isinstance(pulse, SquarePulse) else None
+
     def pulse_segment(env, start_state: QuantumState) -> Trajectory:
         lo, hi = env.support()
         drive = LaserDrive(env, p.omega_a, carrier_origin=lo)
         gen = lab_single_dot_generator(p.omega_a, drive)
         return evolve_schrodinger(gen, start_state, (lo, hi), cfg,
-                                  breakpoints=env.breakpoints())
+                                  breakpoints=env.breakpoints(), period=period)
 
     seg1 = pulse_segment(pulse, psi0)
     mid_state = seg1.final_state()
@@ -519,8 +519,9 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     # main arm: free wait, then the second pulse with a fresh carrier origin
     parts = [seg1]
     if gate.wait > 0:
-        free = _free_segment(p.omega_a, t1, gate.wait, seg1.states[-1],
-                             cfg.sample_interval, SINGLE_DOT)
+        h_free = np.zeros((3, 3), dtype=complex)
+        h_free[SINGLE_DOT.index("X"), SINGLE_DOT.index("X")] = p.omega_a
+        free = evolve_schrodinger(h_free, mid_state, (t1, t1 + gate.wait), cfg)
         parts.append(free)
         after_wait = free.final_state()
     else:
@@ -582,6 +583,13 @@ def raman_pi_time(rabi: float, detuning: float, target_angle: float = math.pi) -
     if not (0.0 < target_angle <= math.pi):
         raise ValueError("target_angle must be in (0, pi]")
     return target_angle * HBAR_MEV_PS / raman_rate(rabi, detuning)
+
+
+def raman_window(params: "RamanParams", time_window: float | None = None) -> float:
+    """Length of a Raman run: ``time_window``, else 1.6 times the rate estimate."""
+    if time_window is not None:
+        return float(time_window)
+    return 1.6 * raman_pi_time(params.rabi, params.detuning, params.target_angle)
 
 
 @dataclass(frozen=True)
@@ -653,7 +661,7 @@ def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
     """
     cfg = config or IntegratorConfig()
     t_est = raman_pi_time(params.rabi, params.detuning, params.target_angle)
-    window = float(time_window) if time_window is not None else 1.6 * t_est
+    window = raman_window(params, time_window)
     if window <= 0:
         raise ValueError("time_window must be positive")
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .operators import (
     HBAR_MEV_PS,
@@ -183,7 +182,7 @@ class GaussianPulse:
 
     def area(self) -> float:
         k = self.truncation
-        return self.peak * self.sigma * math.sqrt(2.0 * math.pi) * float(erf(k / _SQRT2))
+        return self.peak * self.sigma * math.sqrt(2.0 * math.pi) * math.erf(k / _SQRT2)
 
     def peak_value(self) -> float:
         return self.peak

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import dotgates
 from dotgates.cli import main, round_floats
+from dotgates.config import ConfigError, build_config
 
 RUNNER = CliRunner()
 
@@ -284,6 +289,19 @@ def test_sweep_rejects_bad_parameter(tmp_path):
         assert "config error" in _text(result)
 
 
+def test_sweep_rejects_bad_child_before_running(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "kind": "sweep", "sweep_kind": "cphase",
+        "sweep_param": "v_f", "sweep_values": [0.85, 0.0],
+    }))
+    out = tmp_path / "run"
+    result = _invoke(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "config error" in _text(result)
+    assert not out.exists()
+
+
 def test_verify_accepts_good_run_and_catches_corruption(tmp_path):
     out = tmp_path / "run"
     assert _invoke(["raman", "--out", str(out)]).exit_code == 0
@@ -306,6 +324,37 @@ def test_verify_accepts_good_run_and_catches_corruption(tmp_path):
     result = _invoke(["verify", "--out", str(out)])
     assert "invalid JSON" in result.output
     assert result.exit_code == 2
+
+
+def test_sample_count_cap_rejects_run_before_allocating(tmp_path):
+    # 1e-9 ps over a 29 ps gate would be 3e10 samples (hundreds of GiB)
+    for raw in ({"kind": "cphase", "sample_interval": 1e-9},
+                {"kind": "cphase", "ratios": [0.3, 0.01], "sample_interval": 1e-4},
+                {"kind": "zrot", "wait": 5e4},
+                {"kind": "raman", "detunings": [2.0, 4e5]},
+                {"kind": "sweep", "sweep_kind": "cphase", "sweep_param": "omega",
+                 "sweep_values": [0.1], "sample_interval": 1e-9}):
+        with pytest.raises(ConfigError, match="samples"):
+            build_config(raw)
+    build_config({"kind": "cphase", "ratios": [0.3, 0.15], "sample_interval": 1e-4})
+    out = tmp_path / "x"
+    result = _invoke(["cphase", "--out", str(out), "--set", "sample_interval=1e-9"])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error")
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.integrate and scipy.special cost ~0.6 s of every CLI start
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, dotgates.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_missing_directory(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dotgates import dynamics
 from dotgates.dynamics import (
     CollapseChannel,
     IntegrationError,
@@ -236,6 +237,21 @@ def test_accumulated_phase_flags_sign_crossing():
     assert ps.max_jump == pytest.approx(math.pi, abs=0.1)
 
 
+def test_accumulated_phase_flags_hop_across_exact_node():
+    # the node sample is exactly zero, so it is interpolated; the pi hop
+    # between its defined neighbours must still be flagged on both intervals
+    times = np.linspace(0.0, 1.0, 101)
+    amp = np.cos(math.pi * times).astype(complex)
+    amp[50] = 0.0
+    states = np.stack([amp, np.sqrt(1.0 - np.abs(amp) ** 2)], axis=1)
+    ps = accumulated_phase(Trajectory(times, states, B2, LAB_FRAME, "pure"), "g")
+    assert ps.interpolated[50] and ps.interpolated.sum() == 1
+    assert ps.any_jump_flag
+    assert np.flatnonzero(ps.jump_mask).tolist() == [49, 50]
+    assert ps.max_jump == pytest.approx(math.pi, abs=1e-12)
+    assert ps.values[50] == pytest.approx(0.5 * (ps.values[49] + ps.values[51]))
+
+
 def test_accumulated_phase_interpolates_below_floor():
     times = np.linspace(0.0, 1.0, 101)
     amp = np.exp(-1j * 0.3 * times)
@@ -299,3 +315,75 @@ def test_concatenate_trajectories():
         concatenate_trajectories([first, rot])
     with pytest.raises(ValueError):
         concatenate_trajectories([])
+
+
+def test_constant_hamiltonian_eigh_matches_adaptive():
+    rng = np.random.default_rng(3)
+    m = _random_hermitian(rng, 3)
+    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi0 = QuantumState(v / np.linalg.norm(v), B3)
+    exact = evolve_schrodinger(OperatorMatrix(m, B3, hermitian=True), psi0, (0.2, 2.7),
+                               breakpoints=(1.234,))
+    adaptive = evolve_schrodinger(lambda t: m, psi0, (0.2, 2.7), breakpoints=(1.234,))
+    assert exact.metadata["propagator"] == "eigh"
+    assert adaptive.metadata["propagator"] == "DOP853"
+    assert adaptive.metadata["nfev"] > 0
+    np.testing.assert_array_equal(exact.times, adaptive.times)
+    np.testing.assert_allclose(exact.states, adaptive.states, atol=1e-8)
+
+
+def _lossy_lambda():
+    # Raman-like block: two ground levels, a detuned excited level, a sink
+    h = np.zeros((4, 4), dtype=complex)
+    h[2, 2] = 3.0
+    h[0, 2] = h[2, 0] = h[1, 2] = h[2, 1] = 0.7
+    sink = np.zeros((4, 4), dtype=complex)
+    sink[3, 2] = 1.0
+    basis = Basis(("0", "1", "e", "s"), "lambda")
+    return h, basis, (CollapseChannel(sink, 0.2),)
+
+
+def test_constant_liouvillian_matches_adaptive(monkeypatch):
+    h, basis, channels = _lossy_lambda()
+    rho0 = QuantumState.basis_state(basis, "0").density()
+    exact = evolve_lindblad(h, rho0, (0.0, 12.0), channels)
+    adaptive = evolve_lindblad(lambda t: h, rho0, (0.0, 12.0), channels)
+    assert exact.metadata["propagator"] == "liouvillian-eig"
+    assert adaptive.metadata["propagator"] == "DOP853"
+    np.testing.assert_array_equal(exact.times, adaptive.times)
+    np.testing.assert_allclose(exact.states, adaptive.states, atol=1e-8)
+    # eigenvectors too ill-conditioned to trust hand over to the adaptive path
+    monkeypatch.setattr(dynamics, "_MAX_EIGVEC_COND", 0.0)
+    fallback = evolve_lindblad(h, rho0, (0.0, 12.0), channels)
+    assert fallback.metadata["propagator"] == "DOP853"
+    np.testing.assert_allclose(fallback.states, adaptive.states, atol=1e-12)
+
+
+def test_periodic_hamiltonian_floquet_matches_adaptive():
+    w = 40.0  # meV carrier; the period is 2 pi hbar / w
+    period = 2.0 * math.pi * HBAR_MEV_PS / w
+
+    def h(t):
+        c = 0.8 * math.cos(w * t / HBAR_MEV_PS)
+        return np.array([[0.0, c], [c, w]], dtype=complex)
+
+    psi0 = QuantumState(np.array([0.6, 0.8j]), B2)
+    span = (0.3, 0.3 + 7.4 * period)
+    flo = evolve_schrodinger(h, psi0, span, period=period)
+    ref = evolve_schrodinger(h, psi0, span, IntegratorConfig(rtol=1e-12, atol=1e-14))
+    assert flo.metadata["propagator"] == "floquet"
+    assert 0 < flo.metadata["nfev"] < ref.metadata["nfev"]
+    np.testing.assert_array_equal(flo.times, ref.times)
+    np.testing.assert_allclose(flo.states, ref.states, atol=1e-8)
+    # less than one period, or an interior kink, keeps the adaptive path
+    short = evolve_schrodinger(h, psi0, (0.3, 0.3 + 0.5 * period), period=period)
+    assert short.metadata["propagator"] == "DOP853"
+    kinked = evolve_schrodinger(h, psi0, span, period=period, breakpoints=(1.0,))
+    assert kinked.metadata["propagator"] == "DOP853"
+
+
+def test_sample_grid_cap_allocates_nothing():
+    h = OperatorMatrix(np.eye(2), B2, hermitian=True)
+    psi0 = QuantumState.basis_state(B2, "g")
+    with pytest.raises(ValueError, match="samples"):
+        evolve_schrodinger(h, psi0, (0.0, 30.0), IntegratorConfig(sample_interval=1e-9))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dotgates.dynamics import IntegrationError, evolve_schrodinger
+from dotgates import gates
+from dotgates.dynamics import IntegrationError, IntegratorConfig, evolve_schrodinger
 from dotgates.gates import (
     PulseAreaError,
     RamanParams,
@@ -27,6 +28,7 @@ from dotgates.gates import (
 from dotgates.model import (
     SPECTATOR_A_IDLE,
     DotPairParams,
+    GaussianPulse,
     SquarePulse,
     spectator_generator,
 )
@@ -255,6 +257,48 @@ def test_run_z_rotation_imprints_optical_phase(wait):
     assert traj.times[0] == 0.0
     d = report.to_dict()
     assert d["kind"] == "zrot" and d["wait"] == wait
+
+
+@pytest.mark.parametrize("omega_a, rabi", [(150.0, 1.0), (2000.0, 4.0)])
+def test_run_z_rotation_floquet_matches_tight_adaptive(monkeypatch, omega_a, rabi):
+    # 75 and 250 carrier periods per pulse; the reference integrates every
+    # one of them with DOP853 at rtol 1e-13
+    pair = DotPairParams(omega_a=omega_a, v_f=0.85, v_xx=5.0)
+    gate = ZGateParams(SquarePulse(rabi, pi_pulse_time(rabi)), wait=0.37)
+    fast, traj = run_z_rotation(pair, gate)
+    assert traj.metadata["propagator"] == "floquet"
+
+    def adaptive(*args, period=None, **kwargs):
+        return evolve_schrodinger(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "evolve_schrodinger", adaptive)
+    tight, ref = run_z_rotation(pair, gate, IntegratorConfig(rtol=1e-13, atol=1e-15))
+    assert ref.metadata["propagator"] == "DOP853"
+    assert abs(wrap_phase(fast.achieved_phase - tight.achieved_phase)) < 1e-6
+    assert abs(wrap_phase(fast.composite_phase - tight.composite_phase)) < 1e-6
+    assert fast.trion_leakage == pytest.approx(tight.trion_leakage, abs=1e-9)
+    np.testing.assert_array_equal(traj.times, ref.times)
+    np.testing.assert_allclose(traj.states, ref.states, atol=1e-6)
+
+
+def test_runners_record_their_propagator():
+    _, trajs = run_cphase(PAIR, square_cphase_pulse(0.2))
+    for key in ("01", "10", "11"):
+        assert trajs[key].metadata["propagator"] == "eigh"
+    report, trajs = run_cphase(PAIR, gaussian_cphase_pulse(0.2))
+    assert trajs["11"].metadata["propagator"] == "DOP853"
+    assert trajs["11"].metadata["nfev"] > 0
+    assert "propagator" not in str(report.to_dict())
+    pulse = SquarePulse(1.0, pi_pulse_time(1.0))
+    _, traj = run_z_rotation(PAIR, ZGateParams(pulse, wait=0.5))
+    assert traj.metadata["propagator"] == "floquet"
+    assert traj.metadata["nfev"] > 0
+    slow_carrier = DotPairParams(omega_a=20.0, v_f=0.85, v_xx=5.0)
+    smooth = GaussianPulse(peak=1.0, sigma=PI_HBAR / GaussianPulse(1.0, 1.0).area())
+    _, traj = run_z_rotation(slow_carrier, ZGateParams(smooth, wait=0.1))
+    assert traj.metadata["propagator"] == "DOP853"
+    _, traj = run_raman_x(RamanParams())
+    assert traj.metadata["propagator"] == "liouvillian-eig"
 
 
 def test_run_z_rotation_carrier_guard():
