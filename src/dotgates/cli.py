@@ -13,18 +13,24 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures (integration, pulse calibration, undefined phases).
 
-``dotgates verify --out DIR`` re-reads emitted CSV files and checks the
-conservation laws (norm or trace) row by row; it exits 2 on violation.
+``dotgates verify --out DIR`` re-reads every emitted CSV and JSON file and
+reports each one ``ok`` or ``FAIL``; it exits 2 on any failure.  CSV rows
+must conserve the norm (``re_``/``im_`` files) or the trace (``pop_``
+files, populations >= -1e-6) to 2e-6, and family ``amp_`` magnitudes must
+lie in [0, 1 + 2e-6]; ``nan`` or ``inf`` in a checked column fails, and so
+does an empty, header-only, uncheckable or unparseable CSV.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import click
 import numpy as np
@@ -55,6 +61,10 @@ from .model import check_conditions
 __all__ = ["main", "run_experiment", "round_floats"]
 
 _CSV_FMT = "%.11e"  # 12 significant digits
+_CSV_BLOCK_ROWS = 1024  # rows formatted per numpy pass; bounds the writer's memory
+_CELL_BYTES = 20  # a padded "-d.ddddddddddde+ddd" cell plus its separator
+_EXP_OFFSET = 320  # decimal exponents handled by the lookup tables: [-320, 320)
+_P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 160)
 _NORM_CHECK_TOL = 2e-6  # integration drift plus serialization rounding
 
 
@@ -81,20 +91,114 @@ def _write_json(path: Path, obj: Mapping[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-def _fmt_cell(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return _CSV_FMT % x
+@functools.cache
+def _cell_tables() -> dict[str, np.ndarray]:
+    """Lookup tables for `_format_rows`, built on first use so that importing
+    the CLI costs nothing for runs that write no CSV.
+
+    A cell is five native ``uint32`` words of four ASCII bytes, 0 bytes being
+    padding: ``[sign, d0, '.', d1] [d2..d5] [d6..d9] [d10, d11, 'e', esign]
+    [e100, e10, e1, separator]``.
+    """
+    def words(rows: Any) -> np.ndarray:
+        return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint32).ravel()
+
+    def digits(n: int, width: int) -> np.ndarray:
+        return 48 + np.arange(n)[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10
+
+    d2 = digits(100, 2)
+    z = np.zeros(100, dtype=int)
+    e = np.arange(-_EXP_OFFSET, _EXP_OFFSET)
+    ae, ze = np.abs(e), 0 * e
+    return {
+        "p10": np.array([float(f"1e{k}") for k in range(-_P10_OFFSET, _P10_OFFSET)]),
+        "lead": words(np.column_stack([z, d2[:, 0], z + ord("."), d2[:, 1]])),
+        "quad": words(digits(10000, 4)),
+        "tail": words(np.column_stack([d2, z + ord("e"), z])),
+        "esign": words(np.column_stack([ze, ze, ze, np.where(e < 0, ord("-"), ord("+"))])),
+        "exp": words(np.column_stack([np.where(ae >= 100, 48 + ae // 100, 0),
+                                      48 + ae // 10 % 10, 48 + ae % 10, ze])),
+        "minus": words([ord("-"), 0, 0, 0]),
+        "nan": words(list(b"nan") + [0]),
+        "comma": words([0, 0, 0, ord(",")]),
+        "newline": words([0, 0, 0, ord("\n")]),
+        "separator_only": words([0, 0, 0, 255]),
+    }
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, p10: np.ndarray) -> np.ndarray:
+    """``a * 10**(11 - e)`` through two correctly rounded factors, so that
+    no intermediate overflows or goes subnormal for ``a`` in [1e-300, 1e300]."""
+    k = 11 - e
+    h = k >> 1
+    return a * p10[h + _P10_OFFSET] * p10[k - h + _P10_OFFSET]
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """CSV lines for a 2-d float block, byte-identical to ``"%.11e" % x`` per cell.
+
+    The decimal mantissa is ``rint(|x| * 10**(11-e))``; the float scaling is
+    off the exact product by under 5e-16 relative, i.e. under 5e-4 for a
+    12-digit mantissa, so the rounding is exact unless the scaled value lies
+    within 1e-3 of a half.  Those cells, ``inf`` and magnitudes outside
+    [1e-300, 1e300] are printed by ``%`` itself; zeros and ``nan`` take
+    fixed patterns.
+    """
+    t = _cell_tables()
+    rows, ncols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-300) & (a <= 1e300)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = _scaled(a, e, t["p10"])
+    off = (s >= 1e12).astype(np.intp) - (s < 1e11)
+    if off.any():
+        e += off
+        s = _scaled(a, e, t["p10"])
+    m = np.rint(s)
+    fast &= (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) >= 1e-3)
+    m = np.where(fast, m, 0.0)  # zeros print as 0.00000000000e+00
+    # digit groups [d0 d1] [d2..d5] [d6..d9] [d10 d11]; every step is exact
+    q0 = np.floor(m / 1e10)
+    m -= q0 * 1e10
+    q1 = np.floor(m / 1e6)
+    m -= q1 * 1e6
+    q2 = np.floor(m / 1e2)
+    m -= q2 * 1e2
+    e += _EXP_OFFSET
+    cells = np.empty((rows, ncols, 5), dtype=np.uint32)
+    w = cells.reshape(-1, 5)
+    w[:, 0] = t["lead"][q0.astype(np.intp)] | np.signbit(x) * t["minus"]
+    w[:, 1] = t["quad"][q1.astype(np.intp)]
+    w[:, 2] = t["quad"][q2.astype(np.intp)]
+    w[:, 3] = t["tail"][m.astype(np.intp)] | t["esign"][e]
+    cells[:, :, 4] = t["exp"][e].reshape(rows, ncols)
+    cells[:, :-1, 4] |= t["comma"]
+    cells[:, -1, 4] |= t["newline"]
+    buf = w.view(np.uint8)
+    slow = np.flatnonzero(~fast & (x != 0))
+    if slow.size:
+        nan = np.isnan(x[slow])
+        w[slow[nan], 0] = t["nan"]
+        w[slow[nan], 1:4] = 0
+        w[slow[nan], 4] &= t["separator_only"]
+        for i in slow[~nan]:
+            txt = (_CSV_FMT % float(x[i])).encode()
+            buf[i, :_CELL_BYTES - 1] = 0
+            buf[i, :len(txt)] = np.frombuffer(txt, dtype=np.uint8)
+    return buf[buf != 0].tobytes()
 
 
 def _write_csv(path: Path, header: Sequence[str],
                columns: Sequence[np.ndarray]) -> None:
     n = int(columns[0].size) if columns else 0
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt_cell(float(c[i])) for c in columns))
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
+    with tmp.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(_format_rows(block.astype(np.float64, copy=False)))
     os.replace(tmp, path)
 
 
@@ -412,32 +516,89 @@ def sweep(config_path: str | None, out: str, overrides: tuple[str, ...],
     _execute("sweep", config_path, out, overrides, jobs=jobs)
 
 
-def _verify_csv(path: Path) -> tuple[str, str]:
-    """Check conservation laws in one CSV; returns (status, message)."""
-    lines = path.read_text().strip().splitlines()
-    if not lines:
-        return "skip", "empty file"
-    header = lines[0].split(",")
-    re_cols = [i for i, h in enumerate(header) if h.startswith("re_")]
-    pop_cols = [i for i, h in enumerate(header) if h.startswith("pop_")]
-    if re_cols:
-        im_cols = [i for i, h in enumerate(header) if h.startswith("im_")]
-        for ln, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            norm = sum(float(cells[i]) ** 2 for i in re_cols + im_cols)
-            if abs(norm - 1.0) > _NORM_CHECK_TOL:
-                return "fail", f"line {ln}: norm {norm:.9f} deviates from 1"
-        return "ok", f"{len(lines) - 1} rows, norm conserved"
-    if pop_cols:
-        for ln, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            pops = [float(cells[i]) for i in pop_cols]
-            if min(pops) < -1e-6:
-                return "fail", f"line {ln}: negative population {min(pops):.3e}"
-            if abs(sum(pops) - 1.0) > _NORM_CHECK_TOL:
-                return "fail", f"line {ln}: trace {sum(pops):.9f} deviates from 1"
-        return "ok", f"{len(lines) - 1} rows, trace conserved"
-    return "skip", "no amplitude or population columns"
+def _load_columns(path: Path, cols: list[int], width: int) -> np.ndarray:
+    """Parse the given columns of a CSV's data rows, in that order.
+
+    The last column is parsed as well, so that a short row is an error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header only: no data
+        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols + [width - 1],
+                          ndmin=2, comments=None)
+    return data[:, :-1]
+
+
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum across each row, column by column (the order a per-row loop adds in)."""
+    total = np.zeros(terms.shape[0])
+    for col in terms.T:
+        total += col
+    return total
+
+
+def _first_failure(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> str | None:
+    """Message for the first row that fails any ``(failed, describe)`` check.
+
+    Within a row the checks are tried in order; line numbers count the header.
+    """
+    bad = np.flatnonzero(np.logical_or.reduce([failed for failed, _ in checks]))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    describe = next(d for failed, d in checks if failed[i])
+    return f"line {i + 2}: {describe(i)}"
+
+
+def _verify_csv(path: Path) -> tuple[bool, str]:
+    """Check one CSV row by row; returns (passed, message).
+
+    Amplitude files (``re_``/``im_``) must keep the norm at 1, population
+    files (``pop_``) must keep populations non-negative and the trace at 1,
+    and family files (``amp_``) must keep every magnitude in
+    [0, 1 + _NORM_CHECK_TOL].  Comparisons are written so that ``nan`` and
+    ``inf`` fail them.
+    """
+    try:
+        with path.open() as fh:
+            header = fh.readline().rstrip("\n").split(",")
+        if header == [""]:
+            return False, "empty file"
+        named = {pre: [i for i, h in enumerate(header) if h.startswith(pre)]
+                 for pre in ("re_", "im_", "pop_", "amp_")}
+        cols = (named["re_"] + named["im_"] if named["re_"]
+                else named["pop_"] or named["amp_"])
+        if not cols:
+            return False, "no re_, pop_ or amp_ columns to check"
+        data = _load_columns(path, cols, len(header))
+    except ValueError as e:  # also a UnicodeDecodeError
+        return False, f"unparseable ({(str(e) or type(e).__name__).splitlines()[0]})"
+    rows = data.shape[0]
+    if not rows:
+        return False, "no data rows"
+    if named["re_"]:
+        norm = _row_sum(data ** 2)
+        failure = _first_failure([
+            (~(np.abs(norm - 1.0) <= _NORM_CHECK_TOL),
+             lambda i: f"norm {norm[i]:.9f} deviates from 1"),
+        ])
+        return failure is None, failure or f"{rows} rows, norm conserved"
+    if named["pop_"]:
+        low, trace = data.min(axis=1), _row_sum(data)
+        failure = _first_failure([
+            (~np.isfinite(data).all(axis=1), lambda i: "non-finite population"),
+            (~(low >= -1e-6), lambda i: f"negative population {low[i]:.3e}"),
+            (~(np.abs(trace - 1.0) <= _NORM_CHECK_TOL),
+             lambda i: f"trace {trace[i]:.9f} deviates from 1"),
+        ])
+        return failure is None, failure or f"{rows} rows, trace conserved"
+    inside = (data >= 0.0) & (data <= 1.0 + _NORM_CHECK_TOL)
+
+    def outside(i: int) -> str:
+        j = int(np.flatnonzero(~inside[i])[0])
+        return f"{header[cols[j]]} {data[i, j]:.9f} outside [0, 1]"
+
+    failure = _first_failure([(~inside.all(axis=1), outside)])
+    return failure is None, failure or f"{rows} rows, amplitudes within [0, 1]"
 
 
 @main.command()
@@ -452,14 +613,14 @@ def verify(out: str) -> None:
     failed = 0
     checked = 0
     for f in sorted(base.rglob("*.csv")):
-        status, msg = _verify_csv(f)
+        passed, msg = _verify_csv(f)
         rel = f.relative_to(base)
-        if status == "fail":
-            failed += 1
-            click.echo(f"FAIL {rel}: {msg}")
-        elif status == "ok":
+        if passed:
             checked += 1
             click.echo(f"ok   {rel}: {msg}")
+        else:
+            failed += 1
+            click.echo(f"FAIL {rel}: {msg}")
     for f in sorted(base.rglob("*.json")):
         rel = f.relative_to(base)
         try:

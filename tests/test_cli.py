@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import numpy as np
+
 import dotgates
-from dotgates.cli import main, round_floats
+from dotgates.cli import _CSV_BLOCK_ROWS, _write_csv, main, round_floats
 from dotgates.config import ConfigError, build_config
 
 RUNNER = CliRunner()
@@ -324,6 +326,135 @@ def test_verify_accepts_good_run_and_catches_corruption(tmp_path):
     result = _invoke(["verify", "--out", str(out)])
     assert "invalid JSON" in result.output
     assert result.exit_code == 2
+
+
+def _reference_csv(header, columns):
+    rows = zip(*(c.tolist() for c in columns)) if columns else ()
+    lines = [",".join(header)] + [",".join("%.11e" % v for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_writes_like_percent(tmp_path, values, ncols=3):
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.zeros(-values.size % ncols)])
+    columns = list(values.reshape(-1, ncols).T)
+    header = [f"c{i}" for i in range(ncols)]
+    path = tmp_path / "golden.csv"
+    _write_csv(path, header, columns)
+    assert path.read_bytes() == _reference_csv(header, columns)
+    assert not (tmp_path / "golden.csv.tmp").exists()
+
+
+def test_csv_writer_matches_percent_format_on_special_values(tmp_path):
+    specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-300, 1e300, 1e-301, 1e301,
+                1e308, -1e308, 1.7976931348623157e308, 1e100, -1e-100, 1.5e-245,
+                9.99999999999e99, 9.999999999995e99, 1.0, -1.0, 0.5, 123.456]
+    for ncols in (1, 3, len(specials)):
+        _assert_writes_like_percent(tmp_path, specials, ncols)
+
+
+def test_csv_writer_matches_percent_format_on_decimal_ties(tmp_path):
+    # 13-digit decimals ending in 5 sit on (or next to) a 12-digit rounding tie
+    rng = np.random.default_rng(5)
+    ties = [float(f"{m}5e{k}") for k in range(-300, 300, 7)
+            for m in rng.integers(10**11, 10**12, 20)]
+    ties += [float("1.000000000005e5"), float("9.999999999995e11"),
+             float("2.500000000005e-3"), float("9.999999999995e-1")]
+    ties = np.array(ties)
+    _assert_writes_like_percent(tmp_path, np.concatenate([
+        ties, -ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]))
+
+
+def test_csv_writer_matches_percent_format_around_powers_of_ten(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below = np.nextafter(powers, 0)
+    _assert_writes_like_percent(tmp_path, np.concatenate([
+        powers, below, np.nextafter(below, 0), np.nextafter(powers, np.inf), -powers]))
+
+
+def test_csv_writer_matches_percent_format_on_random_values(tmp_path):
+    rng = np.random.default_rng(11)
+    values = 10 ** rng.uniform(-300, 300, 60000) * rng.choice([-1.0, 1.0], 60000)
+    values[rng.integers(0, values.size, 300)] = 0.0
+    values[rng.integers(0, values.size, 300)] = math.nan
+    bits = rng.integers(-2**63, 2**63 - 1, 20000, dtype=np.int64).view(np.float64)
+    _assert_writes_like_percent(tmp_path, np.concatenate([values, bits]), ncols=13)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                  _CSV_BLOCK_ROWS + 1])
+def test_csv_writer_block_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    _assert_writes_like_percent(tmp_path, rng.standard_normal(rows * 4), ncols=4)
+
+
+def _set_cell(path, line, column, text):
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _verify_lines(out):
+    result = _invoke(["verify", "--out", str(out)])
+    return result.exit_code, result.output.strip().splitlines()
+
+
+def test_verify_fails_non_finite_amplitude(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    for text in ("nan", "inf"):
+        _set_cell(out / "traj_11.csv", 7, "re_11", text)
+        code, lines = _verify_lines(out)
+        assert code == 2
+        assert f"FAIL traj_11.csv: line 7: norm {text} deviates from 1" in lines
+
+
+def test_verify_reports_unparseable_cell_and_short_row(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    _set_cell(out / "traj_10.csv", 4, "im_10", "1.0x")
+    path = out / "traj_01.csv"
+    lines = path.read_text().splitlines()
+    lines[9] = lines[9].rsplit(",", 1)[0]  # drop the last cell of one row
+    path.write_text("\n".join(lines) + "\n")
+    code, lines = _verify_lines(out)
+    assert code == 2
+    fails = [ln for ln in lines if ln.startswith("FAIL")]
+    assert [ln.split(":")[0] for ln in fails] == ["FAIL traj_01.csv", "FAIL traj_10.csv"]
+    assert all(": unparseable (" in ln for ln in fails)
+    assert "'1.0x'" in fails[1]
+    assert lines[-1] == "verified 3 files, 2 failures"
+
+
+def test_verify_checks_family_csvs(tmp_path):
+    out = tmp_path / "fam"
+    assert _invoke(["cphase", "--out", str(out), "--set", "ratios=[0.3,0.15]"]).exit_code == 0
+    code, lines = _verify_lines(out)
+    assert code == 0
+    assert lines[-1] == "verified 4 files, 0 failures"
+    assert "ok   family_ratio_0.3.csv: 1148 rows, amplitudes within [0, 1]" in lines
+
+    _set_cell(out / "family_ratio_0.3.csv", 5, "amp_11", "1.5")
+    code, lines = _verify_lines(out)
+    assert code == 2
+    assert "FAIL family_ratio_0.3.csv: line 5: amp_11 1.500000000 outside [0, 1]" in lines
+
+
+def test_verify_fails_csvs_without_checkable_content(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header_only.csv").write_text("t_ps,re_0,im_0\n")
+    (tmp_path / "times.csv").write_text("t_ps,phase_0\n0.0,1.0\n")
+    code, lines = _verify_lines(tmp_path)
+    assert code == 2
+    assert lines == [
+        "FAIL empty.csv: empty file",
+        "FAIL header_only.csv: no data rows",
+        "FAIL times.csv: no re_, pop_ or amp_ columns to check",
+        "verified 0 files, 3 failures",
+    ]
 
 
 def test_sample_count_cap_rejects_run_before_allocating(tmp_path):
