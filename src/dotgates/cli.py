@@ -18,12 +18,15 @@ reports each one ``ok`` or ``FAIL``; it exits 2 on any failure.  CSV rows
 must conserve the norm (``re_``/``im_`` files) or the trace (``pop_``
 files, populations >= -1e-6) to 2e-6, and family ``amp_`` magnitudes must
 lie in [0, 1 + 2e-6]; ``nan`` or ``inf`` in a checked column fails, and so
-does an empty, header-only, uncheckable or unparseable CSV.
+does an empty, header-only, uncheckable or unparseable CSV, and one with a
+row of more or fewer cells than its header.  Failures name the file line,
+counting the header as line 1.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -66,6 +69,7 @@ _CELL_BYTES = 20  # a padded "-d.ddddddddddde+ddd" cell plus its separator
 _EXP_OFFSET = 320  # decimal exponents handled by the lookup tables: [-320, 320)
 _P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 160)
 _NORM_CHECK_TOL = 2e-6  # integration drift plus serialization rounding
+_SCAN_BYTES = 1 << 16  # verify counts commas in reused chunks: no per-file allocation
 
 
 def round_floats(obj: Any, significant: int = 12) -> Any:
@@ -246,9 +250,7 @@ def _run_cphase_single(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
                                cfg["threshold_biexciton"], cfg["threshold_spectator"])
     for key, traj in trajs.items():
         _write_trajectory(out / f"traj_{key}.csv", traj)
-    d = report.to_dict()
-    _write_json(out / "report.json", d)
-    return d
+    return report.to_dict()
 
 
 def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
@@ -294,9 +296,7 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         },
     }
     _write_json(out / "schema.json", schema)
-    d = {"kind": "cphase_family", "runs": runs}
-    _write_json(out / "report.json", d)
-    return d
+    return {"kind": "cphase_family", "runs": runs}
 
 
 def _run_zrot(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
@@ -306,18 +306,14 @@ def _run_zrot(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     # exciton amplitude with the optical carrier divided out
     _write_trajectory(out / "trajectory_rot.csv",
                       to_rotating_frame(traj, p.omega_a, (0, 0, 1)))
-    d = report.to_dict()
-    _write_json(out / "report.json", d)
-    return d
+    return report.to_dict()
 
 
 def _run_raman_single(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     report, traj = run_raman_x(cfg.raman_params(), cfg.integrator(),
                                cfg["time_window"])
     _write_trajectory(out / "populations.csv", traj)
-    d = report.to_dict()
-    _write_json(out / "report.json", d)
-    return d
+    return report.to_dict()
 
 
 def _run_raman_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
@@ -351,9 +347,7 @@ def _run_raman_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         },
     }
     _write_json(out / "schema.json", schema)
-    d = {"kind": "raman_family", "runs": runs}
-    _write_json(out / "report.json", d)
-    return d
+    return {"kind": "raman_family", "runs": runs}
 
 
 def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
@@ -361,22 +355,12 @@ def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     env = cfg.envelope()
     rep = check_conditions(p, env, cfg["threshold_biexciton"],
                            cfg["threshold_spectator"])
-    d = {
+    return {
         "kind": "conditions",
         "dot_params": {"omega_a": p.omega_a, "v_f": p.v_f, "v_xx": p.v_xx},
         "pulse": pulse_summary(env),
         "conditions": rep.as_dict(),
     }
-    _write_json(out / "report.json", d)
-    return d
-
-
-def _sweep_child_raws(cfg: ExperimentConfig) -> list[tuple[float, dict[str, Any]]]:
-    base = dict(cfg["child_base"])
-    return [
-        (float(v), {**base, "kind": cfg["sweep_kind"], cfg["sweep_param"]: float(v)})
-        for v in cfg["sweep_values"]
-    ]
 
 
 def _run_sweep_child(raw: dict[str, Any], out_str: str) -> dict[str, Any]:
@@ -384,11 +368,8 @@ def _run_sweep_child(raw: dict[str, Any], out_str: str) -> dict[str, Any]:
 
 
 def _run_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> dict[str, Any]:
-    children = _sweep_child_raws(cfg)
+    children = cfg.sweep_child_raws()
     param = cfg["sweep_param"]
-    if not children:
-        click.echo("sweep_values is empty; nothing to run")
-        return {"kind": "sweep", "sweep_param": param, "runs": []}
     dirs = [out / f"{param}_{v:g}" for v, _ in children]
     raws = [raw for _, raw in children]
     if jobs > 1:
@@ -402,10 +383,8 @@ def _run_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> dict[str, Any]:
         {"value": v, "dir": d.name, "report": rep}
         for (v, _), d, rep in zip(children, dirs, reports)
     ]
-    d = {"kind": "sweep", "sweep_kind": cfg["sweep_kind"], "sweep_param": param,
-         "runs": runs}
-    _write_json(out / "report.json", d)
-    return d
+    return {"kind": "sweep", "sweep_kind": cfg["sweep_kind"], "sweep_param": param,
+            "runs": runs}
 
 
 def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str, Any]:
@@ -415,23 +394,24 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str,
     """
     out = Path(out)
     if cfg.kind == "sweep" and not cfg["sweep_values"]:
-        return _run_sweep(cfg, out, jobs)
+        click.echo("sweep_values is empty; nothing to run")
+        return {"kind": "sweep", "sweep_param": cfg["sweep_param"], "runs": []}
     out.mkdir(parents=True, exist_ok=True)
     if cfg.kind == "cphase":
-        if cfg["ratios"] is not None:
-            return _run_cphase_family(cfg, out)
-        return _run_cphase_single(cfg, out)
-    if cfg.kind == "zrot":
-        return _run_zrot(cfg, out)
-    if cfg.kind == "raman":
-        if cfg["detunings"] is not None or cfg["gammas"] is not None:
-            return _run_raman_family(cfg, out)
-        return _run_raman_single(cfg, out)
-    if cfg.kind == "conditions":
-        return _run_conditions(cfg, out)
-    if cfg.kind == "sweep":
-        return _run_sweep(cfg, out, jobs)
-    raise ConfigError(f"unknown kind {cfg.kind!r}")
+        d = (_run_cphase_single if cfg["ratios"] is None else _run_cphase_family)(cfg, out)
+    elif cfg.kind == "zrot":
+        d = _run_zrot(cfg, out)
+    elif cfg.kind == "raman":
+        family = cfg["detunings"] is not None or cfg["gammas"] is not None
+        d = (_run_raman_family if family else _run_raman_single)(cfg, out)
+    elif cfg.kind == "conditions":
+        d = _run_conditions(cfg, out)
+    elif cfg.kind == "sweep":
+        d = _run_sweep(cfg, out, jobs)
+    else:
+        raise ConfigError(f"unknown kind {cfg.kind!r}")
+    _write_json(out / "report.json", d)
+    return d
 
 
 def _prepare(kind: str, config_path: str | None,
@@ -519,13 +499,38 @@ def sweep(config_path: str | None, out: str, overrides: tuple[str, ...],
 def _load_columns(path: Path, cols: list[int], width: int) -> np.ndarray:
     """Parse the given columns of a CSV's data rows, in that order.
 
-    The last column is parsed as well, so that a short row is an error.
+    The last column is parsed as well, so that a short row is an error, and
+    a long row leaves more than ``width - 1`` commas per parsed line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # header only: no data
         data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols + [width - 1],
                           ndmin=2, comments=None)
+    buf, hit = np.empty(_SCAN_BYTES, dtype=np.uint8), np.empty(_SCAN_BYTES, dtype=bool)
+    commas = 0
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            commas += np.count_nonzero(np.equal(buf[:n], ord(","), out=hit[:n]))
+    if commas != (width - 1) * (data.shape[0] + 1):
+        raise ValueError("a row's cell count differs from the header's")
     return data[:, :-1]
+
+
+def _first_bad_line(path: Path, width: int) -> str | None:
+    """``line N: <reason>`` for the first data row that does not have ``width``
+    numeric cells; line numbers count the header."""
+    with path.open(errors="replace") as fh:
+        for n, line in enumerate(itertools.islice(fh, 1, None), start=2):
+            if not line.strip():
+                continue  # np.loadtxt skips blank lines too
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != width:
+                return f"line {n}: {len(cells)} cells, the header has {width}"
+            try:
+                np.asarray(cells, dtype=float)
+            except ValueError as e:
+                return f"line {n}: {e}"
+    return None
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
@@ -558,9 +563,10 @@ def _verify_csv(path: Path) -> tuple[bool, str]:
     [0, 1 + _NORM_CHECK_TOL].  Comparisons are written so that ``nan`` and
     ``inf`` fail them.
     """
+    header: list[str] = []
     try:
-        with path.open() as fh:
-            header = fh.readline().rstrip("\n").split(",")
+        with path.open("rb") as fh:  # decode the header line alone
+            header = fh.readline().decode().rstrip("\n").split(",")
         if header == [""]:
             return False, "empty file"
         named = {pre: [i for i, h in enumerate(header) if h.startswith(pre)]
@@ -571,7 +577,8 @@ def _verify_csv(path: Path) -> tuple[bool, str]:
             return False, "no re_, pop_ or amp_ columns to check"
         data = _load_columns(path, cols, len(header))
     except ValueError as e:  # also a UnicodeDecodeError
-        return False, f"unparseable ({(str(e) or type(e).__name__).splitlines()[0]})"
+        reason = _first_bad_line(path, len(header)) if header else None
+        return False, f"unparseable ({reason or (str(e) or type(e).__name__).splitlines()[0]})"
     rows = data.shape[0]
     if not rows:
         return False, "no data rows"

@@ -35,17 +35,18 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .dynamics import IntegratorConfig, check_sample_count
-from .gates import RamanParams, ZGateParams, commensurate_gate_time, raman_window
+from .gates import (CPHASE_AREA, PI_AREA, RamanParams, ZGateParams, calibrated_pulse,
+                    commensurate_gate_time, raman_window)
 from .model import DotPairParams, GaussianPulse, SquarePulse
-from .operators import HBAR_MEV_PS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config_file",
            "apply_overrides", "build_config", "EXPERIMENT_KINDS"]
 
-_SQRT2 = math.sqrt(2.0)
-_TWO_PI = 2.0 * math.pi
-
 EXPERIMENT_KINDS = ("cphase", "zrot", "raman", "conditions", "sweep")
+
+
+# bare pulse area each calibrated experiment targets
+_PULSE_AREAS = {"cphase": CPHASE_AREA, "conditions": CPHASE_AREA, "zrot": PI_AREA}
 
 
 class ConfigError(ValueError):
@@ -240,41 +241,31 @@ class ExperimentConfig:
                                 max_step=math.inf if ms is None else ms,
                                 sample_interval=self["sample_interval"])
 
-    def _target_area(self) -> float:
-        # bare-pulse area for each calibrated experiment
-        if self.kind in ("cphase", "conditions"):
-            return _TWO_PI * HBAR_MEV_PS / _SQRT2
-        if self.kind == "zrot":
-            return math.pi * HBAR_MEV_PS
-        raise ConfigError(f"kind {self.kind!r} does not define a pulse")
-
     def envelope(self, omega: float | None = None) -> SquarePulse | GaussianPulse:
         """Resolve the pulse; ``omega`` overrides the configured peak (used
         by family runs)."""
+        if self.kind not in _PULSE_AREAS:
+            raise ConfigError(f"kind {self.kind!r} does not define a pulse")
         om = self["omega"] if omega is None else float(omega)
-        shape = self["pulse_shape"]
-        t_start = self["t_start"]
-        if shape == "square":
-            duration = self["duration"]
-            if duration is None:
-                if om <= 0:
-                    raise ConfigError("omega must be > 0 to derive the pulse duration")
-                duration = self._target_area() / om
-                if self.kind == "cphase" and self.values.get("commensurate"):
-                    duration = commensurate_gate_time(self.dot_params(), om)
-            elif self.values.get("commensurate"):
-                raise ConfigError("commensurate timing requires duration=null")
-            return SquarePulse(amplitude=om, duration=duration, t_start=t_start)
-        if self.values.get("commensurate"):
+        square = self["pulse_shape"] == "square"
+        t_start, trunc = self["t_start"], self["truncation"]
+        width = self["duration" if square else "sigma"]
+        commensurate = self.values.get("commensurate")
+        if commensurate and not square:
             raise ConfigError("commensurate timing applies to square pulses only")
-        sigma = self["sigma"]
-        trunc = self["truncation"]
-        if sigma is None:
+        if width is None:
             if om <= 0:
-                raise ConfigError("omega must be > 0 to derive the pulse width")
-            probe = GaussianPulse(peak=om, sigma=1.0, center=0.0, truncation=trunc)
-            sigma = self._target_area() / probe.area()
-        return GaussianPulse(peak=om, sigma=sigma, center=t_start + trunc * sigma,
+                raise ConfigError(
+                    f"omega must be > 0 to derive the pulse {'duration' if square else 'width'}")
+            if commensurate:
+                return SquarePulse(om, commensurate_gate_time(self.dot_params(), om), t_start)
+            return calibrated_pulse(self["pulse_shape"], om, _PULSE_AREAS[self.kind],
+                                    t_start, trunc)
+        if commensurate:
+            raise ConfigError("commensurate timing requires duration=null")
+        if square:
+            return SquarePulse(amplitude=om, duration=width, t_start=t_start)
+        return GaussianPulse(peak=om, sigma=width, center=t_start + trunc * width,
                              truncation=trunc)
 
     def zgate(self) -> ZGateParams:
@@ -292,16 +283,11 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
-    def sweep_children(self) -> list[tuple[float, "ExperimentConfig"]]:
-        if self.kind != "sweep":
-            raise ConfigError("sweep_children applies to sweep configs only")
+    def sweep_child_raws(self) -> list[tuple[float, dict[str, Any]]]:
+        """``(value, raw child config)`` for each sweep value, in order."""
         base = dict(self["child_base"])
-        param = self["sweep_param"]
-        out = []
-        for v in self["sweep_values"]:
-            child = build_config({**base, "kind": self["sweep_kind"], param: v})
-            out.append((float(v), child))
-        return out
+        return [(float(v), {**base, "kind": self["sweep_kind"], self["sweep_param"]: float(v)})
+                for v in self["sweep_values"]]
 
 
 def _run_spans(cfg: ExperimentConfig) -> list[float]:
@@ -369,7 +355,8 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         # validate the child base, then every child, before anything runs
         _validate_keys({**child_raw, "kind": child_kind}, child_kind, child_schema)
         cfg = ExperimentConfig("sweep", {**values, "child_base": dict(child_raw)})
-        cfg.sweep_children()
+        for _, raw_child in cfg.sweep_child_raws():
+            build_config(raw_child)
         return cfg
 
     schema = _schema(kind)

@@ -78,6 +78,9 @@ PHASE_FLOOR = 1e-10
 #: length already takes 256 MB
 MAX_SAMPLES = 1_000_000
 
+# the adaptive scheme behind every non-exact path
+_ADAPTIVE_METHOD = "DOP853"
+
 # Above this condition number the eigenvectors of a Liouvillian are too
 # close to defective to trust (errors grow as cond * eps); DOP853 takes over.
 _MAX_EIGVEC_COND = 1e6
@@ -116,7 +119,6 @@ class IntegratorConfig:
     atol: float = 1e-12
     max_step: float = math.inf
     sample_interval: float = 0.01
-    method: str = "DOP853"
 
     def __post_init__(self) -> None:
         if self.rtol <= 0 or self.atol <= 0:
@@ -305,7 +307,7 @@ def _integrate(rhs: Callable, y0: np.ndarray, grid: np.ndarray, interior: list[f
     for a, b in zip(knots[:-1], knots[1:]):
         mask = ((grid > a) & (grid <= b)) if forward else ((grid < a) & (grid >= b))
         pts = grid[mask]
-        sol = solve_ivp(rhs, (a, b), y, method=cfg.method, t_eval=pts,
+        sol = solve_ivp(rhs, (a, b), y, method=_ADAPTIVE_METHOD, t_eval=pts,
                         rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
         if not sol.success:
             raise IntegrationError(f"solver failed on [{a:g}, {b:g}]: {sol.message}")
@@ -345,7 +347,7 @@ def _floquet_states(hfun: Callable[[float], np.ndarray], psi0: np.ndarray,
         return (scale * (hfun(t0 + s) @ y.reshape(d, d))).ravel()
 
     sol = solve_ivp(rhs, (0.0, period), np.eye(d, dtype=complex).ravel(),
-                    method=cfg.method, t_eval=np.append(taus, period),
+                    method=_ADAPTIVE_METHOD, t_eval=np.append(taus, period),
                     rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
     if not sol.success:
         raise IntegrationError(f"solver failed over one period {period:g}: {sol.message}")
@@ -397,7 +399,7 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState, t_span: tuple[float, fl
             return scale * (hfun(t) @ y)
 
         states, nfev = _integrate(rhs, psi0, times, interior, cfg)
-        meta = {"propagator": cfg.method, "nfev": nfev}
+        meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
     norms = np.linalg.norm(states, axis=1)
     drift = np.abs(norms - 1.0)
     if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
@@ -473,7 +475,7 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
             return drho.ravel()
 
         flat, nfev = _integrate(rhs, rho0.matrix.ravel(), times, interior, cfg)
-        meta = {"propagator": cfg.method, "nfev": nfev}
+        meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
     states = flat.reshape(times.size, d, d)
     traj = Trajectory(times, states, rho0.basis, rho0.frame, "density", meta)
     drift = np.abs(traj.traces() - 1.0)
@@ -591,10 +593,18 @@ def accumulated_phase(traj: Trajectory, label: str,
     )
 
 
-def _frame_factors(times: np.ndarray, omega_l: float,
-                   excitations: Sequence[int], sign: float) -> np.ndarray:
+def _reframe(traj: Trajectory, omega_l: float, excitations: Sequence[int],
+             sign: float, frame: str) -> Trajectory:
+    """Multiply each amplitude by ``exp(sign i omega_l n t / hbar)``, relabel ``frame``."""
+    if len(excitations) != traj.basis.dim:
+        raise ValueError("need one excitation number per basis state")
     n = np.asarray(excitations, dtype=float)
-    return np.exp(sign * 1j * omega_l * np.outer(times, n) / HBAR_MEV_PS)
+    f = np.exp(sign * 1j * omega_l * np.outer(traj.times, n) / HBAR_MEV_PS)
+    if traj.kind == "pure":
+        states = traj.states * f
+    else:
+        states = traj.states * f[:, :, None] * f[:, None, :].conj()
+    return Trajectory(traj.times, states, traj.basis, frame, traj.kind, dict(traj.metadata))
 
 
 def to_rotating_frame(traj: Trajectory, omega_l: float,
@@ -606,15 +616,7 @@ def to_rotating_frame(traj: Trajectory, omega_l: float,
     """
     if traj.frame != LAB_FRAME:
         raise BasisMismatchError(f"expected a lab-frame trajectory, got {traj.frame!r}")
-    if len(excitations) != traj.basis.dim:
-        raise ValueError("need one excitation number per basis state")
-    f = _frame_factors(traj.times, omega_l, excitations, +1.0)
-    if traj.kind == "pure":
-        states = traj.states * f
-    else:
-        states = traj.states * f[:, :, None] * f[:, None, :].conj()
-    return Trajectory(traj.times, states, traj.basis, rotating_frame_tag(omega_l),
-                      traj.kind, dict(traj.metadata))
+    return _reframe(traj, omega_l, excitations, +1.0, rotating_frame_tag(omega_l))
 
 
 def to_lab_frame(traj: Trajectory, omega_l: float,
@@ -623,15 +625,7 @@ def to_lab_frame(traj: Trajectory, omega_l: float,
     expected = rotating_frame_tag(omega_l)
     if traj.frame != expected:
         raise BasisMismatchError(f"expected frame {expected!r}, got {traj.frame!r}")
-    if len(excitations) != traj.basis.dim:
-        raise ValueError("need one excitation number per basis state")
-    f = _frame_factors(traj.times, omega_l, excitations, -1.0)
-    if traj.kind == "pure":
-        states = traj.states * f
-    else:
-        states = traj.states * f[:, :, None] * f[:, None, :].conj()
-    return Trajectory(traj.times, states, traj.basis, LAB_FRAME, traj.kind,
-                      dict(traj.metadata))
+    return _reframe(traj, omega_l, excitations, -1.0, LAB_FRAME)
 
 
 def concatenate_trajectories(parts: Sequence[Trajectory]) -> Trajectory:

@@ -69,6 +69,9 @@ from .operators import (
 __all__ = [
     "PulseAreaError",
     "wrap_phase",
+    "CPHASE_AREA",
+    "PI_AREA",
+    "calibrated_pulse",
     "square_cphase_pulse",
     "gaussian_cphase_pulse",
     "commensurate_gate_time",
@@ -97,6 +100,11 @@ _TWO_PI = 2.0 * math.pi
 #: relative tolerance on the sqrt(2)-enhanced pulse area before a cphase run
 PULSE_AREA_RTOL = 0.01
 
+#: bare pulse area (meV ps) of the cphase pulse: sqrt(2)-enhanced area 2 pi hbar
+CPHASE_AREA = _TWO_PI * HBAR_MEV_PS / _SQRT2
+#: bare pulse area (meV ps) of a pi pulse
+PI_AREA = math.pi * HBAR_MEV_PS
+
 # Above this many carrier radians a lab-frame integration is impractically
 # slow; the relative-phase physics depends only on omega_a * wait / hbar, so
 # scaled-down omega_a values reproduce it exactly.
@@ -117,6 +125,22 @@ def wrap_phase(x: float) -> float:
     return y - math.pi
 
 
+def calibrated_pulse(shape: str, peak: float, area: float, t_start: float = 0.0,
+                     truncation: float = 4.0) -> SquarePulse | GaussianPulse:
+    """Pulse of ``shape`` (``"square"`` or ``"gaussian"``) with bare area ``area``.
+
+    ``peak`` (meV, > 0) is the square amplitude or the Gaussian peak; the
+    duration is ``area / peak``, and the Gaussian width is solved from the
+    truncated-Gaussian area so the calibration holds exactly despite the
+    cutoff at ``truncation`` sigma.  The support starts at ``t_start``.
+    """
+    if shape == "square":
+        return SquarePulse(amplitude=peak, duration=area / peak, t_start=t_start)
+    sigma = area / GaussianPulse(peak=peak, sigma=1.0, truncation=truncation).area()
+    return GaussianPulse(peak=peak, sigma=sigma, center=t_start + truncation * sigma,
+                         truncation=truncation)
+
+
 def square_cphase_pulse(omega: float, t_start: float = 0.0) -> SquarePulse:
     """Square pulse whose sqrt(2)-enhanced area is exactly ``2 pi hbar``.
 
@@ -125,8 +149,7 @@ def square_cphase_pulse(omega: float, t_start: float = 0.0) -> SquarePulse:
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    return SquarePulse(amplitude=omega, duration=_TWO_PI * HBAR_MEV_PS / (_SQRT2 * omega),
-                       t_start=t_start)
+    return calibrated_pulse("square", omega, CPHASE_AREA, t_start)
 
 
 def gaussian_cphase_pulse(peak: float, truncation: float = 4.0,
@@ -139,15 +162,10 @@ def gaussian_cphase_pulse(peak: float, truncation: float = 4.0,
     """
     if peak <= 0:
         raise ValueError("peak must be positive")
-    target_area = _TWO_PI * HBAR_MEV_PS / _SQRT2
-    probe = GaussianPulse(peak=peak, sigma=1.0, center=0.0, truncation=truncation)
-    sigma = target_area / probe.area()
-    return GaussianPulse(peak=peak, sigma=sigma,
-                         center=t_start + truncation * sigma, truncation=truncation)
+    return calibrated_pulse("gaussian", peak, CPHASE_AREA, t_start, truncation)
 
 
-def commensurate_gate_time(p: DotPairParams, omega: float,
-                           base_time: float | None = None) -> float:
+def commensurate_gate_time(p: DotPairParams, omega: float) -> float:
     """Gate duration snapped to whole spectator Rabi periods.
 
     The idle-partner blocks precess with generalized Rabi energy
@@ -157,7 +175,7 @@ def commensurate_gate_time(p: DotPairParams, omega: float,
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    t0 = base_time if base_time is not None else _TWO_PI * HBAR_MEV_PS / (_SQRT2 * omega)
+    t0 = calibrated_pulse("square", omega, CPHASE_AREA).duration
     t_spec = _TWO_PI * HBAR_MEV_PS / math.hypot(omega, p.v_f)
     n = max(1, round(t0 / t_spec))
     return n * t_spec
@@ -220,7 +238,7 @@ def pi_pulse_time(rabi: float) -> float:
     """Duration of a resonant square pi pulse with Rabi energy ``rabi``."""
     if rabi <= 0:
         raise ValueError("rabi must be positive")
-    return math.pi * HBAR_MEV_PS / rabi
+    return calibrated_pulse("square", rabi, PI_AREA).duration
 
 
 def pulse_summary(env: SquarePulse | GaussianPulse) -> dict[str, Any]:
@@ -314,11 +332,11 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
     if area == 0.0:
         warn.append("zero-area pulse: no gate is applied")
     else:
-        dev = abs(_SQRT2 * area - _TWO_PI * HBAR_MEV_PS) / (_TWO_PI * HBAR_MEV_PS)
+        dev = abs(area - CPHASE_AREA) / CPHASE_AREA
         if dev > PULSE_AREA_RTOL:
             raise PulseAreaError(
                 f"sqrt(2)-enhanced pulse area {(_SQRT2 * area):.6f} deviates from "
-                f"2*pi*hbar = {_TWO_PI * HBAR_MEV_PS:.6f} by {dev:.2%} (limit "
+                f"2*pi*hbar = {_SQRT2 * CPHASE_AREA:.6f} by {dev:.2%} (limit "
                 f"{PULSE_AREA_RTOL:.0%})"
             )
 
@@ -333,26 +351,18 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
         # constant over the support: hand over the matrices for exact eigh
         mid = 0.5 * (t0 + t1)
         h11, spect = h11(mid), spect(mid)
-    traj_11 = evolve_schrodinger(
-        h11, QuantumState.basis_state(PSI_SUBSPACE, "11", frame),
-        (t0, t1), cfg, breakpoints=bps)
-    traj_01 = evolve_schrodinger(
-        spect, QuantumState.basis_state(SPECTATOR_A_IDLE, "01", frame),
-        (t0, t1), cfg, breakpoints=bps)
-    traj_10 = evolve_schrodinger(
-        spect, QuantumState.basis_state(SPECTATOR_B_IDLE, "10", frame),
-        (t0, t1), cfg, breakpoints=bps)
+    def block(h, basis: Basis, label: str) -> Trajectory:
+        return evolve_schrodinger(h, QuantumState.basis_state(basis, label, frame),
+                                  (t0, t1), cfg, breakpoints=bps)
+
+    traj_11 = block(h11, PSI_SUBSPACE, "11")
+    traj_01 = block(spect, SPECTATOR_A_IDLE, "01")
+    traj_10 = block(spect, SPECTATOR_B_IDLE, "10")
     ones = np.ones((traj_11.times.size, 1), dtype=complex)
     traj_00 = Trajectory(traj_11.times, ones, _DARK_BLOCK, frame, "pure")
 
     trajs = {"00": traj_00, "01": traj_01, "10": traj_10, "11": traj_11}
-
-    amplitudes = {
-        "00": 1.0 + 0.0j,
-        "01": traj_01.final_amplitude("01"),
-        "10": traj_10.final_amplitude("10"),
-        "11": traj_11.final_amplitude("11"),
-    }
+    amplitudes = {k: traj.final_amplitude(k) for k, traj in trajs.items()}
     phases = {k: (0.0 if k == "00" else float(np.angle(v)))
               for k, v in amplitudes.items()}
     populations = {k: float(abs(v) ** 2) for k, v in amplitudes.items()}
@@ -409,12 +419,11 @@ class ZGateParams:
     def __post_init__(self) -> None:
         if self.wait < 0:
             raise ValueError("wait must be >= 0")
-        target = math.pi * HBAR_MEV_PS
-        dev = abs(self.pulse.area() - target) / target
+        dev = abs(self.pulse.area() - PI_AREA) / PI_AREA
         if dev > PULSE_AREA_RTOL:
             raise PulseAreaError(
                 f"pulse area {self.pulse.area():.6f} deviates from pi*hbar = "
-                f"{target:.6f} by {dev:.2%}; the exciton shelving needs pi pulses"
+                f"{PI_AREA:.6f} by {dev:.2%}; the exciton shelving needs pi pulses"
             )
         a0, a1 = complex(self.amplitudes[0]), complex(self.amplitudes[1])
         norm = math.hypot(abs(a0), abs(a1))
@@ -506,8 +515,10 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     # a square envelope leaves only the carrier, periodic from its origin
     period = _TWO_PI * HBAR_MEV_PS / p.omega_a if isinstance(pulse, SquarePulse) else None
 
-    def pulse_segment(env, start_state: QuantumState) -> Trajectory:
+    def pulse_segment(env, start_state: QuantumState, after: float = -math.inf) -> Trajectory:
+        # a shifted Gaussian's support can start an ulp before ``after``
         lo, hi = env.support()
+        lo = max(lo, after)
         drive = LaserDrive(env, p.omega_a, carrier_origin=lo)
         gen = lab_single_dot_generator(p.omega_a, drive)
         return evolve_schrodinger(gen, start_state, (lo, hi), cfg,
@@ -516,7 +527,8 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     seg1 = pulse_segment(pulse, psi0)
     mid_state = seg1.final_state()
 
-    # main arm: free wait, then the second pulse with a fresh carrier origin
+    # main arm: free wait, then the second pulse with a fresh carrier origin,
+    # starting no earlier than the wait ends so the segments join
     parts = [seg1]
     if gate.wait > 0:
         h_free = np.zeros((3, 3), dtype=complex)
@@ -526,7 +538,7 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
         after_wait = free.final_state()
     else:
         after_wait = mid_state
-    seg2 = pulse_segment(pulse.shifted(t1 + gate.wait - t0), after_wait)
+    seg2 = pulse_segment(pulse.shifted(t1 + gate.wait - t0), after_wait, t1 + gate.wait)
     parts.append(seg2)
     traj = concatenate_trajectories(parts)
 

@@ -19,9 +19,11 @@ four closed blocks labelled by the spin content:
   combinations ``psi+ = (1X + X1)/sqrt(2)`` and ``psi-`` and the drive only
   reaches the symmetric one, with Rabi coupling enhanced by sqrt(2).
 
-All builders return :class:`~dotgates.operators.OperatorMatrix` objects;
-the ``*_generator`` variants return plain callables ``t -> ndarray`` for
-use inside integrators, where wrapper overhead matters.
+Every driven block has the form ``H(t) = h0 + f(t) v`` and is written once,
+as a :class:`DrivenBlock` returned by its ``*_generator`` factory.  Calling
+the block gives the bare ``ndarray`` for use inside integrators, where
+wrapper overhead matters; each ``*_hamiltonian`` builder is the block's
+:class:`~dotgates.operators.OperatorMatrix` at one time, ``.at(t)``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "SquarePulse",
     "GaussianPulse",
     "LaserDrive",
+    "DrivenBlock",
     "full_hamiltonian",
     "single_dot_hamiltonian",
     "subspace_hamiltonian_psi_basis",
@@ -222,74 +225,81 @@ class LaserDrive:
         )
 
 
-def _pair_static(p: DotPairParams) -> np.ndarray:
-    h = np.zeros((9, 9), dtype=complex)
-    for i, n in enumerate(two_dot_excitations()):
-        h[i, i] = n * p.omega_a
-    ixx = TWO_DOT.index("XX")
-    h[ixx, ixx] += p.v_xx
-    i1x, ix1 = TWO_DOT.index("1X"), TWO_DOT.index("X1")
-    h[i1x, ix1] = h[ix1, i1x] = p.v_f
-    return h
+@dataclass(frozen=True, eq=False)
+class DrivenBlock:
+    """A driven block ``H(t) = h0 + f(t) v`` in a fixed basis and frame.
+
+    ``h0`` holds the static energies and couplings, ``v`` the drive
+    operator and ``f`` the real drive amplitude (a lab-frame field or a
+    rotating-frame envelope).  Calling the block gives the bare matrix, as
+    integrators want it; :meth:`at` wraps the same matrix as a Hermitian
+    :class:`~dotgates.operators.OperatorMatrix`.
+    """
+
+    basis: Basis
+    frame: str
+    h0: np.ndarray
+    v: np.ndarray
+    f: Callable[[float], float]
+
+    def __call__(self, t: float) -> np.ndarray:
+        m = self.f(t) * self.v
+        m += self.h0
+        return m
+
+    def at(self, t: float) -> OperatorMatrix:
+        return OperatorMatrix(self(t), self.basis, self.frame, hermitian=True)
 
 
-def _pair_drive_op() -> np.ndarray:
+def _coupling(basis: Basis, pairs: tuple[tuple[str, str], ...],
+              value: float = 1.0) -> np.ndarray:
+    """Symmetric matrix with ``value`` on each ``(a, b)`` and ``(b, a)`` entry."""
+    m = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for a, b in pairs:
+        m[basis.index(a), basis.index(b)] = m[basis.index(b), basis.index(a)] = value
+    return m
+
+
+def lab_pair_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlock:
+    """Lab-frame 9x9 block of the driven pair."""
+    h0 = np.diag(np.array([n * p.omega_a for n in two_dot_excitations()], dtype=complex))
+    h0[TWO_DOT.index("XX"), TWO_DOT.index("XX")] += p.v_xx
+    h0 += _coupling(TWO_DOT, (("1X", "X1"),), p.v_f)
     # sum over dots of (|1><X| + |X><1|), Pauli blocking built in: 0 is dark
-    lower = np.zeros((3, 3), dtype=complex)
-    lower[SINGLE_DOT.index("1"), SINGLE_DOT.index("X")] = 1.0
-    op3 = lower + lower.conj().T
+    op3 = _coupling(SINGLE_DOT, (("1", "X"),))
     eye = np.eye(3, dtype=complex)
-    return np.kron(op3, eye) + np.kron(eye, op3)
+    v = np.kron(op3, eye) + np.kron(eye, op3)
+    return DrivenBlock(TWO_DOT, LAB_FRAME, h0, v, drive.field)
 
 
 def full_hamiltonian(p: DotPairParams, drive: LaserDrive, t: float) -> OperatorMatrix:
     """Lab-frame 9x9 Hamiltonian of the driven pair at time ``t``."""
-    m = _pair_static(p) + drive.field(t) * _pair_drive_op()
-    return OperatorMatrix(m, TWO_DOT, LAB_FRAME, hermitian=True)
+    return lab_pair_generator(p, drive).at(t)
 
 
-def lab_pair_generator(p: DotPairParams, drive: LaserDrive) -> Callable[[float], np.ndarray]:
-    static = _pair_static(p)
-    drive_op = _pair_drive_op()
-
-    def h(t: float) -> np.ndarray:
-        return static + drive.field(t) * drive_op
-
-    return h
+def lab_single_dot_generator(omega_a: float, drive: LaserDrive) -> DrivenBlock:
+    """Lab-frame 3x3 block of one driven dot."""
+    h0 = np.diag(np.array([0.0, 0.0, omega_a], dtype=complex))
+    return DrivenBlock(SINGLE_DOT, LAB_FRAME, h0, _coupling(SINGLE_DOT, (("1", "X"),)),
+                       drive.field)
 
 
 def single_dot_hamiltonian(omega_a: float, drive: LaserDrive, t: float) -> OperatorMatrix:
     """Lab-frame 3x3 Hamiltonian of one driven dot at time ``t``."""
-    m = np.zeros((3, 3), dtype=complex)
-    ix = SINGLE_DOT.index("X")
-    m[ix, ix] = omega_a
-    i1 = SINGLE_DOT.index("1")
-    f = drive.field(t)
-    m[i1, ix] = m[ix, i1] = f
-    return OperatorMatrix(m, SINGLE_DOT, LAB_FRAME, hermitian=True)
+    return lab_single_dot_generator(omega_a, drive).at(t)
 
 
-def lab_single_dot_generator(omega_a: float, drive: LaserDrive) -> Callable[[float], np.ndarray]:
-    i1, ix = SINGLE_DOT.index("1"), SINGLE_DOT.index("X")
-
-    def h(t: float) -> np.ndarray:
-        m = np.zeros((3, 3), dtype=complex)
-        m[ix, ix] = omega_a
-        f = drive.field(t)
-        m[i1, ix] = m[ix, i1] = f
-        return m
-
-    return h
+# the drive couples 11 and XX only to psi+; psi- is dark
+_PSI_PLUS_COUPLINGS = (("11", "psi+"), ("psi+", "XX"))
 
 
-def _psi_static(p: DotPairParams) -> np.ndarray:
-    # basis 11, psi+, psi-, XX; psi+/- are the +/- combinations of 1X and X1
-    return np.diag(
-        np.array(
-            [0.0, p.omega_a + p.v_f, p.omega_a - p.v_f, 2.0 * p.omega_a + p.v_xx],
-            dtype=complex,
-        )
-    )
+def lab_psi_subspace_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlock:
+    """Lab-frame computational block in the ``11, psi+, psi-, XX`` basis."""
+    # psi+/- are the +/- combinations of 1X and X1
+    h0 = np.diag(np.array(
+        [0.0, p.omega_a + p.v_f, p.omega_a - p.v_f, 2.0 * p.omega_a + p.v_xx], dtype=complex))
+    return DrivenBlock(PSI_SUBSPACE, LAB_FRAME, h0,
+                       _coupling(PSI_SUBSPACE, _PSI_PLUS_COUPLINGS, _SQRT2), drive.field)
 
 
 def subspace_hamiltonian_psi_basis(p: DotPairParams, drive: LaserDrive,
@@ -300,29 +310,16 @@ def subspace_hamiltonian_psi_basis(p: DotPairParams, drive: LaserDrive,
     element sqrt(2) times the single-dot one; ``psi-`` is dark and only
     kept to make the block self-contained.
     """
-    m = _psi_static(p).copy()
-    g = _SQRT2 * drive.field(t)
-    i11, ip = PSI_SUBSPACE.index("11"), PSI_SUBSPACE.index("psi+")
-    ixx = PSI_SUBSPACE.index("XX")
-    m[i11, ip] = m[ip, i11] = g
-    m[ip, ixx] = m[ixx, ip] = g
-    return OperatorMatrix(m, PSI_SUBSPACE, LAB_FRAME, hermitian=True)
+    return lab_psi_subspace_generator(p, drive).at(t)
 
 
-def lab_psi_subspace_generator(p: DotPairParams,
-                               drive: LaserDrive) -> Callable[[float], np.ndarray]:
-    static = _psi_static(p)
-    i11, ip = PSI_SUBSPACE.index("11"), PSI_SUBSPACE.index("psi+")
-    ixx = PSI_SUBSPACE.index("XX")
-
-    def h(t: float) -> np.ndarray:
-        m = static.copy()
-        g = _SQRT2 * drive.field(t)
-        m[i11, ip] = m[ip, i11] = g
-        m[ip, ixx] = m[ixx, ip] = g
-        return m
-
-    return h
+def rwa_subspace_generator(p: DotPairParams,
+                           envelope: Callable[[float], float]) -> DrivenBlock:
+    """Computational block in the frame rotating at the psi+ resonance."""
+    h0 = np.diag(np.array([0.0, 0.0, -2.0 * p.v_f, p.biexciton_detuning], dtype=complex))
+    # _SQRT2 / 2 is exact, so f * (_SQRT2 / 2) rounds like _SQRT2 * f / 2
+    v = _coupling(PSI_SUBSPACE, _PSI_PLUS_COUPLINGS, _SQRT2 / 2.0)
+    return DrivenBlock(PSI_SUBSPACE, rotating_frame_tag(p.omega_a + p.v_f), h0, v, envelope)
 
 
 def rwa_subspace_hamiltonian(p: DotPairParams, envelope: Callable[[float], float],
@@ -334,30 +331,18 @@ def rwa_subspace_hamiltonian(p: DotPairParams, envelope: Callable[[float], float
     ``psi-`` at ``-2 v_f``, ``XX`` at ``v_xx - 2 v_f``.  Couplings are half
     the sqrt(2)-enhanced envelope.
     """
-    omega_l = p.omega_a + p.v_f
-    m = np.diag(np.array([0.0, 0.0, -2.0 * p.v_f, p.biexciton_detuning], dtype=complex))
-    g = _SQRT2 * envelope(t) / 2.0
-    i11, ip = PSI_SUBSPACE.index("11"), PSI_SUBSPACE.index("psi+")
-    ixx = PSI_SUBSPACE.index("XX")
-    m[i11, ip] = m[ip, i11] = g
-    m[ip, ixx] = m[ixx, ip] = g
-    return OperatorMatrix(m, PSI_SUBSPACE, rotating_frame_tag(omega_l), hermitian=True)
+    return rwa_subspace_generator(p, envelope).at(t)
 
 
-def rwa_subspace_generator(p: DotPairParams,
-                           envelope: Callable[[float], float]) -> Callable[[float], np.ndarray]:
-    static = np.diag(np.array([0.0, 0.0, -2.0 * p.v_f, p.biexciton_detuning], dtype=complex))
-    i11, ip = PSI_SUBSPACE.index("11"), PSI_SUBSPACE.index("psi+")
-    ixx = PSI_SUBSPACE.index("XX")
-
-    def h(t: float) -> np.ndarray:
-        m = static.copy()
-        g = _SQRT2 * envelope(t) / 2.0
-        m[i11, ip] = m[ip, i11] = g
-        m[ip, ixx] = m[ixx, ip] = g
-        return m
-
-    return h
+def spectator_generator(p: DotPairParams, envelope: Callable[[float], float],
+                        idle_dot: str = "a") -> DrivenBlock:
+    """Two-level block for one driven dot while the other sits in ``0``."""
+    if idle_dot not in ("a", "b"):
+        raise ValueError(f"idle_dot must be 'a' or 'b', got {idle_dot!r}")
+    basis = SPECTATOR_A_IDLE if idle_dot == "a" else SPECTATOR_B_IDLE
+    h0 = np.diag(np.array([0.0, -p.v_f], dtype=complex))
+    v = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    return DrivenBlock(basis, rotating_frame_tag(p.omega_a + p.v_f), h0, v, envelope)
 
 
 def spectator_hamiltonian(p: DotPairParams, envelope: Callable[[float], float],
@@ -370,23 +355,7 @@ def spectator_hamiltonian(p: DotPairParams, envelope: Callable[[float], float],
     picks which dot is dark: ``"a"`` gives the ``01/0X`` block, ``"b"``
     the ``10/X0`` block.  The matrix is the same either way.
     """
-    if idle_dot not in ("a", "b"):
-        raise ValueError(f"idle_dot must be 'a' or 'b', got {idle_dot!r}")
-    basis = SPECTATOR_A_IDLE if idle_dot == "a" else SPECTATOR_B_IDLE
-    g = envelope(t) / 2.0
-    m = np.array([[0.0, g], [g, -p.v_f]], dtype=complex)
-    return OperatorMatrix(m, basis, rotating_frame_tag(p.omega_a + p.v_f), hermitian=True)
-
-
-def spectator_generator(p: DotPairParams,
-                        envelope: Callable[[float], float]) -> Callable[[float], np.ndarray]:
-    vf = p.v_f
-
-    def h(t: float) -> np.ndarray:
-        g = envelope(t) / 2.0
-        return np.array([[0.0, g], [g, -vf]], dtype=complex)
-
-    return h
+    return spectator_generator(p, envelope, idle_dot).at(t)
 
 
 def effective_hamiltonian(p: DotPairParams, omega_prime: float) -> OperatorMatrix:
@@ -477,14 +446,7 @@ def check_conditions(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
                      threshold_biexciton: float = 0.1,
                      threshold_spectator: float = 0.1) -> ConditionReport:
     """Evaluate the weak-driving ratios at the pulse peak."""
-    if isinstance(envelope, SquarePulse):
-        peak = envelope.amplitude
-    elif isinstance(envelope, GaussianPulse):
-        peak = envelope.peak
-    else:
-        lo, hi = envelope.support()
-        ts = np.linspace(lo, hi, 2001)
-        peak = float(max(envelope(float(t)) for t in ts))
+    peak = envelope.peak_value()
     r_bi = (_SQRT2 * peak / 2.0) / abs(p.biexciton_detuning)
     r_sp = (peak / 2.0) / abs(p.v_f)
     return ConditionReport(

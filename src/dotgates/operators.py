@@ -10,7 +10,7 @@ Conventions used throughout the package:
   or frame disagree raises :class:`BasisMismatchError` instead of silently
   producing garbage.
 * Product spaces order the first factor as the major index: the labels of
-  ``ProductBasis(u, v)`` are ``a + b`` for ``a`` in ``u`` and ``b`` in
+  ``product_basis(u, v)`` are ``a + b`` for ``a`` in ``u`` and ``b`` in
   ``v``.
 """
 
@@ -25,7 +25,6 @@ __all__ = [
     "LAB_FRAME",
     "rotating_frame_tag",
     "Basis",
-    "ProductBasis",
     "product_basis",
     "OperatorMatrix",
     "QuantumState",
@@ -116,11 +115,6 @@ def product_basis(left: Basis, right: Basis, name: str | None = None) -> Basis:
     """Basis of the tensor product space, left factor as the major index."""
     labels = tuple(a + b for a in left.labels for b in right.labels)
     return Basis(labels, name or f"{left.name}*{right.name}")
-
-
-# Backwards-friendly alias: a product basis is just a Basis built by the
-# helper above, no separate type needed.
-ProductBasis = product_basis
 
 
 def _frozen_array(values, shape_kind: str) -> np.ndarray:

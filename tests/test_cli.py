@@ -500,3 +500,43 @@ def test_installed_entry_point_runs():
     assert proc.returncode == 0
     for sub in ("cphase", "zrot", "raman", "conditions", "sweep", "verify"):
         assert sub in proc.stdout
+
+
+def test_zrot_gaussian_pulse_runs_and_verifies(tmp_path):
+    # the shifted second pulse used to start an ulp before the wait ended
+    out = tmp_path / "zg"
+    result = _invoke(["zrot", "--out", str(out), "--set", "pulse_shape=gaussian",
+                      "--set", "omega_a=300"])
+    assert result.exit_code == 0, _text(result)
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["phase_error"]) < (1.0 / 300.0) ** 2
+    code, lines = _verify_lines(out)
+    assert code == 0
+    assert lines[-1] == "verified 3 files, 0 failures"
+
+
+def test_verify_fails_row_with_extra_cell(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    path = out / "traj_01.csv"
+    lines = path.read_text().splitlines()
+    lines[5] += ",1.0"  # file line 6
+    path.write_text("\n".join(lines) + "\n")
+    code, lines = _verify_lines(out)
+    assert code == 2
+    assert "FAIL traj_01.csv: unparseable (line 6: 8 cells, the header has 7)" in lines
+
+
+def test_verify_numbers_parse_errors_by_file_line(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    _set_cell(out / "traj_10.csv", 4, "im_10", "1.0x")
+    path = out / "traj_01.csv"
+    lines = path.read_text().splitlines()
+    lines[9] = lines[9].rsplit(",", 1)[0]  # file line 10 loses its last cell
+    path.write_text("\n".join(lines) + "\n")
+    code, lines = _verify_lines(out)
+    assert code == 2
+    assert "FAIL traj_01.csv: unparseable (line 10: 6 cells, the header has 7)" in lines
+    assert ("FAIL traj_10.csv: unparseable (line 4: could not convert string to float: "
+            "'1.0x')") in lines

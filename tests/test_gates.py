@@ -354,3 +354,25 @@ def test_raman_params_validation():
                 dict(target_angle=0.0), dict(target_angle=4.0)):
         with pytest.raises(ValueError):
             RamanParams(**bad)
+
+
+def test_config_and_library_pulses_share_one_calibration():
+    # bit-identical durations and widths: a second calibration copy would
+    # round differently for a good share of these omegas
+    from dotgates.config import build_config
+
+    rng = np.random.default_rng(8)
+    for om in 10.0 ** rng.uniform(-2.0, 0.5, 200):
+        om = float(om)
+        cph = build_config({"kind": "cphase", "omega": om})
+        assert cph.envelope().duration == square_cphase_pulse(om).duration
+        assert build_config({"kind": "conditions", "omega": om}).envelope() == \
+            square_cphase_pulse(om)
+        gauss = build_config({"kind": "cphase", "omega": om, "pulse_shape": "gaussian",
+                              "truncation": 3.0, "t_start": 0.7}).envelope()
+        ref = gaussian_cphase_pulse(om, truncation=3.0, t_start=0.7)
+        assert (gauss.sigma, gauss.center) == (ref.sigma, ref.center)
+        assert build_config({"kind": "zrot", "omega": om}).envelope().duration == \
+            pi_pulse_time(om)
+        comm = build_config({"kind": "cphase", "omega": om, "commensurate": True})
+        assert comm.envelope().duration == commensurate_gate_time(cph.dot_params(), om)

@@ -264,3 +264,28 @@ def test_full_hamiltonian_block_diagonal_in_spin():
         for j in range(9):
             if sector[i] != sector[j]:
                 assert h[i, j] == 0.0, (TWO_DOT.labels[i], TWO_DOT.labels[j])
+
+
+def test_spectator_generator_picks_idle_dot_basis():
+    p = DotPairParams()
+    env = GaussianPulse(0.1, 3.0, center=12.0)
+    assert spectator_generator(p, env, "b").at(12.0).basis == SPECTATOR_B_IDLE
+    assert spectator_generator(p, env).at(12.0).basis == SPECTATOR_A_IDLE
+    assert spectator_generator(p, env).frame == rotating_frame_tag(p.omega_a + p.v_f)
+    with pytest.raises(ValueError):
+        spectator_generator(p, env, "c")
+
+
+def test_driven_blocks_keep_coupling_bits():
+    # couplings stay bit-identical to sqrt(2) * f / 2 and f / 2
+    p = DotPairParams(omega_a=40.0, v_f=-0.9, v_xx=4.4)
+    env = GaussianPulse(0.17, 3.0, center=12.0)
+    rwa, spec = rwa_subspace_generator(p, env), spectator_generator(p, env)
+    i11, ip, ixx = (PSI_SUBSPACE.index(lbl) for lbl in ("11", "psi+", "XX"))
+    for t in np.linspace(0.0, 24.0, 241):
+        f = env(float(t))
+        m = rwa(float(t))
+        assert m[i11, ip] == m[ip, ixx] == complex(SQ2 * f / 2.0)
+        assert spec(float(t))[0, 1] == complex(f / 2.0)
+        np.testing.assert_array_equal(m, rwa.h0 + f * rwa.v)
+        np.testing.assert_array_equal(rwa_subspace_hamiltonian(p, env, float(t)).matrix, m)
