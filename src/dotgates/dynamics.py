@@ -9,10 +9,15 @@ from the structure of their input where one exists:
   Lindblad generator is eigendecomposed once as a superoperator;
 * a Hamiltonian with a stated period is integrated over one period only,
   and the rest follows from powers of that propagator (Floquet);
-* everything else - smooth envelopes, arbitrary callables - goes to an
-  adaptive high-order Runge-Kutta scheme (DOP853).  Pulse discontinuities
-  should be passed as ``breakpoints`` so the integration restarts there
-  instead of stepping across a kink.
+* a Hamiltonian declared ``batched`` (it maps an array of times to the
+  stack of matrices, as a :class:`~dotgates.model.DrivenBlock` under a
+  smooth envelope does) takes one fourth-order Magnus step per sample
+  cell (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), with every
+  cell evaluated, exponentiated and chained in batched numpy;
+* everything else - lab-frame carriers under smooth envelopes, arbitrary
+  callables - goes to an adaptive high-order Runge-Kutta scheme (DOP853).
+  Pulse discontinuities should be passed as ``breakpoints`` so the
+  integration restarts there instead of stepping across a kink.
 
 ``Trajectory.metadata["propagator"]`` names the method that ran.
 
@@ -85,6 +90,21 @@ _ADAPTIVE_METHOD = "DOP853"
 # close to defective to trust (errors grow as cond * eps); DOP853 takes over.
 _MAX_EIGVEC_COND = 1e6
 
+# Gauss-Legendre nodes of the fourth-order Magnus step, as fractions of a cell
+_GAUSS_LEGENDRE_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+# Above this ||Omega||_F a Magnus step splits into substeps: the local error
+# grows as the fifth power of the step, so large v_xx or a coarse
+# sample_interval stay accurate.
+_MAX_MAGNUS_NORM = 0.1
+
+# Taylor remainder allowed in each step's exponential
+_TAYLOR_TOL = 1e-17
+
+# Most Magnus steps held in memory at once; a 4x4 block at MAX_SAMPLES would
+# otherwise hold ~0.5 GB of Hamiltonians.
+_MAGNUS_CHUNK = 1 << 14
+
 
 def solve_ivp(*args: Any, **kwargs: Any) -> Any:
     """:func:`scipy.integrate.solve_ivp`, imported on first call.
@@ -109,10 +129,12 @@ class PhaseUndefinedError(ValueError):
 class IntegratorConfig:
     """Numerical knobs shared by both propagators.
 
-    ``sample_interval`` controls only how densely the solution is stored.
-    ``rtol``, ``atol`` and ``max_step`` govern the adaptive solves alone:
-    smooth envelopes, and the single carrier period of the Floquet path.
-    The exact constant-generator paths do not read them.
+    ``sample_interval`` controls how densely the solution is stored, and
+    on the Magnus path it is also the step (split into substeps where one
+    step would be too large).  ``rtol``, ``atol`` and ``max_step`` govern
+    the adaptive solves alone: lab-frame smooth envelopes, arbitrary
+    callables, and the single carrier period of the Floquet path.  The
+    exact constant-generator paths and the Magnus path do not read them.
     """
 
     rtol: float = 1e-9
@@ -361,14 +383,163 @@ def _floquet_states(hfun: Callable[[float], np.ndarray], psi0: np.ndarray,
     return states, int(sol.nfev)
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cellwise matrix product of two ``(d, d, n)`` stacks."""
+    return np.einsum("ijn,jkn->ikn", a, b)
+
+
+def _magnus_exponents(hfun: Callable[[np.ndarray], np.ndarray],
+                      edges: np.ndarray, d: int) -> np.ndarray:
+    """Fourth-order Magnus exponents of the cells between consecutive ``edges``.
+
+    ``H`` is evaluated in one batched call at the two Gauss-Legendre nodes
+    of every cell; the result is the ``(d, d, n)`` stack of
+    ``-i dt/2hbar (H1 + H2) - (sqrt3/12) (dt/hbar)^2 [H2, H1]``.  For
+    Hermitian ``H1``, ``H2`` the commutator is ``M - M^dagger`` with
+    ``M = H2 H1``.
+    """
+    dt = np.diff(edges)
+    n = dt.size
+    nodes = np.concatenate([edges[:-1] + c * dt for c in _GAUSS_LEGENDRE_NODES])
+    stack = hfun(nodes)
+    if stack.shape != (2 * n, d, d):
+        raise BasisMismatchError(
+            f"batched Hamiltonian shape {stack.shape} != ({2 * n}, {d}, {d})")
+    stack = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+    h1, h2 = stack[..., :n], stack[..., n:]
+    w = dt / HBAR_MEV_PS
+    m = _mm(h2, h1)
+    omega = m - m.transpose(1, 0, 2).conj()
+    omega *= (-math.sqrt(3.0) / 12.0) * (w * w)
+    omega += (-0.5j * w) * (h1 + h2)
+    return omega
+
+
+def _taylor_expm(omega: np.ndarray, norm: float) -> np.ndarray:
+    """``exp`` of every ``(d, d)`` slice of ``omega``, largest Frobenius norm ``norm``.
+
+    The Taylor degree ``m`` is the lowest whose remainder term
+    ``norm^(m+1) / (m+1)!`` is at most ``_TAYLOR_TOL``.  The polynomial is
+    summed as ``B0 + W (B1 + W (B2 + ...))`` with ``W = omega^3`` and each
+    ``Bq`` a quadratic in ``omega`` (Paterson-Stockmeyer), about half the
+    products of plain Horner.  A polynomial, unlike an eigendecomposition,
+    keeps every zero coupling exactly zero.
+    """
+    m, term = 1, 0.5 * norm * norm
+    while term > _TAYLOR_TOL:
+        m += 1
+        term *= norm / (m + 1)
+    coef = [1.0 / math.factorial(k) for k in range(m + 1)]
+    eye = np.eye(omega.shape[0])[:, :, None]
+    powers = [eye, omega, _mm(omega, omega) if m > 1 else None]
+
+    def quadratic(q: int) -> np.ndarray:
+        top = min(m, 3 * q + 2)
+        out = coef[top] * powers[top - 3 * q]
+        for k in range(top - 1, 3 * q - 1, -1):
+            out += coef[k] * powers[k - 3 * q]
+        return out
+
+    if m < 3:
+        return quadratic(0)
+    cube = _mm(omega, powers[2])
+    q = m // 3
+    if m % 3:
+        u = quadratic(q)
+    else:
+        # the top block is a multiple of the identity: no product needed
+        u = coef[m] * cube
+        q -= 1
+        u += quadratic(q)
+    for q in range(q - 1, -1, -1):
+        u = _mm(cube, u)
+        u += quadratic(q)
+    return u
+
+
+def _chain_states(u: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """``psi0`` carried through the cell propagators ``u`` (``(d, d, n)``) in order.
+
+    Returns the ``(n, d)`` states after each cell.  The cells are cut into
+    about ``sqrt(n)`` blocks: the running products inside every block are
+    built for all blocks at once, the block starts follow one block at a
+    time, so the Python loops take about ``2 sqrt(n)`` turns instead of ``n``.
+    """
+    d, _, n = u.shape
+    size = math.isqrt(n - 1) + 1
+    blocks = -(-n // size)
+    if blocks * size > n:
+        pad = np.broadcast_to(np.eye(d)[:, :, None], (d, d, blocks * size - n))
+        u = np.concatenate([u, pad], axis=2)
+    # cells[j, :, :, b] is cell b * size + j; prod[j] runs over that block to it
+    cells = np.ascontiguousarray(u.reshape(d, d, blocks, size).transpose(3, 0, 1, 2))
+    prod = np.empty_like(cells)
+    prod[0] = cells[0]
+    for j in range(1, size):
+        np.einsum("ijb,jkb->ikb", cells[j], prod[j - 1], out=prod[j])
+    starts = np.empty((blocks, d), dtype=complex)
+    starts[0] = psi0
+    for b in range(1, blocks):
+        starts[b] = prod[-1, :, :, b - 1] @ starts[b - 1]
+    return np.einsum("jikb,bk->bji", prod, starts).reshape(blocks * size, d)[:n]
+
+
+def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
+                   grid: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """States on ``grid`` from one fourth-order Magnus step per cell.
+
+    The cells are taken in chunks of at most ``_MAGNUS_CHUNK`` steps.  When
+    a chunk holds a step with ``||Omega||_F`` above ``_MAX_MAGNUS_NORM``,
+    every cell from there on is split into equal substeps; only the states
+    on ``grid`` are kept.  Returns the states, the number of Hamiltonian
+    evaluations and the substeps per cell.
+    """
+    d = psi0.size
+    states = np.empty((grid.size, d), dtype=complex)
+    states[0] = psi0
+    cells = grid.size - 1
+    pos, substeps, nfev = 0, 1, 0
+    while pos < cells:
+        take = min(cells - pos, max(1, _MAGNUS_CHUNK // substeps))
+        edges = grid[pos:pos + take + 1]
+        if substeps > 1:
+            frac = np.arange(substeps) / substeps
+            edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * frac).ravel(),
+                              edges[-1])
+        omega = _magnus_exponents(hfun, edges, d)
+        nfev += 2 * (edges.size - 1)
+        norm = float(np.max(np.linalg.norm(omega, axis=(0, 1))))
+        if norm > _MAX_MAGNUS_NORM:
+            substeps *= math.ceil(norm / _MAX_MAGNUS_NORM)
+            if substeps > _MAGNUS_CHUNK:
+                raise IntegrationError(
+                    f"a Magnus step of norm {norm:.3g} would need more than "
+                    f"{_MAGNUS_CHUNK} substeps per sample; the Hamiltonian is too "
+                    "large to propagate")
+            continue
+        u = _taylor_expm(omega, norm)
+        if substeps > 1:
+            fine = u.reshape(d, d, take, substeps)
+            u = fine[..., 0]
+            for q in range(1, substeps):
+                u = _mm(fine[..., q], u)
+        states[pos + 1:pos + take + 1] = _chain_states(u, states[pos])
+        pos += take
+    return states, nfev, substeps
+
+
 def evolve_schrodinger(h_of_t: Any, state: QuantumState, t_span: tuple[float, float],
                        config: IntegratorConfig | None = None,
                        breakpoints: Sequence[float] = (),
-                       period: float | None = None) -> Trajectory:
+                       period: float | None = None,
+                       batched: bool = False) -> Trajectory:
     """Propagate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
 
     A constant Hermitian ``h_of_t`` (:class:`OperatorMatrix` or ndarray)
-    is diagonalized once.  A callable with a ``period`` and no interior
+    is diagonalized once.  With ``batched`` the caller declares that
+    ``h_of_t`` maps a 1-d array of ``n`` times to the ``(n, d, d)`` stack
+    of Hermitian matrices; it then takes one fourth-order Magnus step per
+    cell of the sample grid.  A callable with a ``period`` and no interior
     breakpoints, over a span of at least one period, takes the Floquet
     path: one adaptive solve over the first period of ``t_span``.  Anything
     else is integrated adaptively.  ``t_span`` may run backwards for
@@ -389,6 +560,9 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState, t_span: tuple[float, fl
         states = _eigh_states(const, psi0, times - t0)
         states[0] = psi0
         meta = {"propagator": "eigh"}
+    elif batched and const is None:
+        states, nfev, substeps = _magnus_states(hfun, psi0, times)
+        meta = {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
     elif period is not None and not interior and t1 - t0 >= period:
         states, nfev = _floquet_states(hfun, psi0, times, period, cfg)
         meta = {"propagator": "floquet", "nfev": nfev}

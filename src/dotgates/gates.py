@@ -8,7 +8,8 @@ Three protocols are implemented:
   ``11`` population up to ``psi+`` and back; the returning amplitude
   carries a pi phase while the other spin configurations are only weakly
   (and off-resonantly) driven.  The runner propagates each decoupled spin
-  block separately and assembles phases, leakage, the entangling phase,
+  block separately (the two idle-partner blocks share one matrix, so one
+  run serves both) and assembles phases, leakage, the entangling phase,
   and a fidelity against the ideal controlled-phase.
 * :func:`run_z_rotation` - a single-qubit phase gate from a pair of
   resonant pi pulses separated by a free wait: the first pulse parks the
@@ -352,12 +353,16 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
         mid = 0.5 * (t0 + t1)
         h11, spect = h11(mid), spect(mid)
     def block(h, basis: Basis, label: str) -> Trajectory:
+        # a driven block maps an array of times to its stack of matrices;
+        # the square pulse's matrices take eigh regardless
         return evolve_schrodinger(h, QuantumState.basis_state(basis, label, frame),
-                                  (t0, t1), cfg, breakpoints=bps)
+                                  (t0, t1), cfg, breakpoints=bps, batched=True)
 
     traj_11 = block(h11, PSI_SUBSPACE, "11")
     traj_01 = block(spect, SPECTATOR_A_IDLE, "01")
-    traj_10 = block(spect, SPECTATOR_B_IDLE, "10")
+    # both idle blocks hold the same matrix and start in their first level
+    traj_10 = Trajectory(traj_01.times, traj_01.states, SPECTATOR_B_IDLE, frame, "pure",
+                         traj_01.metadata)
     ones = np.ones((traj_11.times.size, 1), dtype=complex)
     traj_00 = Trajectory(traj_11.times, ones, _DARK_BLOCK, frame, "pure")
 

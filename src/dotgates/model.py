@@ -177,7 +177,12 @@ class GaussianPulse:
         if self.truncation <= 0:
             raise ValueError("truncation must be > 0")
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(t, np.ndarray):
+            u = (t - self.center) / self.sigma
+            values = self.peak * np.exp(-0.5 * u * u)
+            values[np.abs(t - self.center) > self.truncation * self.sigma] = 0.0
+            return values
         if abs(t - self.center) > self.truncation * self.sigma:
             return 0.0
         u = (t - self.center) / self.sigma
@@ -233,7 +238,10 @@ class DrivenBlock:
     operator and ``f`` the real drive amplitude (a lab-frame field or a
     rotating-frame envelope).  Calling the block gives the bare matrix, as
     integrators want it; :meth:`at` wraps the same matrix as a Hermitian
-    :class:`~dotgates.operators.OperatorMatrix`.
+    :class:`~dotgates.operators.OperatorMatrix`.  Called with a 1-d array
+    of ``n`` times, the block returns the ``(n, d, d)`` stack, provided
+    ``f`` maps the array to its ``n`` values (as :class:`GaussianPulse`
+    does).
     """
 
     basis: Basis
@@ -242,7 +250,9 @@ class DrivenBlock:
     v: np.ndarray
     f: Callable[[float], float]
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        if isinstance(t, np.ndarray):
+            return np.multiply.outer(self.f(t), self.v) + self.h0
         m = self.f(t) * self.v
         m += self.h0
         return m

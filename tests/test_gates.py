@@ -286,7 +286,7 @@ def test_runners_record_their_propagator():
     for key in ("01", "10", "11"):
         assert trajs[key].metadata["propagator"] == "eigh"
     report, trajs = run_cphase(PAIR, gaussian_cphase_pulse(0.2))
-    assert trajs["11"].metadata["propagator"] == "DOP853"
+    assert trajs["11"].metadata["propagator"] == "magnus4"
     assert trajs["11"].metadata["nfev"] > 0
     assert "propagator" not in str(report.to_dict())
     pulse = SquarePulse(1.0, pi_pulse_time(1.0))

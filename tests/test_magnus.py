@@ -1,0 +1,142 @@
+"""The batched fourth-order Magnus propagator behind smooth-envelope cphase runs."""
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from dotgates import dynamics, gates
+from dotgates.dynamics import IntegrationError, IntegratorConfig, evolve_schrodinger
+from dotgates.gates import gaussian_cphase_pulse, run_cphase, square_cphase_pulse
+from dotgates.model import (
+    PSI_SUBSPACE,
+    SPECTATOR_B_IDLE,
+    DotPairParams,
+    GaussianPulse,
+    rwa_subspace_generator,
+    spectator_generator,
+)
+from dotgates.operators import QuantumState
+
+def tight_dop853_cphase(p, env, sample_interval=0.01):
+    """``run_cphase`` with every block on DOP853 at rtol 1e-13."""
+    def adaptive(*args, batched=False, **kwargs):
+        return evolve_schrodinger(*args, **kwargs)
+
+    cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, sample_interval=sample_interval)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "evolve_schrodinger", adaptive)
+        _, trajs = run_cphase(p, env, cfg)
+    assert trajs["11"].metadata["propagator"] == "DOP853"
+    return trajs
+
+
+def assert_states_close(trajs, ref, atol):
+    for key in ("01", "10", "11"):
+        np.testing.assert_array_equal(trajs[key].times, ref[key].times)
+        np.testing.assert_allclose(trajs[key].states, ref[key].states, rtol=0, atol=atol)
+
+
+# corners of the benchmark box (omega = r v_f) and the CLI defaults
+@pytest.mark.parametrize("r, v_f, v_xx", [
+    (0.1, 0.7, 4.0), (0.1, 0.7, 6.0), (0.2, 1.0, 4.0), (0.2, 1.0, 6.0), (0.1 / 0.85, 0.85, 5.0),
+])
+def test_gaussian_cphase_matches_tight_dop853(r, v_f, v_xx):
+    p = DotPairParams(v_f=v_f, v_xx=v_xx)
+    env = gaussian_cphase_pulse(r * v_f)
+    _, trajs = run_cphase(p, env)
+    assert trajs["11"].metadata["propagator"] == "magnus4"
+    assert trajs["11"].metadata["substeps"] == 1
+    assert trajs["11"].metadata["nfev"] == 2 * (trajs["11"].n_samples - 1)
+    assert_states_close(trajs, tight_dop853_cphase(p, env), 1e-10)
+
+
+def test_gaussian_cphase_keeps_psi_minus_exactly_zero():
+    _, trajs = run_cphase(DotPairParams(), gaussian_cphase_pulse(0.1))
+    dark = trajs["11"].amplitude("psi-")
+    assert np.all(dark == 0.0)
+    # no negative zeros either, so the CSV cells read 0.00000000000e+00
+    assert not np.any(np.signbit(dark.real) | np.signbit(dark.imag))
+
+
+def test_magnus_substeps_keep_coarse_grids_accurate():
+    # ||Omega|| of one 0.2 ps cell is ~9 here; without substeps the states
+    # are off by ~6e-8
+    p = DotPairParams(v_f=0.85, v_xx=30.0)
+    env = gaussian_cphase_pulse(0.2)
+    _, trajs = run_cphase(p, env, IntegratorConfig(sample_interval=0.2))
+    assert_states_close(trajs, tight_dop853_cphase(p, env, 0.2), 1e-9)
+    assert trajs["11"].metadata["substeps"] > 1
+
+
+def test_magnus_refuses_a_step_beyond_the_substep_limit():
+    env = GaussianPulse(peak=0.1, sigma=5.0)
+    block = rwa_subspace_generator(DotPairParams(v_xx=1e7), env)
+    psi0 = QuantumState.basis_state(PSI_SUBSPACE, "11", block.frame)
+    with pytest.raises(IntegrationError, match="substeps"):
+        evolve_schrodinger(block, psi0, env.support(), batched=True)
+
+
+def test_batched_calls_match_stacked_scalar_calls():
+    env = GaussianPulse(peak=0.13, sigma=7.0, center=30.0)
+    lo, hi = env.support()
+    t = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 1001), [lo, hi]])
+    np.testing.assert_allclose(env(t), [env(float(x)) for x in t], rtol=1e-15, atol=0)
+    assert env(np.array([lo - 1.0, hi + 1.0])).tolist() == [0.0, 0.0]
+    for block in (rwa_subspace_generator(DotPairParams(), env),
+                  spectator_generator(DotPairParams(), env)):
+        np.testing.assert_allclose(block(t), np.stack([block(float(x)) for x in t]),
+                                   rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 3e-3, 0.06, 0.1])
+def test_taylor_exponential_matches_expm(scale):
+    # Taylor degrees 2, 5, 9 and 10: every way the top block of the
+    # polynomial can fall
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    omega = a - np.conj(np.swapaxes(a, 1, 2))
+    omega *= scale / np.linalg.norm(omega, axis=(1, 2))[:, None, None]
+    got = dynamics._taylor_expm(np.moveaxis(omega, 0, -1), scale)
+    np.testing.assert_allclose(np.moveaxis(got, -1, 0), [expm(w) for w in omega],
+                               rtol=0, atol=1e-15)
+
+
+def test_chunked_and_unchunked_magnus_agree(monkeypatch):
+    p = DotPairParams()
+    env = gaussian_cphase_pulse(0.1)
+    _, whole = run_cphase(p, env)
+    monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK", 100)
+    _, chunked = run_cphase(p, env)
+    assert whole["11"].n_samples > 50 * 100
+    # chunks change only how the ~9k cell products associate: rounding
+    # differences of 0.6-1.8e-14 were measured for chunks of 100-4000 cells
+    assert_states_close(chunked, whole, 5e-14)
+
+
+def test_magnus_runs_backwards_in_time():
+    env = gaussian_cphase_pulse(0.15)
+    block = rwa_subspace_generator(DotPairParams(), env)
+    t0, t1 = env.support()
+    psi0 = QuantumState.basis_state(PSI_SUBSPACE, "11", block.frame)
+    fwd = evolve_schrodinger(block, psi0, (t0, t1), batched=True)
+    back = evolve_schrodinger(block, fwd.final_state(), (t1, t0), batched=True)
+    np.testing.assert_allclose(back.states[-1], psi0.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_spectator_b_trajectory_is_the_direct_propagation(shape):
+    p = DotPairParams()
+    env = square_cphase_pulse(0.1) if shape == "square" else gaussian_cphase_pulse(0.1)
+    _, trajs = run_cphase(p, env)
+    h = spectator_generator(p, env, "b")
+    t0, t1 = env.support()
+    if shape == "square":
+        h = h(0.5 * (t0 + t1))
+    psi0 = QuantumState.basis_state(SPECTATOR_B_IDLE, "10", trajs["10"].frame)
+    direct = evolve_schrodinger(h, psi0, (t0, t1), breakpoints=env.breakpoints(),
+                                batched=True)
+    assert trajs["10"].basis == SPECTATOR_B_IDLE
+    np.testing.assert_array_equal(trajs["10"].times, direct.times)
+    np.testing.assert_array_equal(trajs["10"].states, direct.states)
+    assert dict(trajs["10"].metadata) == dict(direct.metadata)
+
