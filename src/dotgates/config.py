@@ -117,11 +117,17 @@ class _Key:
     sweepable: bool = False
 
 
+_SAMPLE_KEYS: dict[str, _Key] = {
+    "sample_interval": _Key(0.01, _make_float(positive=True), True),
+}
+
+# zrot and raman add the tolerances of the adaptive solves (the Floquet
+# period, DOP853, an ill-conditioned Liouvillian); a cphase run takes none
 _INTEGRATOR_KEYS: dict[str, _Key] = {
+    **_SAMPLE_KEYS,
     "rtol": _Key(1e-9, _make_float(positive=True), True),
     "atol": _Key(1e-12, _make_float(positive=True), True),
     "max_step": _Key(None, _make_opt_float(positive=True), True),
-    "sample_interval": _Key(0.01, _make_float(positive=True), True),
 }
 
 _PAIR_KEYS: dict[str, _Key] = {
@@ -148,7 +154,7 @@ _THRESHOLD_KEYS: dict[str, _Key] = {
 def _schema(kind: str) -> dict[str, _Key]:
     if kind == "cphase":
         return {
-            **_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS, **_INTEGRATOR_KEYS,
+            **_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS, **_SAMPLE_KEYS,
             "commensurate": _Key(False, _bool),
             "ratios": _Key(None, _make_float_list(positive=True)),
         }
@@ -236,10 +242,12 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
 
     def integrator(self) -> IntegratorConfig:
-        ms = self["max_step"]
-        return IntegratorConfig(rtol=self["rtol"], atol=self["atol"],
-                                max_step=math.inf if ms is None else ms,
-                                sample_interval=self["sample_interval"])
+        """The integrator settings; a kind without ``rtol``, ``atol`` or
+        ``max_step`` keys takes their defaults."""
+        kw = {k: self.values[k] for k in ("rtol", "atol") if k in self.values}
+        if self.values.get("max_step") is not None:
+            kw["max_step"] = self["max_step"]
+        return IntegratorConfig(sample_interval=self["sample_interval"], **kw)
 
     def envelope(self, omega: float | None = None) -> SquarePulse | GaussianPulse:
         """Resolve the pulse; ``omega`` overrides the configured peak (used

@@ -19,7 +19,17 @@ from the structure of their input where one exists:
   Pulse discontinuities should be passed as ``breakpoints`` so the
   integration restarts there instead of stepping across a kink.
 
-``Trajectory.metadata["propagator"]`` names the method that ran.
+:func:`evolve_schrodinger` also takes several states on one basis and
+frame and carries them through one run of the chosen method (one ``eigh``,
+one set of Magnus exponentials, one period solve, one adaptive solve of
+all of them together); given the basis states, the trajectories are the
+columns of the propagator.  ``Trajectory.metadata["propagator"]`` names
+the method that ran.
+
+Every pure state must keep unit norm and every density trajectory unit
+trace (:func:`check_drift`) and positivity; a positivity check is one
+batched Cholesky factorization per chunk of samples, and only a failing
+chunk pays for the exact eigenvalues.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
 exact for piecewise-constant Hamiltonians and is what the regression tests
@@ -62,6 +72,7 @@ __all__ = [
     "evolve_schrodinger",
     "evolve_lindblad",
     "evolve_expm",
+    "check_drift",
     "PhaseSeries",
     "accumulated_phase",
     "to_rotating_frame",
@@ -104,6 +115,9 @@ _TAYLOR_TOL = 1e-17
 # Most Magnus steps held in memory at once; a 4x4 block at MAX_SAMPLES would
 # otherwise hold ~0.5 GB of Hamiltonians.
 _MAGNUS_CHUNK = 1 << 14
+
+# Most density matrices factorized at once by the positivity check
+_POSITIVITY_CHUNK = 1024
 
 
 def solve_ivp(*args: Any, **kwargs: Any) -> Any:
@@ -341,22 +355,24 @@ def _integrate(rhs: Callable, y0: np.ndarray, grid: np.ndarray, interior: list[f
 
 
 def _eigh_states(m: np.ndarray, psi0: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """``exp(-i m dt / hbar) psi0`` for each ``dt``, shape ``(n, d)``, from one eigh."""
+    """``exp(-i m dt / hbar) psi`` for each ``dt`` and each row ``psi`` of ``psi0``.
+
+    Shape ``(k, n, d)``, from one eigh.
+    """
     w, v = np.linalg.eigh(m)
     phases = np.exp(np.outer(dts, w) * (-1j / HBAR_MEV_PS))
-    return (phases * (v.conj().T @ psi0)) @ v.T
+    return np.stack([(phases * (v.conj().T @ psi)) @ v.T for psi in psi0])
 
 
-def _floquet_states(hfun: Callable[[float], np.ndarray], psi0: np.ndarray,
-                    grid: np.ndarray, period: float,
-                    cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
-    """States on a forward ``grid`` under an ``H`` of the given period.
+def _floquet_propagators(hfun: Callable[[float], np.ndarray], d: int, grid: np.ndarray,
+                         period: float, cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+    """Propagators ``U(t, grid[0])`` on a forward ``grid`` under an ``H`` of the given period.
 
     One adaptive solve gives the propagator ``U(tau)`` over the first
     period at every distinct remainder ``tau`` of the grid; a sample
-    ``n`` periods later is ``U(tau) U(period)^n psi0``.
+    ``n`` periods later is ``U(tau) U(period)^n``.  Returns the
+    ``(n, d, d)`` stack and the right-hand-side evaluations.
     """
-    d = psi0.size
     t0 = float(grid[0])
     # divmod takes its remainder from fmod, which is exact: for the
     # non-negative offsets of a forward grid every tau lies in [0, period),
@@ -375,12 +391,11 @@ def _floquet_states(hfun: Callable[[float], np.ndarray], psi0: np.ndarray,
         raise IntegrationError(f"solver failed over one period {period:g}: {sol.message}")
     u = sol.y.T.reshape(-1, d, d)
     cycles = cycles.astype(int)
-    starts = np.empty((int(cycles[-1]) + 1, d), dtype=complex)
-    starts[0] = psi0
-    for k in range(1, starts.shape[0]):
-        starts[k] = u[-1] @ starts[k - 1]
-    states = np.einsum("kij,kj->ki", u[which], starts[cycles])
-    return states, int(sol.nfev)
+    powers = np.empty((int(cycles[-1]) + 1, d, d), dtype=complex)
+    powers[0] = np.eye(d)
+    for k in range(1, powers.shape[0]):
+        powers[k] = u[-1] @ powers[k - 1]
+    return u[which] @ powers[cycles], int(sol.nfev)
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -457,13 +472,14 @@ def _taylor_expm(omega: np.ndarray, norm: float) -> np.ndarray:
     return u
 
 
-def _chain_states(u: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """``psi0`` carried through the cell propagators ``u`` (``(d, d, n)``) in order.
+def _chain_states(u: np.ndarray, psi0: np.ndarray) -> list[np.ndarray]:
+    """Each row of ``psi0`` carried through the cell propagators ``u`` (``(d, d, n)``).
 
-    Returns the ``(n, d)`` states after each cell.  The cells are cut into
-    about ``sqrt(n)`` blocks: the running products inside every block are
-    built for all blocks at once, the block starts follow one block at a
-    time, so the Python loops take about ``2 sqrt(n)`` turns instead of ``n``.
+    Returns one ``(n, d)`` array per row: the states after each cell.  The
+    cells are cut into about ``sqrt(n)`` blocks: the running products
+    inside every block are built for all blocks at once and shared by the
+    rows, the block starts follow one block at a time, so the Python loops
+    take about ``2 sqrt(n)`` turns instead of ``n``.
     """
     d, _, n = u.shape
     size = math.isqrt(n - 1) + 1
@@ -477,26 +493,30 @@ def _chain_states(u: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     prod[0] = cells[0]
     for j in range(1, size):
         np.einsum("ijb,jkb->ikb", cells[j], prod[j - 1], out=prod[j])
-    starts = np.empty((blocks, d), dtype=complex)
-    starts[0] = psi0
-    for b in range(1, blocks):
-        starts[b] = prod[-1, :, :, b - 1] @ starts[b - 1]
-    return np.einsum("jikb,bk->bji", prod, starts).reshape(blocks * size, d)[:n]
+    out = []
+    for psi in psi0:
+        starts = np.empty((blocks, d), dtype=complex)
+        starts[0] = psi
+        for b in range(1, blocks):
+            starts[b] = prod[-1, :, :, b - 1] @ starts[b - 1]
+        out.append(np.einsum("jikb,bk->bji", prod, starts).reshape(blocks * size, d)[:n])
+    return out
 
 
 def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
                    grid: np.ndarray) -> tuple[np.ndarray, int, int]:
     """States on ``grid`` from one fourth-order Magnus step per cell.
 
-    The cells are taken in chunks of at most ``_MAGNUS_CHUNK`` steps.  When
-    a chunk holds a step with ``||Omega||_F`` above ``_MAX_MAGNUS_NORM``,
-    every cell from there on is split into equal substeps; only the states
-    on ``grid`` are kept.  Returns the states, the number of Hamiltonian
-    evaluations and the substeps per cell.
+    ``psi0`` holds one initial state per row.  The cells are taken in
+    chunks of at most ``_MAGNUS_CHUNK`` steps.  When a chunk holds a step
+    with ``||Omega||_F`` above ``_MAX_MAGNUS_NORM``, every cell from there
+    on is split into equal substeps; only the states on ``grid`` are kept.
+    Returns the ``(k, n, d)`` states, the number of Hamiltonian evaluations
+    and the substeps per cell.
     """
-    d = psi0.size
-    states = np.empty((grid.size, d), dtype=complex)
-    states[0] = psi0
+    k, d = psi0.shape
+    states = np.empty((k, grid.size, d), dtype=complex)
+    states[:, 0] = psi0
     cells = grid.size - 1
     pos, substeps, nfev = 0, 1, 0
     while pos < cells:
@@ -523,16 +543,29 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
             u = fine[..., 0]
             for q in range(1, substeps):
                 u = _mm(fine[..., q], u)
-        states[pos + 1:pos + take + 1] = _chain_states(u, states[pos])
+        for j, chained in enumerate(_chain_states(u, states[:, pos])):
+            states[j, pos + 1:pos + take + 1] = chained
         pos += take
     return states, nfev, substeps
 
 
-def evolve_schrodinger(h_of_t: Any, state: QuantumState, t_span: tuple[float, float],
+def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
+    """Raise :class:`IntegrationError` when ``values``, the norms or traces
+    of a trajectory in sample order, leave 1 by more than ``1e-7`` at the
+    end or ``1e-6`` anywhere; ``quantity`` names them in the message."""
+    drift = np.abs(values - 1.0)
+    if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
+        raise IntegrationError(
+            f"{quantity} drifted by {np.max(drift):.3e}; tighten rtol/atol or shrink max_step"
+        )
+
+
+def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState],
+                       t_span: tuple[float, float],
                        config: IntegratorConfig | None = None,
                        breakpoints: Sequence[float] = (),
                        period: float | None = None,
-                       batched: bool = False) -> Trajectory:
+                       batched: bool = False) -> Trajectory | list[Trajectory]:
     """Propagate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
 
     A constant Hermitian ``h_of_t`` (:class:`OperatorMatrix` or ndarray)
@@ -543,44 +576,61 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState, t_span: tuple[float, fl
     breakpoints, over a span of at least one period, takes the Floquet
     path: one adaptive solve over the first period of ``t_span``.  Anything
     else is integrated adaptively.  ``t_span`` may run backwards for
-    time-reversed evolution.  Raises :class:`IntegrationError` when the
-    solver fails or the norm drifts by more than ``1e-7`` at the end (or
-    ``1e-6`` anywhere).
+    time-reversed evolution.
+
+    ``state`` is one :class:`QuantumState`, which gives one
+    :class:`Trajectory`, or a sequence of states on one basis and frame,
+    which gives a list with one trajectory per state, in order.  The
+    states share the eigendecomposition, the Magnus exponentials or the
+    period solve, and the adaptive path integrates them as the columns of
+    one ``(d, k)`` array in one solve.  On the other paths each state's
+    arithmetic is that of a single-state call, so the results match one
+    bit for bit.  The trajectories share the call's metadata.  Raises
+    :class:`IntegrationError` when the solver fails or a norm drifts by
+    more than ``1e-7`` at the end (or ``1e-6`` anywhere).
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
-    psi0 = state.amplitudes.astype(complex)
-    hfun, const = _as_matrix_fn(h_of_t, state.basis, state.frame, t0)
+    inputs = [state] if isinstance(state, QuantumState) else list(state)
+    if not inputs:
+        raise ValueError("no state to propagate")
+    basis, frame = inputs[0].basis, inputs[0].frame
+    if any(s.basis != basis or s.frame != frame for s in inputs):
+        raise BasisMismatchError("the states disagree on basis or frame")
+    psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
+    k, d = psi0.shape
+    hfun, const = _as_matrix_fn(h_of_t, basis, frame, t0)
+    meta: dict[str, Any] = {}
     if t0 == t1:
-        return Trajectory(np.array([t0]), psi0[None, :], state.basis, state.frame, "pure")
-
-    times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
-    meta: dict[str, Any]
-    if const is not None and _hermitian_defect(const) <= _HERMITIAN_RTOL:
-        states = _eigh_states(const, psi0, times - t0)
-        states[0] = psi0
-        meta = {"propagator": "eigh"}
-    elif batched and const is None:
-        states, nfev, substeps = _magnus_states(hfun, psi0, times)
-        meta = {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
-    elif period is not None and not interior and t1 - t0 >= period:
-        states, nfev = _floquet_states(hfun, psi0, times, period, cfg)
-        meta = {"propagator": "floquet", "nfev": nfev}
+        times, states = np.array([t0]), psi0[:, None, :]
     else:
-        scale = -1j / HBAR_MEV_PS
+        times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+        if const is not None and _hermitian_defect(const) <= _HERMITIAN_RTOL:
+            states = _eigh_states(const, psi0, times - t0)
+            states[:, 0] = psi0
+            meta = {"propagator": "eigh"}
+        elif batched and const is None:
+            states, nfev, substeps = _magnus_states(hfun, psi0, times)
+            meta = {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
+        elif period is not None and not interior and t1 - t0 >= period:
+            u, nfev = _floquet_propagators(hfun, d, times, period, cfg)
+            states = np.stack([u @ psi for psi in psi0])
+            meta = {"propagator": "floquet", "nfev": nfev}
+        else:
+            scale = -1j / HBAR_MEV_PS
+            # one state keeps the matrix-vector product, bit for bit
+            shape = (d,) if k == 1 else (d, k)
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return scale * (hfun(t) @ y)
+            def rhs(t: float, y: np.ndarray) -> np.ndarray:
+                return (scale * (hfun(t) @ y.reshape(shape))).ravel()
 
-        states, nfev = _integrate(rhs, psi0, times, interior, cfg)
-        meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
-    norms = np.linalg.norm(states, axis=1)
-    drift = np.abs(norms - 1.0)
-    if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
-        raise IntegrationError(
-            f"norm drifted by {np.max(drift):.3e}; tighten rtol/atol or shrink max_step"
-        )
-    return Trajectory(times, states, state.basis, state.frame, "pure", meta)
+            flat, nfev = _integrate(rhs, psi0.T.ravel(), times, interior, cfg)
+            states = flat.reshape(times.size, d, k).transpose(2, 0, 1)
+            meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
+        for s in states:
+            check_drift(np.linalg.norm(s, axis=1))
+    trajs = [Trajectory(times, s, basis, frame, "pure", meta) for s in states]
+    return trajs[0] if isinstance(state, QuantumState) else trajs
 
 
 def _liouvillian(h: np.ndarray,
@@ -606,9 +656,12 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     eigendecomposed once and ``rho(t) = V exp(lam t) V^-1 rho0``; when the
     eigenvectors are too ill-conditioned to trust, and for a time-dependent
     ``h_of_t``, the equation is integrated adaptively.  Collapse terms use
-    rates in 1/ps and are not divided by hbar.  The final trace must stay
-    within ``1e-7`` of one and eigenvalues above ``-1e-6`` or
-    :class:`IntegrationError` is raised.
+    rates in 1/ps and are not divided by hbar.  The trace must stay
+    within ``1e-7`` of one at the end (``1e-6`` anywhere) and every sample
+    must be positive to ``-1e-6``, or :class:`IntegrationError` is raised.
+    Positivity is decided by a batched Cholesky factorization of
+    ``(rho + rho^H)/2 + 1e-6 I``; only a failure computes the eigenvalues,
+    so the message still quotes the exact minimum.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -652,15 +705,41 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
         meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
     states = flat.reshape(times.size, d, d)
     traj = Trajectory(times, states, rho0.basis, rho0.frame, "density", meta)
-    drift = np.abs(traj.traces() - 1.0)
-    if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
-        raise IntegrationError(
-            f"trace drifted by {np.max(drift):.3e}; tighten rtol/atol or shrink max_step"
-        )
-    lo = traj.min_eigenvalue()
-    if lo < -_POSITIVITY_TOL:
-        raise IntegrationError(f"density matrix lost positivity: min eigenvalue {lo:.3e}")
+    check_drift(traj.traces(), "trace")
+    _check_positivity(traj)
     return traj
+
+
+def _check_positivity(traj: Trajectory) -> None:
+    """Raise :class:`IntegrationError` when a density matrix of ``traj`` has an
+    eigenvalue below ``-1e-6``.
+
+    ``(rho + rho^H)/2 + 1e-6 I`` has a Cholesky factor exactly when every
+    eigenvalue of the Hermitian part lies above ``-1e-6``, and a batched
+    factorization is several times cheaper than ``eigvalsh``.  The shifted
+    matrices are built in place, ``_POSITIVITY_CHUNK`` samples at a time.
+    Only a failing chunk calls :meth:`Trajectory.min_eigenvalue`, whose
+    exact value then decides and goes into the message.
+    """
+    rho = traj.states
+    d = rho.shape[1]
+    buf = np.empty((min(rho.shape[0], _POSITIVITY_CHUNK), d, d), dtype=complex)
+    diag = np.arange(d)
+    for a in range(0, rho.shape[0], _POSITIVITY_CHUNK):
+        chunk = rho[a:a + _POSITIVITY_CHUNK]
+        m = buf[:chunk.shape[0]]
+        np.conjugate(chunk.transpose(0, 2, 1), out=m)
+        m += chunk
+        m *= 0.5
+        m[:, diag, diag] += _POSITIVITY_TOL
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            lo = traj.min_eigenvalue()
+            if lo < -_POSITIVITY_TOL:
+                raise IntegrationError(
+                    f"density matrix lost positivity: min eigenvalue {lo:.3e}") from None
+            return
 
 
 def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Trajectory:
@@ -679,7 +758,7 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     for i in range(1, times.size):
         dt = times[i:i + 1] - times[i - 1]
         mid = 0.5 * (times[i] + times[i - 1])
-        states[i] = _eigh_states(hfun(float(mid)), states[i - 1], dt)[0]
+        states[i] = _eigh_states(hfun(float(mid)), states[i - 1:i], dt)[0, 0]
     return Trajectory(times, states, state.basis, state.frame, "pure")
 
 

@@ -38,6 +38,7 @@ from .dynamics import (
     IntegratorConfig,
     PhaseUndefinedError,
     Trajectory,
+    check_drift,
     concatenate_trajectories,
     evolve_lindblad,
     evolve_schrodinger,
@@ -498,6 +499,8 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     during the wait is cancelled by the second pulse instead of imprinted.
     A second, zero-wait run provides the baseline pulse-pair phase, which
     is subtracted so the reported phase isolates the wait contribution.
+    All three pulses take their states from one solve for the pulse
+    propagator.
 
     Returns the report and the full lab-frame trajectory of the main run.
     """
@@ -515,47 +518,56 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
         )
 
     a0, a1 = gate.amplitudes
-    psi0 = QuantumState(np.array([a0, a1, 0.0], dtype=complex), SINGLE_DOT, LAB_FRAME)
+    psi0 = np.array([a0, a1, 0.0], dtype=complex)
 
     # a square envelope leaves only the carrier, periodic from its origin
     period = _TWO_PI * HBAR_MEV_PS / p.omega_a if isinstance(pulse, SquarePulse) else None
 
-    def pulse_segment(env, start_state: QuantumState, after: float = -math.inf) -> Trajectory:
-        # a shifted Gaussian's support can start an ulp before ``after``
-        lo, hi = env.support()
-        lo = max(lo, after)
-        drive = LaserDrive(env, p.omega_a, carrier_origin=lo)
-        gen = lab_single_dot_generator(p.omega_a, drive)
-        return evolve_schrodinger(gen, start_state, (lo, hi), cfg,
-                                  breakpoints=env.breakpoints(), period=period)
+    # Every pulse restarts the carrier with its envelope, so its H depends
+    # only on the time since it began: one propagator U(t - t0), whose
+    # columns are the runs from the three basis states, serves all three
+    # pulses as U @ start.
+    drive = LaserDrive(pulse, p.omega_a, carrier_origin=t0)
+    columns = evolve_schrodinger(
+        lab_single_dot_generator(p.omega_a, drive),
+        [QuantumState.basis_state(SINGLE_DOT, lbl) for lbl in SINGLE_DOT.labels],
+        (t0, t1), cfg, breakpoints=pulse.breakpoints(), period=period)
+    u = np.stack([c.states for c in columns], axis=2)
+    offsets = columns[0].times - t0
+    meta = columns[0].metadata
 
-    seg1 = pulse_segment(pulse, psi0)
+    def pulse_states(start: np.ndarray) -> np.ndarray:
+        states = u @ start
+        check_drift(np.linalg.norm(states, axis=1))
+        return states
+
+    seg1 = Trajectory(columns[0].times, pulse_states(psi0), SINGLE_DOT, LAB_FRAME, "pure",
+                      meta)
     mid_state = seg1.final_state()
 
-    # main arm: free wait, then the second pulse with a fresh carrier origin,
-    # starting no earlier than the wait ends so the segments join
+    # main arm: free wait, then the second pulse from where the wait ends;
+    # the one solve is counted once, with the first pulse
     parts = [seg1]
     if gate.wait > 0:
         h_free = np.zeros((3, 3), dtype=complex)
         h_free[SINGLE_DOT.index("X"), SINGLE_DOT.index("X")] = p.omega_a
         free = evolve_schrodinger(h_free, mid_state, (t1, t1 + gate.wait), cfg)
         parts.append(free)
-        after_wait = free.final_state()
+        after_wait = free.states[-1]
     else:
-        after_wait = mid_state
-    seg2 = pulse_segment(pulse.shifted(t1 + gate.wait - t0), after_wait, t1 + gate.wait)
-    parts.append(seg2)
+        after_wait = mid_state.amplitudes
+    parts.append(Trajectory((t1 + gate.wait) + offsets, pulse_states(after_wait), SINGLE_DOT,
+                            LAB_FRAME, "pure", {"propagator": meta["propagator"]}))
     traj = concatenate_trajectories(parts)
 
     # baseline arm: identical second pulse immediately after the first
-    seg2_base = pulse_segment(pulse.shifted(span), mid_state)
+    fin_base = pulse_states(mid_state.amplitudes)[-1]
 
     def rel_phase(amps: np.ndarray) -> float:
         return float(np.angle(amps[1]) - np.angle(amps[0]))
 
     warn: list[str] = []
     fin_main = traj.states[-1]
-    fin_base = seg2_base.states[-1]
     if min(abs(fin_main[0]), abs(fin_main[1]), abs(fin_base[0]), abs(fin_base[1])) < 1e-6:
         raise PhaseUndefinedError(
             "a spin amplitude vanished after the pulse pair; the relative phase "

@@ -14,6 +14,7 @@ import numpy as np
 import dotgates
 from dotgates.cli import _CSV_BLOCK_ROWS, _write_csv, main, round_floats
 from dotgates.config import ConfigError, build_config
+from dotgates.dynamics import IntegratorConfig
 
 RUNNER = CliRunner()
 
@@ -107,6 +108,26 @@ def test_unknown_key_fails_with_suggestion(tmp_path):
     text = _text(result)
     assert "config error" in text
     assert "omega" in text  # close-match hint
+
+
+def test_cphase_rejects_solver_tolerances(tmp_path):
+    # no cphase run takes an adaptive solve, so the keys would do nothing
+    for key in ("rtol=1e-3", "atol=1e-3", "max_step=5"):
+        result = _invoke(["cphase", "--out", str(tmp_path / "x"),
+                          "--set", "pulse_shape=gaussian", "--set", key])
+        assert result.exit_code == 1
+        assert f"unknown config key {key.split('=')[0]!r} for kind 'cphase'" in _text(result)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kind": "sweep", "sweep_kind": "cphase",
+                               "sweep_param": "rtol", "sweep_values": [1e-6]}))
+    result = _invoke(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert result.exit_code == 1
+    assert "config error" in _text(result)
+    assert not (tmp_path / "x").exists() and not (tmp_path / "s").exists()
+    # zrot and raman still read them
+    for kind in ("zrot", "raman"):
+        cfg = build_config({"kind": kind, "rtol": 1e-10, "atol": 1e-13, "max_step": 0.5})
+        assert cfg.integrator() == IntegratorConfig(rtol=1e-10, atol=1e-13, max_step=0.5)
 
 
 def test_kind_mismatch_rejected(tmp_path):

@@ -387,3 +387,115 @@ def test_sample_grid_cap_allocates_nothing():
     psi0 = QuantumState.basis_state(B2, "g")
     with pytest.raises(ValueError, match="samples"):
         evolve_schrodinger(h, psi0, (0.0, 30.0), IntegratorConfig(sample_interval=1e-9))
+
+
+def _random_states(rng, basis, k):
+    states = []
+    for _ in range(k):
+        v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        states.append(QuantumState(v / np.linalg.norm(v), basis))
+    return states
+
+
+def _periodic_two_level(w=40.0):
+    def h(t):
+        c = 0.8 * math.cos(w * t / HBAR_MEV_PS)
+        return np.array([[0.0, c], [c, w]], dtype=complex)
+
+    return h, 2.0 * math.pi * HBAR_MEV_PS / w
+
+
+def _batched_three_level():
+    rng = np.random.default_rng(12)
+    h0, v = _random_hermitian(rng, 3), _random_hermitian(rng, 3, 0.5)
+
+    def h(t):
+        f = np.exp(-((np.asarray(t) - 1.0) ** 2))
+        return h0 + f[..., None, None] * v
+
+    return h
+
+
+@pytest.mark.parametrize("path", ["eigh", "magnus4", "floquet", "DOP853"])
+def test_several_states_match_single_state_calls(path):
+    rng = np.random.default_rng(21)
+    span, kwargs, cfg = (0.1, 2.3), {}, IntegratorConfig()
+    if path == "eigh":
+        basis, h = B3, OperatorMatrix(_random_hermitian(rng, 3), B3, hermitian=True)
+    elif path == "magnus4":
+        basis, h, kwargs = B3, _batched_three_level(), {"batched": True}
+    elif path == "floquet":
+        h, period = _periodic_two_level()
+        basis, kwargs = B2, {"period": period}
+        span = (0.3, 0.3 + 7.4 * period)
+    else:
+        basis, h = B3, _batched_three_level()
+        # separate solves take separate steps: compare at a tolerance where
+        # both sit far below 1e-12
+        cfg = IntegratorConfig(rtol=1e-13, atol=1e-16)
+    states = _random_states(rng, basis, 3)
+    joint = evolve_schrodinger(h, states, span, cfg, **kwargs)
+    assert isinstance(joint, list) and len(joint) == 3
+    for traj, psi0 in zip(joint, states):
+        alone = evolve_schrodinger(h, psi0, span, cfg, **kwargs)
+        assert traj.metadata["propagator"] == alone.metadata["propagator"] == path
+        np.testing.assert_array_equal(traj.times, alone.times)
+        if path == "DOP853":
+            np.testing.assert_allclose(traj.states, alone.states, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(traj.states, alone.states)
+
+
+def test_several_states_are_checked_and_must_share_basis_and_frame():
+    leaky = np.array([[0.0, 0.0], [0.0, -0.5j]], dtype=complex)
+    pair = [QuantumState.basis_state(B2, "g"), QuantumState.basis_state(B2, "e")]
+    with pytest.raises(IntegrationError, match="norm drifted"):
+        evolve_schrodinger(leaky, pair, (0.0, 1.0))
+    h = OperatorMatrix(np.eye(2), B2, hermitian=True)
+    rotating = QuantumState.basis_state(B2, "e", frame="rotating@5")
+    with pytest.raises(BasisMismatchError):
+        evolve_schrodinger(h, [pair[0], rotating], (0.0, 1.0))
+    with pytest.raises(ValueError):
+        evolve_schrodinger(h, [], (0.0, 1.0))
+    zero = evolve_schrodinger(h, pair, (1.0, 1.0))
+    assert [t.n_samples for t in zero] == [1, 1]
+    np.testing.assert_array_equal(zero[1].states[0], pair[1].amplitudes)
+
+
+def _density_with_min_eigenvalue(rng, dim, lam_min):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lams = rng.uniform(0.2, 1.0, dim)
+    lams[0] = 0.0
+    lams *= (1.0 - lam_min) / lams.sum()
+    lams[0] = lam_min
+    return (q * lams) @ q.conj().T
+
+
+def _density_trajectory(rng, n, bad_at, lam_min):
+    basis = Basis(("0", "1", "e", "s"), "lambda")
+    rhos = np.array([_density_with_min_eigenvalue(rng, 4, 0.01) for _ in range(n)])
+    rhos[bad_at] = _density_with_min_eigenvalue(rng, 4, lam_min)
+    return Trajectory(np.arange(n) * 0.01, rhos, basis, LAB_FRAME, "density")
+
+
+@pytest.mark.parametrize("lam_min", [-2e-6, -1.001e-6, -0.999e-6, -1e-9, 0.0])
+def test_positivity_check_agrees_with_eigenvalues(monkeypatch, lam_min):
+    traj = _density_trajectory(np.random.default_rng(5), 300, 137, lam_min)
+    assert traj.min_eigenvalue() == pytest.approx(lam_min, abs=1e-15)
+    if traj.min_eigenvalue() < -1e-6:
+        with pytest.raises(IntegrationError, match="lost positivity"):
+            dynamics._check_positivity(traj)
+    else:
+        # a passing stack is decided by the factorization alone
+        def no_eigenvalues(self):
+            raise AssertionError("eigenvalues computed for a positive stack")
+
+        monkeypatch.setattr(Trajectory, "min_eigenvalue", no_eigenvalues)
+        dynamics._check_positivity(traj)
+
+
+def test_positivity_check_reaches_the_last_chunk():
+    traj = _density_trajectory(np.random.default_rng(6), 2500, 2499, -2e-6)
+    assert 2499 >= 2 * dynamics._POSITIVITY_CHUNK
+    with pytest.raises(IntegrationError, match=r"min eigenvalue -2\.000e-06$"):
+        dynamics._check_positivity(traj)

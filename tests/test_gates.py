@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dotgates import gates
+from dotgates import dynamics, gates
 from dotgates.dynamics import IntegrationError, IntegratorConfig, evolve_schrodinger
 from dotgates.gates import (
     PulseAreaError,
@@ -26,10 +26,13 @@ from dotgates.gates import (
     wrap_phase,
 )
 from dotgates.model import (
+    SINGLE_DOT,
     SPECTATOR_A_IDLE,
     DotPairParams,
     GaussianPulse,
+    LaserDrive,
     SquarePulse,
+    lab_single_dot_generator,
     spectator_generator,
 )
 from dotgates.operators import HBAR_MEV_PS, QuantumState, rotating_frame_tag
@@ -279,6 +282,46 @@ def test_run_z_rotation_floquet_matches_tight_adaptive(monkeypatch, omega_a, rab
     assert fast.trion_leakage == pytest.approx(tight.trion_leakage, abs=1e-9)
     np.testing.assert_array_equal(traj.times, ref.times)
     np.testing.assert_allclose(traj.states, ref.states, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_run_z_rotation_makes_one_solve(monkeypatch, shape):
+    # every pulse restarts the carrier, so one propagator serves all three
+    real = dynamics.solve_ivp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    pair = DotPairParams(omega_a=300.0, v_f=0.85, v_xx=5.0)
+    pulse = gates.calibrated_pulse(shape, 4.0, gates.PI_AREA)
+    report, traj = run_z_rotation(pair, ZGateParams(pulse, wait=0.3))
+    assert len(calls) == 1
+    assert abs(report.phase_error) < (4.0 / 300.0) ** 2
+    assert traj.metadata["propagator"] == ("floquet" if shape == "square" else "DOP853")
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_run_z_rotation_second_pulse_matches_its_own_solve(shape):
+    # the shared propagator relies on each pulse's H depending only on the
+    # time since it began; integrate the second pulse on its own instead
+    pair = DotPairParams(omega_a=150.0, v_f=0.85, v_xx=5.0)
+    pulse = gates.calibrated_pulse(shape, 4.0, gates.PI_AREA, t_start=0.3)
+    wait = 0.37
+    tight = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    _, traj = run_z_rotation(pair, ZGateParams(pulse, wait), tight)
+    t0, t1 = pulse.support()
+    second = pulse.shifted(t1 + wait - t0)
+    lo, hi = second.support()
+    start = traj.states[np.flatnonzero(traj.times == t1 + wait)[0]]
+    drive = LaserDrive(second, pair.omega_a, carrier_origin=lo)
+    own = evolve_schrodinger(lab_single_dot_generator(pair.omega_a, drive),
+                             QuantumState(start, SINGLE_DOT), (lo, hi), tight,
+                             breakpoints=second.breakpoints())
+    np.testing.assert_allclose(traj.states[-1], own.states[-1], rtol=0, atol=1e-10)
+    assert traj.times[-1] == pytest.approx(hi, abs=1e-12)
 
 
 def test_runners_record_their_propagator():
