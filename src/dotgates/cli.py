@@ -70,6 +70,7 @@ _EXP_OFFSET = 320  # decimal exponents handled by the lookup tables: [-320, 320)
 _P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 160)
 _NORM_CHECK_TOL = 2e-6  # integration drift plus serialization rounding
 _SCAN_BYTES = 1 << 16  # verify counts commas in reused chunks: no per-file allocation
+_RUN_LISTS = ("sweep_values", "ratios", "detunings", "gammas")  # empty: nothing to run
 
 
 def round_floats(obj: Any, significant: int = 12) -> Any:
@@ -387,15 +388,23 @@ def _run_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> dict[str, Any]:
             "runs": runs}
 
 
+def _empty_run_list(cfg: ExperimentConfig) -> str | None:
+    """The sweep or family list that ``cfg`` or its sweep children set to ``[]``, if any."""
+    values = {**cfg.values.get("child_base", {}), **cfg.values}
+    return next((k for k in _RUN_LISTS if values.get(k) in ((), [])), None)
+
+
 def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str, Any]:
     """Run one validated experiment and write its artifacts under ``out``.
 
-    Returns the report dict exactly as serialized (before rounding).
+    Returns the report dict exactly as serialized (before rounding).  An
+    empty sweep or family list prints ``nothing to run`` and writes nothing.
     """
     out = Path(out)
-    if cfg.kind == "sweep" and not cfg["sweep_values"]:
-        click.echo("sweep_values is empty; nothing to run")
-        return {"kind": "sweep", "sweep_param": cfg["sweep_param"], "runs": []}
+    empty = _empty_run_list(cfg)
+    if empty:
+        click.echo(f"{empty} is empty; nothing to run")
+        return {"kind": cfg.kind, "runs": []}
     out.mkdir(parents=True, exist_ok=True)
     if cfg.kind == "cphase":
         d = (_run_cphase_single if cfg["ratios"] is None else _run_cphase_family)(cfg, out)
@@ -437,7 +446,7 @@ def _execute(kind: str, config_path: str | None, out: str,
     except (IntegrationError, PulseAreaError, PhaseUndefinedError) as e:
         click.echo(f"runtime error: {e}", err=True)
         sys.exit(2)
-    if cfg.kind == "sweep" and not cfg["sweep_values"]:
+    if _empty_run_list(cfg):
         return
     click.echo(f"wrote {Path(out) / 'report.json'}")
 

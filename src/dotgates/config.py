@@ -319,8 +319,11 @@ def _validate_keys(raw: dict[str, Any], kind: str,
         if key == "kind":
             continue
         if key not in schema:
+            readers = [k for k in EXPERIMENT_KINDS if k != "sweep" and key in _schema(k)]
             hint = difflib.get_close_matches(key, schema, n=1)
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
+            if readers:  # a key of other kinds is no typo
+                extra = f"; read only by {' and '.join(readers)}"
             raise ConfigError(f"unknown config key {key!r} for kind {kind!r}{extra}")
         values[key] = schema[key].coerce(key, val)
     for key, entry in schema.items():

@@ -1,35 +1,38 @@
 """Time evolution, trajectories, and phase bookkeeping.
 
-Two propagators are provided: :func:`evolve_schrodinger` for pure states
-and :func:`evolve_lindblad` for density matrices with collapse channels.
-Both store the solution on a regular sample grid and pick an exact method
-from the structure of their input where one exists:
+:func:`evolve_schrodinger` propagates pure states and
+:func:`evolve_lindblad` density matrices with collapse channels.  Both are
+the linear ODE ``y' = G(t) y``, ``G = -iH/hbar`` on a state vector or the
+Lindblad superoperator on row-major ``vec(rho)`` (Havel, J. Math. Phys. 44,
+534 (2003)), and hand it to one private core that samples a stack of start
+vectors on a regular grid with the method the structure of ``G`` allows,
+which ``Trajectory.metadata["propagator"]`` names:
 
-* a constant Hamiltonian is diagonalized once (``eigh``), and a constant
-  Lindblad generator is eigendecomposed once as a superoperator;
-* a Hamiltonian with a stated period is integrated over one period only,
-  and the rest follows from powers of that propagator (Floquet);
-* a Hamiltonian declared ``batched`` (it maps an array of times to the
-  stack of matrices, as a :class:`~dotgates.model.DrivenBlock` under a
-  smooth envelope does) takes one fourth-order Magnus step per sample
-  cell (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), with every
-  cell evaluated, exponentiated and chained in batched numpy;
-* everything else - lab-frame carriers under smooth envelopes, arbitrary
-  callables - goes to an adaptive high-order Runge-Kutta scheme (DOP853).
-  Pulse discontinuities should be passed as ``breakpoints`` so the
-  integration restarts there instead of stepping across a kink.
+=========================  =======  =========================================
+constant, ``H`` Hermitian  eigh     one ``eigh``, ``C = V^H y0``
+other constant             eig      one ``eig``, ``C = solve(V, y0)``
+declared ``period``        floquet  one adaptive period solve and its powers
+declared ``batched``       magnus4  a fourth-order Magnus step per cell
+anything else              DOP853   adaptive high-order Runge-Kutta
+=========================  =======  =========================================
 
-:func:`evolve_schrodinger` also takes several states on one basis and
-frame and carries them through one run of the chosen method (one ``eigh``,
-one set of Magnus exponentials, one period solve, one adaptive solve of
-all of them together); given the basis states, the trajectories are the
-columns of the propagator.  ``Trajectory.metadata["propagator"]`` names
-the method that ran.
-
-Every pure state must keep unit norm and every density trajectory unit
-trace (:func:`check_drift`) and positivity; a positivity check is one
-batched Cholesky factorization per chunk of samples, and only a failing
-chunk pays for the exact eigenvalues.
+Both spectral paths give ``y(t) = V (exp(t lam) * C)``; a Lindblad
+generator calls its ``eig`` path ``liouvillian-eig``.  Eigenvectors too
+ill-conditioned to trust hand the generator to DOP853, unless
+``max|G_ij| |t1 - t0|`` says it is too stiff for that (:class:`IntegrationError`).
+``batched`` declares a Hamiltonian that maps an array of times to its
+stack of matrices, as a :class:`~dotgates.model.DrivenBlock` under a smooth
+envelope does; every cell is evaluated, exponentiated and chained in
+batched numpy (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+Every adaptive solve (lab-frame carriers under smooth envelopes, arbitrary
+callables, the Floquet period) runs through one helper, restarting at the
+``breakpoints`` of a pulse instead of stepping across a kink.  Several
+states on one basis and frame share one run of the method; given the
+basis states, the trajectories are the columns of the propagator.  Every
+pure state must keep unit norm and every density trajectory unit trace
+(:func:`check_drift`) and positivity; a positivity check is one batched
+Cholesky factorization per chunk of samples, and only a failing chunk
+pays for the exact eigenvalues.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
 exact for piecewise-constant Hamiltonians and is what the regression tests
@@ -60,6 +63,7 @@ from .operators import (
     OperatorMatrix,
     QuantumState,
     _hermitian_defect,
+    matrix_exponential,
     rotating_frame_tag,
 )
 
@@ -97,7 +101,7 @@ MAX_SAMPLES = 1_000_000
 # the adaptive scheme behind every non-exact path
 _ADAPTIVE_METHOD = "DOP853"
 
-# Above this condition number the eigenvectors of a Liouvillian are too
+# Above this condition number the eigenvectors of a constant generator are too
 # close to defective to trust (errors grow as cond * eps); DOP853 takes over.
 _MAX_EIGVEC_COND = 1e6
 
@@ -147,8 +151,9 @@ class IntegratorConfig:
     on the Magnus path it is also the step (split into substeps where one
     step would be too large).  ``rtol``, ``atol`` and ``max_step`` govern
     the adaptive solves alone: lab-frame smooth envelopes, arbitrary
-    callables, and the single carrier period of the Floquet path.  The
-    exact constant-generator paths and the Magnus path do not read them.
+    callables, the single carrier period of the Floquet path, and an
+    ill-conditioned constant generator.  The exact ``eigh`` and ``eig``
+    paths and the Magnus path do not read them.
     """
 
     rtol: float = 1e-9
@@ -265,35 +270,20 @@ class Trajectory:
 
 
 def _as_matrix_fn(h: Any, basis: Basis, frame: str,
-                  t_probe: float) -> tuple[Callable[[float], np.ndarray], np.ndarray | None]:
-    """Normalize constant/callable Hamiltonian inputs to ``t -> ndarray``.
-
-    The second item is the matrix itself when ``h`` is constant, else None.
-    """
-    d = basis.dim
-
-    def check_shape(m: np.ndarray) -> None:
-        if m.shape != (d, d):
-            raise BasisMismatchError(f"Hamiltonian shape {m.shape} != ({d}, {d})")
-
-    if isinstance(h, OperatorMatrix):
-        if h.basis.labels != basis.labels or h.frame != frame:
+                  t_probe: float) -> np.ndarray | Callable[[float], np.ndarray]:
+    """Normalize Hamiltonian inputs: the matrix itself when ``h`` is
+    constant, else ``t -> ndarray``; a callable is checked at ``t_probe``."""
+    if not (callable(h) or isinstance(h, (OperatorMatrix, np.ndarray))):
+        raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
+    sample = h(t_probe) if callable(h) else h
+    if isinstance(sample, OperatorMatrix):
+        if sample.basis.labels != basis.labels or sample.frame != frame:
             raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
-        m = h.matrix
-        return (lambda t: m), m
-    if isinstance(h, np.ndarray):
-        m = np.asarray(h, dtype=complex)
-        check_shape(m)
-        return (lambda t: m), m
-    if callable(h):
-        sample = h(t_probe)
-        if isinstance(sample, OperatorMatrix):
-            if sample.basis.labels != basis.labels or sample.frame != frame:
-                raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
-            return (lambda t: h(t).matrix), None
-        check_shape(np.asarray(sample))
-        return h, None
-    raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
+        return (lambda t: h(t).matrix) if callable(h) else h.matrix
+    d = basis.dim
+    if np.shape(sample) != (d, d):
+        raise BasisMismatchError(f"Hamiltonian shape {np.shape(sample)} != ({d}, {d})")
+    return h if callable(h) else np.asarray(h, dtype=complex)
 
 
 def check_sample_count(span: float, dt: float) -> int:
@@ -326,15 +316,22 @@ def _sample_grid(t0: float, t1: float, dt: float,
     return grid, interior
 
 
-def _integrate(rhs: Callable, y0: np.ndarray, grid: np.ndarray, interior: list[float],
+def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarray,
+               grid: np.ndarray, interior: list[float],
                cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
-    """Adaptive solve onto ``grid``, restarting at each interior breakpoint.
+    """Adaptive solve of ``Y' = scale * gen(t) Y`` (``Y`` shaped as ``y0``) onto ``grid``,
+    restarting at each interior breakpoint.
 
-    Returns the states and the number of right-hand-side evaluations.
+    Returns the flattened states and the number of right-hand-side evaluations.
     """
-    states = np.empty((grid.size, y0.size), dtype=complex)
-    states[0] = y0
-    y = y0
+    shape = y0.shape
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return (scale * (gen(t) @ y.reshape(shape))).ravel()
+
+    y = y0.ravel()
+    states = np.empty((grid.size, y.size), dtype=complex)
+    states[0] = y
     pos = 1
     nfev = 0
     t0, t1 = float(grid[0]), float(grid[-1])
@@ -354,19 +351,10 @@ def _integrate(rhs: Callable, y0: np.ndarray, grid: np.ndarray, interior: list[f
     return states, nfev
 
 
-def _eigh_states(m: np.ndarray, psi0: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """``exp(-i m dt / hbar) psi`` for each ``dt`` and each row ``psi`` of ``psi0``.
-
-    Shape ``(k, n, d)``, from one eigh.
-    """
-    w, v = np.linalg.eigh(m)
-    phases = np.exp(np.outer(dts, w) * (-1j / HBAR_MEV_PS))
-    return np.stack([(phases * (v.conj().T @ psi)) @ v.T for psi in psi0])
-
-
-def _floquet_propagators(hfun: Callable[[float], np.ndarray], d: int, grid: np.ndarray,
-                         period: float, cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
-    """Propagators ``U(t, grid[0])`` on a forward ``grid`` under an ``H`` of the given period.
+def _floquet_propagators(gen: Callable[[float], np.ndarray], scale: complex, d: int,
+                         grid: np.ndarray, period: float,
+                         cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+    """Propagators ``U(t, grid[0])`` on a forward ``grid`` under a ``period``-periodic ``G``.
 
     One adaptive solve gives the propagator ``U(tau)`` over the first
     period at every distinct remainder ``tau`` of the grid; a sample
@@ -376,26 +364,18 @@ def _floquet_propagators(hfun: Callable[[float], np.ndarray], d: int, grid: np.n
     t0 = float(grid[0])
     # divmod takes its remainder from fmod, which is exact: for the
     # non-negative offsets of a forward grid every tau lies in [0, period),
-    # so the t_eval below stays sorted and inside the span
+    # so the solve's grid below stays sorted and inside the span
     cycles, tau = np.divmod(grid - t0, period)
     taus, which = np.unique(tau, return_inverse=True)
-    scale = -1j / HBAR_MEV_PS
-
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        return (scale * (hfun(t0 + s) @ y.reshape(d, d))).ravel()
-
-    sol = solve_ivp(rhs, (0.0, period), np.eye(d, dtype=complex).ravel(),
-                    method=_ADAPTIVE_METHOD, t_eval=np.append(taus, period),
-                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
-    if not sol.success:
-        raise IntegrationError(f"solver failed over one period {period:g}: {sol.message}")
-    u = sol.y.T.reshape(-1, d, d)
+    flat, nfev = _integrate(lambda s: gen(t0 + s), scale, np.eye(d, dtype=complex),
+                            np.append(taus, period), [], cfg)
+    u = flat.reshape(-1, d, d)
     cycles = cycles.astype(int)
     powers = np.empty((int(cycles[-1]) + 1, d, d), dtype=complex)
     powers[0] = np.eye(d)
     for k in range(1, powers.shape[0]):
         powers[k] = u[-1] @ powers[k - 1]
-    return u[which] @ powers[cycles], int(sol.nfev)
+    return u[which] @ powers[cycles], nfev
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -560,6 +540,60 @@ def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
         )
 
 
+def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
+               y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig,
+               breakpoints: Sequence[float] = (), period: float | None = None,
+               batched: bool = False,
+               eig_name: str = "eig") -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+    """Solve ``y' = scale * gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
+
+    ``gen`` is a constant ``(D, D)`` matrix or a callable ``t -> matrix``;
+    the method follows its structure as the module docstring tables, and
+    ``eig_name`` names the ``eig`` path.  Returns the sample times, the
+    ``(k, n, D)`` states and the metadata (``propagator``, with ``nfev``
+    and ``substeps`` where they apply; none for a zero-length span).
+    """
+    if t0 == t1:
+        return np.array([t0]), y0[:, None, :], {}
+    times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    k, d = y0.shape
+    if isinstance(gen, np.ndarray):
+        # both spectral paths give V (exp(scale lam t) * C) from one decomposition
+        if _hermitian_defect(gen) <= _HERMITIAN_RTOL:
+            name, (lam, v) = "eigh", np.linalg.eigh(gen)
+            coeffs = [v.conj().T @ y for y in y0]
+        else:
+            name, (lam, v) = eig_name, np.linalg.eig(gen)
+            trusted = np.linalg.cond(v) <= _MAX_EIGVEC_COND
+            coeffs = [np.linalg.solve(v, y) for y in y0] if trusted else None
+        if coeffs is not None:
+            # in place: a Raman run's exponent array is ~0.5 MB
+            growth = np.outer(times - t0, lam).astype(complex, copy=False)
+            growth *= scale
+            np.exp(growth, out=growth)
+            states = np.empty((k, times.size, d), dtype=complex)
+            for j, c in enumerate(coeffs):
+                np.matmul(growth * c, v.T, out=states[j])
+            states[:, 0] = y0
+            return times, states, {"propagator": name}
+        steps = abs(scale) * float(np.max(np.abs(gen))) * abs(t1 - t0)
+        if not steps <= MAX_SAMPLES:  # an explicit solve that long runs for hours
+            raise IntegrationError(
+                f"generator too stiff: eigenvectors too ill-conditioned for the exact path, "
+                f"and DOP853 would need ~{steps:.3g} steps (limit {MAX_SAMPLES:.3g})")
+    elif batched:
+        states, nfev, substeps = _magnus_states(gen, y0, times)
+        return times, states, {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
+    elif period is not None and not interior and t1 - t0 >= period:
+        u, nfev = _floquet_propagators(gen, scale, d, times, period, cfg)
+        return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", "nfev": nfev}
+    matrices = gen if callable(gen) else lambda t: gen
+    # one state keeps the matrix-vector product, bit for bit
+    flat, nfev = _integrate(matrices, scale, y0[0] if k == 1 else y0.T, times, interior, cfg)
+    states = flat.reshape(times.size, d, k).transpose(2, 0, 1)
+    return times, states, {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
+
+
 def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState],
                        t_span: tuple[float, float],
                        config: IntegratorConfig | None = None,
@@ -568,15 +602,14 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
                        batched: bool = False) -> Trajectory | list[Trajectory]:
     """Propagate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
 
-    A constant Hermitian ``h_of_t`` (:class:`OperatorMatrix` or ndarray)
-    is diagonalized once.  With ``batched`` the caller declares that
-    ``h_of_t`` maps a 1-d array of ``n`` times to the ``(n, d, d)`` stack
-    of Hermitian matrices; it then takes one fourth-order Magnus step per
-    cell of the sample grid.  A callable with a ``period`` and no interior
-    breakpoints, over a span of at least one period, takes the Floquet
-    path: one adaptive solve over the first period of ``t_span``.  Anything
-    else is integrated adaptively.  ``t_span`` may run backwards for
-    time-reversed evolution.
+    ``h_of_t`` is an :class:`OperatorMatrix`, an ndarray or a callable of
+    time, and the method follows its structure as the module docstring
+    tables.  With ``batched`` the caller declares that ``h_of_t`` maps a
+    1-d array of ``n`` times to the ``(n, d, d)`` stack of Hermitian
+    matrices.  A ``period`` takes the Floquet path, one adaptive solve over
+    the first period of ``t_span``, when there are no interior breakpoints
+    and the span covers at least one period.  ``t_span`` may run backwards
+    for time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
@@ -598,50 +631,24 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     if any(s.basis != basis or s.frame != frame for s in inputs):
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
-    k, d = psi0.shape
-    hfun, const = _as_matrix_fn(h_of_t, basis, frame, t0)
-    meta: dict[str, Any] = {}
-    if t0 == t1:
-        times, states = np.array([t0]), psi0[:, None, :]
-    else:
-        times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
-        if const is not None and _hermitian_defect(const) <= _HERMITIAN_RTOL:
-            states = _eigh_states(const, psi0, times - t0)
-            states[:, 0] = psi0
-            meta = {"propagator": "eigh"}
-        elif batched and const is None:
-            states, nfev, substeps = _magnus_states(hfun, psi0, times)
-            meta = {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
-        elif period is not None and not interior and t1 - t0 >= period:
-            u, nfev = _floquet_propagators(hfun, d, times, period, cfg)
-            states = np.stack([u @ psi for psi in psi0])
-            meta = {"propagator": "floquet", "nfev": nfev}
-        else:
-            scale = -1j / HBAR_MEV_PS
-            # one state keeps the matrix-vector product, bit for bit
-            shape = (d,) if k == 1 else (d, k)
-
-            def rhs(t: float, y: np.ndarray) -> np.ndarray:
-                return (scale * (hfun(t) @ y.reshape(shape))).ravel()
-
-            flat, nfev = _integrate(rhs, psi0.T.ravel(), times, interior, cfg)
-            states = flat.reshape(times.size, d, k).transpose(2, 0, 1)
-            meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
-        for s in states:
-            check_drift(np.linalg.norm(s, axis=1))
+    h = _as_matrix_fn(h_of_t, basis, frame, t0)
+    times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg,
+                                     breakpoints, period, batched)
+    for s in states:
+        check_drift(np.linalg.norm(s, axis=1))
     trajs = [Trajectory(times, s, basis, frame, "pure", meta) for s in states]
     return trajs[0] if isinstance(state, QuantumState) else trajs
 
 
-def _liouvillian(h: np.ndarray,
-                 ops: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float]]) -> np.ndarray:
+def _liouvillian(h: np.ndarray, ops: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
     """Lindblad generator acting on row-major ``vec(rho)``.
 
-    Uses ``vec(A X B) = kron(A, B.T) vec(X)``.
+    Uses ``vec(A X B) = kron(A, B.T) vec(X)``; each item of ``ops`` is a
+    jump operator ``L``, its ``L^dagger L`` and its rate.
     """
     eye = np.eye(h.shape[0])
     sup = (-1j / HBAR_MEV_PS) * (np.kron(h, eye) - np.kron(eye, h.T))
-    for L, _, LdL, g in ops:
+    for L, LdL, g in ops:
         sup += g * (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
     return sup
 
@@ -652,59 +659,39 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
                     breakpoints: Sequence[float] = ()) -> Trajectory:
     """Propagate the Lindblad master equation for ``rho0`` over ``t_span``.
 
-    With a constant ``h_of_t`` the ``d^2 x d^2`` generator is
-    eigendecomposed once and ``rho(t) = V exp(lam t) V^-1 rho0``; when the
-    eigenvectors are too ill-conditioned to trust, and for a time-dependent
-    ``h_of_t``, the equation is integrated adaptively.  Collapse terms use
-    rates in 1/ps and are not divided by hbar.  The trace must stay
-    within ``1e-7`` of one at the end (``1e-6`` anywhere) and every sample
-    must be positive to ``-1e-6``, or :class:`IntegrationError` is raised.
-    Positivity is decided by a batched Cholesky factorization of
-    ``(rho + rho^H)/2 + 1e-6 I``; only a failure computes the eigenvalues,
-    so the message still quotes the exact minimum.
+    The generator is the ``d^2 x d^2`` Liouvillian on row-major ``vec(rho)``.
+    With a constant ``h_of_t`` it is eigendecomposed once and
+    ``rho(t) = V exp(lam t) V^-1 rho0`` (``liouvillian-eig``).  For a
+    time-dependent ``h_of_t`` (the Liouvillian rebuilt at each evaluation),
+    and when the eigenvectors are too ill-conditioned to trust, the equation
+    is integrated adaptively; an ill-conditioned generator too stiff for
+    that (a loss rate of ``1e10``/ps, say) raises :class:`IntegrationError`
+    at once.  Collapse terms use rates in 1/ps and are not divided by hbar.
+    The trace must stay within ``1e-7`` of one at the end (``1e-6``
+    anywhere) and every sample must be positive to ``-1e-6``, or
+    :class:`IntegrationError` is raised.  Positivity is decided by a
+    batched Cholesky factorization of ``(rho + rho^H)/2 + 1e-6 I``; only a
+    failure computes the eigenvalues, so the message still quotes the
+    exact minimum.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     d = rho0.basis.dim
-    hfun, const = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0)
-    ops: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
+    h = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0)
+    ops: list[tuple[np.ndarray, np.ndarray, float]] = []
     for ch in channels:
         L = ch.operator.matrix if isinstance(ch.operator, OperatorMatrix) else np.asarray(
             ch.operator, dtype=complex)
         if L.shape != (d, d):
             raise BasisMismatchError(f"collapse operator shape {L.shape} != ({d}, {d})")
         if ch.rate > 0:
-            Ld = L.conj().T
-            ops.append((L, Ld, Ld @ L, float(ch.rate)))
-
-    if t0 == t1:
-        return Trajectory(np.array([t0]), rho0.matrix[None, :, :], rho0.basis,
-                          rho0.frame, "density")
-
-    times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
-    flat = None
-    meta: dict[str, Any] = {"propagator": "liouvillian-eig"}
-    if const is not None:
-        lam, v = np.linalg.eig(_liouvillian(const, ops))
-        if np.linalg.cond(v) <= _MAX_EIGVEC_COND:
-            coeffs = np.linalg.solve(v, rho0.matrix.ravel())
-            flat = (np.exp(np.outer(times - t0, lam)) * coeffs) @ v.T
-            flat[0] = rho0.matrix.ravel()
-    if flat is None:
-        scale = -1j / HBAR_MEV_PS
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            rho = y.reshape(d, d)
-            h = hfun(t)
-            drho = scale * (h @ rho - rho @ h)
-            for L, Ld, LdL, g in ops:
-                drho = drho + g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
-            return drho.ravel()
-
-        flat, nfev = _integrate(rhs, rho0.matrix.ravel(), times, interior, cfg)
-        meta = {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
-    states = flat.reshape(times.size, d, d)
-    traj = Trajectory(times, states, rho0.basis, rho0.frame, "density", meta)
+            ops.append((L, L.conj().T @ L, float(ch.rate)))
+    gen = _liouvillian(h, ops) if isinstance(h, np.ndarray) else (
+        lambda t: _liouvillian(h(t), ops))
+    times, states, meta = _propagate(gen, 1.0, rho0.matrix.reshape(1, d * d), t0, t1, cfg,
+                                     breakpoints, eig_name="liouvillian-eig")
+    traj = Trajectory(times, states[0].reshape(times.size, d, d), rho0.basis, rho0.frame,
+                      "density", meta)
     check_drift(traj.traces(), "trace")
     _check_positivity(traj)
     return traj
@@ -752,13 +739,13 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    hfun, _ = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
+    h = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
     states = np.empty((times.size, state.basis.dim), dtype=complex)
     states[0] = state.amplitudes
     for i in range(1, times.size):
-        dt = times[i:i + 1] - times[i - 1]
         mid = 0.5 * (times[i] + times[i - 1])
-        states[i] = _eigh_states(hfun(float(mid)), states[i - 1:i], dt)[0, 0]
+        m = OperatorMatrix(h if isinstance(h, np.ndarray) else h(float(mid)), state.basis)
+        states[i] = matrix_exponential(m, times[i] - times[i - 1]).matrix @ states[i - 1]
     return Trajectory(times, states, state.basis, state.frame, "pure")
 
 

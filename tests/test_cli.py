@@ -117,6 +117,7 @@ def test_cphase_rejects_solver_tolerances(tmp_path):
                           "--set", "pulse_shape=gaussian", "--set", key])
         assert result.exit_code == 1
         assert f"unknown config key {key.split('=')[0]!r} for kind 'cphase'" in _text(result)
+        assert "read only by zrot and raman" in _text(result)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"kind": "sweep", "sweep_kind": "cphase",
                                "sweep_param": "rtol", "sweep_values": [1e-6]}))
@@ -299,6 +300,40 @@ def test_sweep_with_no_values_writes_nothing(tmp_path):
     assert result.exit_code == 0
     assert "nothing to run" in result.output
     assert not out.exists()
+
+
+def test_empty_family_lists_write_nothing(tmp_path):
+    # the rule of an empty sweep holds for every family list
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kind": "sweep", "sweep_param": "omega",
+                               "sweep_values": [0.1], "ratios": []}))
+    cases = [("ratios", ["cphase", "--set", "ratios=[]"]),
+             ("gammas", ["raman", "--set", "gammas=[]"]),
+             ("detunings", ["raman", "--set", "detunings=[]"]),
+             ("ratios", ["sweep", "--config", str(cfg)])]
+    for i, (key, args) in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        result = _invoke([*args, "--out", str(out)])
+        assert result.exit_code == 0, _text(result)
+        assert result.output == f"{key} is empty; nothing to run\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["1e10", "1e308"])
+def test_raman_with_a_stiff_loss_rate_exits_at_once(tmp_path, gamma):
+    # from gamma ~2e8 the Liouvillian's eigenvectors fail the conditioning
+    # check; a subprocess with a timeout fails here instead of hanging
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "r"
+    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", "raman", "--set",
+                           f"gamma={gamma}", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: generator too stiff")
+    assert not (out / "report.json").exists()
 
 
 def test_sweep_rejects_bad_parameter(tmp_path):

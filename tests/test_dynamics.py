@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ def test_lindblad_without_channels_matches_schrodinger():
     mixed2 = evolve_lindblad(h, psi0.density(), (0.0, 4.0),
                              channels=(CollapseChannel(lower, 0.0),))
     np.testing.assert_allclose(mixed2.states[-1], mixed.states[-1], atol=1e-9)
+    # a time-dependent H: the Liouvillian is rebuilt at every evaluation
+    h_t, _ = _periodic_two_level()
+    pure = evolve_schrodinger(h_t, psi0, (0.0, 4.0))
+    mixed = evolve_lindblad(h_t, psi0.density(), (0.0, 4.0))
+    assert mixed.metadata["propagator"] == "DOP853"
+    psi = pure.states
+    np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
+                               rtol=0, atol=1e-8)
 
 
 def test_collapse_channel_validation():
@@ -357,6 +366,23 @@ def test_constant_liouvillian_matches_adaptive(monkeypatch):
     fallback = evolve_lindblad(h, rho0, (0.0, 12.0), channels)
     assert fallback.metadata["propagator"] == "DOP853"
     np.testing.assert_allclose(fallback.states, adaptive.states, atol=1e-12)
+
+
+def test_stiff_ill_conditioned_liouvillian_raises_at_once(monkeypatch):
+    # at 1e10/ps the eigenvectors fail the conditioning check, and DOP853
+    # would need ~1e11 steps: the core refuses before it starts
+    h, basis, channels = _lossy_lambda()
+    rho0 = QuantumState.basis_state(basis, "0").density()
+    stiff = (CollapseChannel(channels[0].operator, 1e10),)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("DOP853 started on a stiff generator")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="too stiff"):
+        evolve_lindblad(h, rho0, (0.0, 12.0), stiff)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_periodic_hamiltonian_floquet_matches_adaptive():
