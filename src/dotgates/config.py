@@ -121,8 +121,9 @@ _SAMPLE_KEYS: dict[str, _Key] = {
     "sample_interval": _Key(0.01, _make_float(positive=True), True),
 }
 
-# zrot and raman add the tolerances of the adaptive solves (the Floquet
-# period, DOP853, an ill-conditioned Liouvillian); a cphase run takes none
+# zrot and raman add the solver tolerances (rtol and max_step set zrot's
+# lab-frame Magnus cells, all three an ill-conditioned Liouvillian's DOP853
+# solve); a cphase run reads none
 _INTEGRATOR_KEYS: dict[str, _Key] = {
     **_SAMPLE_KEYS,
     "rtol": _Key(1e-9, _make_float(positive=True), True),

@@ -11,28 +11,39 @@ which ``Trajectory.metadata["propagator"]`` names:
 =========================  =======  =========================================
 constant, ``H`` Hermitian  eigh     one ``eigh``, ``C = V^H y0``
 other constant             eig      one ``eig``, ``C = solve(V, y0)``
-declared ``period``        floquet  one adaptive period solve and its powers
-declared ``batched``       magnus4  a fourth-order Magnus step per cell
+declared ``period``        floquet  one period solve by the block's own
+                                    method, then its powers
+declared ``batched``       magnus4  fourth-order Magnus steps, chained
 anything else              DOP853   adaptive high-order Runge-Kutta
 =========================  =======  =========================================
 
 Both spectral paths give ``y(t) = V (exp(t lam) * C)``; a Lindblad
 generator calls its ``eig`` path ``liouvillian-eig``.  Eigenvectors too
-ill-conditioned to trust hand the generator to DOP853, unless
-``max|G_ij| |t1 - t0|`` says it is too stiff for that (:class:`IntegrationError`).
+ill-conditioned to trust hand the generator to DOP853.  Before any DOP853
+solve, ``|scale| max|G_ij| |t1 - t0|`` (for a callable, ``G`` taken at
+both ends and the breakpoints) bounds its explicit steps; a generator too
+stiff for that raises :class:`IntegrationError` at once.
 ``batched`` declares a Hamiltonian that maps an array of times to its
-stack of matrices, as a :class:`~dotgates.model.DrivenBlock` under a smooth
-envelope does; every cell is evaluated, exponentiated and chained in
-batched numpy (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
-Every adaptive solve (lab-frame carriers under smooth envelopes, arbitrary
-callables, the Floquet period) runs through one helper, restarting at the
-``breakpoints`` of a pulse instead of stepping across a kink.  Several
-states on one basis and frame share one run of the method; given the
-basis states, the trajectories are the columns of the propagator.  Every
-pure state must keep unit norm and every density trajectory unit trace
-(:func:`check_drift`) and positivity; a positivity check is one batched
-Cholesky factorization per chunk of samples, and only a failing chunk
-pays for the exact eigenvalues.
+stack of matrices, as every :class:`~dotgates.model.DrivenBlock` does;
+every cell is evaluated, exponentiated and chained in batched numpy
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  In a rotating
+frame one Magnus step per sample cell suffices (split where its exponent
+is too large).  In the lab frame the optical carrier, not the sample
+grid, sets the step: the cells are halved until the finer of two
+successive counts is within ``rtol`` at every sample (a fourth-order
+step leaves it a fifteenth of their difference off).  So are those of
+the one-period solve of a ``batched`` block with a declared ``period``,
+compared after the powers that carry it to every sample (Shirley, Phys.
+Rev. 138, B979 (1965)); DOP853 solves that period for any other
+callable.  Every adaptive solve (arbitrary callables, a scalar
+``period`` callable, an ill-conditioned constant) runs through one
+helper, restarting at the ``breakpoints`` of a pulse instead of stepping
+across a kink.  Several states on one basis and frame share one run of
+the method; given the basis states, the trajectories are the columns of
+the propagator.  Every pure state must keep unit norm and every density
+trajectory unit trace (:func:`check_drift`) and positivity; a positivity
+check is one batched Cholesky factorization per chunk of samples, and only
+a failing chunk pays for the exact eigenvalues.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
 exact for piecewise-constant Hamiltonians and is what the regression tests
@@ -120,6 +131,11 @@ _TAYLOR_TOL = 1e-17
 # otherwise hold ~0.5 GB of Hamiltonians.
 _MAGNUS_CHUNK = 1 << 14
 
+# Most Magnus steps one lab-frame refinement run may take.  It bounds the
+# time, not the memory (the steps go in chunks): a run this long takes
+# about half a minute on a 2-core Xeon VM.
+_MAX_MAGNUS_STEPS = 16 * MAX_SAMPLES
+
 # Most density matrices factorized at once by the positivity check
 _POSITIVITY_CHUNK = 1024
 
@@ -148,12 +164,15 @@ class IntegratorConfig:
     """Numerical knobs shared by both propagators.
 
     ``sample_interval`` controls how densely the solution is stored, and
-    on the Magnus path it is also the step (split into substeps where one
-    step would be too large).  ``rtol``, ``atol`` and ``max_step`` govern
-    the adaptive solves alone: lab-frame smooth envelopes, arbitrary
-    callables, the single carrier period of the Floquet path, and an
-    ill-conditioned constant generator.  The exact ``eigh`` and ``eig``
-    paths and the Magnus path do not read them.
+    on the rotating-frame Magnus path it is also the step (split into
+    substeps where one step would be too large).  On the lab-frame Magnus
+    path (and the one-period solve of a batched block) the Magnus cells
+    double until the finer count is within ``rtol``, and ``max_step``
+    caps a cell's width.  ``rtol``, ``atol`` and ``max_step`` govern the
+    DOP853 solves: arbitrary callables, the carrier period of a callable
+    that is not batched, and an ill-conditioned constant generator.  The
+    exact ``eigh`` and ``eig`` paths and the rotating-frame Magnus path
+    read none of them.
     """
 
     rtol: float = 1e-9
@@ -322,8 +341,19 @@ def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarra
     """Adaptive solve of ``Y' = scale * gen(t) Y`` (``Y`` shaped as ``y0``) onto ``grid``,
     restarting at each interior breakpoint.
 
-    Returns the flattened states and the number of right-hand-side evaluations.
+    An explicit step cannot be much longer than ``1 / |scale G|``, so when
+    ``|scale| max|G| |t1 - t0|``, with ``G`` taken at both ends and the
+    breakpoints, exceeds :data:`MAX_SAMPLES` the solve would run for hours:
+    :class:`IntegrationError` is raised before it starts.  Returns the
+    flattened states and the number of right-hand-side evaluations.
     """
+    t0, t1 = float(grid[0]), float(grid[-1])
+    knots = [t0, *interior, t1]
+    steps = abs(scale) * max(float(np.max(np.abs(gen(t)))) for t in knots) * abs(t1 - t0)
+    if not steps <= MAX_SAMPLES:
+        raise IntegrationError(
+            f"generator too stiff: DOP853 would need ~{steps:.3g} steps "
+            f"(limit {MAX_SAMPLES:.3g})")
     shape = y0.shape
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -334,8 +364,6 @@ def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarra
     states[0] = y
     pos = 1
     nfev = 0
-    t0, t1 = float(grid[0]), float(grid[-1])
-    knots = [t0, *interior, t1]
     forward = t1 > t0
     for a, b in zip(knots[:-1], knots[1:]):
         mask = ((grid > a) & (grid <= b)) if forward else ((grid < a) & (grid >= b))
@@ -351,31 +379,43 @@ def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarra
     return states, nfev
 
 
-def _floquet_propagators(gen: Callable[[float], np.ndarray], scale: complex, d: int,
-                         grid: np.ndarray, period: float,
-                         cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
-    """Propagators ``U(t, grid[0])`` on a forward ``grid`` under a ``period``-periodic ``G``.
+def _floquet_offsets(grid: np.ndarray, period: float,
+                     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Offsets of the one-period solve for a forward ``grid``, and its assembly.
 
-    One adaptive solve gives the propagator ``U(tau)`` over the first
-    period at every distinct remainder ``tau`` of the grid; a sample
-    ``n`` periods later is ``U(tau) U(period)^n``.  Returns the
-    ``(n, d, d)`` stack and the right-hand-side evaluations.
+    A sample ``n`` periods and a remainder ``tau`` past ``grid[0]`` has the
+    propagator ``U(tau) U(period)^n``, so one solve over the first period
+    needs ``U(grid[0] + s, grid[0])`` at offsets ``s`` that hold every
+    distinct ``tau`` of the grid and end at the period.  The remainders
+    crowd together where the sample spacing is close to a whole number of
+    periods, so as many evenly spaced offsets again keep every cell of the
+    solve short.  The returned function maps the ``(m, d, d)`` propagators
+    at the offsets to the ``(n, d, d)`` stack on ``grid``, taking the
+    powers by repeated squaring.
     """
-    t0 = float(grid[0])
     # divmod takes its remainder from fmod, which is exact: for the
     # non-negative offsets of a forward grid every tau lies in [0, period),
-    # so the solve's grid below stays sorted and inside the span
-    cycles, tau = np.divmod(grid - t0, period)
+    # so the offsets stay sorted and inside the span
+    cycles, tau = np.divmod(grid - grid[0], period)
     taus, which = np.unique(tau, return_inverse=True)
-    flat, nfev = _integrate(lambda s: gen(t0 + s), scale, np.eye(d, dtype=complex),
-                            np.append(taus, period), [], cfg)
-    u = flat.reshape(-1, d, d)
+    offsets = np.union1d(taus, np.linspace(0.0, period, taus.size + 1))
+    which = np.searchsorted(offsets, taus)[which]
     cycles = cycles.astype(int)
-    powers = np.empty((int(cycles[-1]) + 1, d, d), dtype=complex)
-    powers[0] = np.eye(d)
-    for k in range(1, powers.shape[0]):
-        powers[k] = u[-1] @ powers[k - 1]
-    return u[which] @ powers[cycles], nfev
+
+    def assemble(u: np.ndarray) -> np.ndarray:
+        n, d = int(cycles[-1]) + 1, u.shape[1]
+        powers = np.empty((n, d, d), dtype=complex)
+        powers[0] = np.eye(d)
+        # powers[:filled] hold U^0 .. U^(filled-1), and step is U^filled
+        filled, step = 1, u[-1]
+        while filled < n:
+            take = min(filled, n - filled)
+            np.matmul(step, powers[:take], out=powers[filled:filled + take])
+            filled += take
+            step = step @ step
+        return u[which] @ powers[cycles]
+
+    return offsets, assemble
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -483,6 +523,18 @@ def _chain_states(u: np.ndarray, psi0: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _split_cells(grid: np.ndarray, substeps: int, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
+    """Points ``lo`` to ``hi`` (all by default) of ``grid`` with every cell cut
+    into ``substeps`` equal cells; point ``j * substeps`` is ``grid[j]``."""
+    if hi is None:
+        hi = (grid.size - 1) * substeps
+    first = lo // substeps
+    edges = grid[first:-(-hi // substeps) + 1]
+    cell, q = np.divmod(np.arange(lo - first * substeps, hi - first * substeps + 1), substeps)
+    return edges[cell] + np.append(np.diff(edges), 0.0)[cell] * (q / substeps)
+
+
 def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
                    grid: np.ndarray) -> tuple[np.ndarray, int, int]:
     """States on ``grid`` from one fourth-order Magnus step per cell.
@@ -503,9 +555,7 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
         take = min(cells - pos, max(1, _MAGNUS_CHUNK // substeps))
         edges = grid[pos:pos + take + 1]
         if substeps > 1:
-            frac = np.arange(substeps) / substeps
-            edges = np.append((edges[:-1, None] + np.diff(edges)[:, None] * frac).ravel(),
-                              edges[-1])
+            edges = _split_cells(edges, substeps)
         omega = _magnus_exponents(hfun, edges, d)
         nfev += 2 * (edges.size - 1)
         norm = float(np.max(np.linalg.norm(omega, axis=(0, 1))))
@@ -529,6 +579,81 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
     return states, nfev, substeps
 
 
+def _magnus_split(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
+                  grid: np.ndarray, substeps: int) -> tuple[np.ndarray, int, int]:
+    """States on ``grid`` from ``substeps`` equal Magnus cells per grid cell.
+
+    The cells go to :func:`_magnus_states` ``_MAGNUS_CHUNK`` at a time,
+    whichever grid cells they fall in, so memory stays bounded however
+    fine the split; only the states on ``grid`` are kept.  Returns the
+    states, the Hamiltonian evaluations and the Magnus cells per grid
+    cell, the norm guard's splits included.
+    """
+    states = np.empty((psi0.shape[0], grid.size, psi0.shape[1]), dtype=complex)
+    states[:, 0] = psi = psi0
+    total = (grid.size - 1) * substeps
+    nfev, split = 0, 1
+    for lo in range(0, total, _MAGNUS_CHUNK):
+        hi = min(lo + _MAGNUS_CHUNK, total)
+        out, n, guard = _magnus_states(hfun, psi, _split_cells(grid, substeps, lo, hi))
+        # grid point j is Magnus point j * substeps, out[:, 0] is point lo
+        on_grid = np.arange(lo // substeps + 1, hi // substeps + 1)
+        states[:, on_grid] = out[:, on_grid * substeps - lo]
+        psi = out[:, -1]
+        nfev += n
+        split = max(split, guard)
+    return states, nfev, substeps * split
+
+
+def _refined_magnus(hfun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, d: int,
+                    cfg: IntegratorConfig,
+                    assemble: Callable[[np.ndarray], np.ndarray] | None = None,
+                    ) -> tuple[np.ndarray, dict[str, Any]]:
+    """Propagators ``U(t, grid[0])`` on ``grid`` from Magnus cells refined to ``cfg.rtol``.
+
+    Each grid cell starts as ``ceil(width / max_step)`` Magnus cells, or
+    as many as the norm guard asks at ``H(grid[0])`` if more, and the
+    count doubles until the finer of two successive counts is within
+    ``rtol`` at every sample, or until doubling stops shrinking their
+    difference (rounding then dominates); the finer run is kept.  The
+    method is fourth order, so the finer run is off by about a fifteenth
+    of the difference.  ``assemble`` maps the propagators on ``grid`` to
+    those of the samples (the powers of a one-period solve), so the
+    comparison sees every sample the caller keeps: the powers multiply the
+    period-end error by the number of periods, which the one-period
+    propagators alone do not show.  A run of more than
+    :data:`_MAX_MAGNUS_STEPS` cells raises :class:`IntegrationError`
+    before it starts.  Returns the stack and its metadata.
+    """
+    eye = np.eye(d, dtype=complex)
+
+    def run(substeps: float) -> tuple[np.ndarray, int, int]:
+        steps = substeps * (grid.size - 1)
+        if not steps <= _MAX_MAGNUS_STEPS:
+            raise IntegrationError(
+                f"the lab-frame Magnus solve would take {steps:.3g} steps at "
+                f"rtol={cfg.rtol:.3g}, max_step={cfg.max_step:.3g} "
+                f"(limit {_MAX_MAGNUS_STEPS:.3g})")
+        states, nfev, split = _magnus_split(hfun, eye, grid, int(substeps))
+        u = states.transpose(1, 2, 0)
+        return (u if assemble is None else assemble(u)), nfev, split
+
+    # start where the norm guard would settle, ||Omega|| ~ ||H|| width / hbar,
+    # so a coarse grid never asks the guard for a huge split
+    width = float(np.max(np.abs(np.diff(grid))))
+    rate = float(np.linalg.norm(hfun(grid[:1])[0])) / (HBAR_MEV_PS * _MAX_MAGNUS_NORM)
+    u, nfev, substeps = run(max(1.0, float(np.ceil(width * max(rate, 1.0 / cfg.max_step)))))
+    nfev += 1
+    gap = math.inf
+    while True:
+        finer, n, substeps = run(2 * substeps)
+        nfev += n
+        gap, last = float(np.max(np.abs(finer - u))), gap
+        u = finer
+        if gap <= 15.0 * cfg.rtol or gap >= last:
+            return u, {"nfev": nfev, "substeps": substeps}
+
+
 def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
     """Raise :class:`IntegrationError` when ``values``, the norms or traces
     of a trajectory in sample order, leave 1 by more than ``1e-7`` at the
@@ -543,13 +668,15 @@ def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
 def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
                y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig,
                breakpoints: Sequence[float] = (), period: float | None = None,
-               batched: bool = False,
+               batched: bool = False, refine: bool = False,
                eig_name: str = "eig") -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Solve ``y' = scale * gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
 
     ``gen`` is a constant ``(D, D)`` matrix or a callable ``t -> matrix``;
     the method follows its structure as the module docstring tables, and
-    ``eig_name`` names the ``eig`` path.  Returns the sample times, the
+    ``eig_name`` names the ``eig`` path.  ``refine`` (a lab-frame block)
+    refines the Magnus cells of a ``batched`` ``gen`` to ``cfg.rtol``
+    instead of taking one per sample cell.  Returns the sample times, the
     ``(k, n, D)`` states and the metadata (``propagator``, with ``nfev``
     and ``substeps`` where they apply; none for a zero-length span).
     """
@@ -576,17 +703,24 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
                 np.matmul(growth * c, v.T, out=states[j])
             states[:, 0] = y0
             return times, states, {"propagator": name}
-        steps = abs(scale) * float(np.max(np.abs(gen))) * abs(t1 - t0)
-        if not steps <= MAX_SAMPLES:  # an explicit solve that long runs for hours
-            raise IntegrationError(
-                f"generator too stiff: eigenvectors too ill-conditioned for the exact path, "
-                f"and DOP853 would need ~{steps:.3g} steps (limit {MAX_SAMPLES:.3g})")
+    elif period is not None and not interior and t1 - t0 >= period:
+        offsets, assemble = _floquet_offsets(times, period)
+
+        def shifted(s: np.ndarray) -> np.ndarray:
+            return gen(t0 + s)
+
+        if batched:
+            u, meta = _refined_magnus(shifted, offsets, d, cfg, assemble)
+        else:
+            flat, nfev = _integrate(shifted, scale, np.eye(d, dtype=complex), offsets, [], cfg)
+            u, meta = assemble(flat.reshape(-1, d, d)), {"nfev": nfev}
+        return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", **meta}
+    elif batched and refine:
+        u, meta = _refined_magnus(gen, times, d, cfg)
+        return times, np.stack([u @ y for y in y0]), {"propagator": "magnus4", **meta}
     elif batched:
         states, nfev, substeps = _magnus_states(gen, y0, times)
         return times, states, {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
-    elif period is not None and not interior and t1 - t0 >= period:
-        u, nfev = _floquet_propagators(gen, scale, d, times, period, cfg)
-        return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", "nfev": nfev}
     matrices = gen if callable(gen) else lambda t: gen
     # one state keeps the matrix-vector product, bit for bit
     flat, nfev = _integrate(matrices, scale, y0[0] if k == 1 else y0.T, times, interior, cfg)
@@ -606,17 +740,23 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     time, and the method follows its structure as the module docstring
     tables.  With ``batched`` the caller declares that ``h_of_t`` maps a
     1-d array of ``n`` times to the ``(n, d, d)`` stack of Hermitian
-    matrices.  A ``period`` takes the Floquet path, one adaptive solve over
-    the first period of ``t_span``, when there are no interior breakpoints
-    and the span covers at least one period.  ``t_span`` may run backwards
-    for time-reversed evolution.
+    matrices; it then runs on the Magnus path, one step per sample cell in
+    a rotating frame, and in the lab frame as many steps as ``rtol`` asks
+    (the count doubles until the finer of two successive counts is within
+    ``rtol`` at every sample; ``max_step`` caps a step).  A ``period``
+    takes the Floquet path when there are no interior breakpoints and the
+    span covers at least one period: the propagator over the first period
+    of ``t_span``, from that refined Magnus run when ``batched`` and from
+    DOP853 otherwise, then its powers.  ``t_span`` may run backwards for
+    time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
     which gives a list with one trajectory per state, in order.  The
     states share the eigendecomposition, the Magnus exponentials or the
-    period solve, and the adaptive path integrates them as the columns of
-    one ``(d, k)`` array in one solve.  On the other paths each state's
+    propagator the lab-frame Magnus and Floquet paths build from the basis
+    states, and the adaptive path integrates them as the columns of one
+    ``(d, k)`` array in one solve.  On the other paths each state's
     arithmetic is that of a single-state call, so the results match one
     bit for bit.  The trajectories share the call's metadata.  Raises
     :class:`IntegrationError` when the solver fails or a norm drifts by
@@ -632,8 +772,8 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
     h = _as_matrix_fn(h_of_t, basis, frame, t0)
-    times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg,
-                                     breakpoints, period, batched)
+    times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg, breakpoints,
+                                     period, batched, refine=frame == LAB_FRAME)
     for s in states:
         check_drift(np.linalg.norm(s, axis=1))
     trajs = [Trajectory(times, s, basis, frame, "pure", meta) for s in states]

@@ -499,8 +499,8 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     during the wait is cancelled by the second pulse instead of imprinted.
     A second, zero-wait run provides the baseline pulse-pair phase, which
     is subtracted so the reported phase isolates the wait contribution.
-    All three pulses take their states from one solve for the pulse
-    propagator.
+    All three pulses take their states from one propagator, built on the
+    batched Magnus path (over one carrier period for a square pulse).
 
     Returns the report and the full lab-frame trajectory of the main run.
     """
@@ -526,12 +526,13 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     # Every pulse restarts the carrier with its envelope, so its H depends
     # only on the time since it began: one propagator U(t - t0), whose
     # columns are the runs from the three basis states, serves all three
-    # pulses as U @ start.
+    # pulses as U @ start.  Both envelopes map arrays of times, so the block
+    # is batched: Magnus steps refined to rtol, over one period or the span.
     drive = LaserDrive(pulse, p.omega_a, carrier_origin=t0)
     columns = evolve_schrodinger(
         lab_single_dot_generator(p.omega_a, drive),
         [QuantumState.basis_state(SINGLE_DOT, lbl) for lbl in SINGLE_DOT.labels],
-        (t0, t1), cfg, breakpoints=pulse.breakpoints(), period=period)
+        (t0, t1), cfg, breakpoints=pulse.breakpoints(), period=period, batched=True)
     u = np.stack([c.states for c in columns], axis=2)
     offsets = columns[0].times - t0
     meta = columns[0].metadata

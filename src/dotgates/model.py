@@ -134,7 +134,10 @@ class SquarePulse:
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(t, np.ndarray):
+            inside = (self.t_start <= t) & (t < self.t_start + self.duration)
+            return np.where(inside, self.amplitude, 0.0)
         if self.t_start <= t < self.t_start + self.duration:
             return self.amplitude
         return 0.0
@@ -224,7 +227,10 @@ class LaserDrive:
         if self.omega_l <= 0:
             raise ValueError("omega_l must be positive")
 
-    def field(self, t: float) -> float:
+    def field(self, t: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(t, np.ndarray):
+            return self.envelope(t) * np.cos(
+                self.omega_l * (t - self.carrier_origin) / HBAR_MEV_PS)
         return self.envelope(t) * math.cos(
             self.omega_l * (t - self.carrier_origin) / HBAR_MEV_PS
         )
@@ -240,8 +246,8 @@ class DrivenBlock:
     integrators want it; :meth:`at` wraps the same matrix as a Hermitian
     :class:`~dotgates.operators.OperatorMatrix`.  Called with a 1-d array
     of ``n`` times, the block returns the ``(n, d, d)`` stack, provided
-    ``f`` maps the array to its ``n`` values (as :class:`GaussianPulse`
-    does).
+    ``f`` maps the array to its ``n`` values (as both pulse shapes and
+    :meth:`LaserDrive.field` do).
     """
 
     basis: Basis

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -544,6 +545,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_zrot_runs_leave_scipy_integrate_unloaded(tmp_path):
+    # both envelopes take the batched Magnus path, so no zrot run needs DOP853
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from pathlib import Path; "
+        "from dotgates.cli import run_experiment; from dotgates.config import build_config; "
+        "run_experiment(build_config({'kind': 'zrot'}), Path('square')); "
+        "run_experiment(build_config({'kind': 'zrot', 'pulse_shape': 'gaussian', "
+        "'omega_a': 300.0}), Path('gaussian')); "
+        "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, check=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "square" / "report.json").exists()
+    assert (tmp_path / "gaussian" / "report.json").exists()
+
+
 def test_verify_missing_directory(tmp_path):
     result = _invoke(["verify", "--out", str(tmp_path / "absent")])
     assert result.exit_code == 1
@@ -569,6 +589,46 @@ def test_zrot_gaussian_pulse_runs_and_verifies(tmp_path):
     code, lines = _verify_lines(out)
     assert code == 0
     assert lines[-1] == "verified 3 files, 0 failures"
+
+
+def test_zrot_gaussian_pulse_runs_at_the_default_carrier(tmp_path):
+    # on DOP853 this run took ~10 s and then failed its norm check (exit 2)
+    out = tmp_path / "zg"
+    start = time.perf_counter()
+    result = _invoke(["zrot", "--out", str(out), "--set", "pulse_shape=gaussian"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, _text(result)
+    report = json.loads((out / "report.json").read_text())
+    assert report["omega_a"] == 2.0e3
+    assert abs(report["phase_error"]) < (1.0 / 2.0e3) ** 2
+    code, lines = _verify_lines(out)
+    assert code == 0
+    assert lines[-1] == "verified 3 files, 0 failures"
+    assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("dt", ["2", "20"])
+def test_zrot_gaussian_pulse_runs_at_coarse_sampling(tmp_path, dt):
+    # a coarse sample cell spans hundreds of carrier periods, so it takes
+    # more Magnus cells than one chunk holds
+    out = tmp_path / "zg"
+    result = _invoke(["zrot", "--out", str(out), "--set", "pulse_shape=gaussian",
+                      "--set", "omega_a=300", "--set", f"sample_interval={dt}"])
+    assert result.exit_code == 0, _text(result)
+    report = json.loads((out / "report.json").read_text())
+    assert abs(report["phase_error"]) < (1.0 / 300.0) ** 2
+    code, lines = _verify_lines(out)
+    assert code == 0
+    assert lines[-1] == "verified 3 files, 0 failures"
+
+
+def test_zrot_magnus_work_limit_exits_at_once(tmp_path):
+    # a max_step asking for billions of Magnus cells is refused before any run
+    start = time.perf_counter()
+    result = _invoke(["zrot", "--out", str(tmp_path / "z"), "--set", "max_step=1e-12"])
+    assert result.exit_code == 2
+    assert "Magnus solve would take" in _text(result)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_verify_fails_row_with_extra_cell(tmp_path):

@@ -385,6 +385,23 @@ def test_stiff_ill_conditioned_liouvillian_raises_at_once(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_stiff_time_dependent_liouvillian_raises_at_once(monkeypatch):
+    # a callable generator takes no eigendecomposition; its explicit steps are
+    # bounded from G at both ends, as the constant generator's are
+    h, basis, channels = _lossy_lambda()
+    rho0 = QuantumState.basis_state(basis, "0").density()
+    stiff = (CollapseChannel(channels[0].operator, 1e10),)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("DOP853 started on a stiff generator")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="too stiff"):
+        evolve_lindblad(lambda t: h, rho0, (0.0, 12.0), stiff)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_periodic_hamiltonian_floquet_matches_adaptive():
     w = 40.0  # meV carrier; the period is 2 pi hbar / w
     period = 2.0 * math.pi * HBAR_MEV_PS / w

@@ -271,7 +271,7 @@ def test_run_z_rotation_floquet_matches_tight_adaptive(monkeypatch, omega_a, rab
     fast, traj = run_z_rotation(pair, gate)
     assert traj.metadata["propagator"] == "floquet"
 
-    def adaptive(*args, period=None, **kwargs):
+    def adaptive(*args, period=None, batched=False, **kwargs):
         return evolve_schrodinger(*args, **kwargs)
 
     monkeypatch.setattr(gates, "evolve_schrodinger", adaptive)
@@ -284,23 +284,62 @@ def test_run_z_rotation_floquet_matches_tight_adaptive(monkeypatch, omega_a, rab
     np.testing.assert_allclose(traj.states, ref.states, atol=1e-6)
 
 
+@pytest.mark.parametrize("shape, omega_a, dt", [
+    ("square", 150.0, 0.01), ("square", 150.0, 0.25),
+    ("square", 2000.0, 0.01), ("square", 2000.0, 0.25),
+    ("gaussian", 150.0, 0.01), ("gaussian", 150.0, 0.25),
+])
+def test_run_z_rotation_matches_tight_reference(monkeypatch, shape, omega_a, dt):
+    # The default 1 meV pi pulse spans 75 and 1000 carrier periods, and the
+    # Floquet powers multiply the period-end error of the one-period solve
+    # that many times; at 0.25 ps a sample lands only every 9 or 121 periods.
+    # The Magnus cells are refined on the assembled samples, so every sample
+    # holds rtol.  The reference takes the one-period propagator from DOP853
+    # at rtol 1e-13 (a DOP853 run over the whole span agrees with it to
+    # 3e-11 rad at 2000 meV but takes ~10 s); for a Gaussian pulse, which
+    # has no period, it is that whole-span run.
+    pair = DotPairParams(omega_a=omega_a, v_f=0.85, v_xx=5.0)
+    gate = ZGateParams(gates.calibrated_pulse(shape, 1.0, gates.PI_AREA), wait=0.5)
+    cfg = IntegratorConfig(sample_interval=dt)
+    fast, traj = run_z_rotation(pair, gate, cfg)
+    assert traj.metadata["propagator"] == ("floquet" if shape == "square" else "magnus4")
+
+    def adaptive(*args, batched=False, **kwargs):
+        return evolve_schrodinger(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "evolve_schrodinger", adaptive)
+    tight = IntegratorConfig(rtol=1e-13, atol=1e-15, sample_interval=dt)
+    slow, ref = run_z_rotation(pair, gate, tight)
+    assert ref.metadata["propagator"] == ("floquet" if shape == "square" else "DOP853")
+    assert abs(wrap_phase(fast.composite_phase - slow.composite_phase)) < 1e-8
+    assert abs(wrap_phase(fast.achieved_phase - slow.achieved_phase)) < 1e-8
+    np.testing.assert_array_equal(traj.times, ref.times)
+    np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=cfg.rtol)
+
+
 @pytest.mark.parametrize("shape", ["square", "gaussian"])
 def test_run_z_rotation_makes_one_solve(monkeypatch, shape):
-    # every pulse restarts the carrier, so one propagator serves all three
-    real = dynamics.solve_ivp
-    calls = []
+    # every pulse restarts the carrier, so one propagator serves all three,
+    # and both envelopes take the batched Magnus path: no adaptive solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("zrot started an adaptive solve")
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    real = dynamics._propagate
+    driven = []
 
-    monkeypatch.setattr(dynamics, "solve_ivp", counting)
+    def counting(gen, *args, **kwargs):
+        if callable(gen):
+            driven.append(gen)
+        return real(gen, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+    monkeypatch.setattr(dynamics, "_propagate", counting)
     pair = DotPairParams(omega_a=300.0, v_f=0.85, v_xx=5.0)
     pulse = gates.calibrated_pulse(shape, 4.0, gates.PI_AREA)
     report, traj = run_z_rotation(pair, ZGateParams(pulse, wait=0.3))
-    assert len(calls) == 1
+    assert len(driven) == 1
     assert abs(report.phase_error) < (4.0 / 300.0) ** 2
-    assert traj.metadata["propagator"] == ("floquet" if shape == "square" else "DOP853")
+    assert traj.metadata["propagator"] == ("floquet" if shape == "square" else "magnus4")
 
 
 @pytest.mark.parametrize("shape", ["square", "gaussian"])
@@ -339,7 +378,7 @@ def test_runners_record_their_propagator():
     slow_carrier = DotPairParams(omega_a=20.0, v_f=0.85, v_xx=5.0)
     smooth = GaussianPulse(peak=1.0, sigma=PI_HBAR / GaussianPulse(1.0, 1.0).area())
     _, traj = run_z_rotation(slow_carrier, ZGateParams(smooth, wait=0.1))
-    assert traj.metadata["propagator"] == "DOP853"
+    assert traj.metadata["propagator"] == "magnus4"
     _, traj = run_raman_x(RamanParams())
     assert traj.metadata["propagator"] == "liouvillian-eig"
 

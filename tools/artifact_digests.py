@@ -40,6 +40,7 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("zrot-square", ("zrot",)),
     ("zrot-square-shifted", ("zrot", "--set", "omega_a=173.3", "--set", "wait=0.37")),
     ("zrot-gaussian", ("zrot", *GAUSSIAN, "--set", "omega_a=300")),
+    ("zrot-gaussian-default", ("zrot", *GAUSSIAN)),
     ("raman", ("raman",)),
     ("raman-detunings", ("raman", "--set", "detunings=[3,4,5.5]")),
     ("raman-detunings-gammas", ("raman", "--set", "detunings=[3,5.5]",
