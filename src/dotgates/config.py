@@ -121,13 +121,12 @@ _SAMPLE_KEYS: dict[str, _Key] = {
     "sample_interval": _Key(0.01, _make_float(positive=True), True),
 }
 
-# zrot and raman add the solver tolerances (rtol and max_step set zrot's
-# lab-frame Magnus cells, all three an ill-conditioned Liouvillian's DOP853
-# solve); a cphase run reads none
-_INTEGRATOR_KEYS: dict[str, _Key] = {
+# zrot adds rtol and max_step, which set its lab-frame Magnus cells; raman
+# adds atol too, all three for an ill-conditioned Liouvillian's DOP853
+# solve; a cphase run reads none
+_SOLVER_KEYS: dict[str, _Key] = {
     **_SAMPLE_KEYS,
     "rtol": _Key(1e-9, _make_float(positive=True), True),
-    "atol": _Key(1e-12, _make_float(positive=True), True),
     "max_step": _Key(None, _make_opt_float(positive=True), True),
 }
 
@@ -165,12 +164,13 @@ def _schema(kind: str) -> dict[str, _Key]:
             "omega_a": _Key(2.0e3, _make_float(positive=True), True),
             **_PULSE_KEYS,
             "omega": _Key(1.0, _make_float(nonneg=True), True),
-            **_INTEGRATOR_KEYS,
+            **_SOLVER_KEYS,
             "wait": _Key(0.5, _make_float(nonneg=True), True),
         }
     if kind == "raman":
         return {
-            **_INTEGRATOR_KEYS,
+            **_SOLVER_KEYS,
+            "atol": _Key(1e-12, _make_float(positive=True), True),
             "rabi": _Key(1.33, _make_float(positive=True), True),
             "detuning": _Key(4.0, _make_float(nonzero=True), True),
             "gamma": _Key(0.1, _make_float(nonneg=True), True),

@@ -26,10 +26,12 @@ stiff for that raises :class:`IntegrationError` at once.
 ``batched`` declares a Hamiltonian that maps an array of times to its
 stack of matrices, as every :class:`~dotgates.model.DrivenBlock` does;
 every cell is evaluated, exponentiated and chained in batched numpy
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  In a rotating
-frame one Magnus step per sample cell suffices (split where its exponent
-is too large).  In the lab frame the optical carrier, not the sample
-grid, sets the step: the cells are halved until the finer of two
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) by one driver,
+which takes the cells a chunk at a time whatever sample cells they fall
+in and refuses a run of too many cells before its first chunk.  In a
+rotating frame one Magnus step per sample cell suffices (split where its
+exponent is too large).  In the lab frame the optical carrier, not the
+sample grid, sets the step: the cells are halved until the finer of two
 successive counts is within ``rtol`` at every sample (a fourth-order
 step leaves it a fifteenth of their difference off).  So are those of
 the one-period solve of a ``batched`` block with a declared ``period``,
@@ -127,13 +129,13 @@ _MAX_MAGNUS_NORM = 0.1
 # Taylor remainder allowed in each step's exponential
 _TAYLOR_TOL = 1e-17
 
-# Most Magnus steps held in memory at once; a 4x4 block at MAX_SAMPLES would
-# otherwise hold ~0.5 GB of Hamiltonians.
+# Most Magnus steps held in memory at once, whichever sample cells they fall
+# in; a 4x4 block at MAX_SAMPLES would otherwise hold ~0.5 GB of Hamiltonians.
 _MAGNUS_CHUNK = 1 << 14
 
-# Most Magnus steps one lab-frame refinement run may take.  It bounds the
-# time, not the memory (the steps go in chunks): a run this long takes
-# about half a minute on a 2-core Xeon VM.
+# Most Magnus steps one run may take, in either frame and substeps included.
+# It bounds the time, not the memory (the steps go in chunks): a run this
+# long takes about half a minute on a 2-core Xeon VM.
 _MAX_MAGNUS_STEPS = 16 * MAX_SAMPLES
 
 # Most density matrices factorized at once by the positivity check
@@ -168,11 +170,13 @@ class IntegratorConfig:
     substeps where one step would be too large).  On the lab-frame Magnus
     path (and the one-period solve of a batched block) the Magnus cells
     double until the finer count is within ``rtol``, and ``max_step``
-    caps a cell's width.  ``rtol``, ``atol`` and ``max_step`` govern the
-    DOP853 solves: arbitrary callables, the carrier period of a callable
-    that is not batched, and an ill-conditioned constant generator.  The
-    exact ``eigh`` and ``eig`` paths and the rotating-frame Magnus path
-    read none of them.
+    caps a cell's width; ``atol`` is not read there.  A Magnus run in
+    either frame that would take more than ``_MAX_MAGNUS_STEPS`` cells
+    raises :class:`IntegrationError` instead.  ``rtol``, ``atol`` and
+    ``max_step`` govern the DOP853 solves: arbitrary callables, the
+    carrier period of a callable that is not batched, and an
+    ill-conditioned constant generator.  The exact ``eigh`` and ``eig``
+    paths and the rotating-frame Magnus path read none of them.
     """
 
     rtol: float = 1e-9
@@ -523,12 +527,12 @@ def _chain_states(u: np.ndarray, psi0: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _split_cells(grid: np.ndarray, substeps: int, lo: int = 0,
-                 hi: int | None = None) -> np.ndarray:
-    """Points ``lo`` to ``hi`` (all by default) of ``grid`` with every cell cut
-    into ``substeps`` equal cells; point ``j * substeps`` is ``grid[j]``."""
-    if hi is None:
-        hi = (grid.size - 1) * substeps
+def _split_cells(grid: np.ndarray, substeps: int, lo: int, hi: int) -> np.ndarray:
+    """Points ``lo`` to ``hi`` of ``grid`` with every cell cut into ``substeps``
+    equal cells; point ``j * substeps`` is ``grid[j]``.  With one substep
+    they are the slice of ``grid`` itself."""
+    if substeps == 1:
+        return grid[lo:hi + 1]
     first = lo // substeps
     edges = grid[first:-(-hi // substeps) + 1]
     cell, q = np.divmod(np.arange(lo - first * substeps, hi - first * substeps + 1), substeps)
@@ -536,73 +540,57 @@ def _split_cells(grid: np.ndarray, substeps: int, lo: int = 0,
 
 
 def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
-                   grid: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """States on ``grid`` from one fourth-order Magnus step per cell.
+                   grid: np.ndarray, substeps: float = 1) -> tuple[np.ndarray, int, int]:
+    """States on ``grid`` from ``substeps`` equal fourth-order Magnus cells per grid cell.
 
-    ``psi0`` holds one initial state per row.  The cells are taken in
-    chunks of at most ``_MAGNUS_CHUNK`` steps.  When a chunk holds a step
-    with ``||Omega||_F`` above ``_MAX_MAGNUS_NORM``, every cell from there
-    on is split into equal substeps; only the states on ``grid`` are kept.
-    Returns the ``(k, n, d)`` states, the number of Hamiltonian evaluations
-    and the substeps per cell.
+    ``psi0`` holds one initial state per row.  The Magnus cells go
+    ``_MAGNUS_CHUNK`` at a time, whichever grid cells they fall in, and
+    only the states on ``grid`` are kept.  When a chunk holds a cell with
+    ``||Omega||_F`` above ``_MAX_MAGNUS_NORM``, ``substeps`` and the
+    position reached grow by the same factor, so the chunk is redone from
+    the same time with every cell from there on split further.  A run of
+    more than :data:`_MAX_MAGNUS_STEPS` cells raises
+    :class:`IntegrationError` before its first chunk, or once a split asks
+    for it.  Returns the ``(k, n, d)`` states, the number of Hamiltonian
+    evaluations and the Magnus cells per grid cell.
     """
     k, d = psi0.shape
+    cells = grid.size - 1
+
+    def work(substeps: float) -> int:
+        steps = cells * substeps
+        if not steps <= _MAX_MAGNUS_STEPS:
+            raise IntegrationError(
+                f"the Magnus solve would take {steps:.3g} steps, {substeps:.3g} substeps "
+                f"in each of {cells} cells (limit {_MAX_MAGNUS_STEPS:.3g})")
+        return int(steps)
+
+    total = work(substeps)
+    substeps = int(substeps)
     states = np.empty((k, grid.size, d), dtype=complex)
     states[:, 0] = psi0
-    cells = grid.size - 1
-    pos, substeps, nfev = 0, 1, 0
-    while pos < cells:
-        take = min(cells - pos, max(1, _MAGNUS_CHUNK // substeps))
-        edges = grid[pos:pos + take + 1]
-        if substeps > 1:
-            edges = _split_cells(edges, substeps)
-        omega = _magnus_exponents(hfun, edges, d)
-        nfev += 2 * (edges.size - 1)
+    psi = psi0.copy()
+    pos, nfev = 0, 0
+    while pos < total:
+        take = min(total - pos, _MAGNUS_CHUNK)
+        omega = _magnus_exponents(hfun, _split_cells(grid, substeps, pos, pos + take), d)
+        nfev += 2 * take
         norm = float(np.max(np.linalg.norm(omega, axis=(0, 1))))
         if norm > _MAX_MAGNUS_NORM:
-            substeps *= math.ceil(norm / _MAX_MAGNUS_NORM)
-            if substeps > _MAGNUS_CHUNK:
-                raise IntegrationError(
-                    f"a Magnus step of norm {norm:.3g} would need more than "
-                    f"{_MAGNUS_CHUNK} substeps per sample; the Hamiltonian is too "
-                    "large to propagate")
+            # (pos f) / (substeps f) rounds to the time pos / substeps does
+            factor = math.ceil(norm / _MAX_MAGNUS_NORM)
+            total = work(substeps * factor)
+            substeps *= factor
+            pos *= factor
             continue
-        u = _taylor_expm(omega, norm)
-        if substeps > 1:
-            fine = u.reshape(d, d, take, substeps)
-            u = fine[..., 0]
-            for q in range(1, substeps):
-                u = _mm(fine[..., q], u)
-        for j, chained in enumerate(_chain_states(u, states[:, pos])):
-            states[j, pos + 1:pos + take + 1] = chained
+        # grid point j is Magnus point j * substeps; chained[i] is point pos + 1 + i
+        first, last = pos // substeps + 1, (pos + take) // substeps
+        skip = first * substeps - pos - 1
+        for j, chained in enumerate(_chain_states(_taylor_expm(omega, norm), psi)):
+            states[j, first:last + 1] = chained[skip::substeps]
+            psi[j] = chained[-1]
         pos += take
     return states, nfev, substeps
-
-
-def _magnus_split(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
-                  grid: np.ndarray, substeps: int) -> tuple[np.ndarray, int, int]:
-    """States on ``grid`` from ``substeps`` equal Magnus cells per grid cell.
-
-    The cells go to :func:`_magnus_states` ``_MAGNUS_CHUNK`` at a time,
-    whichever grid cells they fall in, so memory stays bounded however
-    fine the split; only the states on ``grid`` are kept.  Returns the
-    states, the Hamiltonian evaluations and the Magnus cells per grid
-    cell, the norm guard's splits included.
-    """
-    states = np.empty((psi0.shape[0], grid.size, psi0.shape[1]), dtype=complex)
-    states[:, 0] = psi = psi0
-    total = (grid.size - 1) * substeps
-    nfev, split = 0, 1
-    for lo in range(0, total, _MAGNUS_CHUNK):
-        hi = min(lo + _MAGNUS_CHUNK, total)
-        out, n, guard = _magnus_states(hfun, psi, _split_cells(grid, substeps, lo, hi))
-        # grid point j is Magnus point j * substeps, out[:, 0] is point lo
-        on_grid = np.arange(lo // substeps + 1, hi // substeps + 1)
-        states[:, on_grid] = out[:, on_grid * substeps - lo]
-        psi = out[:, -1]
-        nfev += n
-        split = max(split, guard)
-    return states, nfev, substeps * split
 
 
 def _refined_magnus(hfun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, d: int,
@@ -621,20 +609,13 @@ def _refined_magnus(hfun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, 
     those of the samples (the powers of a one-period solve), so the
     comparison sees every sample the caller keeps: the powers multiply the
     period-end error by the number of periods, which the one-period
-    propagators alone do not show.  A run of more than
-    :data:`_MAX_MAGNUS_STEPS` cells raises :class:`IntegrationError`
-    before it starts.  Returns the stack and its metadata.
+    propagators alone do not show.  Every run is bounded as
+    :func:`_magnus_states` bounds it.  Returns the stack and its metadata.
     """
     eye = np.eye(d, dtype=complex)
 
     def run(substeps: float) -> tuple[np.ndarray, int, int]:
-        steps = substeps * (grid.size - 1)
-        if not steps <= _MAX_MAGNUS_STEPS:
-            raise IntegrationError(
-                f"the lab-frame Magnus solve would take {steps:.3g} steps at "
-                f"rtol={cfg.rtol:.3g}, max_step={cfg.max_step:.3g} "
-                f"(limit {_MAX_MAGNUS_STEPS:.3g})")
-        states, nfev, split = _magnus_split(hfun, eye, grid, int(substeps))
+        states, nfev, split = _magnus_states(hfun, eye, grid, substeps)
         u = states.transpose(1, 2, 0)
         return (u if assemble is None else assemble(u)), nfev, split
 

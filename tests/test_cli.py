@@ -113,12 +113,13 @@ def test_unknown_key_fails_with_suggestion(tmp_path):
 
 def test_cphase_rejects_solver_tolerances(tmp_path):
     # no cphase run takes an adaptive solve, so the keys would do nothing
-    for key in ("rtol=1e-3", "atol=1e-3", "max_step=5"):
+    for key, readers in (("rtol=1e-3", "zrot and raman"), ("atol=1e-3", "raman"),
+                         ("max_step=5", "zrot and raman")):
         result = _invoke(["cphase", "--out", str(tmp_path / "x"),
                           "--set", "pulse_shape=gaussian", "--set", key])
         assert result.exit_code == 1
         assert f"unknown config key {key.split('=')[0]!r} for kind 'cphase'" in _text(result)
-        assert "read only by zrot and raman" in _text(result)
+        assert f"read only by {readers}" in _text(result)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"kind": "sweep", "sweep_kind": "cphase",
                                "sweep_param": "rtol", "sweep_values": [1e-6]}))
@@ -126,10 +127,13 @@ def test_cphase_rejects_solver_tolerances(tmp_path):
     assert result.exit_code == 1
     assert "config error" in _text(result)
     assert not (tmp_path / "x").exists() and not (tmp_path / "s").exists()
-    # zrot and raman still read them
-    for kind in ("zrot", "raman"):
-        cfg = build_config({"kind": kind, "rtol": 1e-10, "atol": 1e-13, "max_step": 0.5})
-        assert cfg.integrator() == IntegratorConfig(rtol=1e-10, atol=1e-13, max_step=0.5)
+    # zrot and raman still read them, all but atol on zrot's Magnus path
+    cfg = build_config({"kind": "zrot", "rtol": 1e-10, "max_step": 0.5})
+    assert cfg.integrator() == IntegratorConfig(rtol=1e-10, max_step=0.5)
+    with pytest.raises(ConfigError, match="'atol' for kind 'zrot'; read only by raman"):
+        build_config({"kind": "zrot", "atol": 1e-13})
+    cfg = build_config({"kind": "raman", "rtol": 1e-10, "atol": 1e-13, "max_step": 0.5})
+    assert cfg.integrator() == IntegratorConfig(rtol=1e-10, atol=1e-13, max_step=0.5)
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -629,6 +633,26 @@ def test_zrot_magnus_work_limit_exits_at_once(tmp_path):
     assert result.exit_code == 2
     assert "Magnus solve would take" in _text(result)
     assert time.perf_counter() - start < 5.0
+
+
+def test_cphase_magnus_work_limit_exits_at_once(tmp_path):
+    # the norm guard asks ~1.5e4 substeps in each of ~9300 sample cells; the
+    # work bound refuses it after one chunk instead of running for minutes
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "c"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", "cphase", "--set",
+                           "pulse_shape=gaussian", "--set", "v_xx=1e5", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("runtime error: the Magnus solve would take 1.42e+08 steps")
+    assert lines[0].endswith("(limit 1.6e+07)")
+    assert not (out / "report.json").exists()
 
 
 def test_verify_fails_row_with_extra_cell(tmp_path):

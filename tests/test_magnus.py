@@ -6,7 +6,13 @@ from scipy.linalg import expm
 
 from dotgates import dynamics, gates
 from dotgates.dynamics import IntegrationError, IntegratorConfig, evolve_schrodinger
-from dotgates.gates import gaussian_cphase_pulse, run_cphase, square_cphase_pulse
+from dotgates.gates import (
+    ZGateParams,
+    gaussian_cphase_pulse,
+    run_cphase,
+    run_z_rotation,
+    square_cphase_pulse,
+)
 from dotgates.model import (
     PSI_SUBSPACE,
     SPECTATOR_B_IDLE,
@@ -15,7 +21,7 @@ from dotgates.model import (
     rwa_subspace_generator,
     spectator_generator,
 )
-from dotgates.operators import QuantumState
+from dotgates.operators import HBAR_MEV_PS, Basis, QuantumState
 
 def tight_dop853_cphase(p, env, sample_interval=0.01):
     """``run_cphase`` with every block on DOP853 at rtol 1e-13."""
@@ -101,16 +107,72 @@ def test_taylor_exponential_matches_expm(scale):
                                rtol=0, atol=1e-15)
 
 
+def _chunk_case(case):
+    """The trajectories of one Magnus run, keyed by name."""
+    if case == "zrot-gaussian":
+        gate = ZGateParams(gates.calibrated_pulse("gaussian", 1.0, gates.PI_AREA), wait=0.5)
+        return {"lab": run_z_rotation(DotPairParams(omega_a=300.0), gate)[1]}
+    if case == "cphase-split":
+        _, trajs = run_cphase(DotPairParams(v_f=0.85, v_xx=30.0), gaussian_cphase_pulse(0.2),
+                              IntegratorConfig(sample_interval=0.2))
+        assert trajs["11"].metadata["substeps"] == 86
+        return trajs
+    return run_cphase(DotPairParams(), gaussian_cphase_pulse(0.1))[1]
+
+
 def test_chunked_and_unchunked_magnus_agree(monkeypatch):
-    p = DotPairParams()
-    env = gaussian_cphase_pulse(0.1)
-    _, whole = run_cphase(p, env)
-    monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK", 100)
-    _, chunked = run_cphase(p, env)
-    assert whole["11"].n_samples > 50 * 100
-    # chunks change only how the ~9k cell products associate: rounding
-    # differences of 0.6-1.8e-14 were measured for chunks of 100-4000 cells
-    assert_states_close(chunked, whole, 5e-14)
+    # chunks change only how the cell products associate; measured against
+    # the default chunk: 1.5-3.4e-14 for the cphase runs (the split ones
+    # end chunks inside a sample cell) and 3.8e-13 for the Gaussian zrot
+    # (368 Magnus cells per sample, ~5e5 in all)
+    for case, chunks, atol in (("cphase", (7, 100), 5e-14),
+                               ("cphase-split", (7, 100), 5e-14),
+                               ("zrot-gaussian", (100,), 1e-11)):
+        monkeypatch.undo()
+        whole = _chunk_case(case)
+        assert max((t.n_samples - 1) * t.metadata.get("substeps", 0)
+                   for t in whole.values()) > 50 * max(chunks)
+        for chunk in chunks:
+            monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK", chunk)
+            chunked = _chunk_case(case)
+            for key, traj in whole.items():
+                np.testing.assert_array_equal(chunked[key].times, traj.times)
+                np.testing.assert_allclose(chunked[key].states, traj.states,
+                                           rtol=0, atol=atol)
+                assert chunked[key].metadata.get("substeps") == traj.metadata.get("substeps")
+
+
+def test_magnus_guard_restarts_off_the_grid_keep_the_time(monkeypatch):
+    # H = rate t sz commutes with itself and is linear in t, so every Magnus
+    # split is exact up to rounding.  Its norm grows along the span: with
+    # chunks of 7 cells the guard keeps raising substeps partway through a
+    # sample cell, and the restart must pick up at the same time.
+    basis = Basis(("up", "down"))
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    rate = 7.0
+
+    def ramp(t):
+        return (rate * np.asarray(t, dtype=float))[..., None, None] * sz
+
+    psi0 = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2.0), basis, "rotating@0")
+    cfg = IntegratorConfig(sample_interval=0.2)
+    calls = []
+    split = dynamics._split_cells
+
+    def spy(grid, substeps, lo, hi):
+        calls.append((substeps, lo))
+        return split(grid, substeps, lo, hi)
+
+    whole = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg, batched=True)
+    monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK", 7)
+    monkeypatch.setattr(dynamics, "_split_cells", spy)
+    chunked = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg, batched=True)
+    phase = rate * chunked.times ** 2 / (2.0 * HBAR_MEV_PS)
+    exact = psi0.amplitudes * np.exp(-1j * np.outer(phase, [1.0, -1.0]))
+    np.testing.assert_allclose(chunked.states, exact, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(whole.states, exact, rtol=0, atol=1e-11)
+    # some restart began between two samples
+    assert any(new > old and pos % old for (old, pos), (new, _) in zip(calls, calls[1:]))
 
 
 def test_magnus_runs_backwards_in_time():

@@ -34,6 +34,8 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("cphase-square-pair", ("cphase", *PAIR)),
     ("cphase-gaussian", ("cphase", *GAUSSIAN)),
     ("cphase-gaussian-pair", ("cphase", *GAUSSIAN, *PAIR)),
+    ("cphase-gaussian-split", ("cphase", *GAUSSIAN, "--set", "v_xx=30",
+                               "--set", "sample_interval=0.2")),
     ("cphase-ratios-square", ("cphase", "--set", "ratios=[0.3,0.15]")),
     ("cphase-ratios-gaussian", ("cphase", *GAUSSIAN, "--set", "ratios=[0.3,0.15]")),
     ("cphase-commensurate", ("cphase", "--set", "commensurate=true")),
