@@ -11,7 +11,9 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
   where the amplitude is too small to carry a phase.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
-failures (integration, pulse calibration, undefined phases).
+failures (integration, a failed linear-algebra routine, pulse calibration,
+undefined phases, a report value that is ``nan`` or ``inf``).  A run prints no numpy floating-point warning:
+a non-finite result fails a conservation check or the report instead.
 
 ``dotgates verify --out DIR`` re-reads every emitted CSV and JSON file and
 reports each one ``ok`` or ``FAIL``; it exits 2 on any failure.  CSV rows
@@ -61,7 +63,7 @@ from .gates import (
 )
 from .model import check_conditions
 
-__all__ = ["main", "run_experiment", "round_floats"]
+__all__ = ["main", "run_experiment", "round_floats", "NonFiniteReportError"]
 
 _CSV_FMT = "%.11e"  # 12 significant digits
 _CSV_BLOCK_ROWS = 1024  # rows formatted per numpy pass; bounds the writer's memory
@@ -71,6 +73,10 @@ _P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 1
 _NORM_CHECK_TOL = 2e-6  # integration drift plus serialization rounding
 _SCAN_BYTES = 1 << 16  # verify counts commas in reused chunks: no per-file allocation
 _RUN_LISTS = ("sweep_values", "ratios", "detunings", "gammas")  # empty: nothing to run
+
+
+class NonFiniteReportError(ValueError):
+    """A report holds ``nan`` or ``inf``, which JSON cannot carry."""
 
 
 def round_floats(obj: Any, significant: int = 12) -> Any:
@@ -88,9 +94,23 @@ def round_floats(obj: Any, significant: int = 12) -> Any:
     return obj
 
 
+def _non_finite_key(obj: Any, key: str = "") -> str | None:
+    """Dotted key of the first ``nan`` or ``inf`` float in a JSON-like ``obj``."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    pairs = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    found = (_non_finite_key(v, f"{key}.{k}" if key else str(k)) for k, v in pairs)
+    return next(filter(None, found), None)
+
+
 def _write_json(path: Path, obj: Mapping[str, Any]) -> None:
-    payload = json.dumps(round_floats(dict(obj)), indent=2, sort_keys=True,
-                         allow_nan=False)
+    try:
+        payload = json.dumps(round_floats(dict(obj)), indent=2, sort_keys=True,
+                             allow_nan=False)
+    except ValueError:
+        raise NonFiniteReportError(
+            f"{path.name} would hold a non-finite {_non_finite_key(dict(obj))}") from None
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(payload + "\n")
     os.replace(tmp, path)
@@ -394,11 +414,14 @@ def _empty_run_list(cfg: ExperimentConfig) -> str | None:
     return next((k for k in _RUN_LISTS if values.get(k) in ((), [])), None)
 
 
+@np.errstate(all="ignore")
 def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str, Any]:
     """Run one validated experiment and write its artifacts under ``out``.
 
     Returns the report dict exactly as serialized (before rounding).  An
     empty sweep or family list prints ``nothing to run`` and writes nothing.
+    numpy floating-point warnings are silenced: a ``nan`` or ``inf`` fails
+    a conservation check or :func:`_write_json` instead.
     """
     out = Path(out)
     empty = _empty_run_list(cfg)
@@ -443,7 +466,8 @@ def _execute(kind: str, config_path: str | None, out: str,
         sys.exit(1)
     try:
         run_experiment(cfg, Path(out), jobs=jobs)
-    except (IntegrationError, PulseAreaError, PhaseUndefinedError) as e:
+    except (IntegrationError, PulseAreaError, PhaseUndefinedError, NonFiniteReportError,
+            np.linalg.LinAlgError) as e:
         click.echo(f"runtime error: {e}", err=True)
         sys.exit(2)
     if _empty_run_list(cfg):

@@ -36,7 +36,7 @@ from typing import Any, Callable, Mapping
 
 from .dynamics import IntegratorConfig, check_sample_count
 from .gates import (CPHASE_AREA, PI_AREA, RamanParams, ZGateParams, calibrated_pulse,
-                    commensurate_gate_time, raman_window)
+                    commensurate_gate_time, raman_pi_time, raman_rate, raman_window)
 from .model import DotPairParams, GaussianPulse, SquarePulse
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config_file",
@@ -47,6 +47,9 @@ EXPERIMENT_KINDS = ("cphase", "zrot", "raman", "conditions", "sweep")
 
 # bare pulse area each calibrated experiment targets
 _PULSE_AREAS = {"cphase": CPHASE_AREA, "conditions": CPHASE_AREA, "zrot": PI_AREA}
+
+# rounding allowed between a pulse's support and its nominal length, relative
+_SUPPORT_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -252,7 +255,9 @@ class ExperimentConfig:
 
     def envelope(self, omega: float | None = None) -> SquarePulse | GaussianPulse:
         """Resolve the pulse; ``omega`` overrides the configured peak (used
-        by family runs)."""
+        by family runs).  A support whose length rounding at a large
+        ``t_start`` has moved off the pulse's length, or that is infinite, is
+        rejected."""
         if self.kind not in _PULSE_AREAS:
             raise ConfigError(f"kind {self.kind!r} does not define a pulse")
         om = self["omega"] if omega is None else float(omega)
@@ -266,16 +271,24 @@ class ExperimentConfig:
             if om <= 0:
                 raise ConfigError(
                     f"omega must be > 0 to derive the pulse {'duration' if square else 'width'}")
-            if commensurate:
-                return SquarePulse(om, commensurate_gate_time(self.dot_params(), om), t_start)
-            return calibrated_pulse(self["pulse_shape"], om, _PULSE_AREAS[self.kind],
-                                    t_start, trunc)
-        if commensurate:
+            env = (SquarePulse(om, commensurate_gate_time(self.dot_params(), om), t_start)
+                   if commensurate else calibrated_pulse(
+                       self["pulse_shape"], om, _PULSE_AREAS[self.kind], t_start, trunc))
+        elif commensurate:
             raise ConfigError("commensurate timing requires duration=null")
-        if square:
-            return SquarePulse(amplitude=om, duration=width, t_start=t_start)
-        return GaussianPulse(peak=om, sigma=width, center=t_start + trunc * width,
-                             truncation=trunc)
+        elif square:
+            env = SquarePulse(amplitude=om, duration=width, t_start=t_start)
+        else:
+            env = GaussianPulse(peak=om, sigma=width, center=t_start + trunc * width,
+                                truncation=trunc)
+        lo, hi = env.support()
+        length = env.duration if square else 2.0 * trunc * env.sigma
+        if not abs((hi - lo) - length) <= _SUPPORT_RTOL * length:
+            raise ConfigError(
+                f"the pulse support [{lo:.9g}, {hi:.9g}] ps does not span the pulse's "
+                f"{length:.9g} ps (limit {_SUPPORT_RTOL:g} relative); keep t_start near 0 "
+                "and the pulse length finite")
+        return env
 
     def zgate(self) -> ZGateParams:
         return ZGateParams(pulse=self.envelope(), wait=self["wait"])
@@ -308,9 +321,23 @@ def _run_spans(cfg: ExperimentConfig) -> list[float]:
     if cfg.kind == "zrot":
         lo, hi = cfg.envelope().support()
         return [2.0 * (hi - lo) + cfg["wait"]]
-    detunings = cfg["detunings"] or (cfg["detuning"],)
-    return [raman_window(cfg.raman_params(detuning=nu), cfg["time_window"])
-            for nu in detunings]
+    return [_checked_raman_window(cfg, nu) for nu in cfg["detunings"] or (cfg["detuning"],)]
+
+
+def _checked_raman_window(cfg: ExperimentConfig, nu: float) -> float:
+    """Window of the Raman run at detuning ``nu``; its rate, pi time and
+    window must be finite and positive."""
+    params = cfg.raman_params(detuning=nu)
+    try:
+        derived = (raman_rate(params.rabi, nu),
+                   raman_pi_time(params.rabi, nu, params.target_angle),
+                   raman_window(params, cfg["time_window"]))
+    except (OverflowError, ZeroDivisionError):
+        derived = (math.nan,)
+    if not all(0.0 < x < math.inf for x in derived):
+        raise ConfigError(f"rabi={params.rabi:g} and detuning={nu:g} give a Raman rate, pi "
+                          "time or window that is not finite and positive")
+    return derived[-1]
 
 
 def _validate_keys(raw: dict[str, Any], kind: str,

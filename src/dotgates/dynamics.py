@@ -43,9 +43,10 @@ helper, restarting at the ``breakpoints`` of a pulse instead of stepping
 across a kink.  Several states on one basis and frame share one run of
 the method; given the basis states, the trajectories are the columns of
 the propagator.  Every pure state must keep unit norm and every density
-trajectory unit trace (:func:`check_drift`) and positivity; a positivity
-check is one batched Cholesky factorization per chunk of samples, and only
-a failing chunk pays for the exact eigenvalues.
+trajectory unit trace (:func:`check_drift`) and positivity, and a ``nan``
+fails each check; a positivity check is one batched Cholesky factorization
+per chunk of samples, and only a failing chunk pays for the exact
+eigenvalues.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
 exact for piecewise-constant Hamiltonians and is what the regression tests
@@ -79,6 +80,7 @@ from .operators import (
     matrix_exponential,
     rotating_frame_tag,
 )
+from .model import DrivenBlock
 
 __all__ = [
     "IntegratorConfig",
@@ -295,14 +297,17 @@ class Trajectory:
 def _as_matrix_fn(h: Any, basis: Basis, frame: str,
                   t_probe: float) -> np.ndarray | Callable[[float], np.ndarray]:
     """Normalize Hamiltonian inputs: the matrix itself when ``h`` is
-    constant, else ``t -> ndarray``; a callable is checked at ``t_probe``."""
-    if not (callable(h) or isinstance(h, (OperatorMatrix, np.ndarray))):
+    constant, else ``t -> ndarray``.  An :class:`OperatorMatrix` or a
+    :class:`~dotgates.model.DrivenBlock` must carry the state's basis and
+    frame; any other input is checked for shape, a callable at ``t_probe``."""
+    if isinstance(h, (OperatorMatrix, DrivenBlock)):
+        if h.basis.labels != basis.labels or h.frame != frame:
+            raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
+        if isinstance(h, OperatorMatrix):
+            return h.matrix
+    elif not (callable(h) or isinstance(h, np.ndarray)):
         raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
     sample = h(t_probe) if callable(h) else h
-    if isinstance(sample, OperatorMatrix):
-        if sample.basis.labels != basis.labels or sample.frame != frame:
-            raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
-        return (lambda t: h(t).matrix) if callable(h) else h.matrix
     d = basis.dim
     if np.shape(sample) != (d, d):
         raise BasisMismatchError(f"Hamiltonian shape {np.shape(sample)} != ({d}, {d})")
@@ -315,12 +320,13 @@ def check_sample_count(span: float, dt: float) -> int:
     Raises :class:`ValueError` when the grid would hold more than
     :data:`MAX_SAMPLES` samples, before anything is allocated.
     """
-    cells = math.ceil(abs(span) / dt)
-    if cells + 1 > MAX_SAMPLES:
+    cells = abs(span) / dt
+    # compared before rounding up, which an infinite count cannot take
+    if not cells + 1 <= MAX_SAMPLES:
         raise ValueError(
             f"sample_interval {dt:g} ps over a {abs(span):g} ps span asks for "
             f"{cells + 1:.3g} samples; the limit is {MAX_SAMPLES:.3g}")
-    return max(1, cells)
+    return max(1, math.ceil(cells))
 
 
 def _sample_grid(t0: float, t1: float, dt: float,
@@ -638,12 +644,15 @@ def _refined_magnus(hfun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, 
 def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
     """Raise :class:`IntegrationError` when ``values``, the norms or traces
     of a trajectory in sample order, leave 1 by more than ``1e-7`` at the
-    end or ``1e-6`` anywhere; ``quantity`` names them in the message."""
+    end or ``1e-6`` anywhere, or hold a ``nan``; ``quantity`` names them in
+    the message."""
     drift = np.abs(values - 1.0)
-    if drift[-1] > _FINAL_DRIFT_TOL or np.max(drift) > _ANY_DRIFT_TOL:
-        raise IntegrationError(
-            f"{quantity} drifted by {np.max(drift):.3e}; tighten rtol/atol or shrink max_step"
-        )
+    worst = np.max(drift)
+    # written so that a nan norm or trace fails
+    if not (drift[-1] <= _FINAL_DRIFT_TOL and worst <= _ANY_DRIFT_TOL):
+        hint = ("tighten rtol/atol or shrink max_step" if math.isfinite(worst)
+                else "the inputs overflow double precision")
+        raise IntegrationError(f"{quantity} drifted by {worst:.3e}; {hint}")
 
 
 def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
@@ -717,19 +726,21 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
                        batched: bool = False) -> Trajectory | list[Trajectory]:
     """Propagate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
 
-    ``h_of_t`` is an :class:`OperatorMatrix`, an ndarray or a callable of
-    time, and the method follows its structure as the module docstring
-    tables.  With ``batched`` the caller declares that ``h_of_t`` maps a
-    1-d array of ``n`` times to the ``(n, d, d)`` stack of Hermitian
-    matrices; it then runs on the Magnus path, one step per sample cell in
-    a rotating frame, and in the lab frame as many steps as ``rtol`` asks
-    (the count doubles until the finer of two successive counts is within
-    ``rtol`` at every sample; ``max_step`` caps a step).  A ``period``
-    takes the Floquet path when there are no interior breakpoints and the
-    span covers at least one period: the propagator over the first period
-    of ``t_span``, from that refined Magnus run when ``batched`` and from
-    DOP853 otherwise, then its powers.  ``t_span`` may run backwards for
-    time-reversed evolution.
+    ``h_of_t`` is a constant :class:`OperatorMatrix` or a
+    :class:`~dotgates.model.DrivenBlock`, whose basis and frame must be the
+    states', or a bare ndarray or callable of time, checked for shape only;
+    the method follows its structure as the module docstring tables.  With
+    ``batched`` the caller declares that ``h_of_t`` maps a 1-d array of
+    ``n`` times to the ``(n, d, d)`` stack of Hermitian matrices, as every
+    ``DrivenBlock`` does; it then runs on the Magnus path, one step per
+    sample cell in a rotating frame, and in the lab frame as many steps as
+    ``rtol`` asks (the count doubles until the finer of two successive
+    counts is within ``rtol`` at every sample; ``max_step`` caps a step).
+    A ``period`` takes the Floquet path when there are no interior
+    breakpoints and the span covers at least one period: the propagator
+    over the first period of ``t_span``, from that refined Magnus run when
+    ``batched`` and from DOP853 otherwise, then its powers.  ``t_span`` may
+    run backwards for time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
@@ -827,7 +838,8 @@ def _check_positivity(traj: Trajectory) -> None:
     factorization is several times cheaper than ``eigvalsh``.  The shifted
     matrices are built in place, ``_POSITIVITY_CHUNK`` samples at a time.
     Only a failing chunk calls :meth:`Trajectory.min_eigenvalue`, whose
-    exact value then decides and goes into the message.
+    exact value then decides and goes into the message.  A chunk with a
+    ``nan`` or ``inf`` entry fails with minimum ``nan``.
     """
     rho = traj.states
     d = rho.shape[1]
@@ -844,10 +856,14 @@ def _check_positivity(traj: Trajectory) -> None:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             lo = traj.min_eigenvalue()
-            if lo < -_POSITIVITY_TOL:
-                raise IntegrationError(
-                    f"density matrix lost positivity: min eigenvalue {lo:.3e}") from None
-            return
+        else:
+            # nan factorizes without an error, so only a finite chunk passes
+            if np.isfinite(m).all():
+                continue
+            lo = math.nan
+        if not lo >= -_POSITIVITY_TOL:
+            raise IntegrationError(f"density matrix lost positivity: min eigenvalue {lo:.3e}")
+        return
 
 
 def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Trajectory:

@@ -135,7 +135,12 @@ def calibrated_pulse(shape: str, peak: float, area: float, t_start: float = 0.0,
     duration is ``area / peak``, and the Gaussian width is solved from the
     truncated-Gaussian area so the calibration holds exactly despite the
     cutoff at ``truncation`` sigma.  The support starts at ``t_start``.
+    Raises :class:`ValueError` for any other shape or ``peak <= 0``.
     """
+    if shape not in ("square", "gaussian"):
+        raise ValueError(f"shape must be 'square' or 'gaussian', got {shape!r}")
+    if not peak > 0:
+        raise ValueError(f"peak must be positive, got {peak!r}")
     if shape == "square":
         return SquarePulse(amplitude=peak, duration=area / peak, t_start=t_start)
     sigma = area / GaussianPulse(peak=peak, sigma=1.0, truncation=truncation).area()
@@ -149,8 +154,6 @@ def square_cphase_pulse(omega: float, t_start: float = 0.0) -> SquarePulse:
     ``omega`` is the bare (single-dot) Rabi energy in meV; the duration is
     ``2 pi hbar / (sqrt(2) omega)``.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     return calibrated_pulse("square", omega, CPHASE_AREA, t_start)
 
 
@@ -162,8 +165,6 @@ def gaussian_cphase_pulse(peak: float, truncation: float = 4.0,
     holds exactly despite the cutoff at ``truncation`` sigma.  The pulse is
     placed with its support starting at ``t_start``.
     """
-    if peak <= 0:
-        raise ValueError("peak must be positive")
     return calibrated_pulse("gaussian", peak, CPHASE_AREA, t_start, truncation)
 
 
@@ -175,8 +176,6 @@ def commensurate_gate_time(p: DotPairParams, omega: float) -> float:
     of those periods returns the spectator population to its ground level
     at the end of the pulse (at the cost of a slightly off-nominal area).
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     t0 = calibrated_pulse("square", omega, CPHASE_AREA).duration
     t_spec = _TWO_PI * HBAR_MEV_PS / math.hypot(omega, p.v_f)
     n = max(1, round(t0 / t_spec))
@@ -238,8 +237,6 @@ def selectivity_fidelity(rabi: float, detuning: float) -> float:
 
 def pi_pulse_time(rabi: float) -> float:
     """Duration of a resonant square pi pulse with Rabi energy ``rabi``."""
-    if rabi <= 0:
-        raise ValueError("rabi must be positive")
     return calibrated_pulse("square", rabi, PI_AREA).duration
 
 

@@ -22,8 +22,8 @@ four closed blocks labelled by the spin content:
 Every driven block has the form ``H(t) = h0 + f(t) v`` and is written once,
 as a :class:`DrivenBlock` returned by its ``*_generator`` factory.  Calling
 the block gives the bare ``ndarray`` for use inside integrators, where
-wrapper overhead matters; each ``*_hamiltonian`` builder is the block's
-:class:`~dotgates.operators.OperatorMatrix` at one time, ``.at(t)``.
+wrapper overhead matters; ``block.at(t)`` is the labelled
+:class:`~dotgates.operators.OperatorMatrix` at one time.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ __all__ = [
     "GaussianPulse",
     "LaserDrive",
     "DrivenBlock",
-    "full_hamiltonian",
-    "single_dot_hamiltonian",
-    "subspace_hamiltonian_psi_basis",
-    "rwa_subspace_hamiltonian",
-    "spectator_hamiltonian",
     "effective_hamiltonian",
     "raman_hamiltonian",
     "lab_pair_generator",
@@ -277,7 +272,12 @@ def _coupling(basis: Basis, pairs: tuple[tuple[str, str], ...],
 
 
 def lab_pair_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlock:
-    """Lab-frame 9x9 block of the driven pair."""
+    """Lab-frame 9x9 block of the driven pair.
+
+    Diagonal: the exciton count times ``omega_a``, plus ``v_xx`` on ``XX``;
+    ``v_f`` couples ``1X`` and ``X1``.  The field drives ``1 <-> X`` on
+    each dot with unit matrix element and never touches ``0``.
+    """
     h0 = np.diag(np.array([n * p.omega_a for n in two_dot_excitations()], dtype=complex))
     h0[TWO_DOT.index("XX"), TWO_DOT.index("XX")] += p.v_xx
     h0 += _coupling(TWO_DOT, (("1X", "X1"),), p.v_f)
@@ -288,21 +288,12 @@ def lab_pair_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlock:
     return DrivenBlock(TWO_DOT, LAB_FRAME, h0, v, drive.field)
 
 
-def full_hamiltonian(p: DotPairParams, drive: LaserDrive, t: float) -> OperatorMatrix:
-    """Lab-frame 9x9 Hamiltonian of the driven pair at time ``t``."""
-    return lab_pair_generator(p, drive).at(t)
-
-
 def lab_single_dot_generator(omega_a: float, drive: LaserDrive) -> DrivenBlock:
-    """Lab-frame 3x3 block of one driven dot."""
+    """Lab-frame 3x3 block of one driven dot: ``X`` at ``omega_a``, the
+    field on ``1 <-> X`` and ``0`` dark."""
     h0 = np.diag(np.array([0.0, 0.0, omega_a], dtype=complex))
     return DrivenBlock(SINGLE_DOT, LAB_FRAME, h0, _coupling(SINGLE_DOT, (("1", "X"),)),
                        drive.field)
-
-
-def single_dot_hamiltonian(omega_a: float, drive: LaserDrive, t: float) -> OperatorMatrix:
-    """Lab-frame 3x3 Hamiltonian of one driven dot at time ``t``."""
-    return lab_single_dot_generator(omega_a, drive).at(t)
 
 
 # the drive couples 11 and XX only to psi+; psi- is dark
@@ -310,7 +301,13 @@ _PSI_PLUS_COUPLINGS = (("11", "psi+"), ("psi+", "XX"))
 
 
 def lab_psi_subspace_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlock:
-    """Lab-frame computational block in the ``11, psi+, psi-, XX`` basis."""
+    """Lab-frame computational block in the ``11, psi+, psi-, XX`` basis.
+
+    ``psi+`` and ``psi-`` sit at ``omega_a +- v_f``.  The drive couples
+    ``11`` and ``XX`` only to ``psi+``, with matrix element sqrt(2) times
+    the single-dot one; ``psi-`` is dark and only kept to make the block
+    self-contained.
+    """
     # psi+/- are the +/- combinations of 1X and X1
     h0 = np.diag(np.array(
         [0.0, p.omega_a + p.v_f, p.omega_a - p.v_f, 2.0 * p.omega_a + p.v_xx], dtype=complex))
@@ -318,60 +315,38 @@ def lab_psi_subspace_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlo
                        _coupling(PSI_SUBSPACE, _PSI_PLUS_COUPLINGS, _SQRT2), drive.field)
 
 
-def subspace_hamiltonian_psi_basis(p: DotPairParams, drive: LaserDrive,
-                                   t: float) -> OperatorMatrix:
-    """Lab-frame computational block in the ``11, psi+, psi-, XX`` basis.
-
-    The drive couples ``11`` and ``XX`` only to ``psi+``, with matrix
-    element sqrt(2) times the single-dot one; ``psi-`` is dark and only
-    kept to make the block self-contained.
-    """
-    return lab_psi_subspace_generator(p, drive).at(t)
-
-
 def rwa_subspace_generator(p: DotPairParams,
                            envelope: Callable[[float], float]) -> DrivenBlock:
-    """Computational block in the frame rotating at the psi+ resonance."""
+    """Computational block in the frame rotating at the psi+ resonance.
+
+    The drive is tuned to the ``11 -> psi+`` transition (``omega_a + v_f``),
+    counter-rotating terms dropped.  Diagonal: ``11`` and ``psi+`` at zero,
+    ``psi-`` at ``-2 v_f``, ``XX`` at ``v_xx - 2 v_f``.  Couplings are half
+    the sqrt(2)-enhanced envelope; ``psi-`` stays dark.
+    """
     h0 = np.diag(np.array([0.0, 0.0, -2.0 * p.v_f, p.biexciton_detuning], dtype=complex))
     # _SQRT2 / 2 is exact, so f * (_SQRT2 / 2) rounds like _SQRT2 * f / 2
     v = _coupling(PSI_SUBSPACE, _PSI_PLUS_COUPLINGS, _SQRT2 / 2.0)
     return DrivenBlock(PSI_SUBSPACE, rotating_frame_tag(p.omega_a + p.v_f), h0, v, envelope)
 
 
-def rwa_subspace_hamiltonian(p: DotPairParams, envelope: Callable[[float], float],
-                             t: float) -> OperatorMatrix:
-    """Computational block in the frame rotating at the psi+ resonance.
-
-    The drive is tuned to the ``11 -> psi+`` transition (``omega_a + v_f``),
-    counter-rotating terms dropped.  Diagonal: ``11`` and ``psi+`` at zero,
-    ``psi-`` at ``-2 v_f``, ``XX`` at ``v_xx - 2 v_f``.  Couplings are half
-    the sqrt(2)-enhanced envelope.
-    """
-    return rwa_subspace_generator(p, envelope).at(t)
-
-
 def spectator_generator(p: DotPairParams, envelope: Callable[[float], float],
                         idle_dot: str = "a") -> DrivenBlock:
-    """Two-level block for one driven dot while the other sits in ``0``."""
-    if idle_dot not in ("a", "b"):
-        raise ValueError(f"idle_dot must be 'a' or 'b', got {idle_dot!r}")
-    basis = SPECTATOR_A_IDLE if idle_dot == "a" else SPECTATOR_B_IDLE
-    h0 = np.diag(np.array([0.0, -p.v_f], dtype=complex))
-    v = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    return DrivenBlock(basis, rotating_frame_tag(p.omega_a + p.v_f), h0, v, envelope)
-
-
-def spectator_hamiltonian(p: DotPairParams, envelope: Callable[[float], float],
-                          t: float, idle_dot: str = "a") -> OperatorMatrix:
     """Two-level block for one driven dot while the other sits in ``0``.
 
     In the rotating frame of the gate laser (``omega_a + v_f``) the driven
     dot's exciton is detuned by ``-v_f``; the idle dot contributes nothing
     because excitation transfer out of ``0`` is blocked.  ``idle_dot``
     picks which dot is dark: ``"a"`` gives the ``01/0X`` block, ``"b"``
-    the ``10/X0`` block.  The matrix is the same either way.
+    the ``10/X0`` block.  The matrix is the same either way; only the
+    basis differs.
     """
-    return spectator_generator(p, envelope, idle_dot).at(t)
+    if idle_dot not in ("a", "b"):
+        raise ValueError(f"idle_dot must be 'a' or 'b', got {idle_dot!r}")
+    basis = SPECTATOR_A_IDLE if idle_dot == "a" else SPECTATOR_B_IDLE
+    h0 = np.diag(np.array([0.0, -p.v_f], dtype=complex))
+    v = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    return DrivenBlock(basis, rotating_frame_tag(p.omega_a + p.v_f), h0, v, envelope)
 
 
 def effective_hamiltonian(p: DotPairParams, omega_prime: float) -> OperatorMatrix:

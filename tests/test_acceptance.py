@@ -30,9 +30,9 @@ from dotgates.model import (
     LaserDrive,
     SquarePulse,
     effective_hamiltonian,
-    full_hamiltonian,
-    rwa_subspace_hamiltonian,
-    single_dot_hamiltonian,
+    lab_pair_generator,
+    lab_single_dot_generator,
+    rwa_subspace_generator,
 )
 from dotgates.operators import HBAR_MEV_PS, Basis, OperatorMatrix, QuantumState
 
@@ -96,7 +96,7 @@ def test_acceptance_4_effective_model_agreement():
     for r in (0.01, 0.03, 0.05):
         g = r * delta
         env = SquarePulse(math.sqrt(2.0) * g, 10.0)
-        h3 = rwa_subspace_hamiltonian(PAIR, env, 5.0).matrix.real[
+        h3 = rwa_subspace_generator(PAIR, env)(5.0).real[
             np.ix_([0, 1, 3], [0, 1, 3])]
         ev = np.linalg.eigvalsh(h3)
         near_zero = np.sort(ev[np.argsort(np.abs(ev))[:2]])
@@ -153,7 +153,7 @@ def test_acceptance_7_property_suite():
         omega = float(rng.uniform(0.01, 0.5))
         t = float(rng.uniform(0.0, 30.0))
         drive = LaserDrive(SquarePulse(omega, 30.0), PAIR.omega_a + PAIR.v_f)
-        h = full_hamiltonian(PAIR, drive, t).matrix
+        h = lab_pair_generator(PAIR, drive)(t)
         for i, a in enumerate(sectors):
             for b in sectors[i + 1:]:
                 if np.any(h[np.ix_(a, b)] != 0.0):
@@ -162,9 +162,9 @@ def test_acceptance_7_property_suite():
 
     # the empty-spin levels never couple to the light
     drive = LaserDrive(SquarePulse(0.3, 30.0), PAIR.omega_a + PAIR.v_f)
-    h9 = full_hamiltonian(PAIR, drive, 3.0).matrix
+    h9 = lab_pair_generator(PAIR, drive)(3.0)
     i00 = TWO_DOT.index("00")
-    h3 = single_dot_hamiltonian(PAIR.omega_a, drive, 3.0).matrix
+    h3 = lab_single_dot_generator(PAIR.omega_a, drive)(3.0)
     i0 = SINGLE_DOT.index("0")
     blocked = (not np.any(h9[i00, :]) and not np.any(h9[:, i00])
                and not np.any(h3[i0, :]) and not np.any(h3[:, i0]))

@@ -341,6 +341,44 @@ def test_raman_with_a_stiff_loss_rate_exits_at_once(tmp_path, gamma):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    # nan from overflow used to pass the norm and trace checks
+    ("cphase", "v_xx=1e308"),
+    ("cphase", "pulse_shape=gaussian", "omega=1e200"),
+    ("raman", "rabi=1e150", "detuning=1e300"),
+    # a Raman rate that overflows or underflows
+    ("raman", "rabi=1e200"),
+    ("raman", "rabi=1e-300"),
+    ("raman", "detuning=1e308", "time_window=1"),
+    # t_start + duration == t_start leaves no pulse
+    ("zrot", "t_start=1e300"),
+    ("cphase", "t_start=1e300"),
+    # a report value of inf, and numpy overflow warnings before the message
+    ("conditions", "v_f=1e-320"),
+    ("zrot", "omega=1e300"),
+    # an energy that overflows to inf reaches eigh
+    ("cphase", "v_f=1e308"),
+    # a sample count too large to round up
+    ("cphase", "duration=1e308"),
+    ("zrot", "wait=1e308"),
+    ("raman", "time_window=1e308"),
+], ids="-".join)
+def test_hostile_input_exits_with_one_line(tmp_path, args):
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "h"
+    sets = [a for key in args[1:] for a in ("--set", key)]
+    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", args[0], *sets,
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in (1, 2), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(("config error:", "runtime error:"))
+    assert not (out / "report.json").exists()
+
+
 def test_sweep_rejects_bad_parameter(tmp_path):
     base = {"kind": "sweep", "sweep_kind": "raman", "sweep_values": [1.0]}
     for param in ("bogus", "detunings"):  # unknown, and not sweepable

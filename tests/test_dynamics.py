@@ -19,7 +19,15 @@ from dotgates.dynamics import (
     to_lab_frame,
     to_rotating_frame,
 )
-from dotgates.model import LaserDrive, SquarePulse
+from dotgates.model import (
+    PSI_SUBSPACE,
+    SPECTATOR_B_IDLE,
+    DotPairParams,
+    LaserDrive,
+    SquarePulse,
+    rwa_subspace_generator,
+    spectator_generator,
+)
 from dotgates.operators import (
     HBAR_MEV_PS,
     LAB_FRAME,
@@ -135,6 +143,44 @@ def test_hamiltonian_basis_frame_checks():
         evolve_schrodinger(h, psi0, (0.0, 1.0))
     with pytest.raises(BasisMismatchError):
         evolve_schrodinger(np.zeros((3, 3)), psi0, (0.0, 1.0))
+
+
+def test_driven_block_basis_and_frame_are_checked():
+    p = DotPairParams()
+    env = SquarePulse(amplitude=0.1, duration=2.0)
+    rotating = rwa_subspace_generator(p, env)
+    lab_state = QuantumState.basis_state(PSI_SUBSPACE, "11")
+    with pytest.raises(BasisMismatchError):
+        evolve_schrodinger(rotating, lab_state, (0.0, 2.0), batched=True)
+    # the default spectator block has dot a idle, not dot b
+    idle_a = spectator_generator(p, env)
+    idle_b_state = QuantumState.basis_state(SPECTATOR_B_IDLE, "10", idle_a.frame)
+    with pytest.raises(BasisMismatchError):
+        evolve_schrodinger(idle_a, idle_b_state, (0.0, 2.0), batched=True)
+    with pytest.raises(BasisMismatchError):
+        evolve_lindblad(idle_a, idle_b_state.density(), (0.0, 2.0))
+    # the matching labels pass; a plain callable is checked for shape only
+    ok = QuantumState.basis_state(PSI_SUBSPACE, "11", rotating.frame)
+    traj = evolve_schrodinger(rotating, ok, (0.0, 2.0), batched=True)
+    assert traj.frame == rotating.frame
+    evolve_schrodinger(lambda t: rotating(t), lab_state, (0.0, 0.1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_fails_the_conservation_checks():
+    # exp(-i w t / hbar) overflows to nan once w t passes the largest double
+    h = np.diag([0.0, 1e308]).astype(complex)
+    psi0 = QuantumState(np.array([1.0, 1.0]) / math.sqrt(2.0), B2)
+    with pytest.raises(IntegrationError, match="norm drifted by nan"):
+        evolve_schrodinger(h, psi0, (0.0, 2.0))
+    with pytest.raises(IntegrationError, match="trace drifted by nan"):
+        evolve_lindblad(h, psi0.density(), (0.0, 2.0))
+    # a nan coherence leaves the trace alone but must fail positivity
+    rho = np.tile(psi0.density().matrix, (3, 1, 1))
+    rho[1, 0, 1] = np.nan
+    traj = Trajectory(np.arange(3.0), rho, B2, LAB_FRAME, "density")
+    with pytest.raises(IntegrationError, match="min eigenvalue nan"):
+        dynamics._check_positivity(traj)
 
 
 def test_zero_span_returns_single_sample():

@@ -207,6 +207,16 @@ def test_commensurate_gate_time_zeroes_spectator_leakage():
         commensurate_gate_time(PAIR, 0.0)
 
 
+def test_calibrated_pulse_rejects_unknown_shape_and_non_positive_peak():
+    for shape, peak in (("Square", 0.1), ("square", 0.0), ("gaussian", -0.1),
+                        ("gaussian", math.nan)):
+        with pytest.raises(ValueError):
+            gates.calibrated_pulse(shape, peak, gates.CPHASE_AREA)
+    for wrapper in (square_cphase_pulse, gaussian_cphase_pulse, pi_pulse_time):
+        with pytest.raises(ValueError):
+            wrapper(0.0)
+
+
 def test_selectivity_fidelity():
     assert selectivity_fidelity(0.5, 1.0) == pytest.approx(0.75)
     assert selectivity_fidelity(0.5, -1.0) == pytest.approx(0.75)

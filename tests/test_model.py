@@ -17,17 +17,12 @@ from dotgates.model import (
     SquarePulse,
     check_conditions,
     effective_hamiltonian,
-    full_hamiltonian,
     lab_pair_generator,
     lab_psi_subspace_generator,
     lab_single_dot_generator,
     raman_hamiltonian,
     rwa_subspace_generator,
-    rwa_subspace_hamiltonian,
-    single_dot_hamiltonian,
     spectator_generator,
-    spectator_hamiltonian,
-    subspace_hamiltonian_psi_basis,
     two_dot_excitations,
 )
 from dotgates.operators import HBAR_MEV_PS, LAB_FRAME, rotating_frame_tag
@@ -103,12 +98,12 @@ def test_two_dot_excitation_counts():
     assert two_dot_excitations() == (0, 0, 1, 0, 0, 1, 1, 1, 2)
 
 
-def test_full_hamiltonian_structure():
+def test_lab_pair_block_structure():
     p = DotPairParams(omega_a=100.0, v_f=0.85, v_xx=5.0)
     env = SquarePulse(amplitude=0.2, duration=50.0)
     drive = LaserDrive(env, omega_l=100.85)
     t = 3.0
-    h = full_hamiltonian(p, drive, t)
+    h = lab_pair_generator(p, drive).at(t)
     assert h.hermitian
     assert h.frame == LAB_FRAME
     f = drive.field(t)
@@ -131,27 +126,27 @@ def test_full_hamiltonian_structure():
     assert h.element("11", "XX") == 0.0
 
 
-def test_psi_subspace_block_derived_from_full_hamiltonian():
+def test_psi_subspace_block_derived_from_lab_pair_block():
     # rotate the {11, 1X, X1, XX} block of the 9x9 into the psi+/- basis and
     # compare with the dedicated builder
     p = DotPairParams(omega_a=50.0, v_f=0.85, v_xx=5.0)
     env = SquarePulse(amplitude=0.3, duration=50.0)
     drive = LaserDrive(env, omega_l=50.85)
     t = 0.7
-    full = full_hamiltonian(p, drive, t).matrix
+    full = lab_pair_generator(p, drive)(t)
     idx = [TWO_DOT.index(lbl) for lbl in ("11", "1X", "X1", "XX")]
     block = full[np.ix_(idx, idx)]
     r = np.eye(4, dtype=complex)
     r[1:3, 1:3] = np.array([[1, 1], [1, -1]]) / SQ2  # columns psi+, psi-
     rotated = r.conj().T @ block @ r
-    built = subspace_hamiltonian_psi_basis(p, drive, t)
+    built = lab_psi_subspace_generator(p, drive).at(t)
     assert built.basis.labels == PSI_SUBSPACE.labels
     np.testing.assert_allclose(rotated, built.matrix, atol=1e-13)
 
 
-def test_single_dot_hamiltonian():
+def test_lab_single_dot_block():
     drive = LaserDrive(SquarePulse(0.4, 10.0), omega_l=30.0)
-    h = single_dot_hamiltonian(30.0, drive, 0.2)
+    h = lab_single_dot_generator(30.0, drive).at(0.2)
     assert h.element("X", "X") == pytest.approx(30.0)
     assert h.element("0", "0") == 0.0
     assert h.element("1", "X") == pytest.approx(drive.field(0.2))
@@ -161,7 +156,7 @@ def test_single_dot_hamiltonian():
 def test_rwa_subspace_structure():
     p = DotPairParams()
     env = SquarePulse(amplitude=0.2, duration=10.0)
-    h = rwa_subspace_hamiltonian(p, env, 1.0)
+    h = rwa_subspace_generator(p, env).at(1.0)
     assert h.frame == rotating_frame_tag(p.omega_a + p.v_f)
     np.testing.assert_allclose(
         np.diag(h.matrix).real, [0.0, 0.0, -2 * p.v_f, p.v_xx - 2 * p.v_f])
@@ -170,21 +165,21 @@ def test_rwa_subspace_structure():
     assert h.element("11", "XX") == 0.0
     assert h.element("11", "psi-") == 0.0
     # outside the pulse the couplings vanish
-    h_off = rwa_subspace_hamiltonian(p, env, 11.0)
+    h_off = rwa_subspace_generator(p, env).at(11.0)
     assert h_off.element("11", "psi+") == 0.0
 
 
-def test_spectator_hamiltonian_both_blocks():
+def test_spectator_block_for_either_idle_dot():
     p = DotPairParams()
     env = SquarePulse(amplitude=0.1, duration=10.0)
-    ha = spectator_hamiltonian(p, env, 1.0, idle_dot="a")
-    hb = spectator_hamiltonian(p, env, 1.0, idle_dot="b")
+    ha = spectator_generator(p, env, idle_dot="a").at(1.0)
+    hb = spectator_generator(p, env, idle_dot="b").at(1.0)
     assert ha.basis.labels == SPECTATOR_A_IDLE.labels == ("01", "0X")
     assert hb.basis.labels == SPECTATOR_B_IDLE.labels == ("10", "X0")
     np.testing.assert_allclose(ha.matrix, hb.matrix)
     np.testing.assert_allclose(ha.matrix, [[0.0, 0.05], [0.05, -p.v_f]])
     with pytest.raises(ValueError):
-        spectator_hamiltonian(p, env, 1.0, idle_dot="c")
+        spectator_generator(p, env, idle_dot="c")
 
 
 def test_effective_hamiltonian_stark_shift():
@@ -231,39 +226,31 @@ def test_check_conditions_ratios():
     assert set(d) >= {"r_biexciton", "r_spectator", "peak_rabi"}
 
 
-def test_generators_match_builders():
-    p = DotPairParams(omega_a=40.0)
-    env = SquarePulse(amplitude=0.17, duration=8.0)
-    drive = LaserDrive(env, omega_l=40.85)
-    gen_pair = lab_pair_generator(p, drive)
-    gen_psi = lab_psi_subspace_generator(p, drive)
-    gen_rwa = rwa_subspace_generator(p, env)
-    gen_spec = spectator_generator(p, env)
-    gen_dot = lab_single_dot_generator(p.omega_a, drive)
-    for t in (0.0, 0.31, 4.0, 7.99, 8.5):
-        np.testing.assert_allclose(gen_pair(t), full_hamiltonian(p, drive, t).matrix)
-        np.testing.assert_allclose(
-            gen_psi(t), subspace_hamiltonian_psi_basis(p, drive, t).matrix)
-        np.testing.assert_allclose(
-            gen_rwa(t), rwa_subspace_hamiltonian(p, env, t).matrix)
-        np.testing.assert_allclose(
-            gen_spec(t), spectator_hamiltonian(p, env, t).matrix)
-        np.testing.assert_allclose(
-            gen_dot(t), single_dot_hamiltonian(p.omega_a, drive, t).matrix)
-
-
-def test_full_hamiltonian_block_diagonal_in_spin():
+def test_lab_pair_block_diagonal_in_spin():
     # the drive never couples different spin sectors: states grouped by the
     # underlying spin labels (X relaxes to 1) stay disconnected
     p = DotPairParams(omega_a=10.0)
     drive = LaserDrive(SquarePulse(0.5, 100.0), omega_l=10.85)
-    h = full_hamiltonian(p, drive, 1.0).matrix
+    h = lab_pair_generator(p, drive)(1.0)
     spin = {"0": "0", "1": "1", "X": "1"}
     sector = ["".join(spin[c] for c in lbl) for lbl in TWO_DOT.labels]
     for i in range(9):
         for j in range(9):
             if sector[i] != sector[j]:
                 assert h[i, j] == 0.0, (TWO_DOT.labels[i], TWO_DOT.labels[j])
+
+
+def test_package_exports_one_name_per_driven_block():
+    import dotgates
+
+    names = set(dotgates.__all__)
+    assert {"DrivenBlock", "lab_pair_generator", "lab_single_dot_generator",
+            "lab_psi_subspace_generator", "rwa_subspace_generator",
+            "spectator_generator"} <= names
+    builders = {n for n in names if n.endswith("_hamiltonian")}
+    assert builders == {"effective_hamiltonian", "raman_hamiltonian"}
+    assert not names & {"operators", "model", "dynamics", "gates"}
+    assert all(hasattr(dotgates, n) for n in names)
 
 
 def test_spectator_generator_picks_idle_dot_basis():
@@ -288,4 +275,4 @@ def test_driven_blocks_keep_coupling_bits():
         assert m[i11, ip] == m[ip, ixx] == complex(SQ2 * f / 2.0)
         assert spec(float(t))[0, 1] == complex(f / 2.0)
         np.testing.assert_array_equal(m, rwa.h0 + f * rwa.v)
-        np.testing.assert_array_equal(rwa_subspace_hamiltonian(p, env, float(t)).matrix, m)
+        np.testing.assert_array_equal(rwa.at(float(t)).matrix, m)
