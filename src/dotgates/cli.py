@@ -303,6 +303,7 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
             "phases": dict(report.phases),
             "theta": report.theta,
             "fidelity": report.fidelity,
+            "warnings": list(report.warnings),
         })
     schema = {
         "family": "cphase_ratio",

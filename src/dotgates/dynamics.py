@@ -28,7 +28,10 @@ stack of matrices, as every :class:`~dotgates.model.DrivenBlock` does;
 every cell is evaluated, exponentiated and chained in batched numpy
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) by one driver,
 which takes the cells a chunk at a time whatever sample cells they fall
-in and refuses a run of too many cells before its first chunk.  In a
+in and refuses a run of too many cells before its first chunk.  A chunk
+is sized in bytes, not cells, and its buffers are allocated once per run,
+so a run holds its states plus about nine ``(d, d)`` stacks of
+``_MAGNUS_CHUNK_BYTES`` (~4.7 MB), however many cells it takes.  In a
 rotating frame one Magnus step per sample cell suffices (split where its
 exponent is too large).  In the lab frame the optical carrier, not the
 sample grid, sets the step: the cells are halved until the finer of two
@@ -131,9 +134,15 @@ _MAX_MAGNUS_NORM = 0.1
 # Taylor remainder allowed in each step's exponential
 _TAYLOR_TOL = 1e-17
 
-# Most Magnus steps held in memory at once, whichever sample cells they fall
-# in; a 4x4 block at MAX_SAMPLES would otherwise hold ~0.5 GB of Hamiltonians.
-_MAGNUS_CHUNK = 1 << 14
+# Bytes of one (d, d) stack in a Magnus chunk: 2048 cells of a 4x4 block,
+# 3640 of a 3x3, 8192 of a 2x2.  A run holds its states plus one chunk's
+# workspace, whatever its length: six such stacks and the chained rows,
+# allocated once, and the chunk's node Hamiltonians (two stacks), about nine
+# times this (~4.7 MB) in all.  Measured on a 2-core Xeon VM: a default
+# Gaussian cphase peaks at 6.1 MB traced (15.5 MB in one 9334-cell chunk,
+# 3.7 MB at half this budget); a Gaussian zrot at the default omega_a ran
+# ~8% faster than in 16384-cell chunks, and ~5% slower at half the budget.
+_MAGNUS_CHUNK_BYTES = 1 << 19
 
 # Most Magnus steps one run may take, in either frame and substeps included.
 # It bounds the time, not the memory (the steps go in chunks): a run this
@@ -428,20 +437,46 @@ def _floquet_offsets(grid: np.ndarray, period: float,
     return offsets, assemble
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Cellwise matrix product of two ``(d, d, n)`` stacks."""
-    return np.einsum("ijn,jkn->ikn", a, b)
+    return np.einsum("ijn,jkn->ikn", a, b, out=out)
+
+
+class _MagnusWork:
+    """The buffers every chunk of one Magnus run reuses, for up to ``cells`` cells.
+
+    Six slots each hold one ``(d, d)`` stack with room for the chain's
+    padding, ``rows`` the chained states of the ``k`` start vectors and
+    ``starts`` their values at the chain's block starts.  The slots are
+    shared in turn: :func:`_magnus_exponents` writes the node Hamiltonians
+    to 0 and 1, its scratch to 2 and the exponent to 3; the norm check
+    squares into 0; :func:`_taylor_expm` keeps its powers in 4 and 5 and
+    its sums in 0-2; :func:`_chain_states` lays the cells out in 3 and
+    their running products in 4.
+    """
+
+    def __init__(self, d: int, k: int, cells: int) -> None:
+        self.cells = cells
+        blocks = math.isqrt(cells - 1) + 1
+        room = cells + blocks
+        self._slots = np.empty((6, d * d * room), dtype=complex)
+        self.rows = np.empty(k * room * d, dtype=complex)
+        self.starts = np.empty((blocks, k, d), dtype=complex)
+
+    def stack(self, slot: int, *shape: int) -> np.ndarray:
+        """The start of ``slot`` as a C-contiguous array of ``shape``."""
+        return self._slots[slot, :math.prod(shape)].reshape(shape)
 
 
 def _magnus_exponents(hfun: Callable[[np.ndarray], np.ndarray],
-                      edges: np.ndarray, d: int) -> np.ndarray:
+                      edges: np.ndarray, d: int, work: _MagnusWork) -> np.ndarray:
     """Fourth-order Magnus exponents of the cells between consecutive ``edges``.
 
     ``H`` is evaluated in one batched call at the two Gauss-Legendre nodes
     of every cell; the result is the ``(d, d, n)`` stack of
-    ``-i dt/2hbar (H1 + H2) - (sqrt3/12) (dt/hbar)^2 [H2, H1]``.  For
-    Hermitian ``H1``, ``H2`` the commutator is ``M - M^dagger`` with
-    ``M = H2 H1``.
+    ``-i dt/2hbar (H1 + H2) - (sqrt3/12) (dt/hbar)^2 [H2, H1]``, in slot 3
+    of ``work``.  For Hermitian ``H1``, ``H2`` the commutator is
+    ``M - M^dagger`` with ``M = H2 H1``.
     """
     dt = np.diff(edges)
     n = dt.size
@@ -450,17 +485,18 @@ def _magnus_exponents(hfun: Callable[[np.ndarray], np.ndarray],
     if stack.shape != (2 * n, d, d):
         raise BasisMismatchError(
             f"batched Hamiltonian shape {stack.shape} != ({2 * n}, {d}, {d})")
-    stack = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
-    h1, h2 = stack[..., :n], stack[..., n:]
+    h1, h2, m, omega = (work.stack(slot, d, d, n) for slot in range(4))
+    np.copyto(h1, np.moveaxis(stack[:n], 0, -1))
+    np.copyto(h2, np.moveaxis(stack[n:], 0, -1))
     w = dt / HBAR_MEV_PS
-    m = _mm(h2, h1)
-    omega = m - m.transpose(1, 0, 2).conj()
+    _mm(h2, h1, out=m)
+    np.subtract(m, np.conjugate(m.transpose(1, 0, 2), out=omega), out=omega)
     omega *= (-math.sqrt(3.0) / 12.0) * (w * w)
-    omega += (-0.5j * w) * (h1 + h2)
+    omega += np.multiply(-0.5j * w, np.add(h1, h2, out=m), out=m)
     return omega
 
 
-def _taylor_expm(omega: np.ndarray, norm: float) -> np.ndarray:
+def _taylor_expm(omega: np.ndarray, norm: float, work: _MagnusWork) -> np.ndarray:
     """``exp`` of every ``(d, d)`` slice of ``omega``, largest Frobenius norm ``norm``.
 
     The Taylor degree ``m`` is the lowest whose remainder term
@@ -468,69 +504,79 @@ def _taylor_expm(omega: np.ndarray, norm: float) -> np.ndarray:
     summed as ``B0 + W (B1 + W (B2 + ...))`` with ``W = omega^3`` and each
     ``Bq`` a quadratic in ``omega`` (Paterson-Stockmeyer), about half the
     products of plain Horner.  A polynomial, unlike an eigendecomposition,
-    keeps every zero coupling exactly zero.
+    keeps every zero coupling exactly zero.  The result is one of the
+    slots 0-2 of ``work``.
     """
     m, term = 1, 0.5 * norm * norm
     while term > _TAYLOR_TOL:
         m += 1
         term *= norm / (m + 1)
     coef = [1.0 / math.factorial(k) for k in range(m + 1)]
-    eye = np.eye(omega.shape[0])[:, :, None]
-    powers = [eye, omega, _mm(omega, omega) if m > 1 else None]
+    d, _, n = omega.shape
+    eye = np.eye(d)[:, :, None]
+    u, scratch, block = (work.stack(slot, d, d, n) for slot in range(3))
+    powers = [eye, omega, _mm(omega, omega, out=work.stack(4, d, d, n)) if m > 1 else None]
 
-    def quadratic(q: int) -> np.ndarray:
+    def quadratic(q: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        # the lowest power is the identity, a (d, d, 1) term that needs no scratch
         top = min(m, 3 * q + 2)
-        out = coef[top] * powers[top - 3 * q]
+        np.multiply(coef[top], powers[top - 3 * q], out=out)
         for k in range(top - 1, 3 * q - 1, -1):
-            out += coef[k] * powers[k - 3 * q]
+            out += np.multiply(coef[k], powers[k - 3 * q], out=scratch if k > 3 * q else None)
         return out
 
     if m < 3:
-        return quadratic(0)
-    cube = _mm(omega, powers[2])
+        return quadratic(0, u, scratch)
+    cube = _mm(omega, powers[2], out=work.stack(5, d, d, n))
     q = m // 3
     if m % 3:
-        u = quadratic(q)
+        quadratic(q, u, scratch)
     else:
         # the top block is a multiple of the identity: no product needed
-        u = coef[m] * cube
+        np.multiply(coef[m], cube, out=u)
         q -= 1
-        u += quadratic(q)
+        u += quadratic(q, block, scratch)
     for q in range(q - 1, -1, -1):
-        u = _mm(cube, u)
-        u += quadratic(q)
+        quadratic(q, block, scratch)
+        _mm(cube, u, out=scratch)
+        scratch += block
+        u, scratch = scratch, u
     return u
 
 
-def _chain_states(u: np.ndarray, psi0: np.ndarray) -> list[np.ndarray]:
+def _chain_states(u: np.ndarray, psi0: np.ndarray, work: _MagnusWork) -> np.ndarray:
     """Each row of ``psi0`` carried through the cell propagators ``u`` (``(d, d, n)``).
 
-    Returns one ``(n, d)`` array per row: the states after each cell.  The
-    cells are cut into about ``sqrt(n)`` blocks: the running products
-    inside every block are built for all blocks at once and shared by the
-    rows, the block starts follow one block at a time, so the Python loops
-    take about ``2 sqrt(n)`` turns instead of ``n``.
+    Returns the ``(k, n, d)`` states after each cell, a view of ``work``.
+    The cells are cut into about ``sqrt(n)`` blocks: the running products
+    inside every block are built for all blocks at once, the block starts
+    follow one block at a time, and both are shared by the rows, so the
+    Python loops take about ``2 sqrt(n)`` turns instead of ``k n``.
     """
     d, _, n = u.shape
+    k = psi0.shape[0]
     size = math.isqrt(n - 1) + 1
     blocks = -(-n // size)
-    if blocks * size > n:
-        pad = np.broadcast_to(np.eye(d)[:, :, None], (d, d, blocks * size - n))
-        u = np.concatenate([u, pad], axis=2)
-    # cells[j, :, :, b] is cell b * size + j; prod[j] runs over that block to it
-    cells = np.ascontiguousarray(u.reshape(d, d, blocks, size).transpose(3, 0, 1, 2))
-    prod = np.empty_like(cells)
+    full, rest = divmod(n, size)
+    # cells[j, :, :, b] is cell b * size + j, the identity past the last;
+    # prod[j] runs over that block to it
+    cells = work.stack(3, size, d, d, blocks)
+    by_block = cells.transpose(1, 2, 3, 0)
+    by_block[:, :, :full] = u[:, :, :full * size].reshape(d, d, full, size)
+    if rest:
+        by_block[:, :, full, :rest] = u[:, :, full * size:]
+        by_block[:, :, full, rest:] = np.eye(d)[:, :, None]
+    prod = work.stack(4, size, d, d, blocks)
     prod[0] = cells[0]
     for j in range(1, size):
         np.einsum("ijb,jkb->ikb", cells[j], prod[j - 1], out=prod[j])
-    out = []
-    for psi in psi0:
-        starts = np.empty((blocks, d), dtype=complex)
-        starts[0] = psi
-        for b in range(1, blocks):
-            starts[b] = prod[-1, :, :, b - 1] @ starts[b - 1]
-        out.append(np.einsum("jikb,bk->bji", prod, starts).reshape(blocks * size, d)[:n])
-    return out
+    starts = work.starts[:blocks]
+    starts[0] = psi0
+    for b in range(1, blocks):
+        np.einsum("ij,rj->ri", prod[-1, :, :, b - 1], starts[b - 1], out=starts[b])
+    out = work.rows[:k * blocks * size * d].reshape(k, blocks, size, d)
+    np.einsum("jikb,brk->rbji", prod, starts, out=out)
+    return out.reshape(k, blocks * size, d)[:, :n]
 
 
 def _split_cells(grid: np.ndarray, substeps: int, lo: int, hi: int) -> np.ndarray:
@@ -549,12 +595,14 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
                    grid: np.ndarray, substeps: float = 1) -> tuple[np.ndarray, int, int]:
     """States on ``grid`` from ``substeps`` equal fourth-order Magnus cells per grid cell.
 
-    ``psi0`` holds one initial state per row.  The Magnus cells go
-    ``_MAGNUS_CHUNK`` at a time, whichever grid cells they fall in, and
-    only the states on ``grid`` are kept.  When a chunk holds a cell with
-    ``||Omega||_F`` above ``_MAX_MAGNUS_NORM``, ``substeps`` and the
-    position reached grow by the same factor, so the chunk is redone from
-    the same time with every cell from there on split further.  A run of
+    ``psi0`` holds one initial state per row.  The Magnus cells go in
+    chunks of ``_MAGNUS_CHUNK_BYTES`` per ``(d, d)`` stack, whichever grid
+    cells they fall in, through buffers allocated once per run
+    (:class:`_MagnusWork`), and only the states on ``grid`` are kept.
+    When a chunk holds a cell with ``||Omega||_F`` above
+    ``_MAX_MAGNUS_NORM``, ``substeps`` and the position reached grow by
+    the same factor, so the chunk is redone from the same time with every
+    cell from there on split further.  A run of
     more than :data:`_MAX_MAGNUS_STEPS` cells raises
     :class:`IntegrationError` before its first chunk, or once a split asks
     for it.  Returns the ``(k, n, d)`` states, the number of Hamiltonian
@@ -573,15 +621,22 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
 
     total = work(substeps)
     substeps = int(substeps)
+    chunk = max(1, _MAGNUS_CHUNK_BYTES // (16 * d * d))  # 16 bytes a complex entry
     states = np.empty((k, grid.size, d), dtype=complex)
     states[:, 0] = psi0
     psi = psi0.copy()
-    pos, nfev = 0, 0
+    pos, nfev, buffers = 0, 0, None
     while pos < total:
-        take = min(total - pos, _MAGNUS_CHUNK)
-        omega = _magnus_exponents(hfun, _split_cells(grid, substeps, pos, pos + take), d)
+        take = min(total - pos, chunk)
+        if buffers is None or buffers.cells < take:
+            buffers = _MagnusWork(d, k, take)
+        omega = _magnus_exponents(hfun, _split_cells(grid, substeps, pos, pos + take), d,
+                                  buffers)
         nfev += 2 * take
-        norm = float(np.max(np.linalg.norm(omega, axis=(0, 1))))
+        # np.linalg.norm's Frobenius norms, squared in a free slot
+        square = buffers.stack(0, d, d, take)
+        np.multiply(np.conjugate(omega, out=square), omega, out=square)
+        norm = float(np.max(np.sqrt(np.add.reduce(square.real, axis=(0, 1)))))
         if norm > _MAX_MAGNUS_NORM:
             # (pos f) / (substeps f) rounds to the time pos / substeps does
             factor = math.ceil(norm / _MAX_MAGNUS_NORM)
@@ -589,12 +644,12 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
             substeps *= factor
             pos *= factor
             continue
-        # grid point j is Magnus point j * substeps; chained[i] is point pos + 1 + i
+        # grid point j is Magnus point j * substeps; chained[:, i] is point pos + 1 + i
         first, last = pos // substeps + 1, (pos + take) // substeps
         skip = first * substeps - pos - 1
-        for j, chained in enumerate(_chain_states(_taylor_expm(omega, norm), psi)):
-            states[j, first:last + 1] = chained[skip::substeps]
-            psi[j] = chained[-1]
+        chained = _chain_states(_taylor_expm(omega, norm, buffers), psi, buffers)
+        states[:, first:last + 1] = chained[:, skip::substeps]
+        psi[:] = chained[:, -1]
         pos += take
     return states, nfev, substeps
 

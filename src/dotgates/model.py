@@ -91,7 +91,9 @@ class DotPairParams:
 
     ``omega_a`` is the bare exciton energy (a real exciton sits near 2 eV,
     i.e. 2e6 meV), ``v_f`` the excitation-transfer coupling and ``v_xx``
-    the biexciton shift.
+    the biexciton shift.  The block energies built from them,
+    ``omega_a + v_f``, ``2 v_f``, ``v_xx - 2 v_f`` and ``2 omega_a + v_xx``,
+    must be finite; a ``ValueError`` names the first that is not.
     """
 
     omega_a: float = 2.0e6
@@ -108,6 +110,16 @@ class DotPairParams:
                 "v_xx == 2*v_f makes the two-photon transition resonant with XX; "
                 "the blockade argument breaks down"
             )
+        # the level energies of the blocks, each named by the keys it is made of
+        energies = (("omega_a + v_f", self.omega_a + self.v_f),
+                    ("2 v_f", 2.0 * self.v_f),
+                    ("v_xx - 2 v_f", self.biexciton_detuning),
+                    ("2 omega_a + v_xx", 2.0 * self.omega_a + self.v_xx))
+        for name, energy in energies:
+            if not math.isfinite(energy):
+                keys = ", ".join(f"{key}={getattr(self, key):g}"
+                                 for key in ("omega_a", "v_f", "v_xx") if key in name)
+                raise ValueError(f"the block energy {name} is not finite for {keys}")
 
     @property
     def biexciton_detuning(self) -> float:
@@ -253,8 +265,10 @@ class DrivenBlock:
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         if isinstance(t, np.ndarray):
-            return np.multiply.outer(self.f(t), self.v) + self.h0
-        m = self.f(t) * self.v
+            # in place: a batched stack is as large as the Magnus buffers
+            m = np.multiply.outer(self.f(t), self.v)
+        else:
+            m = self.f(t) * self.v
         m += self.h0
         return m
 

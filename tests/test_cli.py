@@ -307,6 +307,19 @@ def test_sweep_with_no_values_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_cphase_family_report_keeps_each_runs_warnings(tmp_path):
+    out = tmp_path / "fam"
+    assert _invoke(["cphase", "--out", str(out), "--set", "ratios=[0.3,1e300]"]).exit_code == 0
+    runs = json.loads((out / "report.json").read_text())["runs"]
+    # the huge ratio is far past both validity thresholds
+    assert [w.split()[0] for w in runs[1]["warnings"]] == ["biexciton", "spectator"]
+    for run in runs:
+        single = tmp_path / f"single_{run['ratio']:g}"
+        assert _invoke(["cphase", "--out", str(single),
+                        "--set", f"omega={run['omega']!r}"]).exit_code == 0
+        assert run["warnings"] == json.loads((single / "report.json").read_text())["warnings"]
+
+
 def test_empty_family_lists_write_nothing(tmp_path):
     # the rule of an empty sweep holds for every family list
     cfg = tmp_path / "c.json"
@@ -356,7 +369,7 @@ def test_raman_with_a_stiff_loss_rate_exits_at_once(tmp_path, gamma):
     # a report value of inf, and numpy overflow warnings before the message
     ("conditions", "v_f=1e-320"),
     ("zrot", "omega=1e300"),
-    # an energy that overflows to inf reaches eigh
+    # a block energy that overflows to inf
     ("cphase", "v_f=1e308"),
     # a sample count too large to round up
     ("cphase", "duration=1e308"),
@@ -377,6 +390,20 @@ def test_hostile_input_exits_with_one_line(tmp_path, args):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(("config error:", "runtime error:"))
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("sets, energy, keys", [
+    (["v_f=1e308"], "2 v_f", ["v_f=1e+308"]),
+    (["omega_a=1e308"], "2 omega_a + v_xx", ["omega_a=1e+308", "v_xx=5"]),
+    (["v_f=-8e307", "v_xx=1.7e308"], "v_xx - 2 v_f", ["v_f=-8e+307", "v_xx=1.7e+308"]),
+], ids=["v_f", "omega_a", "v_xx"])
+def test_overflowing_block_energy_is_a_config_error(tmp_path, sets, energy, keys):
+    out = tmp_path / "e"
+    result = _invoke(["cphase", *[a for key in sets for a in ("--set", key)], "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"config error: the block energy {energy} is not finite for " + ", ".join(keys)]
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_parameter(tmp_path):

@@ -1,5 +1,7 @@
 """The batched fourth-order Magnus propagator behind smooth-envelope cphase runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -102,7 +104,7 @@ def test_taylor_exponential_matches_expm(scale):
     a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
     omega = a - np.conj(np.swapaxes(a, 1, 2))
     omega *= scale / np.linalg.norm(omega, axis=(1, 2))[:, None, None]
-    got = dynamics._taylor_expm(np.moveaxis(omega, 0, -1), scale)
+    got = dynamics._taylor_expm(np.moveaxis(omega, 0, -1), scale, dynamics._MagnusWork(4, 1, 6))
     np.testing.assert_allclose(np.moveaxis(got, -1, 0), [expm(w) for w in omega],
                                rtol=0, atol=1e-15)
 
@@ -122,24 +124,45 @@ def _chunk_case(case):
 
 def test_chunked_and_unchunked_magnus_agree(monkeypatch):
     # chunks change only how the cell products associate; measured against
-    # the default chunk: 1.5-3.4e-14 for the cphase runs (the split ones
-    # end chunks inside a sample cell) and 3.8e-13 for the Gaussian zrot
-    # (368 Magnus cells per sample, ~5e5 in all)
-    for case, chunks, atol in (("cphase", (7, 100), 5e-14),
-                               ("cphase-split", (7, 100), 5e-14),
-                               ("zrot-gaussian", (100,), 1e-11)):
+    # the default chunk: 1.0-3.5e-14 for the cphase runs (the split ones
+    # end chunks inside a sample cell) and 1.6-3.0e-13 for the Gaussian zrot
+    # (368 Magnus cells per sample, ~5e5 in all).  A chunk longer than the
+    # run takes it in one piece, as 16384-cell chunks took the unsplit one.
+    for case, d, chunks, atol in (("cphase", 4, (7, 100), 5e-14),
+                                  ("cphase-split", 4, (7, 100), 5e-14),
+                                  ("zrot-gaussian", 3, (100,), 1e-11)):
         monkeypatch.undo()
         whole = _chunk_case(case)
-        assert max((t.n_samples - 1) * t.metadata.get("substeps", 0)
-                   for t in whole.values()) > 50 * max(chunks)
-        for chunk in chunks:
-            monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK", chunk)
+        cells = max((t.n_samples - 1) * t.metadata.get("substeps", 0) for t in whole.values())
+        assert cells > 50 * max(chunks)
+        # chunk lengths in cells of the d x d block (a smaller block takes more)
+        for chunk in (*chunks, 2 * cells):
+            monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK_BYTES", chunk * 16 * d * d)
             chunked = _chunk_case(case)
             for key, traj in whole.items():
                 np.testing.assert_array_equal(chunked[key].times, traj.times)
                 np.testing.assert_allclose(chunked[key].states, traj.states,
                                            rtol=0, atol=atol)
                 assert chunked[key].metadata.get("substeps") == traj.metadata.get("substeps")
+
+
+def test_gaussian_cphase_memory_is_its_states_plus_one_chunk():
+    # A run holds its states, which the trajectories copy, and one chunk's
+    # workspace: six (d, d) stacks, the node Hamiltonians (two more) and
+    # the chained rows, about nine stacks of 2048 cells of the 4x4 block.
+    # The 11 block's 9334 cells take five chunks; taking them in one, as
+    # 16384-cell chunks did, peaked at 15.5 MB.
+    p, env = DotPairParams(), gaussian_cphase_pulse(0.1)
+    run_cphase(p, env)
+    tracemalloc.start()
+    try:
+        _, trajs = run_cphase(p, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = sum(t.states.nbytes for t in trajs.values())
+    assert peak < 2 * states + 9 * 2048 * 16 * 4 * 4
+    assert trajs["11"].n_samples - 1 > 4 * (dynamics._MAGNUS_CHUNK_BYTES // (16 * 4 * 4))
 
 
 def test_magnus_guard_restarts_off_the_grid_keep_the_time(monkeypatch):
@@ -164,7 +187,7 @@ def test_magnus_guard_restarts_off_the_grid_keep_the_time(monkeypatch):
         return split(grid, substeps, lo, hi)
 
     whole = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg, batched=True)
-    monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK", 7)
+    monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK_BYTES", 7 * 16 * 2 * 2)
     monkeypatch.setattr(dynamics, "_split_cells", spy)
     chunked = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg, batched=True)
     phase = rate * chunked.times ** 2 / (2.0 * HBAR_MEV_PS)
