@@ -8,7 +8,8 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
 * ``*.csv``         - sampled trajectories (``t_ps`` plus ``re_``/``im_``
   amplitude columns and ``phase_`` columns for pure states, ``pop_`` and
   ``coh_`` columns for density matrices).  Phase columns hold ``nan``
-  where the amplitude is too small to carry a phase.
+  where the amplitude is too small to carry a phase.  Bit-identical rows
+  (the idle ``cphase`` blocks) are formatted, and re-read by ``verify``, once.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures (integration, a failed linear-algebra routine, pulse calibration,
@@ -28,10 +29,12 @@ counting the header as line 1.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -71,7 +74,7 @@ _CELL_BYTES = 20  # a padded "-d.ddddddddddde+ddd" cell plus its separator
 _EXP_OFFSET = 320  # decimal exponents handled by the lookup tables: [-320, 320)
 _P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 160)
 _NORM_CHECK_TOL = 2e-6  # integration drift plus serialization rounding
-_SCAN_BYTES = 1 << 16  # verify counts commas in reused chunks: no per-file allocation
+_SCAN_BYTES = 1 << 16  # verify streams each CSV through reused buffers of this size
 _RUN_LISTS = ("sweep_values", "ratios", "detunings", "gammas")  # empty: nothing to run
 
 
@@ -212,7 +215,7 @@ def _format_rows(block: np.ndarray) -> bytes:
             txt = (_CSV_FMT % float(x[i])).encode()
             buf[i, :_CELL_BYTES - 1] = 0
             buf[i, :len(txt)] = np.frombuffer(txt, dtype=np.uint8)
-    return buf[buf != 0].tobytes()
+    return buf.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: Sequence[str],
@@ -227,50 +230,59 @@ def _write_csv(path: Path, header: Sequence[str],
     os.replace(tmp, path)
 
 
-def _pure_traj_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
-    header = ["t_ps"]
-    cols: list[np.ndarray] = [traj.times]
+def _traj_header(traj: Trajectory) -> list[str]:
+    labels = traj.basis.labels
+    if traj.kind == "pure":
+        return ["t_ps", *[f"{part}_{lbl}" for lbl in labels for part in ("re", "im")],
+                *[f"phase_{lbl}" for lbl in labels]]
+    return ["t_ps", *[f"pop_{lbl}" for lbl in labels],
+            *[f"coh_{a}_{b}" for i, a in enumerate(labels) for b in labels[i + 1:]]]
+
+
+def _traj_columns(traj: Trajectory) -> list[np.ndarray]:
+    """The columns :func:`_traj_header` names: they depend on the kind, times
+    and states alone."""
+    d, s = traj.basis.dim, traj.states
+    if traj.kind == "density":
+        return [traj.times, *[s[:, i, i].real for i in range(d)],
+                *[np.abs(s[:, i, j]) for i in range(d) for j in range(i + 1, d)]]
+    cols = [traj.times, *[part for i in range(d) for part in (s[:, i].real, s[:, i].imag)]]
     for lbl in traj.basis.labels:
-        amp = traj.amplitude(lbl)
-        header += [f"re_{lbl}", f"im_{lbl}"]
-        cols += [amp.real, amp.imag]
-    for lbl in traj.basis.labels:
-        header.append(f"phase_{lbl}")
         try:
             cols.append(accumulated_phase(traj, lbl).values)
         except (PhaseUndefinedError, ValueError):
             cols.append(np.full(traj.times.size, math.nan))
-    return header, cols
+    return cols
 
 
-def _density_traj_columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
-    header = ["t_ps"]
-    cols: list[np.ndarray] = [traj.times]
-    labels = traj.basis.labels
-    for lbl in labels:
-        header.append(f"pop_{lbl}")
-        cols.append(traj.population(lbl))
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            header.append(f"coh_{a}_{b}")
-            cols.append(np.abs(traj.states[:, traj.basis.index(a), traj.basis.index(b)]))
-    return header, cols
-
-
-def _write_trajectory(path: Path, traj: Trajectory) -> None:
-    if traj.kind == "pure":
-        header, cols = _pure_traj_columns(traj)
-    else:
-        header, cols = _density_traj_columns(traj)
-    _write_csv(path, header, cols)
+def _write_trajectories(out: Path, trajs: Mapping[str, Trajectory]) -> None:
+    """Write each trajectory to ``out / name``.  One with the same rows as an
+    earlier one (the idle ``cphase`` blocks of a resonant pair) streams that
+    file's data rows under its own header instead of formatting them again."""
+    written: list[tuple[str, list[np.ndarray], Path]] = []
+    for name, traj in trajs.items():
+        path = out / name
+        # the same kind, times and states, bit for bit: -0.0 and 0.0 print differently
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (traj.times, traj.states)]
+        twin = next((p for kind, b, p in written
+                     if kind == traj.kind and all(map(np.array_equal, b, bits))), None)
+        if twin is None:
+            _write_csv(path, _traj_header(traj), _traj_columns(traj))
+        else:
+            tmp = path.with_name(name + ".tmp")
+            with twin.open("rb") as src, tmp.open("wb") as fh:
+                src.readline()
+                fh.write((",".join(_traj_header(traj)) + "\n").encode())
+                shutil.copyfileobj(src, fh)
+            os.replace(tmp, path)
+        written.append((traj.kind, bits, path))
 
 
 def _run_cphase_single(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     p = cfg.dot_params()
     report, trajs = run_cphase(p, cfg.envelope(), cfg.integrator(),
                                cfg["threshold_biexciton"], cfg["threshold_spectator"])
-    for key, traj in trajs.items():
-        _write_trajectory(out / f"traj_{key}.csv", traj)
+    _write_trajectories(out, {f"traj_{key}.csv": traj for key, traj in trajs.items()})
     return report.to_dict()
 
 
@@ -279,13 +291,19 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     curves for the driven (11) and idle-partner (10) blocks."""
     p = cfg.dot_params()
     runs = []
+    columns = {
+        "t_ps": "sample time (ps)",
+        "phase_10": "unwrapped phase of the returning 10 amplitude (rad)",
+        "amp_10": "magnitude of the 10 amplitude",
+        "phase_11": "unwrapped phase of the returning 11 amplitude (rad)",
+        "amp_11": "magnitude of the 11 amplitude",
+    }
     for r in cfg["ratios"]:
         env = cfg.envelope(omega=r * abs(p.v_f))
         report, trajs = run_cphase(p, env, cfg.integrator(),
                                    cfg["threshold_biexciton"],
                                    cfg["threshold_spectator"])
         t10, t11 = trajs["10"], trajs["11"]
-        header = ["t_ps", "phase_10", "amp_10", "phase_11", "amp_11"]
         cols = [
             t10.times,
             accumulated_phase(t10, "10").values,
@@ -294,7 +312,7 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
             np.abs(t11.amplitude("11")),
         ]
         name = f"family_ratio_{r:g}.csv"
-        _write_csv(out / name, header, cols)
+        _write_csv(out / name, list(columns), cols)
         runs.append({
             "ratio": r,
             "omega": r * abs(p.v_f),
@@ -309,13 +327,7 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         "family": "cphase_ratio",
         "parameter": "omega / v_f",
         "files": [run["file"] for run in runs],
-        "columns": {
-            "t_ps": "sample time (ps)",
-            "phase_10": "unwrapped phase of the returning 10 amplitude (rad)",
-            "amp_10": "magnitude of the 10 amplitude",
-            "phase_11": "unwrapped phase of the returning 11 amplitude (rad)",
-            "amp_11": "magnitude of the 11 amplitude",
-        },
+        "columns": columns,
     }
     _write_json(out / "schema.json", schema)
     return {"kind": "cphase_family", "runs": runs}
@@ -324,17 +336,16 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
 def _run_zrot(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     p = cfg.dot_params()
     report, traj = run_z_rotation(p, cfg.zgate(), cfg.integrator())
-    _write_trajectory(out / "trajectory_lab.csv", traj)
-    # exciton amplitude with the optical carrier divided out
-    _write_trajectory(out / "trajectory_rot.csv",
-                      to_rotating_frame(traj, p.omega_a, (0, 0, 1)))
+    # the rotating-frame copy divides the optical carrier out of the exciton amplitude
+    rot = to_rotating_frame(traj, p.omega_a, (0, 0, 1))
+    _write_trajectories(out, {"trajectory_lab.csv": traj, "trajectory_rot.csv": rot})
     return report.to_dict()
 
 
 def _run_raman_single(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     report, traj = run_raman_x(cfg.raman_params(), cfg.integrator(),
                                cfg["time_window"])
-    _write_trajectory(out / "populations.csv", traj)
+    _write_trajectories(out, {"populations.csv": traj})
     return report.to_dict()
 
 
@@ -347,8 +358,7 @@ def _run_raman_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
             report, traj = run_raman_x(cfg.raman_params(detuning=nu, gamma=g),
                                        cfg.integrator(), cfg["time_window"])
             name = f"raman_nu_{nu:g}_gamma_{g:g}.csv"
-            header, cols = _density_traj_columns(traj)
-            _write_csv(out / name, header, cols)
+            _write_trajectories(out, {name: traj})
             runs.append({
                 "detuning": nu,
                 "gamma": g,
@@ -530,24 +540,39 @@ def sweep(config_path: str | None, out: str, overrides: tuple[str, ...],
     _execute("sweep", config_path, out, overrides, jobs=jobs)
 
 
-def _load_columns(path: Path, cols: list[int], width: int) -> np.ndarray:
-    """Parse the given columns of a CSV's data rows, in that order.
+class _CsvScan:
+    """verify's reused read buffers and the last CSV that parsed."""
 
-    The last column is parsed as well, so that a short row is an error, and
-    a long row leaves more than ``width - 1`` commas per parsed line.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # header only: no data
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols + [width - 1],
-                          ndmin=2, comments=None)
-    buf, hit = np.empty(_SCAN_BYTES, dtype=np.uint8), np.empty(_SCAN_BYTES, dtype=bool)
-    commas = 0
-    with path.open("rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            commas += np.count_nonzero(np.equal(buf[:n], ord(","), out=hit[:n]))
-    if commas != (width - 1) * (data.shape[0] + 1):
-        raise ValueError("a row's cell count differs from the header's")
-    return data[:, :-1]
+    def __init__(self) -> None:
+        self.buf, self.prev = bytearray(_SCAN_BYTES), memoryview(bytearray(_SCAN_BYTES))
+        self.last: tuple[Path, int, tuple, np.ndarray] | None = None  # path, offset, key, data
+
+    def parse(self, fh: Any, head: bytes, cols: list[int], width: int) -> np.ndarray:
+        """The given columns of ``fh``'s rows after the header line ``head``, and
+        the last column (a short row is an error, a long one adds commas); one
+        pass counts commas and reuses the last parse if its bytes and columns match."""
+        # np.loadtxt reads a carriage return as a line end: parse such a file alone
+        key = None if b"\r" in head else (os.fstat(fh.fileno()).st_size - len(head), cols, width)
+        twin, self.last = (self.last if key and self.last and self.last[2] == key else None), None
+        commas, same = 0, twin is not None
+        with (twin[0].open("rb") if twin else io.BytesIO()) as pf:
+            pf.seek(twin[1] if twin else 0)
+            while n := fh.readinto(self.buf):
+                commas += self.buf.count(b",", 0, n)
+                same = (same and pf.readinto(self.prev[:n]) == n
+                        and self.buf.startswith(self.prev[:n]))
+        # hold no other file's data while this one loads
+        data, twin = (twin[3] if same else None), None
+        if data is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header only: no data
+                data = np.loadtxt(fh.name, delimiter=",", skiprows=1,
+                                  usecols=cols + [width - 1], ndmin=2, comments=None)
+        if commas != (width - 1) * data.shape[0]:
+            raise ValueError("a row's cell count differs from the header's")
+        if key:
+            self.last = (Path(fh.name), len(head), key, data)
+        return data[:, :-1]
 
 
 def _first_bad_line(path: Path, width: int) -> str | None:
@@ -588,7 +613,7 @@ def _first_failure(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> str
     return f"line {i + 2}: {describe(i)}"
 
 
-def _verify_csv(path: Path) -> tuple[bool, str]:
+def _verify_csv(path: Path, scan: _CsvScan) -> tuple[bool, str]:
     """Check one CSV row by row; returns (passed, message).
 
     Amplitude files (``re_``/``im_``) must keep the norm at 1, population
@@ -600,16 +625,17 @@ def _verify_csv(path: Path) -> tuple[bool, str]:
     header: list[str] = []
     try:
         with path.open("rb") as fh:  # decode the header line alone
-            header = fh.readline().decode().rstrip("\n").split(",")
-        if header == [""]:
-            return False, "empty file"
-        named = {pre: [i for i, h in enumerate(header) if h.startswith(pre)]
-                 for pre in ("re_", "im_", "pop_", "amp_")}
-        cols = (named["re_"] + named["im_"] if named["re_"]
-                else named["pop_"] or named["amp_"])
-        if not cols:
-            return False, "no re_, pop_ or amp_ columns to check"
-        data = _load_columns(path, cols, len(header))
+            head = fh.readline()
+            header = head.decode().rstrip("\n").split(",")
+            if header == [""]:
+                return False, "empty file"
+            named = {pre: [i for i, h in enumerate(header) if h.startswith(pre)]
+                     for pre in ("re_", "im_", "pop_", "amp_")}
+            cols = (named["re_"] + named["im_"] if named["re_"]
+                    else named["pop_"] or named["amp_"])
+            if not cols:
+                return False, "no re_, pop_ or amp_ columns to check"
+            data = scan.parse(fh, head, cols, len(header))
     except ValueError as e:  # also a UnicodeDecodeError
         reason = _first_bad_line(path, len(header)) if header else None
         return False, f"unparseable ({reason or (str(e) or type(e).__name__).splitlines()[0]})"
@@ -653,8 +679,9 @@ def verify(out: str) -> None:
         sys.exit(1)
     failed = 0
     checked = 0
+    scan = _CsvScan()
     for f in sorted(base.rglob("*.csv")):
-        passed, msg = _verify_csv(f)
+        passed, msg = _verify_csv(f, scan)
         rel = f.relative_to(base)
         if passed:
             checked += 1

@@ -217,12 +217,24 @@ class CollapseChannel:
             raise ValueError("collapse rate must be >= 0")
 
 
+def _read_only(a: Any, dtype: type) -> np.ndarray:
+    """``a`` if it is a ``dtype`` array read-only down to its memory's owner, else a copy."""
+    b = a
+    while type(b) is np.ndarray and not b.flags.writeable and b.base is not None:
+        b = b.base
+    if type(b) is not np.ndarray or b.flags.writeable or a.dtype != dtype:
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution: times plus states, tied to a basis and frame.
 
     ``kind`` is ``"pure"`` (states shaped ``(n, d)``) or ``"density"``
-    (``(n, d, d)``).
+    (``(n, d, d)``).  Both are read-only: an input that nothing can write
+    (another trajectory's, a frozen solver output) is adopted, others copied.
     """
 
     times: np.ndarray
@@ -233,8 +245,7 @@ class Trajectory:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        t = np.array(self.times, dtype=float)
-        s = np.array(self.states, dtype=complex)
+        t, s = _read_only(self.times, float), _read_only(self.states, complex)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
         if self.kind == "pure":
@@ -250,8 +261,6 @@ class Trajectory:
             dt = np.diff(t)
             if not (np.all(dt > 0) or np.all(dt < 0)):
                 raise ValueError("times must be strictly monotone")
-        t.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
@@ -823,6 +832,7 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
                                      period, batched, refine=frame == LAB_FRAME)
     for s in states:
         check_drift(np.linalg.norm(s, axis=1))
+    states.setflags(write=False)  # a fresh array: the trajectories adopt its rows
     trajs = [Trajectory(times, s, basis, frame, "pure", meta) for s in states]
     return trajs[0] if isinstance(state, QuantumState) else trajs
 
@@ -877,6 +887,7 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
         lambda t: _liouvillian(h(t), ops))
     times, states, meta = _propagate(gen, 1.0, rho0.matrix.reshape(1, d * d), t0, t1, cfg,
                                      breakpoints, eig_name="liouvillian-eig")
+    states.setflags(write=False)  # a fresh array: the trajectory adopts it
     traj = Trajectory(times, states[0].reshape(times.size, d, d), rho0.basis, rho0.frame,
                       "density", meta)
     check_drift(traj.traces(), "trace")

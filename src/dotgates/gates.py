@@ -378,14 +378,16 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
     }
     leakage = {k: max(0.0, 1.0 - populations[k]) for k in populations}
 
+    def ratio(r: float) -> str:  # three decimals, but one short line for a huge ratio
+        return f"{r:.3f}" if r < 1e6 else f"{r:.3e}"
     conditions = check_conditions(p, envelope, threshold_biexciton, threshold_spectator)
     if not conditions.biexciton_ok:
         warn.append(
-            f"biexciton ratio {conditions.r_biexciton:.3f} >= threshold "
+            f"biexciton ratio {ratio(conditions.r_biexciton)} >= threshold "
             f"{conditions.threshold_biexciton:g}: XX leakage is not negligible")
     if not conditions.spectator_ok:
         warn.append(
-            f"spectator ratio {conditions.r_spectator:.3f} >= threshold "
+            f"spectator ratio {ratio(conditions.r_spectator)} >= threshold "
             f"{conditions.threshold_spectator:g}: idle blocks are driven hard")
 
     report = GateReport(

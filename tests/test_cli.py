@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,19 @@ from click.testing import CliRunner
 import numpy as np
 
 import dotgates
-from dotgates.cli import _CSV_BLOCK_ROWS, _write_csv, main, round_floats
+from dotgates.cli import (
+    _CSV_BLOCK_ROWS,
+    _SCAN_BYTES,
+    _format_rows,
+    _write_csv,
+    _write_trajectories,
+    main,
+    round_floats,
+)
 from dotgates.config import ConfigError, build_config
-from dotgates.dynamics import IntegratorConfig
+from dotgates.dynamics import IntegratorConfig, Trajectory, accumulated_phase
+from dotgates.gates import run_cphase
+from dotgates.operators import Basis
 
 RUNNER = CliRunner()
 
@@ -318,6 +329,17 @@ def test_cphase_family_report_keeps_each_runs_warnings(tmp_path):
         assert _invoke(["cphase", "--out", str(single),
                         "--set", f"omega={run['omega']!r}"]).exit_code == 0
         assert run["warnings"] == json.loads((single / "report.json").read_text())["warnings"]
+
+
+def test_cphase_warnings_print_a_huge_ratio_on_one_short_line(tmp_path):
+    out = tmp_path / "fam"
+    assert _invoke(["cphase", "--out", str(out), "--set", "ratios=[0.3,1e300]"]).exit_code == 0
+    runs = json.loads((out / "report.json").read_text())["runs"]
+    assert runs[0]["warnings"] == [
+        "spectator ratio 0.150 >= threshold 0.1: idle blocks are driven hard"]
+    assert runs[1]["warnings"] == [
+        "biexciton ratio 1.821e+299 >= threshold 0.1: XX leakage is not negligible",
+        "spectator ratio 5.000e+299 >= threshold 0.1: idle blocks are driven hard"]
 
 
 def test_empty_family_lists_write_nothing(tmp_path):
@@ -745,3 +767,118 @@ def test_verify_numbers_parse_errors_by_file_line(tmp_path):
     assert "FAIL traj_01.csv: unparseable (line 10: 6 cells, the header has 7)" in lines
     assert ("FAIL traj_10.csv: unparseable (line 4: could not convert string to float: "
             "'1.0x')") in lines
+
+
+def test_format_rows_matches_percent_on_edge_cells():
+    # 13-digit decimals ending in 5: the 12-digit mantissa sits next to a half
+    ties = [float(f"{m}5e{k}") for m in (100000000000, 123456789012, 999999999999)
+            for k in (-320, -17, 0, 9, 290)]
+    values = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+              2.2250738585072009e-308, -1e-310, 1e300, -1e300, 1e-300, -1e-300,
+              *ties, *np.nextafter(ties, 0), *np.nextafter(ties, np.inf)]
+    values += [0.0] * (-len(values) % 4)
+    for ncols in (1, 4):
+        block = np.array(values).reshape(-1, ncols)
+        expected = "".join(",".join("%.11e" % v for v in row) + "\n"
+                           for row in block.tolist())
+        assert _format_rows(block) == expected.encode()
+
+
+def test_idle_block_csvs_share_one_body(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    head01, body01 = (out / "traj_01.csv").read_bytes().split(b"\n", 1)
+    head10, body10 = (out / "traj_10.csv").read_bytes().split(b"\n", 1)
+    assert head01 == b"t_ps,re_01,im_01,re_0X,im_0X,phase_01,phase_0X"
+    assert head10 == b"t_ps,re_10,im_10,re_X0,im_X0,phase_10,phase_X0"
+    assert body10 == body01
+    cfg = build_config({"kind": "cphase"})
+    _, trajs = run_cphase(cfg.dot_params(), cfg.envelope(), cfg.integrator(),
+                          cfg["threshold_biexciton"], cfg["threshold_spectator"])
+    for key in ("01", "10"):
+        traj, labels = trajs[key], trajs[key].basis.labels
+        columns = [traj.times]
+        for lbl in labels:
+            columns += [traj.amplitude(lbl).real, traj.amplitude(lbl).imag]
+        columns += [accumulated_phase(traj, lbl).values for lbl in labels]
+        header = (out / f"traj_{key}.csv").read_text().split("\n", 1)[0].split(",")
+        assert (out / f"traj_{key}.csv").read_bytes() == _reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("changed, kept", [("10", "01"), ("01", "10")])
+def test_verify_fails_only_the_changed_twin(tmp_path, changed, kept):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    path = out / f"traj_{changed}.csv"
+    _set_cell(path, 7, f"re_{changed}", "%.11e" % 0.5)
+    header, rows = _read_csv(path)
+    row = dict(zip(header, rows[5]))  # file line 7
+    norm = sum(v * v for h, v in row.items() if h.startswith(("re_", "im_")))
+    verdict = {changed: f"FAIL traj_{changed}.csv: line 7: norm {norm:.9f} deviates from 1",
+               kept: f"ok   traj_{kept}.csv: 2926 rows, norm conserved"}
+    code, lines = _verify_lines(out)
+    assert code == 2
+    assert lines == ["ok   traj_00.csv: 2926 rows, norm conserved", verdict["01"],
+                     verdict["10"], "ok   traj_11.csv: 2926 rows, norm conserved",
+                     "ok   report.json: valid JSON", "verified 4 files, 1 failures"]
+    # the line it gets when checked alone
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(path, alone)
+    assert _verify_lines(alone)[1][0] == verdict[changed]
+
+
+def test_verify_streams_each_csv(tmp_path):
+    # verify holds two 64 KiB buffers and at most two parsed arrays (the one
+    # being loaded and, during the row checks, its squares); it never reads
+    # a whole file into memory: traj_11.csv alone is ~2 MB
+    out = tmp_path / "g"
+    assert _invoke(["cphase", "--set", "pulse_shape=gaussian", "--out", str(out)]).exit_code == 0
+    parsed = []
+    for path in out.glob("*.csv"):
+        header, rows = _read_csv(path)
+        parsed.append(len(rows) * (sum(h.startswith(("re_", "im_")) for h in header) + 1) * 8)
+    largest = max(p.stat().st_size for p in out.glob("*.csv"))
+    bound = 4 * _SCAN_BYTES + 2 * max(parsed)
+    assert largest > bound
+    _verify_lines(out)
+    tracemalloc.start()
+    try:
+        code, lines = _verify_lines(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and lines[-1] == "verified 5 files, 0 failures"
+    assert peak < bound
+
+
+def test_twin_trajectories_are_found_bit_for_bit(tmp_path):
+    basis = Basis(("a", "b"), "pair")
+    times = np.linspace(0.0, 1.0, 4)
+    states = np.array([[1.0, 0.0]] * 4, dtype=complex)
+    flipped = states.copy()
+    flipped[2, 1] = -0.0  # equal to 0.0, but it prints as -0.00000000000e+00
+    trajs = {name: Trajectory(times, s, basis, "lab")
+             for name, s in (("a.csv", states), ("b.csv", states), ("c.csv", flipped))}
+    _write_trajectories(tmp_path, trajs)
+    for name, traj in trajs.items():
+        columns = [times, traj.states[:, 0].real, traj.states[:, 0].imag,
+                   traj.states[:, 1].real, traj.states[:, 1].imag,
+                   accumulated_phase(traj, "a").values, np.full(4, math.nan)]
+        header = ["t_ps", "re_a", "im_a", "re_b", "im_b", "phase_a", "phase_b"]
+        assert (tmp_path / name).read_bytes() == _reference_csv(header, columns)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_verify_parses_a_header_with_a_carriage_return_alone(tmp_path):
+    # np.loadtxt reads the bare carriage return as a line end, so b.csv's
+    # second line is its header text: its rows must not borrow a.csv's parse
+    (tmp_path / "a.csv").write_bytes(b"t_ps,re_a,im_a\n0,0.6,0.8\n")
+    (tmp_path / "b.csv").write_bytes(b"x\rt_ps,re_b,im_b\n0,0.6,0.8\n")
+    code, lines = _verify_lines(tmp_path)
+    assert code == 2
+    assert lines == ["ok   a.csv: 1 rows, norm conserved",
+                     "FAIL b.csv: unparseable (line 2: could not convert string to float: "
+                     "'t_ps')",
+                     "verified 1 files, 1 failures"]
+

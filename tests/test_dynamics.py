@@ -214,6 +214,42 @@ def test_trajectory_validation_and_accessors():
         Trajectory(times, states, B2, LAB_FRAME, kind="mixed")
 
 
+def test_trajectory_adopts_frozen_arrays_and_copies_writeable_ones():
+    times = np.linspace(0.0, 1.0, 5)
+    states = np.tile(np.array([1.0, 0.0], dtype=complex), (5, 1))
+    traj = Trajectory(times, states, B2, LAB_FRAME)
+    assert not np.shares_memory(traj.states, states)
+    assert not np.shares_memory(traj.times, times)
+    states[:, 0] = 2.0
+    times[:] = 7.0
+    assert np.all(traj.states[:, 0] == 1.0) and traj.times[0] == 0.0
+    # another trajectory's arrays are read-only to the bottom: adopted
+    twin = Trajectory(traj.times, traj.states, B2, "other-frame")
+    assert twin.states is traj.states and twin.times is traj.times
+    # a read-only view of a writeable array is still copied
+    view = states.view()
+    view.setflags(write=False)
+    held = Trajectory(traj.times, view, B2, LAB_FRAME)
+    assert not np.shares_memory(held.states, states)
+    states[:, 1] = 3.0
+    assert np.all(held.states[:, 1] == 0.0)
+    # the wrong dtype is converted, not adopted
+    real = np.ones((5, 2))
+    real.setflags(write=False)
+    assert Trajectory(traj.times, real, B2, LAB_FRAME).states.dtype == complex
+
+
+def test_propagated_trajectories_hold_one_copy_of_their_states():
+    psi = [QuantumState.basis_state(B2, "g"), QuantumState.basis_state(B2, "e")]
+    h = OperatorMatrix(np.array([[0.0, 0.3], [0.3, 1.0]]), B2, hermitian=True)
+    ta, tb = evolve_schrodinger(h, psi, (0.0, 2.0))
+    assert ta.states.base is tb.states.base  # rows of the one solver array
+    assert not ta.states.base.flags.writeable
+    decay = CollapseChannel(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), B2), 0.5)
+    traj = evolve_lindblad(h, psi[1].density(), (0.0, 2.0), (decay,))
+    assert not traj.states.flags.writeable and traj.states.base is not None
+
+
 def test_lindblad_exponential_decay():
     gamma = 0.5
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -147,7 +147,7 @@ def test_chunked_and_unchunked_magnus_agree(monkeypatch):
 
 
 def test_gaussian_cphase_memory_is_its_states_plus_one_chunk():
-    # A run holds its states, which the trajectories copy, and one chunk's
+    # A run holds its states, which the trajectories adopt, and one chunk's
     # workspace: six (d, d) stacks, the node Hamiltonians (two more) and
     # the chained rows, about nine stacks of 2048 cells of the 4x4 block.
     # The 11 block's 9334 cells take five chunks; taking them in one, as
@@ -225,3 +225,11 @@ def test_spectator_b_trajectory_is_the_direct_propagation(shape):
     np.testing.assert_array_equal(trajs["10"].states, direct.states)
     assert dict(trajs["10"].metadata) == dict(direct.metadata)
 
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_idle_partner_trajectories_share_one_state_array(shape):
+    env = square_cphase_pulse(0.1) if shape == "square" else gaussian_cphase_pulse(0.1)
+    _, trajs = run_cphase(DotPairParams(), env)
+    assert trajs["10"].states is trajs["01"].states
+    assert trajs["10"].times is trajs["01"].times
+    assert not trajs["01"].states.flags.writeable

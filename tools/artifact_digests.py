@@ -11,13 +11,17 @@ Each invocation runs as ``python -m dotgates.cli`` in a fresh temporary
 directory, followed by ``verify`` of its output.  For every invocation the
 script prints the exit code, stdout and stderr (with the temporary
 directory replaced by ``<tmp>``), then ``sha256  relpath`` for every file
-written.  It needs nothing beyond the standard library and the package.
+written.  Last, it runs ``verify`` on a copy of ``cphase-square`` with one
+cell of ``traj_10.csv`` changed, whose data rows otherwise equal those of
+``traj_01.csv``.  It needs nothing beyond the standard library and the
+package.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -67,6 +71,15 @@ def digests(root: Path) -> list[str]:
             for p in sorted(root.rglob("*")) if p.is_file()]
 
 
+def edit_cell(path: Path, line: int, column: str, text: str) -> None:
+    """Replace one cell of a CSV; ``line`` counts the header as line 1."""
+    lines = path.read_text().split("\n")
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
@@ -79,6 +92,11 @@ def main() -> None:
             print(cli([*argv, "--out", str(out)], tmp), end="")
             print(f"=== verify {run}")
             print(cli(["verify", "--out", str(out)], tmp), end="")
+        edited = tmp / "edited"
+        shutil.copytree(tmp / "runs" / "cphase-square", edited)
+        edit_cell(edited / "traj_10.csv", 7, "re_10", "5.00000000000e-01")
+        print("=== verify cphase-square, traj_10.csv line 7 re_10 set to 0.5")
+        print(cli(["verify", "--out", str(edited)], tmp), end="")
         print("=== artifacts")
         print("\n".join(digests(tmp / "runs")))
 
