@@ -4,52 +4,37 @@
 :func:`evolve_lindblad` density matrices with collapse channels.  Both are
 the linear ODE ``y' = G(t) y``, ``G = -iH/hbar`` on a state vector or the
 Lindblad superoperator on row-major ``vec(rho)`` (Havel, J. Math. Phys. 44,
-534 (2003)), and hand it to one private core that samples a stack of start
-vectors on a regular grid with the method the structure of ``G`` allows,
-which ``Trajectory.metadata["propagator"]`` names:
+534 (2003)), solved by one private core for a stack of start vectors on a
+regular grid.  The input's structure picks the method, which
+``Trajectory.metadata["propagator"]`` names; a
+:class:`~dotgates.model.DrivenBlock` reports its own structure over the
+span (:meth:`~dotgates.model.DrivenBlock.structure`):
 
 =========================  =======  =========================================
 constant, ``H`` Hermitian  eigh     one ``eigh``, ``C = V^H y0``
 other constant             eig      one ``eig``, ``C = solve(V, y0)``
-declared ``period``        floquet  one period solve by the block's own
-                                    method, then its powers
-declared ``batched``       magnus4  fourth-order Magnus steps, chained
-anything else              DOP853   adaptive high-order Runge-Kutta
+block constant over span   eigh     its one matrix (a square envelope)
+block periodic over span   floquet  one period, then its powers (a square
+                                    envelope under a carrier)
+any other block            magnus4  fourth-order Magnus steps, chained
+any other callable         DOP853   adaptive high-order Runge-Kutta
 =========================  =======  =========================================
 
 Both spectral paths give ``y(t) = V (exp(t lam) * C)``; a Lindblad
-generator calls its ``eig`` path ``liouvillian-eig``.  Eigenvectors too
-ill-conditioned to trust hand the generator to DOP853.  Before any DOP853
-solve, ``|scale| max|G_ij| |t1 - t0|`` (for a callable, ``G`` taken at
-both ends and the breakpoints) bounds its explicit steps; a generator too
-stiff for that raises :class:`IntegrationError` at once.
-``batched`` declares a Hamiltonian that maps an array of times to its
-stack of matrices, as every :class:`~dotgates.model.DrivenBlock` does;
-every cell is evaluated, exponentiated and chained in batched numpy
-(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) by one driver,
-which takes the cells a chunk at a time whatever sample cells they fall
-in and refuses a run of too many cells before its first chunk.  A chunk
-is sized in bytes, not cells, and its buffers are allocated once per run,
-so a run holds its states plus about nine ``(d, d)`` stacks of
-``_MAGNUS_CHUNK_BYTES`` (~4.7 MB), however many cells it takes.  In a
-rotating frame one Magnus step per sample cell suffices (split where its
-exponent is too large).  In the lab frame the optical carrier, not the
-sample grid, sets the step: the cells are halved until the finer of two
-successive counts is within ``rtol`` at every sample (a fourth-order
-step leaves it a fifteenth of their difference off).  So are those of
-the one-period solve of a ``batched`` block with a declared ``period``,
-compared after the powers that carry it to every sample (Shirley, Phys.
-Rev. 138, B979 (1965)); DOP853 solves that period for any other
-callable.  Every adaptive solve (arbitrary callables, a scalar
-``period`` callable, an ill-conditioned constant) runs through one
-helper, restarting at the ``breakpoints`` of a pulse instead of stepping
-across a kink.  Several states on one basis and frame share one run of
-the method; given the basis states, the trajectories are the columns of
-the propagator.  Every pure state must keep unit norm and every density
-trajectory unit trace (:func:`check_drift`) and positivity, and a ``nan``
-fails each check; a positivity check is one batched Cholesky factorization
-per chunk of samples, and only a failing chunk pays for the exact
-eigenvalues.
+generator calls its ``eig`` path ``liouvillian-eig``, and eigenvectors too
+ill-conditioned to trust hand it to DOP853.  Magnus cells are evaluated,
+exponentiated and chained in batched numpy (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009)), a chunk of bounded bytes at a time.  In a
+rotating frame one step per sample cell suffices (split where its exponent
+is too large).  In the lab frame the optical carrier sets the step: the
+cells are halved until the finer of two successive counts is within
+``rtol`` at every sample, the one-period Floquet solve compared after the
+powers that carry it there (Shirley, Phys. Rev. 138, B979 (1965)).  A
+block's envelope edges join the ``breakpoints``, where the sample grid
+gets a point and DOP853 restarts instead of stepping across a kink.
+Several states on one basis and frame share one run of the method.  Every
+pure state must keep unit norm and every density trajectory unit trace
+(:func:`check_drift`) and positivity, and a ``nan`` fails each check.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
 exact for piecewise-constant Hamiltonians and is what the regression tests
@@ -179,15 +164,15 @@ class IntegratorConfig:
     ``sample_interval`` controls how densely the solution is stored, and
     on the rotating-frame Magnus path it is also the step (split into
     substeps where one step would be too large).  On the lab-frame Magnus
-    path (and the one-period solve of a batched block) the Magnus cells
-    double until the finer count is within ``rtol``, and ``max_step``
-    caps a cell's width; ``atol`` is not read there.  A Magnus run in
-    either frame that would take more than ``_MAX_MAGNUS_STEPS`` cells
-    raises :class:`IntegrationError` instead.  ``rtol``, ``atol`` and
-    ``max_step`` govern the DOP853 solves: arbitrary callables, the
-    carrier period of a callable that is not batched, and an
-    ill-conditioned constant generator.  The exact ``eigh`` and ``eig``
-    paths and the rotating-frame Magnus path read none of them.
+    path, the one-period solve of a periodic block among them, the Magnus
+    cells double until the finer count is within ``rtol``, and
+    ``max_step`` caps a cell's width; ``atol`` is not read there.  A
+    Magnus run in either frame that would take more than
+    ``_MAX_MAGNUS_STEPS`` cells raises :class:`IntegrationError` instead.
+    ``rtol``, ``atol`` and ``max_step`` govern the DOP853 solves: a
+    callable that is not a block and an ill-conditioned constant
+    generator.  The exact ``eigh`` and ``eig`` paths and the
+    rotating-frame Magnus path read none of them.
     """
 
     rtol: float = 1e-9
@@ -722,17 +707,17 @@ def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
 def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
                y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig,
                breakpoints: Sequence[float] = (), period: float | None = None,
-               batched: bool = False, refine: bool = False,
-               eig_name: str = "eig") -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+               ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Solve ``y' = scale * gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
 
-    ``gen`` is a constant ``(D, D)`` matrix or a callable ``t -> matrix``;
-    the method follows its structure as the module docstring tables, and
-    ``eig_name`` names the ``eig`` path.  ``refine`` (a lab-frame block)
-    refines the Magnus cells of a ``batched`` ``gen`` to ``cfg.rtol``
-    instead of taking one per sample cell.  Returns the sample times, the
-    ``(k, n, D)`` states and the metadata (``propagator``, with ``nfev``
-    and ``substeps`` where they apply; none for a zero-length span).
+    ``gen`` is a constant ``(D, D)`` matrix, a Schrodinger
+    :class:`~dotgates.model.DrivenBlock` or any other callable, routed as
+    the module docstring tables.  A ``period`` declares ``gen`` periodic:
+    a forward span of at least one period takes Floquet, the one period
+    solved by Magnus for a block and by DOP853 for any other callable.
+    Returns the sample times, the ``(k, n, D)`` states and the metadata
+    (``propagator``, with ``nfev`` and ``substeps`` where they apply; none
+    for a zero-length span).
     """
     if t0 == t1:
         return np.array([t0]), y0[:, None, :], {}
@@ -744,7 +729,7 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
             name, (lam, v) = "eigh", np.linalg.eigh(gen)
             coeffs = [v.conj().T @ y for y in y0]
         else:
-            name, (lam, v) = eig_name, np.linalg.eig(gen)
+            name, (lam, v) = "eig", np.linalg.eig(gen)
             trusted = np.linalg.cond(v) <= _MAX_EIGVEC_COND
             coeffs = [np.linalg.solve(v, y) for y in y0] if trusted else None
         if coeffs is not None:
@@ -757,22 +742,22 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
                 np.matmul(growth * c, v.T, out=states[j])
             states[:, 0] = y0
             return times, states, {"propagator": name}
-    elif period is not None and not interior and t1 - t0 >= period:
+    elif period is not None and t1 - t0 >= period:
         offsets, assemble = _floquet_offsets(times, period)
 
         def shifted(s: np.ndarray) -> np.ndarray:
             return gen(t0 + s)
 
-        if batched:
+        if isinstance(gen, DrivenBlock):
             u, meta = _refined_magnus(shifted, offsets, d, cfg, assemble)
         else:
             flat, nfev = _integrate(shifted, scale, np.eye(d, dtype=complex), offsets, [], cfg)
             u, meta = assemble(flat.reshape(-1, d, d)), {"nfev": nfev}
         return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", **meta}
-    elif batched and refine:
+    elif isinstance(gen, DrivenBlock) and gen.frame == LAB_FRAME:
         u, meta = _refined_magnus(gen, times, d, cfg)
         return times, np.stack([u @ y for y in y0]), {"propagator": "magnus4", **meta}
-    elif batched:
+    elif isinstance(gen, DrivenBlock):
         states, nfev, substeps = _magnus_states(gen, y0, times)
         return times, states, {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
     matrices = gen if callable(gen) else lambda t: gen
@@ -785,26 +770,16 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
 def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState],
                        t_span: tuple[float, float],
                        config: IntegratorConfig | None = None,
-                       breakpoints: Sequence[float] = (),
-                       period: float | None = None,
-                       batched: bool = False) -> Trajectory | list[Trajectory]:
+                       breakpoints: Sequence[float] = ()) -> Trajectory | list[Trajectory]:
     """Propagate ``i hbar dpsi/dt = H(t) psi`` over ``t_span``.
 
     ``h_of_t`` is a constant :class:`OperatorMatrix` or a
     :class:`~dotgates.model.DrivenBlock`, whose basis and frame must be the
-    states', or a bare ndarray or callable of time, checked for shape only;
-    the method follows its structure as the module docstring tables.  With
-    ``batched`` the caller declares that ``h_of_t`` maps a 1-d array of
-    ``n`` times to the ``(n, d, d)`` stack of Hermitian matrices, as every
-    ``DrivenBlock`` does; it then runs on the Magnus path, one step per
-    sample cell in a rotating frame, and in the lab frame as many steps as
-    ``rtol`` asks (the count doubles until the finer of two successive
-    counts is within ``rtol`` at every sample; ``max_step`` caps a step).
-    A ``period`` takes the Floquet path when there are no interior
-    breakpoints and the span covers at least one period: the propagator
-    over the first period of ``t_span``, from that refined Magnus run when
-    ``batched`` and from DOP853 otherwise, then its powers.  ``t_span`` may
-    run backwards for time-reversed evolution.
+    states', or a bare ndarray or callable of time, checked for shape only.
+    What it is picks the method, as the module docstring tables: a block
+    takes the method its ``structure`` over the span allows, with its own
+    ``breakpoints`` joining ``breakpoints``.  ``t_span`` may run backwards
+    for time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
@@ -828,8 +803,16 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
     h = _as_matrix_fn(h_of_t, basis, frame, t0)
+    period = None
+    if isinstance(h, DrivenBlock):
+        breakpoints = (*breakpoints, *h.breakpoints())
+        found = h.structure(t0, t1)
+        if isinstance(found, np.ndarray):
+            h = found
+        else:
+            period = found
     times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg, breakpoints,
-                                     period, batched, refine=frame == LAB_FRAME)
+                                     period)
     for s in states:
         check_drift(np.linalg.norm(s, axis=1))
     states.setflags(write=False)  # a fresh array: the trajectories adopt its rows
@@ -886,7 +869,9 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     gen = _liouvillian(h, ops) if isinstance(h, np.ndarray) else (
         lambda t: _liouvillian(h(t), ops))
     times, states, meta = _propagate(gen, 1.0, rho0.matrix.reshape(1, d * d), t0, t1, cfg,
-                                     breakpoints, eig_name="liouvillian-eig")
+                                     breakpoints)
+    if meta.get("propagator") == "eig":
+        meta["propagator"] = "liouvillian-eig"
     states.setflags(write=False)  # a fresh array: the trajectory adopts it
     traj = Trajectory(times, states[0].reshape(times.size, d, d), rho0.basis, rho0.frame,
                       "density", meta)

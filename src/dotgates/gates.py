@@ -340,24 +340,14 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
             )
 
     t0, t1 = envelope.support()
-    omega_l = p.omega_a + p.v_f
-    frame = rotating_frame_tag(omega_l)
-    bps = envelope.breakpoints()
+    frame = rotating_frame_tag(p.omega_a + p.v_f)
 
-    h11 = rwa_subspace_generator(p, envelope)
-    spect = spectator_generator(p, envelope)
-    if isinstance(envelope, SquarePulse):
-        # constant over the support: hand over the matrices for exact eigh
-        mid = 0.5 * (t0 + t1)
-        h11, spect = h11(mid), spect(mid)
     def block(h, basis: Basis, label: str) -> Trajectory:
-        # a driven block maps an array of times to its stack of matrices;
-        # the square pulse's matrices take eigh regardless
-        return evolve_schrodinger(h, QuantumState.basis_state(basis, label, frame),
-                                  (t0, t1), cfg, breakpoints=bps, batched=True)
+        state = QuantumState.basis_state(basis, label, frame)
+        return evolve_schrodinger(h, state, (t0, t1), cfg)
 
-    traj_11 = block(h11, PSI_SUBSPACE, "11")
-    traj_01 = block(spect, SPECTATOR_A_IDLE, "01")
+    traj_11 = block(rwa_subspace_generator(p, envelope), PSI_SUBSPACE, "11")
+    traj_01 = block(spectator_generator(p, envelope), SPECTATOR_A_IDLE, "01")
     # both idle blocks hold the same matrix and start in their first level
     traj_10 = Trajectory(traj_01.times, traj_01.states, SPECTATOR_B_IDLE, frame, "pure",
                          traj_01.metadata)
@@ -498,8 +488,8 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     during the wait is cancelled by the second pulse instead of imprinted.
     A second, zero-wait run provides the baseline pulse-pair phase, which
     is subtracted so the reported phase isolates the wait contribution.
-    All three pulses take their states from one propagator, built on the
-    batched Magnus path (over one carrier period for a square pulse).
+    All three pulses take their states from one propagator, which the
+    pulse's block routes (Floquet for a square pulse, Magnus otherwise).
 
     Returns the report and the full lab-frame trajectory of the main run.
     """
@@ -519,19 +509,15 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     a0, a1 = gate.amplitudes
     psi0 = np.array([a0, a1, 0.0], dtype=complex)
 
-    # a square envelope leaves only the carrier, periodic from its origin
-    period = _TWO_PI * HBAR_MEV_PS / p.omega_a if isinstance(pulse, SquarePulse) else None
-
     # Every pulse restarts the carrier with its envelope, so its H depends
     # only on the time since it began: one propagator U(t - t0), whose
     # columns are the runs from the three basis states, serves all three
-    # pulses as U @ start.  Both envelopes map arrays of times, so the block
-    # is batched: Magnus steps refined to rtol, over one period or the span.
+    # pulses as U @ start.
     drive = LaserDrive(pulse, p.omega_a, carrier_origin=t0)
     columns = evolve_schrodinger(
         lab_single_dot_generator(p.omega_a, drive),
         [QuantumState.basis_state(SINGLE_DOT, lbl) for lbl in SINGLE_DOT.labels],
-        (t0, t1), cfg, breakpoints=pulse.breakpoints(), period=period, batched=True)
+        (t0, t1), cfg)
     u = np.stack([c.states for c in columns], axis=2)
     offsets = columns[0].times - t0
     meta = columns[0].metadata

@@ -219,7 +219,8 @@ class GaussianPulse:
 
 @dataclass(frozen=True)
 class LaserDrive:
-    """Envelope plus carrier: ``Omega(t) * cos(omega_l * (t - origin) / hbar)``.
+    """Envelope plus carrier: called at ``t``, the field
+    ``Omega(t) * cos(omega_l * (t - origin) / hbar)``.
 
     ``carrier_origin`` sets where the carrier phase is zero.  Pulses that
     are supposed to be phase-coherent must share one origin; protocols that
@@ -234,7 +235,7 @@ class LaserDrive:
         if self.omega_l <= 0:
             raise ValueError("omega_l must be positive")
 
-    def field(self, t: float | np.ndarray) -> float | np.ndarray:
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
         if isinstance(t, np.ndarray):
             return self.envelope(t) * np.cos(
                 self.omega_l * (t - self.carrier_origin) / HBAR_MEV_PS)
@@ -248,13 +249,15 @@ class DrivenBlock:
     """A driven block ``H(t) = h0 + f(t) v`` in a fixed basis and frame.
 
     ``h0`` holds the static energies and couplings, ``v`` the drive
-    operator and ``f`` the real drive amplitude (a lab-frame field or a
-    rotating-frame envelope).  Calling the block gives the bare matrix, as
-    integrators want it; :meth:`at` wraps the same matrix as a Hermitian
-    :class:`~dotgates.operators.OperatorMatrix`.  Called with a 1-d array
-    of ``n`` times, the block returns the ``(n, d, d)`` stack, provided
-    ``f`` maps the array to its ``n`` values (as both pulse shapes and
-    :meth:`LaserDrive.field` do).
+    operator and ``f`` the real drive amplitude (a lab-frame
+    :class:`LaserDrive` or a rotating-frame envelope).  Calling the block
+    gives the bare matrix, as integrators want it; :meth:`at` wraps the
+    same matrix as a Hermitian :class:`~dotgates.operators.OperatorMatrix`.
+    Called with a 1-d array of ``n`` times, the block returns the
+    ``(n, d, d)`` stack, provided ``f`` maps the array to its ``n`` values
+    (as both pulse shapes and a :class:`LaserDrive` do).  The propagators
+    ask :meth:`structure` which exact method fits a span and
+    :meth:`breakpoints` where not to step across a kink.
     """
 
     basis: Basis
@@ -274,6 +277,31 @@ class DrivenBlock:
 
     def at(self, t: float) -> OperatorMatrix:
         return OperatorMatrix(self(t), self.basis, self.frame, hermitian=True)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """The kinks of the envelope, bare or under a carrier; none for any other ``f``."""
+        env = getattr(self.f, "envelope", self.f)
+        return env.breakpoints() if isinstance(env, (SquarePulse, GaussianPulse)) else ()
+
+    def structure(self, t0: float, t1: float) -> np.ndarray | float | None:
+        """What ``H`` is over the span from ``t0`` to ``t1``.
+
+        A square envelope whose support covers the span leaves ``H``
+        constant there when ``f`` is the envelope itself: the result is that
+        one matrix, ``H`` at the span's midpoint.  Under a carrier it
+        leaves ``H`` periodic: the result is the carrier period
+        ``2 pi hbar / omega_l``.  A span past the support, or any other
+        envelope, gives ``None``.
+        """
+        env = getattr(self.f, "envelope", self.f)
+        if not isinstance(env, SquarePulse):
+            return None
+        lo, hi = env.support()
+        if not lo <= min(t0, t1) <= max(t0, t1) <= hi:
+            return None
+        if env is self.f:
+            return self(0.5 * (t0 + t1))
+        return 2.0 * math.pi * HBAR_MEV_PS / self.f.omega_l
 
 
 def _coupling(basis: Basis, pairs: tuple[tuple[str, str], ...],
@@ -299,15 +327,14 @@ def lab_pair_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlock:
     op3 = _coupling(SINGLE_DOT, (("1", "X"),))
     eye = np.eye(3, dtype=complex)
     v = np.kron(op3, eye) + np.kron(eye, op3)
-    return DrivenBlock(TWO_DOT, LAB_FRAME, h0, v, drive.field)
+    return DrivenBlock(TWO_DOT, LAB_FRAME, h0, v, drive)
 
 
 def lab_single_dot_generator(omega_a: float, drive: LaserDrive) -> DrivenBlock:
     """Lab-frame 3x3 block of one driven dot: ``X`` at ``omega_a``, the
     field on ``1 <-> X`` and ``0`` dark."""
     h0 = np.diag(np.array([0.0, 0.0, omega_a], dtype=complex))
-    return DrivenBlock(SINGLE_DOT, LAB_FRAME, h0, _coupling(SINGLE_DOT, (("1", "X"),)),
-                       drive.field)
+    return DrivenBlock(SINGLE_DOT, LAB_FRAME, h0, _coupling(SINGLE_DOT, (("1", "X"),)), drive)
 
 
 # the drive couples 11 and XX only to psi+; psi- is dark
@@ -326,7 +353,7 @@ def lab_psi_subspace_generator(p: DotPairParams, drive: LaserDrive) -> DrivenBlo
     h0 = np.diag(np.array(
         [0.0, p.omega_a + p.v_f, p.omega_a - p.v_f, 2.0 * p.omega_a + p.v_xx], dtype=complex))
     return DrivenBlock(PSI_SUBSPACE, LAB_FRAME, h0,
-                       _coupling(PSI_SUBSPACE, _PSI_PLUS_COUPLINGS, _SQRT2), drive.field)
+                       _coupling(PSI_SUBSPACE, _PSI_PLUS_COUPLINGS, _SQRT2), drive)
 
 
 def rwa_subspace_generator(p: DotPairParams,

@@ -23,8 +23,13 @@ from dotgates.model import (
     PSI_SUBSPACE,
     SPECTATOR_B_IDLE,
     DotPairParams,
+    RAMAN_LEVELS,
+    DrivenBlock,
+    GaussianPulse,
     LaserDrive,
     SquarePulse,
+    lab_single_dot_generator,
+    raman_hamiltonian,
     rwa_subspace_generator,
     spectator_generator,
 )
@@ -151,17 +156,17 @@ def test_driven_block_basis_and_frame_are_checked():
     rotating = rwa_subspace_generator(p, env)
     lab_state = QuantumState.basis_state(PSI_SUBSPACE, "11")
     with pytest.raises(BasisMismatchError):
-        evolve_schrodinger(rotating, lab_state, (0.0, 2.0), batched=True)
+        evolve_schrodinger(rotating, lab_state, (0.0, 2.0))
     # the default spectator block has dot a idle, not dot b
     idle_a = spectator_generator(p, env)
     idle_b_state = QuantumState.basis_state(SPECTATOR_B_IDLE, "10", idle_a.frame)
     with pytest.raises(BasisMismatchError):
-        evolve_schrodinger(idle_a, idle_b_state, (0.0, 2.0), batched=True)
+        evolve_schrodinger(idle_a, idle_b_state, (0.0, 2.0))
     with pytest.raises(BasisMismatchError):
         evolve_lindblad(idle_a, idle_b_state.density(), (0.0, 2.0))
     # the matching labels pass; a plain callable is checked for shape only
     ok = QuantumState.basis_state(PSI_SUBSPACE, "11", rotating.frame)
-    traj = evolve_schrodinger(rotating, ok, (0.0, 2.0), batched=True)
+    traj = evolve_schrodinger(rotating, ok, (0.0, 2.0))
     assert traj.frame == rotating.frame
     evolve_schrodinger(lambda t: rotating(t), lab_state, (0.0, 0.1))
 
@@ -286,9 +291,9 @@ def test_lindblad_without_channels_matches_schrodinger():
                              channels=(CollapseChannel(lower, 0.0),))
     np.testing.assert_allclose(mixed2.states[-1], mixed.states[-1], atol=1e-9)
     # a time-dependent H: the Liouvillian is rebuilt at every evaluation
-    h_t, _ = _periodic_two_level()
-    pure = evolve_schrodinger(h_t, psi0, (0.0, 4.0))
-    mixed = evolve_lindblad(h_t, psi0.density(), (0.0, 4.0))
+    block, _ = _carrier_two_level()
+    pure = evolve_schrodinger(lambda t: block(t), psi0, (0.0, 4.0))
+    mixed = evolve_lindblad(block, psi0.density(), (0.0, 4.0))
     assert mixed.metadata["propagator"] == "DOP853"
     psi = pure.states
     np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
@@ -485,26 +490,22 @@ def test_stiff_time_dependent_liouvillian_raises_at_once(monkeypatch):
 
 
 def test_periodic_hamiltonian_floquet_matches_adaptive():
-    w = 40.0  # meV carrier; the period is 2 pi hbar / w
-    period = 2.0 * math.pi * HBAR_MEV_PS / w
-
-    def h(t):
-        c = 0.8 * math.cos(w * t / HBAR_MEV_PS)
-        return np.array([[0.0, c], [c, w]], dtype=complex)
-
+    h, period = _carrier_two_level()
     psi0 = QuantumState(np.array([0.6, 0.8j]), B2)
     span = (0.3, 0.3 + 7.4 * period)
-    flo = evolve_schrodinger(h, psi0, span, period=period)
-    ref = evolve_schrodinger(h, psi0, span, IntegratorConfig(rtol=1e-12, atol=1e-14))
+    flo = evolve_schrodinger(h, psi0, span)
+    ref = evolve_schrodinger(lambda t: h(t), psi0, span,
+                             IntegratorConfig(rtol=1e-12, atol=1e-14))
     assert flo.metadata["propagator"] == "floquet"
     assert 0 < flo.metadata["nfev"] < ref.metadata["nfev"]
     np.testing.assert_array_equal(flo.times, ref.times)
     np.testing.assert_allclose(flo.states, ref.states, atol=1e-8)
-    # less than one period, or an interior kink, keeps the adaptive path
-    short = evolve_schrodinger(h, psi0, (0.3, 0.3 + 0.5 * period), period=period)
-    assert short.metadata["propagator"] == "DOP853"
-    kinked = evolve_schrodinger(h, psi0, span, period=period, breakpoints=(1.0,))
-    assert kinked.metadata["propagator"] == "DOP853"
+    # less than one period takes Magnus; the block, not a caller's interior
+    # breakpoint, says where its envelope is flat
+    short = evolve_schrodinger(h, psi0, (0.3, 0.3 + 0.5 * period))
+    assert short.metadata["propagator"] == "magnus4"
+    kinked = evolve_schrodinger(h, psi0, span, breakpoints=(1.0,))
+    assert kinked.metadata["propagator"] == "floquet"
 
 
 def test_sample_grid_cap_allocates_nothing():
@@ -522,53 +523,117 @@ def _random_states(rng, basis, k):
     return states
 
 
-def _periodic_two_level(w=40.0):
-    def h(t):
-        c = 0.8 * math.cos(w * t / HBAR_MEV_PS)
-        return np.array([[0.0, c], [c, w]], dtype=complex)
+def _carrier_two_level(w=40.0):
+    """``[[0, c], [c, w]]`` with ``c = 0.8 cos(w t / hbar)`` while a long
+    square envelope lasts, and its carrier period."""
+    block = DrivenBlock(B2, LAB_FRAME, np.diag([0.0, w]).astype(complex),
+                        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+                        LaserDrive(SquarePulse(0.8, 100.0), w))
+    return block, 2.0 * math.pi * HBAR_MEV_PS / w
 
-    return h, 2.0 * math.pi * HBAR_MEV_PS / w
 
-
-def _batched_three_level():
+def _smooth_three_level():
     rng = np.random.default_rng(12)
     h0, v = _random_hermitian(rng, 3), _random_hermitian(rng, 3, 0.5)
-
-    def h(t):
-        f = np.exp(-((np.asarray(t) - 1.0) ** 2))
-        return h0 + f[..., None, None] * v
-
-    return h
+    return DrivenBlock(B3, LAB_FRAME, h0, v, lambda t: np.exp(-((t - 1.0) ** 2)))
 
 
 @pytest.mark.parametrize("path", ["eigh", "magnus4", "floquet", "DOP853"])
 def test_several_states_match_single_state_calls(path):
     rng = np.random.default_rng(21)
-    span, kwargs, cfg = (0.1, 2.3), {}, IntegratorConfig()
+    span, cfg = (0.1, 2.3), IntegratorConfig()
     if path == "eigh":
         basis, h = B3, OperatorMatrix(_random_hermitian(rng, 3), B3, hermitian=True)
     elif path == "magnus4":
-        basis, h, kwargs = B3, _batched_three_level(), {"batched": True}
+        basis, h = B3, _smooth_three_level()
     elif path == "floquet":
-        h, period = _periodic_two_level()
-        basis, kwargs = B2, {"period": period}
-        span = (0.3, 0.3 + 7.4 * period)
+        h, period = _carrier_two_level()
+        basis, span = B2, (0.3, 0.3 + 7.4 * period)
     else:
-        basis, h = B3, _batched_three_level()
+        block = _smooth_three_level()
+        basis, h = B3, lambda t: block(t)
         # separate solves take separate steps: compare at a tolerance where
         # both sit far below 1e-12
         cfg = IntegratorConfig(rtol=1e-13, atol=1e-16)
     states = _random_states(rng, basis, 3)
-    joint = evolve_schrodinger(h, states, span, cfg, **kwargs)
+    joint = evolve_schrodinger(h, states, span, cfg)
     assert isinstance(joint, list) and len(joint) == 3
     for traj, psi0 in zip(joint, states):
-        alone = evolve_schrodinger(h, psi0, span, cfg, **kwargs)
+        alone = evolve_schrodinger(h, psi0, span, cfg)
         assert traj.metadata["propagator"] == alone.metadata["propagator"] == path
         np.testing.assert_array_equal(traj.times, alone.times)
         if path == "DOP853":
             np.testing.assert_allclose(traj.states, alone.states, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(traj.states, alone.states)
+
+
+_SQUARE = SquarePulse(amplitude=0.2, duration=3.0, t_start=1.0)
+_GAUSSIAN = GaussianPulse(peak=0.2, sigma=0.5, center=3.0)
+_CARRIER = 40.0  # meV; a carrier period of 0.103 ps
+
+
+def _rotating(env):
+    return rwa_subspace_generator(DotPairParams(), env)
+
+
+def _lab(env):
+    return lab_single_dot_generator(_CARRIER, LaserDrive(env, _CARRIER, env.support()[0]))
+
+
+def _pure(h, span, like=None, cfg=None, breakpoints=()):
+    """A call that evolves the second basis state of ``like`` (``h`` by default)."""
+    block = like or h
+    psi0 = QuantumState.basis_state(block.basis, block.basis.labels[1], block.frame)
+    return lambda: evolve_schrodinger(h, psi0, span, cfg, breakpoints)
+
+
+def _raman():
+    sink = np.zeros((4, 4), dtype=complex)
+    sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
+    rho0 = QuantumState.basis_state(RAMAN_LEVELS, "0", "rotating@laser").density()
+    return evolve_lindblad(raman_hamiltonian(1.33, 4.0), rho0, (0.0, 5.0),
+                           (CollapseChannel(sink, 0.1),))
+
+
+_TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
+_PAST = (0.503, 4.497)  # past both edges of _SQUARE's support, inside sample cells
+
+# input, its method, and a reference it must match to atol (0: bit for bit)
+ROUTES = {
+    "rotating square inside its support": (
+        _pure(_rotating(_SQUARE), (1.0, 4.0)), "eigh",
+        _pure(_rotating(_SQUARE)(2.5), (1.0, 4.0), _rotating(_SQUARE)), 0.0),
+    "rotating square past its support": (
+        _pure(_rotating(_SQUARE), _PAST), "magnus4",
+        _pure(lambda t: _rotating(_SQUARE)(t), _PAST, _rotating(_SQUARE), _TIGHT,
+              _SQUARE.breakpoints()), 1e-8),
+    "lab square over many carrier periods": (
+        _pure(_lab(_SQUARE), (1.0, 4.0)), "floquet", None, None),
+    "lab square shorter than one carrier period": (
+        _pure(_lab(SquarePulse(0.2, 0.05, 1.0)), (1.0, 1.05)), "magnus4", None, None),
+    "rotating gaussian": (_pure(_rotating(_GAUSSIAN), _GAUSSIAN.support()), "magnus4",
+                          None, None),
+    "lab gaussian": (_pure(_lab(_GAUSSIAN), _GAUSSIAN.support()), "magnus4", None, None),
+    "plain callable": (
+        _pure(lambda t: np.diag([0.0, 1.0, t]).astype(complex), (0.0, 1.0), _lab(_SQUARE)),
+        "DOP853", None, None),
+    "block behind a plain callable": (
+        _pure(lambda t: _rotating(_SQUARE)(t), (1.0, 4.0), _rotating(_SQUARE)), "DOP853",
+        None, None),
+    "constant Raman Liouvillian": (_raman, "liouvillian-eig", None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTES))
+def test_each_input_takes_the_method_its_structure_allows(case):
+    run, propagator, reference, atol = ROUTES[case]
+    traj = run()
+    assert traj.metadata["propagator"] == propagator
+    if reference is not None:
+        ref = reference()
+        np.testing.assert_array_equal(traj.times, ref.times)
+        np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=atol)
 
 
 def test_several_states_are_checked_and_must_share_basis_and_frame():

@@ -281,8 +281,8 @@ def test_run_z_rotation_floquet_matches_tight_adaptive(monkeypatch, omega_a, rab
     fast, traj = run_z_rotation(pair, gate)
     assert traj.metadata["propagator"] == "floquet"
 
-    def adaptive(*args, period=None, batched=False, **kwargs):
-        return evolve_schrodinger(*args, **kwargs)
+    def adaptive(h, *args, **kwargs):
+        return evolve_schrodinger((lambda t: h(t)) if callable(h) else h, *args, **kwargs)
 
     monkeypatch.setattr(gates, "evolve_schrodinger", adaptive)
     tight, ref = run_z_rotation(pair, gate, IntegratorConfig(rtol=1e-13, atol=1e-15))
@@ -314,10 +314,14 @@ def test_run_z_rotation_matches_tight_reference(monkeypatch, shape, omega_a, dt)
     fast, traj = run_z_rotation(pair, gate, cfg)
     assert traj.metadata["propagator"] == ("floquet" if shape == "square" else "magnus4")
 
-    def adaptive(*args, batched=False, **kwargs):
-        return evolve_schrodinger(*args, **kwargs)
+    # a plain callable in place of the block takes DOP853, over the one
+    # carrier period the block declares
+    propagate = dynamics._propagate
 
-    monkeypatch.setattr(gates, "evolve_schrodinger", adaptive)
+    def adaptive(gen, *args, **kwargs):
+        return propagate((lambda t: gen(t)) if callable(gen) else gen, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_propagate", adaptive)
     tight = IntegratorConfig(rtol=1e-13, atol=1e-15, sample_interval=dt)
     slow, ref = run_z_rotation(pair, gate, tight)
     assert ref.metadata["propagator"] == ("floquet" if shape == "square" else "DOP853")
@@ -366,9 +370,9 @@ def test_run_z_rotation_second_pulse_matches_its_own_solve(shape):
     lo, hi = second.support()
     start = traj.states[np.flatnonzero(traj.times == t1 + wait)[0]]
     drive = LaserDrive(second, pair.omega_a, carrier_origin=lo)
-    own = evolve_schrodinger(lab_single_dot_generator(pair.omega_a, drive),
-                             QuantumState(start, SINGLE_DOT), (lo, hi), tight,
-                             breakpoints=second.breakpoints())
+    block = lab_single_dot_generator(pair.omega_a, drive)
+    own = evolve_schrodinger(lambda t: block(t), QuantumState(start, SINGLE_DOT), (lo, hi),
+                             tight, breakpoints=second.breakpoints())
     np.testing.assert_allclose(traj.states[-1], own.states[-1], rtol=0, atol=1e-10)
     assert traj.times[-1] == pytest.approx(hi, abs=1e-12)
 

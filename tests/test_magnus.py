@@ -19,6 +19,7 @@ from dotgates.model import (
     PSI_SUBSPACE,
     SPECTATOR_B_IDLE,
     DotPairParams,
+    DrivenBlock,
     GaussianPulse,
     rwa_subspace_generator,
     spectator_generator,
@@ -27,8 +28,8 @@ from dotgates.operators import HBAR_MEV_PS, Basis, QuantumState
 
 def tight_dop853_cphase(p, env, sample_interval=0.01):
     """``run_cphase`` with every block on DOP853 at rtol 1e-13."""
-    def adaptive(*args, batched=False, **kwargs):
-        return evolve_schrodinger(*args, **kwargs)
+    def adaptive(h, *args, **kwargs):
+        return evolve_schrodinger(lambda t: h(t), *args, **kwargs)
 
     cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, sample_interval=sample_interval)
     with pytest.MonkeyPatch.context() as mp:
@@ -81,7 +82,7 @@ def test_magnus_refuses_a_step_beyond_the_substep_limit():
     block = rwa_subspace_generator(DotPairParams(v_xx=1e7), env)
     psi0 = QuantumState.basis_state(PSI_SUBSPACE, "11", block.frame)
     with pytest.raises(IntegrationError, match="substeps"):
-        evolve_schrodinger(block, psi0, env.support(), batched=True)
+        evolve_schrodinger(block, psi0, env.support())
 
 
 def test_batched_calls_match_stacked_scalar_calls():
@@ -174,9 +175,8 @@ def test_magnus_guard_restarts_off_the_grid_keep_the_time(monkeypatch):
     sz = np.diag([1.0, -1.0]).astype(complex)
     rate = 7.0
 
-    def ramp(t):
-        return (rate * np.asarray(t, dtype=float))[..., None, None] * sz
-
+    ramp = DrivenBlock(basis, "rotating@0", np.zeros((2, 2), dtype=complex), sz,
+                       lambda t: rate * np.asarray(t, dtype=float))
     psi0 = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2.0), basis, "rotating@0")
     cfg = IntegratorConfig(sample_interval=0.2)
     calls = []
@@ -186,10 +186,10 @@ def test_magnus_guard_restarts_off_the_grid_keep_the_time(monkeypatch):
         calls.append((substeps, lo))
         return split(grid, substeps, lo, hi)
 
-    whole = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg, batched=True)
+    whole = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg)
     monkeypatch.setattr(dynamics, "_MAGNUS_CHUNK_BYTES", 7 * 16 * 2 * 2)
     monkeypatch.setattr(dynamics, "_split_cells", spy)
-    chunked = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg, batched=True)
+    chunked = evolve_schrodinger(ramp, psi0, (0.0, 10.0), cfg)
     phase = rate * chunked.times ** 2 / (2.0 * HBAR_MEV_PS)
     exact = psi0.amplitudes * np.exp(-1j * np.outer(phase, [1.0, -1.0]))
     np.testing.assert_allclose(chunked.states, exact, rtol=0, atol=1e-11)
@@ -203,8 +203,8 @@ def test_magnus_runs_backwards_in_time():
     block = rwa_subspace_generator(DotPairParams(), env)
     t0, t1 = env.support()
     psi0 = QuantumState.basis_state(PSI_SUBSPACE, "11", block.frame)
-    fwd = evolve_schrodinger(block, psi0, (t0, t1), batched=True)
-    back = evolve_schrodinger(block, fwd.final_state(), (t1, t0), batched=True)
+    fwd = evolve_schrodinger(block, psi0, (t0, t1))
+    back = evolve_schrodinger(block, fwd.final_state(), (t1, t0))
     np.testing.assert_allclose(back.states[-1], psi0.amplitudes, atol=1e-12)
 
 
@@ -214,12 +214,8 @@ def test_spectator_b_trajectory_is_the_direct_propagation(shape):
     env = square_cphase_pulse(0.1) if shape == "square" else gaussian_cphase_pulse(0.1)
     _, trajs = run_cphase(p, env)
     h = spectator_generator(p, env, "b")
-    t0, t1 = env.support()
-    if shape == "square":
-        h = h(0.5 * (t0 + t1))
     psi0 = QuantumState.basis_state(SPECTATOR_B_IDLE, "10", trajs["10"].frame)
-    direct = evolve_schrodinger(h, psi0, (t0, t1), breakpoints=env.breakpoints(),
-                                batched=True)
+    direct = evolve_schrodinger(h, psi0, env.support())
     assert trajs["10"].basis == SPECTATOR_B_IDLE
     np.testing.assert_array_equal(trajs["10"].times, direct.times)
     np.testing.assert_array_equal(trajs["10"].states, direct.states)

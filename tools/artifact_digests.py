@@ -43,8 +43,14 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("cphase-ratios-square", ("cphase", "--set", "ratios=[0.3,0.15]")),
     ("cphase-ratios-gaussian", ("cphase", *GAUSSIAN, "--set", "ratios=[0.3,0.15]")),
     ("cphase-commensurate", ("cphase", "--set", "commensurate=true")),
+    # eigh at a midpoint away from the origin
+    ("cphase-square-late", ("cphase", "--set", "t_start=3.3")),
     ("zrot-square", ("zrot",)),
     ("zrot-square-shifted", ("zrot", "--set", "omega_a=173.3", "--set", "wait=0.37")),
+    # a pulse shorter than one carrier period: Magnus, not Floquet
+    ("zrot-square-subperiod", ("zrot", "--set", "omega_a=1.5")),
+    # Floquet from a carrier origin away from zero
+    ("zrot-square-late", ("zrot", "--set", "omega_a=173.3", "--set", "t_start=0.4")),
     ("zrot-gaussian", ("zrot", *GAUSSIAN, "--set", "omega_a=300")),
     ("zrot-gaussian-default", ("zrot", *GAUSSIAN)),
     ("raman", ("raman",)),
