@@ -6,25 +6,39 @@ the linear ODE ``y' = G(t) y``, ``G = -iH/hbar`` on a state vector or the
 Lindblad superoperator on row-major ``vec(rho)`` (Havel, J. Math. Phys. 44,
 534 (2003)), solved by one private core for a stack of start vectors on a
 regular grid.  The input's structure picks the method, which
-``Trajectory.metadata["propagator"]`` names; a
-:class:`~dotgates.model.DrivenBlock` reports its own structure over the
-span (:meth:`~dotgates.model.DrivenBlock.structure`):
+``Trajectory.metadata["propagator"]`` names.  A
+:class:`~dotgates.model.DrivenBlock` ``H = h0 + f(t) v`` is first split
+into its coupled components
+(:meth:`~dotgates.model.DrivenBlock.components`), the levels that the
+nonzero off-diagonal entries of ``h0`` and ``v`` connect.  Evolution never
+leaves a component, so each one that a start state touches runs on its
+own sub-block and every other level stays exactly ``+0.0``: the
+``cphase`` 11 block runs as ``11, psi+, XX`` without the dark ``psi-``,
+the lab single dot as ``1, X`` and a constant ``0``, the 9-level lab pair
+as its four spin blocks.  Each component reports its own structure over
+the span (:meth:`~dotgates.model.DrivenBlock.structure`):
 
-=========================  =======  =========================================
-constant, ``H`` Hermitian  eigh     one ``eigh``, ``C = V^H y0``
-other constant             eig      one ``eig``, ``C = solve(V, y0)``
-block constant over span   eigh     its one matrix (a square envelope)
-block periodic over span   floquet  one period, then its powers (a square
-                                    envelope under a carrier)
-any other block            magnus4  fourth-order Magnus steps, chained
-any other callable         DOP853   adaptive high-order Runge-Kutta
-=========================  =======  =========================================
+=============================  =======  =====================================
+constant, ``H`` Hermitian      eigh     one ``eigh``, ``C = V^H y0``
+other constant                 eig      one ``eig``, ``C = solve(V, y0)``
+component constant over span   eigh     ``h0`` (a zero ``v``) or its one
+                                        matrix (a square envelope)
+component periodic over span   floquet  one period, then its powers (a
+                                        square envelope under a carrier)
+any other component            magnus4  fourth-order Magnus steps, chained
+any other callable             DOP853   adaptive high-order Runge-Kutta,
+                                        unsplit
+=============================  =======  =====================================
 
 Both spectral paths give ``y(t) = V (exp(t lam) * C)``; a Lindblad
 generator calls its ``eig`` path ``liouvillian-eig``, and eigenvectors too
 ill-conditioned to trust hand it to DOP853.  Magnus cells are evaluated,
 exponentiated and chained in batched numpy (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 151 (2009)), a chunk of bounded bytes at a time.  In a
+Phys. Rep. 470, 151 (2009)), a chunk of bounded bytes at a time.  Since
+``[h0 + f2 v, h0 + f1 v] = (f1 - f2) [h0, v]``, a cell's exponent is
+``-i (w/2) (2 h0 + (f1 + f2) v) - (sqrt3/12) w^2 (f1 - f2) [h0, v]``
+(``w = dt/hbar``, ``f1``, ``f2`` at the two Gauss-Legendre nodes): three
+fixed matrices, ``[h0, v]`` computed once per run, weighted per cell.  In a
 rotating frame one step per sample cell suffices (split where its exponent
 is too large).  In the lab frame the optical carrier sets the step: the
 cells are halved until the finer of two successive counts is within
@@ -49,7 +63,7 @@ series that is mostly below the floor raises :class:`PhaseUndefinedError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
@@ -122,11 +136,11 @@ _TAYLOR_TOL = 1e-17
 # Bytes of one (d, d) stack in a Magnus chunk: 2048 cells of a 4x4 block,
 # 3640 of a 3x3, 8192 of a 2x2.  A run holds its states plus one chunk's
 # workspace, whatever its length: six such stacks and the chained rows,
-# allocated once, and the chunk's node Hamiltonians (two stacks), about nine
-# times this (~4.7 MB) in all.  Measured on a 2-core Xeon VM: a default
-# Gaussian cphase peaks at 6.1 MB traced (15.5 MB in one 9334-cell chunk,
-# 3.7 MB at half this budget); a Gaussian zrot at the default omega_a ran
-# ~8% faster than in 16384-cell chunks, and ~5% slower at half the budget.
+# allocated once, about six times this (~3 MB) in all.  Measured on a
+# 2-core Xeon VM: a default Gaussian cphase, whose 11 block runs as a 3x3
+# component, peaks at 6.0 MB traced (15.5 MB with its 4x4 block in one
+# 9334-cell chunk); a Gaussian zrot at the default omega_a ran ~8% faster
+# than in 16384-cell chunks, and ~5% slower at half the budget.
 _MAGNUS_CHUNK_BYTES = 1 << 19
 
 # Most Magnus steps one run may take, in either frame and substeps included.
@@ -440,12 +454,12 @@ class _MagnusWork:
     """The buffers every chunk of one Magnus run reuses, for up to ``cells`` cells.
 
     Six slots each hold one ``(d, d)`` stack with room for the chain's
-    padding, ``rows`` the chained states of the ``k`` start vectors and
-    ``starts`` their values at the chain's block starts.  The slots are
-    shared in turn: :func:`_magnus_exponents` writes the node Hamiltonians
-    to 0 and 1, its scratch to 2 and the exponent to 3; the norm check
-    squares into 0; :func:`_taylor_expm` keeps its powers in 4 and 5 and
-    its sums in 0-2; :func:`_chain_states` lays the cells out in 3 and
+    padding, ``weights`` the three coefficients of every cell's exponent,
+    ``rows`` the chained states of the ``k`` start vectors and ``starts``
+    their values at the chain's block starts.  The slots are shared in
+    turn: :func:`_magnus_exponents` writes the exponent to 3; the norm
+    check squares into 0; :func:`_taylor_expm` keeps its powers in 4 and 5
+    and its sums in 0-2; :func:`_chain_states` lays the cells out in 3 and
     their running products in 4.
     """
 
@@ -454,6 +468,7 @@ class _MagnusWork:
         blocks = math.isqrt(cells - 1) + 1
         room = cells + blocks
         self._slots = np.empty((6, d * d * room), dtype=complex)
+        self.weights = np.empty((3, cells), dtype=complex)
         self.rows = np.empty(k * room * d, dtype=complex)
         self.starts = np.empty((blocks, k, d), dtype=complex)
 
@@ -462,31 +477,40 @@ class _MagnusWork:
         return self._slots[slot, :math.prod(shape)].reshape(shape)
 
 
-def _magnus_exponents(hfun: Callable[[np.ndarray], np.ndarray],
-                      edges: np.ndarray, d: int, work: _MagnusWork) -> np.ndarray:
+def _exponent_terms(block: DrivenBlock) -> np.ndarray:
+    """The fixed matrices of every Magnus exponent of ``block``, as the
+    ``(d * d, 3)`` columns ``-i h0``, ``-i v / 2`` and
+    ``-(sqrt3/12) [h0, v]`` (see :func:`_magnus_exponents`)."""
+    h0, v = block.h0, block.v
+    terms = np.stack([-1j * h0, -0.5j * v, (-math.sqrt(3.0) / 12.0) * (h0 @ v - v @ h0)])
+    return terms.reshape(3, -1).T.copy()
+
+
+def _magnus_exponents(block: DrivenBlock, terms: np.ndarray, edges: np.ndarray,
+                      work: _MagnusWork) -> np.ndarray:
     """Fourth-order Magnus exponents of the cells between consecutive ``edges``.
 
-    ``H`` is evaluated in one batched call at the two Gauss-Legendre nodes
-    of every cell; the result is the ``(d, d, n)`` stack of
-    ``-i dt/2hbar (H1 + H2) - (sqrt3/12) (dt/hbar)^2 [H2, H1]``, in slot 3
-    of ``work``.  For Hermitian ``H1``, ``H2`` the commutator is
-    ``M - M^dagger`` with ``M = H2 H1``.
+    With ``H = h0 + f(t) v`` at the two Gauss-Legendre nodes of a cell,
+    ``[H2, H1] = (f1 - f2) [h0, v]``, so the exponent
+    ``-i w/2 (H1 + H2) - (sqrt3/12) w^2 [H2, H1]``, ``w = dt/hbar``, is
+    ``-i (w/2) (2 h0 + (f1 + f2) v) - (sqrt3/12) w^2 (f1 - f2) [h0, v]``:
+    the three columns of ``terms`` (:func:`_exponent_terms`) weighted by
+    ``w``, ``(f1 + f2) w`` and ``(f1 - f2) w^2``.  ``f`` is evaluated in
+    one call at every node.  The result is the ``(d, d, n)`` stack in slot
+    3 of ``work``.
     """
     dt = np.diff(edges)
     n = dt.size
+    d = block.h0.shape[0]
     nodes = np.concatenate([edges[:-1] + c * dt for c in _GAUSS_LEGENDRE_NODES])
-    stack = hfun(nodes)
-    if stack.shape != (2 * n, d, d):
-        raise BasisMismatchError(
-            f"batched Hamiltonian shape {stack.shape} != ({2 * n}, {d}, {d})")
-    h1, h2, m, omega = (work.stack(slot, d, d, n) for slot in range(4))
-    np.copyto(h1, np.moveaxis(stack[:n], 0, -1))
-    np.copyto(h2, np.moveaxis(stack[n:], 0, -1))
+    f = block.f(nodes)
     w = dt / HBAR_MEV_PS
-    _mm(h2, h1, out=m)
-    np.subtract(m, np.conjugate(m.transpose(1, 0, 2), out=omega), out=omega)
-    omega *= (-math.sqrt(3.0) / 12.0) * (w * w)
-    omega += np.multiply(-0.5j * w, np.add(h1, h2, out=m), out=m)
+    weights = work.weights[:, :n]
+    weights[0] = w
+    np.multiply(np.add(f[:n], f[n:]), w, out=weights[1])
+    np.multiply(np.subtract(f[:n], f[n:]), w * w, out=weights[2])
+    omega = work.stack(3, d, d, n)
+    np.matmul(terms, weights, out=omega.reshape(d * d, n))
     return omega
 
 
@@ -585,8 +609,8 @@ def _split_cells(grid: np.ndarray, substeps: int, lo: int, hi: int) -> np.ndarra
     return edges[cell] + np.append(np.diff(edges), 0.0)[cell] * (q / substeps)
 
 
-def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
-                   grid: np.ndarray, substeps: float = 1) -> tuple[np.ndarray, int, int]:
+def _magnus_states(block: DrivenBlock, psi0: np.ndarray, grid: np.ndarray,
+                   substeps: float = 1) -> tuple[np.ndarray, int, int]:
     """States on ``grid`` from ``substeps`` equal fourth-order Magnus cells per grid cell.
 
     ``psi0`` holds one initial state per row.  The Magnus cells go in
@@ -599,11 +623,12 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
     cell from there on split further.  A run of
     more than :data:`_MAX_MAGNUS_STEPS` cells raises
     :class:`IntegrationError` before its first chunk, or once a split asks
-    for it.  Returns the ``(k, n, d)`` states, the number of Hamiltonian
-    evaluations and the Magnus cells per grid cell.
+    for it.  Returns the ``(k, n, d)`` states, the number of evaluations
+    of ``f`` and the Magnus cells per grid cell.
     """
     k, d = psi0.shape
     cells = grid.size - 1
+    terms = _exponent_terms(block)
 
     def work(substeps: float) -> int:
         steps = cells * substeps
@@ -624,7 +649,7 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
         take = min(total - pos, chunk)
         if buffers is None or buffers.cells < take:
             buffers = _MagnusWork(d, k, take)
-        omega = _magnus_exponents(hfun, _split_cells(grid, substeps, pos, pos + take), d,
+        omega = _magnus_exponents(block, terms, _split_cells(grid, substeps, pos, pos + take),
                                   buffers)
         nfev += 2 * take
         # np.linalg.norm's Frobenius norms, squared in a free slot
@@ -648,8 +673,7 @@ def _magnus_states(hfun: Callable[[np.ndarray], np.ndarray], psi0: np.ndarray,
     return states, nfev, substeps
 
 
-def _refined_magnus(hfun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, d: int,
-                    cfg: IntegratorConfig,
+def _refined_magnus(block: DrivenBlock, grid: np.ndarray, cfg: IntegratorConfig,
                     assemble: Callable[[np.ndarray], np.ndarray] | None = None,
                     ) -> tuple[np.ndarray, dict[str, Any]]:
     """Propagators ``U(t, grid[0])`` on ``grid`` from Magnus cells refined to ``cfg.rtol``.
@@ -667,17 +691,17 @@ def _refined_magnus(hfun: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, 
     propagators alone do not show.  Every run is bounded as
     :func:`_magnus_states` bounds it.  Returns the stack and its metadata.
     """
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(block.h0.shape[0], dtype=complex)
 
     def run(substeps: float) -> tuple[np.ndarray, int, int]:
-        states, nfev, split = _magnus_states(hfun, eye, grid, substeps)
+        states, nfev, split = _magnus_states(block, eye, grid, substeps)
         u = states.transpose(1, 2, 0)
         return (u if assemble is None else assemble(u)), nfev, split
 
     # start where the norm guard would settle, ||Omega|| ~ ||H|| width / hbar,
     # so a coarse grid never asks the guard for a huge split
     width = float(np.max(np.abs(np.diff(grid))))
-    rate = float(np.linalg.norm(hfun(grid[:1])[0])) / (HBAR_MEV_PS * _MAX_MAGNUS_NORM)
+    rate = float(np.linalg.norm(block(float(grid[0])))) / (HBAR_MEV_PS * _MAX_MAGNUS_NORM)
     u, nfev, substeps = run(max(1.0, float(np.ceil(width * max(rate, 1.0 / cfg.max_step)))))
     nfev += 1
     gap = math.inf
@@ -710,11 +734,13 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
                ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Solve ``y' = scale * gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
 
-    ``gen`` is a constant ``(D, D)`` matrix, a Schrodinger
-    :class:`~dotgates.model.DrivenBlock` or any other callable, routed as
-    the module docstring tables.  A ``period`` declares ``gen`` periodic:
-    a forward span of at least one period takes Floquet, the one period
-    solved by Magnus for a block and by DOP853 for any other callable.
+    ``gen`` is a constant ``(D, D)`` matrix, one coupled component of a
+    Schrodinger :class:`~dotgates.model.DrivenBlock` (as
+    :func:`_propagate_components` hands it over) or any other callable,
+    routed as the module docstring tables.  A ``period`` declares ``gen``
+    periodic: a forward span of at least one period takes Floquet, the one
+    period solved by Magnus for a block and by DOP853 for any other
+    callable.
     Returns the sample times, the ``(k, n, D)`` states and the metadata
     (``propagator``, with ``nfev`` and ``substeps`` where they apply; none
     for a zero-length span).
@@ -744,18 +770,17 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
             return times, states, {"propagator": name}
     elif period is not None and t1 - t0 >= period:
         offsets, assemble = _floquet_offsets(times, period)
-
-        def shifted(s: np.ndarray) -> np.ndarray:
-            return gen(t0 + s)
-
         if isinstance(gen, DrivenBlock):
-            u, meta = _refined_magnus(shifted, offsets, d, cfg, assemble)
+            f = gen.f
+            u, meta = _refined_magnus(replace(gen, f=lambda s: f(t0 + s)), offsets, cfg,
+                                      assemble)
         else:
-            flat, nfev = _integrate(shifted, scale, np.eye(d, dtype=complex), offsets, [], cfg)
+            flat, nfev = _integrate(lambda s: gen(t0 + s), scale, np.eye(d, dtype=complex),
+                                    offsets, [], cfg)
             u, meta = assemble(flat.reshape(-1, d, d)), {"nfev": nfev}
         return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", **meta}
     elif isinstance(gen, DrivenBlock) and gen.frame == LAB_FRAME:
-        u, meta = _refined_magnus(gen, times, d, cfg)
+        u, meta = _refined_magnus(gen, times, cfg)
         return times, np.stack([u @ y for y in y0]), {"propagator": "magnus4", **meta}
     elif isinstance(gen, DrivenBlock):
         states, nfev, substeps = _magnus_states(gen, y0, times)
@@ -767,6 +792,45 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
     return times, states, {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
 
 
+def _propagate_components(block: DrivenBlock, psi0: np.ndarray, t0: float, t1: float,
+                          cfg: IntegratorConfig, breakpoints: Sequence[float],
+                          ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+    """:func:`_propagate` of ``block`` from every row of ``psi0``, one coupled
+    component at a time.
+
+    Each component that a row touches runs on its own sub-block, from the
+    rows that touch it, by the method its ``structure`` over the span
+    allows; every other amplitude stays exactly ``+0.0``.  The metadata
+    name the method of the driven components (``eigh`` when none is
+    driven), sum their ``nfev`` and keep the largest ``substeps``.
+    """
+    if t0 == t1:
+        return np.array([t0]), psi0[:, None, :], {}
+    times, _ = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    k, d = psi0.shape
+    states = np.zeros((k, times.size, d), dtype=complex)
+    meta: dict[str, Any] = {}
+    for levels in map(list, block.components()):
+        rows = np.flatnonzero(psi0[:, levels].any(axis=1))
+        if rows.size == 0:
+            continue
+        part = block.restricted(levels)
+        found = part.structure(t0, t1)
+        constant = isinstance(found, np.ndarray)
+        _, sub, run = _propagate(found if constant else part, -1j / HBAR_MEV_PS,
+                                 psi0[np.ix_(rows, levels)], t0, t1, cfg, breakpoints,
+                                 None if constant else found)
+        for row, s in zip(rows, sub):
+            states[row][:, levels] = s
+        if part.v.any() or not meta:  # a driven component names the run
+            meta["propagator"] = run["propagator"]
+        if "nfev" in run:
+            meta["nfev"] = meta.get("nfev", 0) + run["nfev"]
+        if "substeps" in run:
+            meta["substeps"] = max(meta.get("substeps", 0), run["substeps"])
+    return times, states, meta
+
+
 def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState],
                        t_span: tuple[float, float],
                        config: IntegratorConfig | None = None,
@@ -776,10 +840,11 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     ``h_of_t`` is a constant :class:`OperatorMatrix` or a
     :class:`~dotgates.model.DrivenBlock`, whose basis and frame must be the
     states', or a bare ndarray or callable of time, checked for shape only.
-    What it is picks the method, as the module docstring tables: a block
-    takes the method its ``structure`` over the span allows, with its own
-    ``breakpoints`` joining ``breakpoints``.  ``t_span`` may run backwards
-    for time-reversed evolution.
+    What it is picks the method, as the module docstring tables: each
+    coupled component of a block that a state touches takes the method its
+    ``structure`` over the span allows, with the block's ``breakpoints``
+    joining ``breakpoints``.  ``t_span`` may run backwards for
+    time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
@@ -803,16 +868,11 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
     h = _as_matrix_fn(h_of_t, basis, frame, t0)
-    period = None
     if isinstance(h, DrivenBlock):
-        breakpoints = (*breakpoints, *h.breakpoints())
-        found = h.structure(t0, t1)
-        if isinstance(found, np.ndarray):
-            h = found
-        else:
-            period = found
-    times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg, breakpoints,
-                                     period)
+        times, states, meta = _propagate_components(h, psi0, t0, t1, cfg,
+                                                    (*breakpoints, *h.breakpoints()))
+    else:
+        times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg, breakpoints)
     for s in states:
         check_drift(np.linalg.norm(s, axis=1))
     states.setflags(write=False)  # a fresh array: the trajectories adopt its rows

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -251,13 +251,14 @@ class DrivenBlock:
     ``h0`` holds the static energies and couplings, ``v`` the drive
     operator and ``f`` the real drive amplitude (a lab-frame
     :class:`LaserDrive` or a rotating-frame envelope).  Calling the block
-    gives the bare matrix, as integrators want it; :meth:`at` wraps the
-    same matrix as a Hermitian :class:`~dotgates.operators.OperatorMatrix`.
-    Called with a 1-d array of ``n`` times, the block returns the
-    ``(n, d, d)`` stack, provided ``f`` maps the array to its ``n`` values
-    (as both pulse shapes and a :class:`LaserDrive` do).  The propagators
-    ask :meth:`structure` which exact method fits a span and
-    :meth:`breakpoints` where not to step across a kink.
+    at one time gives the bare matrix, as integrators want it; :meth:`at`
+    wraps the same matrix as a Hermitian
+    :class:`~dotgates.operators.OperatorMatrix`.  The propagators split
+    the block into its :meth:`components`, ask each :meth:`restricted`
+    part which exact method fits a span (:meth:`structure`) and the block
+    where not to step across a kink (:meth:`breakpoints`), and evaluate
+    ``f`` on arrays of times (as both pulse shapes and a
+    :class:`LaserDrive` allow).
     """
 
     basis: Basis
@@ -266,12 +267,8 @@ class DrivenBlock:
     v: np.ndarray
     f: Callable[[float], float]
 
-    def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        if isinstance(t, np.ndarray):
-            # in place: a batched stack is as large as the Magnus buffers
-            m = np.multiply.outer(self.f(t), self.v)
-        else:
-            m = self.f(t) * self.v
+    def __call__(self, t: float) -> np.ndarray:
+        m = self.f(t) * self.v
         m += self.h0
         return m
 
@@ -283,16 +280,37 @@ class DrivenBlock:
         env = getattr(self.f, "envelope", self.f)
         return env.breakpoints() if isinstance(env, (SquarePulse, GaussianPulse)) else ()
 
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The coupled components: the level indices that the nonzero
+        off-diagonal entries of ``h0`` and ``v`` connect, each sorted, in
+        the order of their lowest level.  Evolution under ``H`` never
+        leaves a component; the single dot's ``0`` is one on its own."""
+        d = self.basis.dim
+        reach = (self.h0 != 0) | (self.v != 0) | np.eye(d, dtype=bool)
+        reach = (reach | reach.T).astype(int)
+        # squaring doubles the path length covered: row i becomes i's component
+        for _ in range(d.bit_length()):
+            reach = np.minimum(reach @ reach, 1)
+        return tuple(dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach))
+
+    def restricted(self, levels: Sequence[int]) -> "DrivenBlock":
+        """The block on ``levels`` alone, with the same frame and ``f``."""
+        cut = np.ix_(levels, levels)
+        basis = Basis(tuple(self.basis.labels[i] for i in levels), self.basis.name)
+        return replace(self, basis=basis, h0=self.h0[cut], v=self.v[cut])
+
     def structure(self, t0: float, t1: float) -> np.ndarray | float | None:
         """What ``H`` is over the span from ``t0`` to ``t1``.
 
-        A square envelope whose support covers the span leaves ``H``
-        constant there when ``f`` is the envelope itself: the result is that
-        one matrix, ``H`` at the span's midpoint.  Under a carrier it
-        leaves ``H`` periodic: the result is the carrier period
-        ``2 pi hbar / omega_l``.  A span past the support, or any other
-        envelope, gives ``None``.
+        A zero ``v`` leaves ``H`` constant: the result is ``h0``.  So does
+        a square envelope whose support covers the span when ``f`` is the
+        envelope itself: the result is that one matrix, ``H`` at the span's
+        midpoint.  Under a carrier the square envelope leaves ``H``
+        periodic: the result is the carrier period ``2 pi hbar / omega_l``.
+        A span past the support, or any other envelope, gives ``None``.
         """
+        if not self.v.any():
+            return self.h0
         env = getattr(self.f, "envelope", self.f)
         if not isinstance(env, SquarePulse):
             return None

@@ -379,7 +379,6 @@ def test_raman_with_a_stiff_loss_rate_exits_at_once(tmp_path, gamma):
 @pytest.mark.parametrize("args", [
     # nan from overflow used to pass the norm and trace checks
     ("cphase", "v_xx=1e308"),
-    ("cphase", "pulse_shape=gaussian", "omega=1e200"),
     ("raman", "rabi=1e150", "detuning=1e300"),
     # a Raman rate that overflows or underflows
     ("raman", "rabi=1e200"),
@@ -412,6 +411,24 @@ def test_hostile_input_exits_with_one_line(tmp_path, args):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(("config error:", "runtime error:"))
     assert not (out / "report.json").exists()
+
+
+def test_gaussian_cphase_at_a_huge_peak_gives_the_sudden_kick(tmp_path):
+    # The calibrated pulse is ~1e-199 ps long, so each block takes the kick
+    # exp(-i sqrt2 pi v) of the pulse area: v has the eigenvalues 0 and +-1
+    # on 11, psi+, XX and +-1/2 on an idle block.  The Magnus exponent never
+    # multiplies two drive values, so nothing overflows.
+    out = tmp_path / "k"
+    result = _invoke(["cphase", "--set", "pulse_shape=gaussian", "--set", "omega=1e200",
+                      "--out", str(out)])
+    assert result.exit_code == 0, _text(result)
+    code, lines = _verify_lines(out)
+    assert code == 0 and lines[-1] == "verified 5 files, 0 failures", lines
+    amps = json.loads((out / "report.json").read_text())["amplitudes"]
+    a11 = (1.0 + math.cos(math.sqrt(2.0) * math.pi)) / 2.0
+    a01 = math.cos(math.pi / math.sqrt(2.0))
+    for key, closed in (("11", a11), ("01", a01), ("10", a01)):
+        assert abs(complex(amps[key]["re"], amps[key]["im"]) - closed) < 1e-9
 
 
 @pytest.mark.parametrize("sets, energy, keys", [

@@ -596,6 +596,11 @@ def _raman():
                            (CollapseChannel(sink, 0.1),))
 
 
+def _undriven():
+    h0 = _random_hermitian(np.random.default_rng(3), 3)
+    return DrivenBlock(B3, LAB_FRAME, h0, np.zeros((3, 3), dtype=complex), _GAUSSIAN)
+
+
 _TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 _PAST = (0.503, 4.497)  # past both edges of _SQUARE's support, inside sample cells
 
@@ -622,6 +627,9 @@ ROUTES = {
         _pure(lambda t: _rotating(_SQUARE)(t), (1.0, 4.0), _rotating(_SQUARE)), "DOP853",
         None, None),
     "constant Raman Liouvillian": (_raman, "liouvillian-eig", None, None),
+    "block with a zero drive": (
+        _pure(_undriven(), _GAUSSIAN.support()), "eigh",
+        _pure(_undriven().h0, _GAUSSIAN.support(), _undriven()), 0.0),
 }
 
 
@@ -634,6 +642,21 @@ def test_each_input_takes_the_method_its_structure_allows(case):
         ref = reference()
         np.testing.assert_array_equal(traj.times, ref.times)
         np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=atol)
+
+
+def test_magnus_exponents_match_the_commutator_of_the_node_hamiltonians():
+    # the block form (f1 - f2) [h0, v] against [H2, H1] built from scalar calls
+    rng = np.random.default_rng(31)
+    block = DrivenBlock(B3, LAB_FRAME, _random_hermitian(rng, 3), _random_hermitian(rng, 3),
+                        lambda t: np.sin(3.0 * t) + 0.5 * t)
+    edges = np.sort(rng.uniform(0.0, 0.5, 40))
+    got = dynamics._magnus_exponents(block, dynamics._exponent_terms(block), edges,
+                                     dynamics._MagnusWork(3, 1, edges.size - 1))
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        h1, h2 = (block(a + c * (b - a)) for c in dynamics._GAUSS_LEGENDRE_NODES)
+        w = (b - a) / HBAR_MEV_PS
+        want = -0.5j * w * (h1 + h2) - (math.sqrt(3.0) / 12.0) * w * w * (h2 @ h1 - h1 @ h2)
+        assert np.linalg.norm(got[:, :, j] - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_several_states_are_checked_and_must_share_basis_and_frame():

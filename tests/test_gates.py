@@ -28,14 +28,18 @@ from dotgates.gates import (
 from dotgates.model import (
     SINGLE_DOT,
     SPECTATOR_A_IDLE,
+    TWO_DOT,
     DotPairParams,
     GaussianPulse,
     LaserDrive,
     SquarePulse,
+    lab_pair_generator,
     lab_single_dot_generator,
     spectator_generator,
+    two_dot_excitations,
 )
-from dotgates.operators import HBAR_MEV_PS, QuantumState, rotating_frame_tag
+from dotgates.dynamics import to_rotating_frame
+from dotgates.operators import HBAR_MEV_PS, LAB_FRAME, QuantumState, rotating_frame_tag
 
 PAIR = DotPairParams(omega_a=2000.0, v_f=0.85, v_xx=5.0)
 
@@ -314,8 +318,8 @@ def test_run_z_rotation_matches_tight_reference(monkeypatch, shape, omega_a, dt)
     fast, traj = run_z_rotation(pair, gate, cfg)
     assert traj.metadata["propagator"] == ("floquet" if shape == "square" else "magnus4")
 
-    # a plain callable in place of the block takes DOP853, over the one
-    # carrier period the block declares
+    # a plain callable in place of the driven component (1, X) takes
+    # DOP853, over the one carrier period the block declares
     propagate = dynamics._propagate
 
     def adaptive(gen, *args, **kwargs):
@@ -472,3 +476,63 @@ def test_config_and_library_pulses_share_one_calibration():
             pi_pulse_time(om)
         comm = build_config({"kind": "cphase", "omega": om, "commensurate": True})
         assert comm.envelope().duration == commensurate_gate_time(cph.dot_params(), om)
+
+
+# each start state of the lab pair and the spin block it stays in
+_PAIR_BLOCKS = {"11": ("11", "1X", "X1", "XX"), "01": ("01", "0X"), "10": ("10", "X0")}
+_PAIR_STARTS = tuple(_PAIR_BLOCKS)
+
+
+def _lab_pair_run(p, env, config=None):
+    """The 9-level lab-frame pair under ``env`` on the psi+ carrier, from 11, 01 and 10."""
+    t0, t1 = env.support()
+    block = lab_pair_generator(p, LaserDrive(env, p.omega_a + p.v_f, carrier_origin=t0))
+    starts = [QuantumState.basis_state(TWO_DOT, label, LAB_FRAME) for label in _PAIR_STARTS]
+    return block, evolve_schrodinger(block, starts, (t0, t1), config)
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_lab_pair_components_match_the_unsplit_block(shape):
+    # the block splits into its four spin blocks; a plain callable is not
+    # split, so DOP853 on the whole 9x9 block is an independent reference
+    p = DotPairParams(omega_a=20.0)
+    env = square_cphase_pulse(0.2) if shape == "square" else gaussian_cphase_pulse(0.2)
+    block, split = _lab_pair_run(p, env)
+    assert split[0].metadata["propagator"] == ("floquet" if shape == "square" else "magnus4")
+    tight = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    starts = [QuantumState.basis_state(TWO_DOT, label, LAB_FRAME) for label in _PAIR_STARTS]
+    whole = evolve_schrodinger(lambda t: block(t), starts, env.support(), tight,
+                               block.breakpoints())
+    for label, traj, ref in zip(_PAIR_STARTS, split, whole):
+        assert ref.metadata["propagator"] == "DOP853"
+        np.testing.assert_array_equal(traj.times, ref.times)
+        np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=1e-8)
+        # a level outside the start's spin block is never touched: +0.0
+        outside = [i for i, level in enumerate(TWO_DOT.labels)
+                   if level not in _PAIR_BLOCKS[label]]
+        untouched = traj.states[:, outside]
+        assert not np.any(untouched)
+        assert not np.any(np.signbit(untouched.real) | np.signbit(untouched.imag))
+
+
+def test_lab_pair_differs_from_the_rwa_blocks_by_the_bloch_siegert_phase():
+    # The counter-rotating term shifts the driven transition by
+    # (Omega/2)^2 / (2 omega_l) (Bloch & Siegert, Phys. Rev. 57, 522 (1940)),
+    # so over the square pulse the lab 11 amplitude gains that phase over
+    # run_cphase's RWA block.  Measured: 0.999, 0.998 and 0.997 of it for 11,
+    # 0.979, 0.973 and 0.971 for the spectators, whose psi+ carrier sits
+    # v_f off their own resonance.  This checks the RWA, the spin-block
+    # split and the psi+- basis against the less-reduced 9-level model.
+    omega = 0.1
+    env = square_cphase_pulse(omega)
+    t0, t1 = env.support()
+    for omega_a in (2000.0, 1000.0, 500.0):
+        p = DotPairParams(omega_a=omega_a)
+        omega_l = p.omega_a + p.v_f
+        _, lab = _lab_pair_run(p, env)
+        _, rwa = run_cphase(p, env)
+        shift = (omega / 2.0) ** 2 * (t1 - t0) / (2.0 * omega_l * HBAR_MEV_PS)
+        for label, traj in zip(_PAIR_STARTS, lab):
+            rotating = to_rotating_frame(traj, omega_l, two_dot_excitations())
+            gained = np.angle(rotating.final_amplitude(label) / rwa[label].final_amplitude(label))
+            assert gained == pytest.approx(shift, rel=0.01 if label == "11" else 0.03)

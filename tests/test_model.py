@@ -144,6 +144,24 @@ def test_psi_subspace_block_derived_from_lab_pair_block():
     np.testing.assert_allclose(rotated, built.matrix, atol=1e-13)
 
 
+def test_blocks_report_their_coupled_components():
+    p = DotPairParams()
+    env = GaussianPulse(peak=0.1, sigma=5.0)
+    drive = LaserDrive(env, p.omega_a)
+    index = TWO_DOT.index
+    assert lab_pair_generator(p, drive).components() == (
+        (index("00"),), (index("01"), index("0X")), (index("10"), index("X0")),
+        (index("11"), index("1X"), index("X1"), index("XX")))
+    assert lab_single_dot_generator(p.omega_a, drive).components() == ((0,), (1, 2))
+    rwa = rwa_subspace_generator(p, env)
+    assert rwa.components() == ((0, 1, 3), (2,))
+    assert spectator_generator(p, env).components() == ((0, 1),)
+    # psi- alone carries no drive, so it is constant over any span
+    dark = rwa.restricted((2,))
+    assert dark.basis.labels == ("psi-",) and dark.frame == rwa.frame
+    np.testing.assert_array_equal(dark.structure(0.0, 1.0), [[-2.0 * p.v_f]])
+
+
 def test_lab_single_dot_block():
     drive = LaserDrive(SquarePulse(0.4, 10.0), omega_l=30.0)
     h = lab_single_dot_generator(30.0, drive).at(0.2)

@@ -40,6 +40,8 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("cphase-gaussian-pair", ("cphase", *GAUSSIAN, *PAIR)),
     ("cphase-gaussian-split", ("cphase", *GAUSSIAN, "--set", "v_xx=30",
                                "--set", "sample_interval=0.2")),
+    # a pulse ~1e-199 ps long: the sudden kick of its area
+    ("cphase-gaussian-kick", ("cphase", *GAUSSIAN, "--set", "omega=1e200")),
     ("cphase-ratios-square", ("cphase", "--set", "ratios=[0.3,0.15]")),
     ("cphase-ratios-gaussian", ("cphase", *GAUSSIAN, "--set", "ratios=[0.3,0.15]")),
     ("cphase-commensurate", ("cphase", "--set", "commensurate=true")),
