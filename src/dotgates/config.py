@@ -9,7 +9,7 @@ experiment kind accepts its own key set:
   thresholds, optionally ``ratios`` (list of omega/v_f values) to emit a
   family of runs, or ``commensurate`` to snap the square-pulse duration
   to whole spectator periods.
-* ``zrot``       - dot parameters (``omega_a`` defaults to a scaled-down
+* ``zrot``       - the addressed dot's ``omega_a`` (defaults to a scaled-down
   2e3 meV so the lab-frame carrier is integrable), one pi pulse, and the
   ``wait`` between the two pulses.
 * ``raman``      - Raman drive parameters, optionally ``detunings`` and
@@ -124,9 +124,10 @@ _SAMPLE_KEYS: dict[str, _Key] = {
     "sample_interval": _Key(0.01, _make_float(positive=True), True),
 }
 
-# zrot adds rtol and max_step, which set its lab-frame Magnus cells; raman
-# adds atol too, all three for an ill-conditioned Liouvillian's DOP853
-# solve; a cphase run reads none
+# only zrot adds solver keys: rtol and max_step set its lab-frame Magnus
+# cells.  cphase and raman runs read none (the DOP853 fallback of an
+# ill-conditioned Liouvillian, which no valid raman input reaches, keeps
+# the IntegratorConfig defaults), and no run reads atol
 _SOLVER_KEYS: dict[str, _Key] = {
     **_SAMPLE_KEYS,
     "rtol": _Key(1e-9, _make_float(positive=True), True),
@@ -162,8 +163,8 @@ def _schema(kind: str) -> dict[str, _Key]:
             "ratios": _Key(None, _make_float_list(positive=True)),
         }
     if kind == "zrot":
+        # the single addressed dot: omega_a is the one pair energy it reads
         return {
-            **_PAIR_KEYS,
             "omega_a": _Key(2.0e3, _make_float(positive=True), True),
             **_PULSE_KEYS,
             "omega": _Key(1.0, _make_float(nonneg=True), True),
@@ -172,8 +173,7 @@ def _schema(kind: str) -> dict[str, _Key]:
         }
     if kind == "raman":
         return {
-            **_SOLVER_KEYS,
-            "atol": _Key(1e-12, _make_float(positive=True), True),
+            **_SAMPLE_KEYS,
             "rabi": _Key(1.33, _make_float(positive=True), True),
             "detuning": _Key(4.0, _make_float(nonzero=True), True),
             "gamma": _Key(0.1, _make_float(nonneg=True), True),
@@ -240,15 +240,18 @@ class ExperimentConfig:
         return self.values[key]
 
     def dot_params(self) -> DotPairParams:
+        """The pair energies; a kind without ``v_f`` or ``v_xx`` keys (zrot,
+        whose single dot reads only ``omega_a``) takes their defaults."""
+        keys = [k for k in ("omega_a", "v_f", "v_xx") if k in self.values]
         try:
-            return DotPairParams(self["omega_a"], self["v_f"], self["v_xx"])
+            return DotPairParams(**{k: self.values[k] for k in keys})
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
     def integrator(self) -> IntegratorConfig:
-        """The integrator settings; a kind without ``rtol``, ``atol`` or
-        ``max_step`` keys takes their defaults."""
-        kw = {k: self.values[k] for k in ("rtol", "atol") if k in self.values}
+        """The integrator settings; a kind without ``rtol`` or ``max_step``
+        keys takes their defaults."""
+        kw = {"rtol": self.values["rtol"]} if "rtol" in self.values else {}
         if self.values.get("max_step") is not None:
             kw["max_step"] = self["max_step"]
         return IntegratorConfig(sample_interval=self["sample_interval"], **kw)
@@ -352,6 +355,8 @@ def _validate_keys(raw: dict[str, Any], kind: str,
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
             if readers:  # a key of other kinds is no typo
                 extra = f"; read only by {' and '.join(readers)}"
+            elif key == "atol":  # an IntegratorConfig field that no run reads
+                extra = "; no run reads it"
             raise ConfigError(f"unknown config key {key!r} for kind {kind!r}{extra}")
         values[key] = schema[key].coerce(key, val)
     for key, entry in schema.items():

@@ -30,9 +30,14 @@ any other callable             DOP853   adaptive high-order Runge-Kutta,
                                         unsplit
 =============================  =======  =====================================
 
-Both spectral paths give ``y(t) = V (exp(t lam) * C)``; a Lindblad
-generator calls its ``eig`` path ``liouvillian-eig``, and eigenvectors too
-ill-conditioned to trust hand it to DOP853.  Magnus cells are evaluated,
+Both spectral paths give ``y(t) = growth(t) (C V^T)``, ``growth =
+exp(t lam)``, with ``exp`` called only at every 64th sample and the rows in
+between their anchor's times powers of ``exp(lam step)``; where the
+rounding of the sample times (or an inserted breakpoint) would move a row
+by more than 1e-13 that way, every sample takes ``exp``
+(:func:`_growth`).  A Lindblad generator calls its ``eig``
+path ``liouvillian-eig``, and eigenvectors too ill-conditioned to trust
+hand it to DOP853.  Magnus cells are evaluated,
 exponentiated and chained in batched numpy (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)), a chunk of bounded bytes at a time.  Since
 ``[h0 + f2 v, h0 + f1 v] = (f1 - f2) [h0, v]``, a cell's exponent is
@@ -148,8 +153,14 @@ _MAGNUS_CHUNK_BYTES = 1 << 19
 # long takes about half a minute on a 2-core Xeon VM.
 _MAX_MAGNUS_STEPS = 16 * MAX_SAMPLES
 
-# Most density matrices factorized at once by the positivity check
-_POSITIVITY_CHUNK = 1024
+# Bytes of the (d, d, n) stack the positivity check factorizes at once:
+# 1024 samples of a 4x4 density matrix
+_POSITIVITY_CHUNK_BYTES = 1 << 18
+
+# Samples between two direct exponentials on the spectral paths, and the
+# most the rounding of the sample times may then move a state
+_GROWTH_ANCHOR = 64
+_GROWTH_TOL = 1e-13
 
 
 def solve_ivp(*args: Any, **kwargs: Any) -> Any:
@@ -347,8 +358,9 @@ def check_sample_count(span: float, dt: float) -> int:
 
 
 def _sample_grid(t0: float, t1: float, dt: float,
-                 breakpoints: Sequence[float]) -> tuple[np.ndarray, list[float]]:
-    """Sample grid from t0 to t1 plus the interior breakpoints, in order."""
+                 breakpoints: Sequence[float]) -> tuple[np.ndarray, list[float], float]:
+    """Sample grid from t0 to t1 plus the interior breakpoints, in order,
+    and the signed step of its uniform samples, ``(t1 - t0) / cells``."""
     forward = t1 > t0
     lo, hi = (t0, t1) if forward else (t1, t0)
     interior = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
@@ -359,7 +371,48 @@ def _sample_grid(t0: float, t1: float, dt: float,
     if not forward:
         grid = grid[::-1].copy()
         interior = interior[::-1]
-    return grid, interior
+    return grid, interior, (t1 - t0) / n
+
+
+def _growth(times: np.ndarray, step: float, lam: np.ndarray, scale: complex) -> np.ndarray:
+    """``exp(scale * lam * (t - times[0]))`` at every sample, shaped ``(n, D)``.
+
+    ``times`` is a grid from :func:`_sample_grid` and ``step`` its step.
+    ``np.exp`` runs at anchors only, every ``_GROWTH_ANCHOR``-th sample; a
+    sample ``j`` steps past its anchor takes the anchor's row times
+    ``exp(scale lam tau_j)``, ``tau_j = j * step``, computed once for
+    every ``j``.
+
+    A sample's float offset from its anchor misses ``tau_j`` by the
+    rounding of the sample times (of order ``eps |t|``), which moves its
+    row by up to ``|scale lam|`` times that.  When that exceeds
+    ``_GROWTH_TOL`` (a 2000 meV level a few ps from the origin: 1e-12)
+    every sample takes the direct exponential instead, bit for bit.  So
+    does a grid with inserted breakpoints, whose later samples sit a
+    fraction of a step off the powers.
+    """
+    n = times.size
+    u = times - times[0]
+    j = np.arange(n) % _GROWTH_ANCHOR
+    tau = np.arange(min(n, _GROWTH_ANCHOR)) * step
+    miss = np.max(np.abs((u - u[np.arange(n) - j]) - tau[j]))
+
+    def exponentials(offsets: np.ndarray) -> np.ndarray:
+        e = np.outer(offsets, lam).astype(complex, copy=False)
+        e *= scale
+        return np.exp(e, out=e)
+
+    if abs(scale) * np.max(np.abs(lam)) * miss > _GROWTH_TOL:
+        return exponentials(u)
+    powers, anchors = exponentials(tau), exponentials(u[::_GROWTH_ANCHOR])
+    whole, rest = divmod(n, _GROWTH_ANCHOR)
+    cut = whole * _GROWTH_ANCHOR
+    growth = np.empty((n, lam.size), dtype=complex)
+    if whole:
+        np.multiply(anchors[:whole, None], powers,
+                    out=growth[:cut].reshape(whole, _GROWTH_ANCHOR, lam.size))
+    np.multiply(anchors[whole:], powers[:rest], out=growth[cut:])
+    return growth
 
 
 def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarray,
@@ -747,10 +800,10 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
     """
     if t0 == t1:
         return np.array([t0]), y0[:, None, :], {}
-    times, interior = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    times, interior, step = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
     k, d = y0.shape
     if isinstance(gen, np.ndarray):
-        # both spectral paths give V (exp(scale lam t) * C) from one decomposition
+        # both spectral paths give growth(t) (C V^T) from one decomposition
         if _hermitian_defect(gen) <= _HERMITIAN_RTOL:
             name, (lam, v) = "eigh", np.linalg.eigh(gen)
             coeffs = [v.conj().T @ y for y in y0]
@@ -759,13 +812,11 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
             trusted = np.linalg.cond(v) <= _MAX_EIGVEC_COND
             coeffs = [np.linalg.solve(v, y) for y in y0] if trusted else None
         if coeffs is not None:
-            # in place: a Raman run's exponent array is ~0.5 MB
-            growth = np.outer(times - t0, lam).astype(complex, copy=False)
-            growth *= scale
-            np.exp(growth, out=growth)
+            growth = _growth(times, step, lam, scale)
             states = np.empty((k, times.size, d), dtype=complex)
             for j, c in enumerate(coeffs):
-                np.matmul(growth * c, v.T, out=states[j])
+                # the state's coefficients folded into V: no (n, D) product per state
+                np.matmul(growth, c[:, None] * v.T, out=states[j])
             states[:, 0] = y0
             return times, states, {"propagator": name}
     elif period is not None and t1 - t0 >= period:
@@ -806,7 +857,7 @@ def _propagate_components(block: DrivenBlock, psi0: np.ndarray, t0: float, t1: f
     """
     if t0 == t1:
         return np.array([t0]), psi0[:, None, :], {}
-    times, _ = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    times, _, _ = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
     k, d = psi0.shape
     states = np.zeros((k, times.size, d), dtype=complex)
     meta: dict[str, Any] = {}
@@ -880,6 +931,13 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     return trajs[0] if isinstance(state, QuantumState) else trajs
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two ``(d, d)`` matrices, bit for bit: every entry
+    is the same one product, broadcast without ``np.kron``'s reshaping."""
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def _liouvillian(h: np.ndarray, ops: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
     """Lindblad generator acting on row-major ``vec(rho)``.
 
@@ -887,9 +945,9 @@ def _liouvillian(h: np.ndarray, ops: Sequence[tuple[np.ndarray, np.ndarray, floa
     jump operator ``L``, its ``L^dagger L`` and its rate.
     """
     eye = np.eye(h.shape[0])
-    sup = (-1j / HBAR_MEV_PS) * (np.kron(h, eye) - np.kron(eye, h.T))
+    sup = (-1j / HBAR_MEV_PS) * (_kron(h, eye) - _kron(eye, h.T))
     for L, LdL, g in ops:
-        sup += g * (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
+        sup += g * (_kron(L, L.conj()) - 0.5 * _kron(LdL, eye) - 0.5 * _kron(eye, LdL.T))
     return sup
 
 
@@ -909,10 +967,10 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     at once.  Collapse terms use rates in 1/ps and are not divided by hbar.
     The trace must stay within ``1e-7`` of one at the end (``1e-6``
     anywhere) and every sample must be positive to ``-1e-6``, or
-    :class:`IntegrationError` is raised.  Positivity is decided by a
-    batched Cholesky factorization of ``(rho + rho^H)/2 + 1e-6 I``; only a
-    failure computes the eigenvalues, so the message still quotes the
-    exact minimum.
+    :class:`IntegrationError` is raised.  Positivity is decided by the
+    Cholesky factorization of ``(rho + rho^H)/2 + 1e-6 I``, whole stacks of
+    samples at a time; only a failure computes the eigenvalues, so the
+    message still quotes the exact minimum.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -945,36 +1003,55 @@ def _check_positivity(traj: Trajectory) -> None:
     eigenvalue below ``-1e-6``.
 
     ``(rho + rho^H)/2 + 1e-6 I`` has a Cholesky factor exactly when every
-    eigenvalue of the Hermitian part lies above ``-1e-6``, and a batched
-    factorization is several times cheaper than ``eigvalsh``.  The shifted
-    matrices are built in place, ``_POSITIVITY_CHUNK`` samples at a time.
-    Only a failing chunk calls :meth:`Trajectory.min_eigenvalue`, whose
-    exact value then decides and goes into the message.  A chunk with a
-    ``nan`` or ``inf`` entry fails with minimum ``nan``.
+    eigenvalue of the Hermitian part lies above ``-1e-6``.  The lower
+    triangles and real diagonals of the shifted matrices, all that the
+    factorization reads, are laid out as a ``(d, d, n)`` stack of at most
+    ``_POSITIVITY_CHUNK_BYTES``, one buffer reused for every chunk, and
+    factorized together in ``d`` pivot steps of whole-array arithmetic
+    (:func:`_factorizes`), not one LAPACK call per sample.  Only a failing
+    chunk calls :meth:`Trajectory.min_eigenvalue`, whose exact value then
+    decides and goes into the message.  A chunk with a ``nan`` or ``inf``
+    entry fails with minimum ``nan``.
     """
-    rho = traj.states
-    d = rho.shape[1]
-    buf = np.empty((min(rho.shape[0], _POSITIVITY_CHUNK), d, d), dtype=complex)
+    n, d = traj.states.shape[0], traj.states.shape[1]
+    flat = traj.states.reshape(n, d * d)
+    size = max(1, min(n, _POSITIVITY_CHUNK_BYTES // (16 * d * d)))
+    buf = np.empty((d, d, size), dtype=complex)
+    rows, cols = np.tril_indices(d, -1)
     diag = np.arange(d)
-    for a in range(0, rho.shape[0], _POSITIVITY_CHUNK):
-        chunk = rho[a:a + _POSITIVITY_CHUNK]
-        m = buf[:chunk.shape[0]]
-        np.conjugate(chunk.transpose(0, 2, 1), out=m)
-        m += chunk
-        m *= 0.5
-        m[:, diag, diag] += _POSITIVITY_TOL
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            lo = traj.min_eigenvalue()
-        else:
-            # nan factorizes without an error, so only a finite chunk passes
-            if np.isfinite(m).all():
-                continue
+    for a in range(0, n, size):
+        lower = flat[a:a + size, rows * d + cols]
+        lower += flat[a:a + size, cols * d + rows].conj()
+        lower *= 0.5
+        main = flat[a:a + size, diag * (d + 1)]
+        m = buf[..., :main.shape[0]]
+        m[rows, cols] = lower.T
+        m[diag, diag] = main.T.real + _POSITIVITY_TOL
+        if not (np.isfinite(lower).all() and np.isfinite(main).all()):
             lo = math.nan
+        elif _factorizes(m):
+            continue
+        else:
+            lo = traj.min_eigenvalue()
         if not lo >= -_POSITIVITY_TOL:
             raise IntegrationError(f"density matrix lost positivity: min eigenvalue {lo:.3e}")
         return
+
+
+def _factorizes(m: np.ndarray) -> bool:
+    """Whether every Hermitian matrix of the finite ``(d, d, n)`` stack ``m``,
+    given by its lower triangle and real diagonal, has a Cholesky factor,
+    decided as LAPACK decides: every pivot, the diagonal entry less the
+    squared row of the factor so far, must be positive.  Overwrites the
+    lower triangle with the factor's columns."""
+    for j in range(m.shape[0]):
+        if j:
+            m[j:, j] -= (m[j:, :j] * m[j, :j].conj()).sum(axis=1)
+        pivot = m[j, j].real
+        if not (pivot > 0.0).all():
+            return False
+        m[j + 1:, j] /= np.sqrt(pivot)
+    return True
 
 
 def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Trajectory:

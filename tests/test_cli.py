@@ -124,13 +124,13 @@ def test_unknown_key_fails_with_suggestion(tmp_path):
 
 def test_cphase_rejects_solver_tolerances(tmp_path):
     # no cphase run takes an adaptive solve, so the keys would do nothing
-    for key, readers in (("rtol=1e-3", "zrot and raman"), ("atol=1e-3", "raman"),
-                         ("max_step=5", "zrot and raman")):
+    for key, readers in (("rtol=1e-3", "read only by zrot"), ("atol=1e-3", "no run reads it"),
+                         ("max_step=5", "read only by zrot")):
         result = _invoke(["cphase", "--out", str(tmp_path / "x"),
                           "--set", "pulse_shape=gaussian", "--set", key])
         assert result.exit_code == 1
         assert f"unknown config key {key.split('=')[0]!r} for kind 'cphase'" in _text(result)
-        assert f"read only by {readers}" in _text(result)
+        assert readers in _text(result)
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"kind": "sweep", "sweep_kind": "cphase",
                                "sweep_param": "rtol", "sweep_values": [1e-6]}))
@@ -138,13 +138,26 @@ def test_cphase_rejects_solver_tolerances(tmp_path):
     assert result.exit_code == 1
     assert "config error" in _text(result)
     assert not (tmp_path / "x").exists() and not (tmp_path / "s").exists()
-    # zrot and raman still read them, all but atol on zrot's Magnus path
+    # zrot still reads rtol and max_step on its Magnus path
     cfg = build_config({"kind": "zrot", "rtol": 1e-10, "max_step": 0.5})
     assert cfg.integrator() == IntegratorConfig(rtol=1e-10, max_step=0.5)
-    with pytest.raises(ConfigError, match="'atol' for kind 'zrot'; read only by raman"):
+    with pytest.raises(ConfigError, match="'atol' for kind 'zrot'; no run reads it"):
         build_config({"kind": "zrot", "atol": 1e-13})
-    cfg = build_config({"kind": "raman", "rtol": 1e-10, "atol": 1e-13, "max_step": 0.5})
-    assert cfg.integrator() == IntegratorConfig(rtol=1e-10, atol=1e-13, max_step=0.5)
+    for key, readers in (("rtol", "; read only by zrot"), ("atol", "; no run reads it"),
+                         ("max_step", "; read only by zrot")):
+        with pytest.raises(ConfigError, match=f"'{key}' for kind 'raman'{readers}"):
+            build_config({"kind": "raman", key: 0.5})
+
+
+def test_zrot_rejects_the_pair_couplings(tmp_path):
+    # the addressed dot's blocks read omega_a only
+    for key in ("v_f=0.9", "v_xx=4.4"):
+        result = _invoke(["zrot", "--out", str(tmp_path / "z"), "--set", key])
+        assert result.exit_code == 1
+        assert (f"unknown config key {key.split('=')[0]!r} for kind 'zrot'; "
+                "read only by cphase and conditions") in _text(result)
+    assert not (tmp_path / "z").exists()
+    assert build_config({"kind": "zrot", "omega_a": 300.0}).dot_params().omega_a == 300.0
 
 
 def test_kind_mismatch_rejected(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -709,6 +710,144 @@ def test_positivity_check_agrees_with_eigenvalues(monkeypatch, lam_min):
 
 def test_positivity_check_reaches_the_last_chunk():
     traj = _density_trajectory(np.random.default_rng(6), 2500, 2499, -2e-6)
-    assert 2499 >= 2 * dynamics._POSITIVITY_CHUNK
+    assert 2499 >= 2 * (dynamics._POSITIVITY_CHUNK_BYTES // (16 * 4 * 4))
     with pytest.raises(IntegrationError, match=r"min eigenvalue -2\.000e-06$"):
         dynamics._check_positivity(traj)
+
+
+def _unitary_spectrum():
+    return np.linalg.eigvalsh(_random_hermitian(np.random.default_rng(3), 3)), -1j / HBAR_MEV_PS
+
+
+def _decaying_spectrum():
+    h, _, channels = _lossy_lambda()
+    ops = [(c.operator, c.operator.conj().T @ c.operator, c.rate) for c in channels]
+    return np.linalg.eigvals(dynamics._liouvillian(h, ops)), 1.0
+
+
+def _lab_wait_spectrum():
+    # the free wait of a zrot at omega_a = 2000 meV
+    return np.array([0.0, 0.0, 2000.0]), -1j / HBAR_MEV_PS
+
+
+# (t0, t1, sample_interval, breakpoints)
+_GROWTH_GRIDS = {
+    "1e5 uniform samples": (0.0, 10.0, 1e-4, ()),
+    # the grid of test_constant_hamiltonian_eigh_matches_adaptive
+    "inserted breakpoint": (0.2, 2.7, 0.01, (1.234,)),
+    "inserted breakpoint, backwards": (2.7, 0.2, 0.01, (1.234,)),
+    "lab wait after a pi pulse": (2.0672, 2.5672, 0.01, ()),
+}
+
+
+@pytest.mark.parametrize("spectrum", [_unitary_spectrum, _decaying_spectrum, _lab_wait_spectrum])
+@pytest.mark.parametrize("grid", list(_GROWTH_GRIDS))
+def test_growth_matches_the_direct_exponentials(spectrum, grid):
+    lam, scale = spectrum()
+    t0, t1, dt, breakpoints = _GROWTH_GRIDS[grid]
+    times, _, step = dynamics._sample_grid(t0, t1, dt, breakpoints)
+    direct = np.exp(scale * np.outer(times - t0, lam))
+    growth = dynamics._growth(times, step, lam, scale)
+    np.testing.assert_allclose(growth, direct, rtol=0, atol=1e-13)
+
+
+def test_growth_anchors_only_where_the_sample_rounding_allows():
+    def direct(times, lam, scale):
+        e = np.outer(times - times[0], lam).astype(complex)
+        e *= scale
+        return np.exp(e)
+
+    # a Raman-like Liouvillian over its window takes the anchored powers ...
+    lam, scale = _decaying_spectrum()
+    times, _, step = dynamics._sample_grid(0.0, 19.46, 0.01, ())
+    growth = dynamics._growth(times, step, lam, scale)
+    assert not np.array_equal(growth, direct(times, lam, scale))
+    np.testing.assert_allclose(growth, direct(times, lam, scale), rtol=0, atol=1e-13)
+    # ... a 2000 meV level 8 ps from the origin, and any grid with an
+    # inserted breakpoint, the direct exponential bit for bit
+    for lam, scale, span, breakpoints in ((*_lab_wait_spectrum(), (7.9, 8.9), ()),
+                                          (*_decaying_spectrum(), (0.0, 19.46), (3.2137,))):
+        times, _, step = dynamics._sample_grid(*span, 0.01, breakpoints)
+        growth = dynamics._growth(times, step, lam, scale)
+        np.testing.assert_array_equal(growth, direct(times, lam, scale))
+
+
+def test_liouvillian_is_the_kronecker_expression_bit_for_bit():
+    rng = np.random.default_rng(17)
+    h = _random_hermitian(rng, 4)
+    ops = []
+    for rate in (0.3, 1.7):
+        L = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        ops.append((L, L.conj().T @ L, rate))
+    eye = np.eye(4)
+    want = (-1j / HBAR_MEV_PS) * (np.kron(h, eye) - np.kron(eye, h.T))
+    for L, LdL, g in ops:
+        want += g * (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
+    assert dynamics._liouvillian(h, ops).tobytes() == want.tobytes()
+
+
+def _lapack_decisions(rhos):
+    passed = []
+    for rho in rhos:
+        try:
+            np.linalg.cholesky(0.5 * (rho + rho.conj().T) + 1e-6 * np.eye(rho.shape[0]))
+        except np.linalg.LinAlgError:
+            passed.append(False)
+        else:
+            passed.append(True)
+    return passed
+
+
+@pytest.mark.parametrize("margin", [-1e-8, -1e-9, 1e-9, 1e-8])
+def test_positivity_decides_as_lapack_cholesky(monkeypatch, margin):
+    # minimum eigenvalue of the Hermitian part at -1e-6 + margin, plus an
+    # anti-Hermitian part that the check must symmetrize away
+    rng = np.random.default_rng(23)
+    rhos = []
+    for _ in range(200):
+        k = _random_hermitian(rng, 4, 1e-3)
+        rhos.append(_density_with_min_eigenvalue(rng, 4, -1e-6 + margin) + 1j * k)
+    want = _lapack_decisions(rhos)
+    assert want == [margin > 0] * len(rhos)
+
+    def no_eigenvalues(self):
+        return -math.inf  # the factorization alone decides
+
+    monkeypatch.setattr(Trajectory, "min_eigenvalue", no_eigenvalues)
+    basis = Basis(("0", "1", "e", "s"), "lambda")
+    got = []
+    for rho in rhos:
+        traj = Trajectory(np.zeros(1), rho[None], basis, LAB_FRAME, "density")
+        try:
+            dynamics._check_positivity(traj)
+        except IntegrationError:
+            got.append(False)
+        else:
+            got.append(True)
+    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((2, 2), 1.0 + 1j * np.inf),
+                                          ((3, 1), np.inf)])
+def test_positivity_fails_a_non_finite_sample_with_nan(entry, value):
+    traj = _density_trajectory(np.random.default_rng(8), 40, 0, 0.01)
+    rhos = traj.states.copy()
+    rhos[(17, *entry)] = value
+    traj = Trajectory(traj.times, rhos, traj.basis, LAB_FRAME, "density")
+    with pytest.raises(IntegrationError, match="min eigenvalue nan$"):
+        dynamics._check_positivity(traj)
+
+
+def test_positivity_check_memory_is_one_chunk():
+    traj = _density_trajectory(np.random.default_rng(9), 20000, 0, 0.01)
+    dynamics._check_positivity(traj)
+    tracemalloc.start()
+    try:
+        dynamics._check_positivity(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the buffer, the gathered triangle and the pivot step's products,
+    # against 5.1 MB of states
+    assert peak < 3 * dynamics._POSITIVITY_CHUNK_BYTES
