@@ -2,12 +2,14 @@
 
 The package splits into four layers:
 
-* :mod:`dotgates.operators` - labelled states, operators, and frame tags;
+* :mod:`dotgates.operators` - labelled, checked state and operator
+  containers (no operator arithmetic), frame tags, and ``expm``;
 * :mod:`dotgates.model`     - the dot-pair level scheme, pulses, and one
   :class:`~dotgates.model.DrivenBlock` factory per decoupled spin block;
 * :mod:`dotgates.dynamics`  - Schrodinger/Lindblad propagation (exact
   where the input's structure allows, adaptive otherwise), the exact
-  reference propagator, and phase tracking along trajectories;
+  reference propagator, the frame change, and the unwrapped phase of
+  one amplitude as an array over the trajectory's times;
 * :mod:`dotgates.gates`     - the gate protocols (controlled-phase,
   shelved Z rotation, Raman spin flip) with their reports.
 
@@ -21,16 +23,12 @@ from .operators import (
     BasisMismatchError,
     DensityMatrix,
     NotHermitianError,
-    NotUnitaryError,
     OperatorMatrix,
     QuantumState,
     UnknownLabelError,
-    basis_change,
     matrix_exponential,
     product_basis,
-    projector,
     rotating_frame_tag,
-    tensor,
 )
 from .model import (
     EFFECTIVE_TWO_LEVEL,
@@ -60,7 +58,6 @@ from .dynamics import (
     CollapseChannel,
     IntegrationError,
     IntegratorConfig,
-    PhaseSeries,
     PhaseUndefinedError,
     Trajectory,
     accumulated_phase,
@@ -68,7 +65,6 @@ from .dynamics import (
     evolve_expm,
     evolve_lindblad,
     evolve_schrodinger,
-    to_lab_frame,
     to_rotating_frame,
 )
 from .gates import (

@@ -249,7 +249,7 @@ def _traj_columns(traj: Trajectory) -> list[np.ndarray]:
     cols = [traj.times, *[part for i in range(d) for part in (s[:, i].real, s[:, i].imag)]]
     for lbl in traj.basis.labels:
         try:
-            cols.append(accumulated_phase(traj, lbl).values)
+            cols.append(accumulated_phase(traj, lbl))
         except (PhaseUndefinedError, ValueError):
             cols.append(np.full(traj.times.size, math.nan))
     return cols
@@ -306,9 +306,9 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         t10, t11 = trajs["10"], trajs["11"]
         cols = [
             t10.times,
-            accumulated_phase(t10, "10").values,
+            accumulated_phase(t10, "10"),
             np.abs(t10.amplitude("10")),
-            accumulated_phase(t11, "11").values,
+            accumulated_phase(t11, "11"),
             np.abs(t11.amplitude("11")),
         ]
         name = f"family_ratio_{r:g}.csv"

@@ -61,8 +61,9 @@ check the adaptive integrators against.
 
 Phase extraction (:func:`accumulated_phase`) unwraps the complex argument
 of one amplitude along a trajectory.  Samples with magnitude below a floor
-carry no usable phase; they are linearly interpolated and flagged, and a
-series that is mostly below the floor raises :class:`PhaseUndefinedError`.
+carry no usable phase; they take the phase linearly interpolated between
+their defined neighbours, and a series that is mostly below the floor
+raises :class:`PhaseUndefinedError`.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ __all__ = [
     "evolve_lindblad",
     "evolve_expm",
     "check_drift",
-    "PhaseSeries",
     "accumulated_phase",
     "to_rotating_frame",
-    "to_lab_frame",
     "concatenate_trajectories",
     "MAX_SAMPLES",
     "check_sample_count",
@@ -293,9 +292,6 @@ class Trajectory:
         if self.kind == "pure":
             return np.abs(self.states[:, i]) ** 2
         return self.states[:, i, i].real
-
-    def populations(self) -> dict[str, np.ndarray]:
-        return {lbl: self.population(lbl) for lbl in self.basis.labels}
 
     def norms(self) -> np.ndarray:
         if self.kind != "pure":
@@ -1074,52 +1070,13 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     return Trajectory(times, states, state.basis, state.frame, "pure")
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSeries:
-    """Unwrapped phase of one amplitude along a trajectory.
-
-    ``interpolated`` marks samples whose magnitude was below the floor
-    (their phase is filled in linearly); ``jump_mask`` marks intervals
-    where the unwrapped phase moved by more than pi/2 between consecutive
-    defined samples, which usually means the sampling is too coarse to
-    trust continuity or the amplitude passed through a node.  A hop across
-    interpolated samples marks every interval it spans.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    interpolated: np.ndarray
-    jump_mask: np.ndarray
-    label: str
-    floor: float
-
-    def __post_init__(self) -> None:
-        for name in ("times", "values", "interpolated", "jump_mask"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def max_jump(self) -> float:
-        """Largest phase step between consecutive defined samples."""
-        steps = np.diff(self.values[~self.interpolated])
-        return float(np.max(np.abs(steps))) if steps.size else 0.0
-
-    @property
-    def any_jump_flag(self) -> bool:
-        return bool(np.any(self.jump_mask))
-
-
 def accumulated_phase(traj: Trajectory, label: str,
-                      floor: float = PHASE_FLOOR) -> PhaseSeries:
-    """Unwrapped phase of ``traj.amplitude(label)`` versus time.
+                      floor: float = PHASE_FLOOR) -> np.ndarray:
+    """Unwrapped phase of ``traj.amplitude(label)`` at each of ``traj.times``.
 
-    Raises :class:`PhaseUndefinedError` when fewer than two samples, or
-    less than half of them, sit above the magnitude floor.
+    Samples below the magnitude floor take the phase linearly interpolated
+    between their defined neighbours.  Raises :class:`PhaseUndefinedError`
+    when fewer than two samples, or less than half of them, sit above it.
     """
     if traj.times.size > 1 and traj.times[0] > traj.times[-1]:
         raise ValueError("phase accumulation expects a forward-time trajectory")
@@ -1141,35 +1098,7 @@ def accumulated_phase(traj: Trajectory, label: str,
     values = np.interp(traj.times, traj.times[defined], unwrapped)
     # pin the defined samples exactly (interp can round)
     values[defined] = unwrapped
-    # hops are measured between defined samples: interpolation across a
-    # node would split a pi hop into steps that each stay below pi/2
-    idx = np.flatnonzero(defined)
-    hops = np.abs(np.diff(unwrapped)) > (math.pi / 2.0)
-    jump_mask = np.zeros(amp.size - 1, dtype=bool)
-    for a, b in zip(idx[:-1][hops], idx[1:][hops]):
-        jump_mask[a:b] = True
-    return PhaseSeries(
-        times=traj.times.copy(),
-        values=values,
-        interpolated=~defined,
-        jump_mask=jump_mask,
-        label=label,
-        floor=floor,
-    )
-
-
-def _reframe(traj: Trajectory, omega_l: float, excitations: Sequence[int],
-             sign: float, frame: str) -> Trajectory:
-    """Multiply each amplitude by ``exp(sign i omega_l n t / hbar)``, relabel ``frame``."""
-    if len(excitations) != traj.basis.dim:
-        raise ValueError("need one excitation number per basis state")
-    n = np.asarray(excitations, dtype=float)
-    f = np.exp(sign * 1j * omega_l * np.outer(traj.times, n) / HBAR_MEV_PS)
-    if traj.kind == "pure":
-        states = traj.states * f
-    else:
-        states = traj.states * f[:, :, None] * f[:, None, :].conj()
-    return Trajectory(traj.times, states, traj.basis, frame, traj.kind, dict(traj.metadata))
+    return values
 
 
 def to_rotating_frame(traj: Trajectory, omega_l: float,
@@ -1181,16 +1110,16 @@ def to_rotating_frame(traj: Trajectory, omega_l: float,
     """
     if traj.frame != LAB_FRAME:
         raise BasisMismatchError(f"expected a lab-frame trajectory, got {traj.frame!r}")
-    return _reframe(traj, omega_l, excitations, +1.0, rotating_frame_tag(omega_l))
-
-
-def to_lab_frame(traj: Trajectory, omega_l: float,
-                 excitations: Sequence[int]) -> Trajectory:
-    """Inverse of :func:`to_rotating_frame`."""
-    expected = rotating_frame_tag(omega_l)
-    if traj.frame != expected:
-        raise BasisMismatchError(f"expected frame {expected!r}, got {traj.frame!r}")
-    return _reframe(traj, omega_l, excitations, -1.0, LAB_FRAME)
+    if len(excitations) != traj.basis.dim:
+        raise ValueError("need one excitation number per basis state")
+    n = np.asarray(excitations, dtype=float)
+    f = np.exp(1j * omega_l * np.outer(traj.times, n) / HBAR_MEV_PS)
+    if traj.kind == "pure":
+        states = traj.states * f
+    else:
+        states = traj.states * f[:, :, None] * f[:, None, :].conj()
+    return Trajectory(traj.times, states, traj.basis, rotating_frame_tag(omega_l),
+                      traj.kind, dict(traj.metadata))
 
 
 def concatenate_trajectories(parts: Sequence[Trajectory]) -> Trajectory:

@@ -6,9 +6,10 @@ Conventions used throughout the package:
   these units is ``HBAR_MEV_PS``; propagators are ``exp(-i H dt / hbar)``.
 * Every matrix and state carries an ordered tuple of level labels (a
   :class:`Basis`) and a frame tag, either ``LAB_FRAME`` or the string
-  returned by :func:`rotating_frame_tag`.  Combining objects whose basis
-  or frame disagree raises :class:`BasisMismatchError` instead of silently
-  producing garbage.
+  returned by :func:`rotating_frame_tag`.  There is no operator
+  arithmetic; the propagators and
+  :func:`~dotgates.dynamics.concatenate_trajectories` raise
+  :class:`BasisMismatchError` when their inputs disagree on basis or frame.
 * Product spaces order the first factor as the major index: the labels of
   ``product_basis(u, v)`` are ``a + b`` for ``a`` in ``u`` and ``b`` in
   ``v``.
@@ -29,14 +30,10 @@ __all__ = [
     "OperatorMatrix",
     "QuantumState",
     "DensityMatrix",
-    "tensor",
-    "projector",
-    "basis_change",
     "matrix_exponential",
     "BasisMismatchError",
     "UnknownLabelError",
     "NotHermitianError",
-    "NotUnitaryError",
 ]
 
 #: hbar in meV*ps (CODATA value of hbar in eV*s, rescaled).
@@ -44,11 +41,10 @@ HBAR_MEV_PS = 0.6582119569
 
 LAB_FRAME = "lab"
 
-# Tolerances for the structural checks below.  Hermiticity and unitarity are
-# exact properties of the constructions we use, so the bounds are tight;
-# state norms come out of adaptive integration and get more slack.
+# Tolerances for the structural checks below.  Hermiticity is an exact
+# property of the constructions we use, so its bound is tight; state norms
+# come out of adaptive integration and get more slack.
 _HERMITIAN_RTOL = 1e-12
-_UNITARY_ATOL = 1e-10
 _STATE_NORM_ATOL = 1e-6
 _DENSITY_ATOL = 1e-9
 
@@ -63,10 +59,6 @@ class UnknownLabelError(KeyError):
 
 class NotHermitianError(ValueError):
     """A matrix declared or required to be Hermitian is not."""
-
-
-class NotUnitaryError(ValueError):
-    """A matrix required to be unitary is not."""
 
 
 def rotating_frame_tag(omega_l: float) -> str:
@@ -100,15 +92,6 @@ class Basis:
             raise UnknownLabelError(
                 f"label {label!r} not in basis {self.name!r} {self.labels}"
             ) from None
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.labels
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def product_basis(left: Basis, right: Basis, name: str | None = None) -> Basis:
@@ -169,40 +152,6 @@ class OperatorMatrix:
     def element(self, row_label: str, col_label: str) -> complex:
         return complex(self.matrix[self.basis.index(row_label), self.basis.index(col_label)])
 
-    def _check_compatible(self, other: "OperatorMatrix") -> None:
-        if self.basis.labels != other.basis.labels:
-            raise BasisMismatchError(
-                f"bases differ: {self.basis.name!r} vs {other.basis.name!r}"
-            )
-        if self.frame != other.frame:
-            raise BasisMismatchError(f"frames differ: {self.frame!r} vs {other.frame!r}")
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_compatible(other)
-        return OperatorMatrix(
-            self.matrix + other.matrix,
-            self.basis,
-            self.frame,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        s = complex(scalar)
-        keep = self.hermitian and s.imag == 0.0
-        return OperatorMatrix(self.matrix * s, self.basis, self.frame, hermitian=keep)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_compatible(other)
-        return OperatorMatrix(self.matrix @ other.matrix, self.basis, self.frame)
-
-    def apply(self, state: "QuantumState") -> "QuantumState":
-        if self.basis.labels != state.basis.labels or self.frame != state.frame:
-            raise BasisMismatchError("operator and state disagree on basis or frame")
-        return QuantumState(self.matrix @ state.amplitudes, state.basis, state.frame,
-                            normalized=False)
-
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
@@ -232,15 +181,6 @@ class QuantumState:
         v = np.zeros(basis.dim, dtype=complex)
         v[basis.index(label)] = 1.0
         return cls(v, basis, frame)
-
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.basis.index(label)])
-
-    def population(self, label: str) -> float:
-        return float(abs(self.amplitude(label)) ** 2)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
@@ -274,62 +214,6 @@ class DensityMatrix:
         if lo < -_DENSITY_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
-
-    def population(self, label: str) -> float:
-        i = self.basis.index(label)
-        return float(self.matrix[i, i].real)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def tensor(a: OperatorMatrix, b: OperatorMatrix, name: str | None = None) -> OperatorMatrix:
-    """Kronecker product of two operators; ``a`` becomes the major index."""
-    if a.frame != b.frame:
-        raise BasisMismatchError(f"frames differ: {a.frame!r} vs {b.frame!r}")
-    return OperatorMatrix(
-        np.kron(a.matrix, b.matrix),
-        product_basis(a.basis, b.basis, name),
-        a.frame,
-        hermitian=a.hermitian and b.hermitian,
-    )
-
-
-def projector(basis: Basis, ket: str, bra: str | None = None,
-              frame: str = LAB_FRAME) -> OperatorMatrix:
-    """|ket><bra| over ``basis``; ``bra`` defaults to ``ket``."""
-    bra = ket if bra is None else bra
-    m = np.zeros((basis.dim, basis.dim), dtype=complex)
-    m[basis.index(ket), basis.index(bra)] = 1.0
-    return OperatorMatrix(m, basis, frame, hermitian=(ket == bra))
-
-
-def basis_change(op: OperatorMatrix, u: OperatorMatrix | np.ndarray,
-                 new_basis: Basis | None = None) -> OperatorMatrix:
-    """Transform ``op`` by the unitary ``u``: returns ``u^H op u``.
-
-    Columns of ``u`` are the new basis vectors expressed in the old basis.
-    ``u`` must be unitary to ``1e-10`` or :class:`NotUnitaryError` is raised.
-    """
-    if isinstance(u, OperatorMatrix):
-        if u.frame != op.frame:
-            raise BasisMismatchError(f"frames differ: {u.frame!r} vs {op.frame!r}")
-        if new_basis is None:
-            new_basis = u.basis
-        u = u.matrix
-    u = np.asarray(u, dtype=complex)
-    if u.shape != op.matrix.shape:
-        raise BasisMismatchError(f"unitary shape {u.shape} != operator shape {op.matrix.shape}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > _UNITARY_ATOL:
-        raise NotUnitaryError(f"basis-change matrix has unitarity defect {defect:.3e}")
-    if new_basis is None:
-        new_basis = op.basis
-    return OperatorMatrix(u.conj().T @ op.matrix @ u, new_basis, op.frame,
-                          hermitian=op.hermitian)
 
 
 def matrix_exponential(h: OperatorMatrix, dt: float) -> OperatorMatrix:

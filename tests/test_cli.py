@@ -830,7 +830,7 @@ def test_idle_block_csvs_share_one_body(tmp_path):
         columns = [traj.times]
         for lbl in labels:
             columns += [traj.amplitude(lbl).real, traj.amplitude(lbl).imag]
-        columns += [accumulated_phase(traj, lbl).values for lbl in labels]
+        columns += [accumulated_phase(traj, lbl) for lbl in labels]
         header = (out / f"traj_{key}.csv").read_text().split("\n", 1)[0].split(",")
         assert (out / f"traj_{key}.csv").read_bytes() == _reference_csv(header, columns)
 
@@ -894,7 +894,7 @@ def test_twin_trajectories_are_found_bit_for_bit(tmp_path):
     for name, traj in trajs.items():
         columns = [times, traj.states[:, 0].real, traj.states[:, 0].imag,
                    traj.states[:, 1].real, traj.states[:, 1].imag,
-                   accumulated_phase(traj, "a").values, np.full(4, math.nan)]
+                   accumulated_phase(traj, "a"), np.full(4, math.nan)]
         header = ["t_ps", "re_a", "im_a", "re_b", "im_b", "phase_a", "phase_b"]
         assert (tmp_path / name).read_bytes() == _reference_csv(header, columns)
     assert not list(tmp_path.glob("*.tmp"))

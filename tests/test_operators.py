@@ -8,16 +8,12 @@ from dotgates.operators import (
     BasisMismatchError,
     DensityMatrix,
     NotHermitianError,
-    NotUnitaryError,
     OperatorMatrix,
     QuantumState,
     UnknownLabelError,
-    basis_change,
     matrix_exponential,
     product_basis,
-    projector,
     rotating_frame_tag,
-    tensor,
 )
 
 B2 = Basis(("g", "e"), "two-level")
@@ -31,8 +27,7 @@ def test_hbar_value():
 def test_basis_labels_and_index():
     assert B3.dim == 3
     assert B3.index("X") == 2
-    assert "1" in B3
-    assert list(B3) == ["0", "1", "X"]
+    assert B3.labels == ("0", "1", "X")
     with pytest.raises(UnknownLabelError):
         B3.index("Y")
     with pytest.raises(ValueError):
@@ -75,88 +70,24 @@ def test_operator_matrix_is_frozen():
         op.matrix[0, 0] = 5.0
 
 
-def test_operator_algebra_preserves_flags():
-    a = OperatorMatrix([[1.0, 0.0], [0.0, -1.0]], B2, hermitian=True)
-    b = OperatorMatrix([[0.0, 1.0], [1.0, 0.0]], B2, hermitian=True)
-    assert (a + b).hermitian
-    assert (2.0 * a).hermitian
-    assert not (1j * a).hermitian
-    prod = a @ b
-    np.testing.assert_allclose(prod.matrix, a.matrix @ b.matrix)
-    other_frame = OperatorMatrix(np.eye(2), B2, frame=rotating_frame_tag(1.0))
-    with pytest.raises(BasisMismatchError):
-        a @ other_frame
-    with pytest.raises(BasisMismatchError):
-        a + OperatorMatrix(np.eye(2), Basis(("x", "y")))
-
-
 def test_quantum_state_norm_check():
     s = QuantumState.basis_state(B3, "1")
-    assert s.amplitude("1") == 1.0
-    assert s.population("0") == 0.0
-    assert s.norm() == pytest.approx(1.0)
+    np.testing.assert_array_equal(s.amplitudes, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         QuantumState(np.array([1.0, 1.0, 0.0]), B3)
     # intermediate vectors may skip the check
     QuantumState(np.array([1.0, 1.0, 0.0]), B3, normalized=False)
 
 
-def test_operator_apply_matches_matmul():
-    op = OperatorMatrix([[0.0, 1.0], [1.0, 0.0]], B2, hermitian=True)
-    s = QuantumState.basis_state(B2, "g")
-    out = op.apply(s)
-    np.testing.assert_allclose(out.amplitudes, [0.0, 1.0])
-    with pytest.raises(BasisMismatchError):
-        op.apply(QuantumState.basis_state(B3, "0"))
-
-
 def test_density_matrix_checks():
     rho = QuantumState.basis_state(B2, "e").density()
-    assert rho.population("e") == pytest.approx(1.0)
-    assert rho.trace() == pytest.approx(1.0)
-    assert rho.purity() == pytest.approx(1.0)
+    np.testing.assert_array_equal(rho.matrix, np.diag([0.0, 1.0]))
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([0.7, 0.7]), B2)
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]), B2)
     with pytest.raises(NotHermitianError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), B2)
-
-
-def test_tensor_layout_and_flags():
-    p1 = projector(B3, "1")
-    px = projector(B3, "X")
-    t = tensor(p1, px)
-    assert t.basis.labels[int(t.matrix.argmax()) // 9] == "1X"
-    assert t.element("1X", "1X") == 1.0
-    assert t.hermitian
-    off = tensor(projector(B3, "1", "X"), projector(B3, "X", "1"))
-    assert off.element("1X", "X1") == 1.0
-    assert not off.hermitian
-    with pytest.raises(BasisMismatchError):
-        tensor(p1, OperatorMatrix(np.eye(3), B3, frame=rotating_frame_tag(1.0)))
-
-
-def test_projector_elements():
-    pr = projector(B3, "0", "X")
-    assert pr.element("0", "X") == 1.0
-    assert np.count_nonzero(pr.matrix) == 1
-    assert not pr.hermitian
-    assert projector(B3, "0").hermitian
-
-
-def test_basis_change_requires_unitary():
-    h = OperatorMatrix([[0.0, 1.0], [1.0, 0.0]], B2, hermitian=True)
-    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    rotated = basis_change(h, u, Basis(("+", "-")))
-    np.testing.assert_allclose(rotated.matrix, np.diag([1.0, -1.0]), atol=1e-15)
-    assert rotated.hermitian
-    # eigenvalues are invariant
-    np.testing.assert_allclose(
-        np.sort(np.linalg.eigvalsh(rotated.matrix)),
-        np.sort(np.linalg.eigvalsh(h.matrix)), atol=1e-14)
-    with pytest.raises(NotUnitaryError):
-        basis_change(h, np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_matrix_exponential_two_level_rotation():

@@ -65,6 +65,8 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("cphase-commensurate", ("cphase", "--set", "commensurate=true")),
     # eigh at a midpoint away from the origin
     ("cphase-square-late", ("cphase", "--set", "t_start=3.3")),
+    # an explicit duration, 0.15% short of the calibrated 29.24 ps
+    ("cphase-square-duration", ("cphase", "--set", "duration=29.2")),
     ("zrot-square", ("zrot",)),
     ("zrot-square-shifted", ("zrot", "--set", "omega_a=173.3", "--set", "wait=0.37")),
     # a pulse shorter than one carrier period: Magnus, not Floquet
@@ -73,6 +75,8 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("zrot-square-late", ("zrot", "--set", "omega_a=173.3", "--set", "t_start=0.4")),
     ("zrot-gaussian", ("zrot", *GAUSSIAN, "--set", "omega_a=300")),
     ("zrot-gaussian-default", ("zrot", *GAUSSIAN)),
+    # an explicit width instead of the one calibrated from omega
+    ("zrot-gaussian-sigma", ("zrot", *GAUSSIAN, "--set", "sigma=0.825")),
     ("raman", ("raman",)),
     ("raman-detunings", ("raman", "--set", "detunings=[3,4,5.5]")),
     ("raman-detunings-gammas", ("raman", "--set", "detunings=[3,5.5]",
