@@ -211,10 +211,11 @@ def _format_rows(block: np.ndarray) -> bytes:
         w[slow[nan], 0] = t["nan"]
         w[slow[nan], 1:4] = 0
         w[slow[nan], 4] &= t["separator_only"]
-        for i in slow[~nan]:
-            txt = (_CSV_FMT % float(x[i])).encode()
-            buf[i, :_CELL_BYTES - 1] = 0
-            buf[i, :len(txt)] = np.frombuffer(txt, dtype=np.uint8)
+        other = slow[~nan]
+        # every "%.11e" text fits a cell's 19 bytes before its separator
+        texts = b"".join([(_CSV_FMT % v).encode().ljust(_CELL_BYTES - 1, b"\0")
+                          for v in x[other].tolist()])
+        buf[other, :_CELL_BYTES - 1] = np.frombuffer(texts, np.uint8).reshape(-1, _CELL_BYTES - 1)
     return buf.tobytes().translate(None, b"\0")
 
 
@@ -545,12 +546,17 @@ class _CsvScan:
 
     def __init__(self) -> None:
         self.buf, self.prev = bytearray(_SCAN_BYTES), memoryview(bytearray(_SCAN_BYTES))
+        self.bytes, self.hits = np.frombuffer(self.buf, np.uint8), np.empty(_SCAN_BYTES, bool)
         self.last: tuple[Path, int, tuple, np.ndarray] | None = None  # path, offset, key, data
 
     def parse(self, fh: Any, head: bytes, cols: list[int], width: int) -> np.ndarray:
         """The given columns of ``fh``'s rows after the header line ``head``, and
-        the last column (a short row is an error, a long one adds commas); one
-        pass counts commas and reuses the last parse if its bytes and columns match."""
+        the last column (a short row is an error, a long one adds commas).
+
+        One pass reads ``fh`` in buffers of ``_SCAN_BYTES``, counts each
+        buffer's commas as the nonzeros of one numpy comparison into a reused
+        mask, and compares the bytes with the last parse, which it reuses if
+        they and the columns match."""
         # np.loadtxt reads a carriage return as a line end: parse such a file alone
         key = None if b"\r" in head else (os.fstat(fh.fileno()).st_size - len(head), cols, width)
         twin, self.last = (self.last if key and self.last and self.last[2] == key else None), None
@@ -558,7 +564,7 @@ class _CsvScan:
         with (twin[0].open("rb") if twin else io.BytesIO()) as pf:
             pf.seek(twin[1] if twin else 0)
             while n := fh.readinto(self.buf):
-                commas += self.buf.count(b",", 0, n)
+                commas += np.count_nonzero(np.equal(self.bytes[:n], ord(","), out=self.hits[:n]))
                 same = (same and pf.readinto(self.prev[:n]) == n
                         and self.buf.startswith(self.prev[:n]))
         # hold no other file's data while this one loads

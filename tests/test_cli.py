@@ -784,6 +784,27 @@ def test_verify_fails_row_with_extra_cell(tmp_path):
     assert "FAIL traj_01.csv: unparseable (line 6: 8 cells, the header has 7)" in lines
 
 
+@pytest.mark.parametrize("shift", [-1, 0])
+def test_verify_fails_an_extra_cell_at_the_scan_buffer_edge(tmp_path, shift):
+    # the extra comma is the last byte of the first 64 KiB buffer after the
+    # header (shift -1) or the first byte of the second (shift 0), inside a
+    # row that straddles the two
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    path = out / "traj_01.csv"
+    data = path.read_bytes()
+    edge = data.index(b"\n") + 1 + _SCAN_BYTES
+    start = data.rindex(b"\n", 0, edge - 2) + 1
+    cell = b"0" * (edge + shift - start - 1) + b"1,"  # reads as 1.0
+    data = data[:start] + cell + data[start:]
+    assert data[edge + shift] == ord(",") and data.index(b"\n", start) > edge
+    path.write_bytes(data)
+    code, lines = _verify_lines(out)
+    assert code == 2
+    line = data.count(b"\n", 0, start) + 1
+    assert f"FAIL traj_01.csv: unparseable (line {line}: 8 cells, the header has 7)" in lines
+
+
 def test_verify_numbers_parse_errors_by_file_line(tmp_path):
     out = tmp_path / "c"
     assert _invoke(["cphase", "--out", str(out)]).exit_code == 0

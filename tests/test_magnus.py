@@ -106,6 +106,36 @@ def test_taylor_exponential_matches_expm(scale):
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cellwise_product_matches_einsum(d):
+    rng = np.random.default_rng(d)
+    n = 301
+    a, b = (rng.standard_normal((d, d, n)) + 1j * rng.standard_normal((d, d, n))
+            for _ in range(2))
+    got = dynamics._mm(a, b, np.empty_like(a), np.empty(n, dtype=complex))
+    # a d-term complex dot product lands within a few ulps of the sum of
+    # its terms' magnitudes, whichever order or fused multiply rounds it
+    bound = 4 * np.finfo(float).eps * np.einsum("ijn,jkn->ikn", np.abs(a), np.abs(b))
+    assert np.all(np.abs(got - np.einsum("ijn,jkn->ikn", a, b)) <= bound)
+
+
+def test_gaussian_cphase_states_match_einsum_products_bit_for_bit(monkeypatch):
+    # The unrolled products can round differently from einsum's in the
+    # last bit of entries far below a cell's identity part; the Taylor
+    # sums absorb those bits, so every state comes out the same.
+    p, env = DotPairParams(), gaussian_cphase_pulse(0.1)
+    calls = []
+    mm = dynamics._mm
+    monkeypatch.setattr(dynamics, "_mm", lambda *args: calls.append(1) or mm(*args))
+    _, unrolled = run_cphase(p, env)
+    assert len(calls) >= 10
+    monkeypatch.setattr(dynamics, "_mm", lambda a, b, out, tmp:
+                        np.einsum("ijn,jkn->ikn", a, b, out=out))
+    _, reference = run_cphase(p, env)
+    for key, traj in unrolled.items():
+        assert traj.states.tobytes() == reference[key].states.tobytes()
+
+
 def _chunk_case(case):
     """The trajectories of one Magnus run, keyed by name."""
     if case == "zrot-gaussian":
@@ -218,6 +248,32 @@ def test_spectator_b_trajectory_is_the_direct_propagation(shape):
     np.testing.assert_array_equal(trajs["10"].times, direct.times)
     np.testing.assert_array_equal(trajs["10"].states, direct.states)
     assert dict(trajs["10"].metadata) == dict(direct.metadata)
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_a_block_of_one_component_runs_whole(shape, monkeypatch):
+    # The spectator's one component holds both its levels: a start state
+    # runs on the block itself, and the restricted-and-scattered run that a
+    # second, zero row forces gives the same bits.
+    env = square_cphase_pulse(0.1) if shape == "square" else gaussian_cphase_pulse(0.1)
+    block = spectator_generator(DotPairParams(), env)
+    t0, t1 = env.support()
+    cfg = IntegratorConfig()
+    restricted = []
+    cut = DrivenBlock.restricted
+    monkeypatch.setattr(DrivenBlock, "restricted",
+                        lambda self, levels: restricted.append(levels) or cut(self, levels))
+    psi0 = np.array([[1.0, 0.0]], dtype=complex)
+    _, whole, meta = dynamics._propagate_components(block, psi0, t0, t1, cfg,
+                                                    block.breakpoints())
+    assert restricted == []
+    _, split, split_meta = dynamics._propagate_components(
+        block, np.vstack([psi0, 0 * psi0]), t0, t1, cfg, block.breakpoints())
+    assert restricted == [[0, 1]]
+    assert whole.shape == (1, split.shape[1], 2)
+    assert whole[0].tobytes() == split[0].tobytes()
+    assert not split[1].any()
+    assert meta == split_meta
 
 
 @pytest.mark.parametrize("shape", ["square", "gaussian"])

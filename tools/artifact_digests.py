@@ -56,6 +56,9 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("cphase-square-pair", ("cphase", *PAIR)),
     ("cphase-gaussian", ("cphase", *GAUSSIAN)),
     ("cphase-gaussian-pair", ("cphase", *GAUSSIAN, *PAIR)),
+    # 46670 samples: the 2x2 spectator crosses six 8192-cell Magnus chunks
+    # and the 3x3 component thirteen of 3640 cells
+    ("cphase-gaussian-dense", ("cphase", *GAUSSIAN, "--set", "sample_interval=0.002")),
     ("cphase-gaussian-split", ("cphase", *GAUSSIAN, "--set", "v_xx=30",
                                "--set", "sample_interval=0.2")),
     # a pulse ~1e-199 ps long: the sudden kick of its area
