@@ -61,7 +61,6 @@ from .dynamics import (
     PhaseUndefinedError,
     Trajectory,
     accumulated_phase,
-    concatenate_trajectories,
     evolve_expm,
     evolve_lindblad,
     evolve_schrodinger,

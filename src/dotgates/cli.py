@@ -82,18 +82,18 @@ class NonFiniteReportError(ValueError):
     """A report holds ``nan`` or ``inf``, which JSON cannot carry."""
 
 
-def round_floats(obj: Any, significant: int = 12) -> Any:
-    """Round every float in a JSON-like structure to ``significant`` digits."""
+def round_floats(obj: Any) -> Any:
+    """Round every float in a JSON-like structure to 12 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
         if obj == 0.0 or not math.isfinite(obj):
             return obj
-        return float(f"{obj:.{significant - 1}e}")
+        return float(f"{obj:.11e}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, significant) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, significant) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 

@@ -124,14 +124,13 @@ _SAMPLE_KEYS: dict[str, _Key] = {
     "sample_interval": _Key(0.01, _make_float(positive=True), True),
 }
 
-# only zrot adds solver keys: rtol and max_step set its lab-frame Magnus
-# cells.  cphase and raman runs read none (the DOP853 fallback of an
+# only zrot adds a solver key: rtol refines its lab-frame Magnus cells.
+# cphase and raman runs read none (the DOP853 fallback of an
 # ill-conditioned Liouvillian, which no valid raman input reaches, keeps
-# the IntegratorConfig defaults), and no run reads atol
+# the IntegratorConfig defaults), and no run reads atol or max_step
 _SOLVER_KEYS: dict[str, _Key] = {
     **_SAMPLE_KEYS,
     "rtol": _Key(1e-9, _make_float(positive=True), True),
-    "max_step": _Key(None, _make_opt_float(positive=True), True),
 }
 
 _PAIR_KEYS: dict[str, _Key] = {
@@ -249,11 +248,9 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
 
     def integrator(self) -> IntegratorConfig:
-        """The integrator settings; a kind without ``rtol`` or ``max_step``
-        keys takes their defaults."""
+        """The integrator settings; a kind without an ``rtol`` key takes
+        its default."""
         kw = {"rtol": self.values["rtol"]} if "rtol" in self.values else {}
-        if self.values.get("max_step") is not None:
-            kw["max_step"] = self["max_step"]
         return IntegratorConfig(sample_interval=self["sample_interval"], **kw)
 
     def envelope(self, omega: float | None = None) -> SquarePulse | GaussianPulse:
@@ -355,7 +352,7 @@ def _validate_keys(raw: dict[str, Any], kind: str,
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
             if readers:  # a key of other kinds is no typo
                 extra = f"; read only by {' and '.join(readers)}"
-            elif key == "atol":  # an IntegratorConfig field that no run reads
+            elif key in ("atol", "max_step"):  # solver settings no run reads
                 extra = "; no run reads it"
             raise ConfigError(f"unknown config key {key!r} for kind {kind!r}{extra}")
         values[key] = schema[key].coerce(key, val)

@@ -105,7 +105,6 @@ __all__ = [
     "check_drift",
     "accumulated_phase",
     "to_rotating_frame",
-    "concatenate_trajectories",
     "MAX_SAMPLES",
     "check_sample_count",
 ]
@@ -192,11 +191,10 @@ class IntegratorConfig:
     on the rotating-frame Magnus path it is also the step (split into
     substeps where one step would be too large).  On the lab-frame Magnus
     path, the one-period solve of a periodic block among them, the Magnus
-    cells double until the finer count is within ``rtol``, and
-    ``max_step`` caps a cell's width; ``atol`` is not read there.  A
-    Magnus run in either frame that would take more than
+    cells double until the finer count is within ``rtol``; ``atol`` is not
+    read there.  A Magnus run in either frame that would take more than
     ``_MAX_MAGNUS_STEPS`` cells raises :class:`IntegrationError` instead.
-    ``rtol``, ``atol`` and ``max_step`` govern the DOP853 solves: a
+    ``rtol`` and ``atol`` govern the DOP853 solves: a
     callable that is not a block and an ill-conditioned constant
     generator.  The exact ``eigh`` and ``eig`` paths and the
     rotating-frame Magnus path read none of them.
@@ -204,14 +202,11 @@ class IntegratorConfig:
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    max_step: float = math.inf
     sample_interval: float = 0.01
 
     def __post_init__(self) -> None:
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be positive")
-        if self.max_step <= 0:
-            raise ValueError("max_step must be positive")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
 
@@ -222,7 +217,6 @@ class CollapseChannel:
 
     operator: Any  # OperatorMatrix or ndarray
     rate: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.rate < 0:
@@ -448,7 +442,7 @@ def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarra
         mask = ((grid > a) & (grid <= b)) if forward else ((grid < a) & (grid >= b))
         pts = grid[mask]
         sol = solve_ivp(rhs, (a, b), y, method=_ADAPTIVE_METHOD, t_eval=pts,
-                        rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
+                        rtol=cfg.rtol, atol=cfg.atol)
         if not sol.success:
             raise IntegrationError(f"solver failed on [{a:g}, {b:g}]: {sol.message}")
         states[pos:pos + pts.size] = sol.y.T
@@ -747,18 +741,18 @@ def _refined_magnus(block: DrivenBlock, grid: np.ndarray, cfg: IntegratorConfig,
                     ) -> tuple[np.ndarray, dict[str, Any]]:
     """Propagators ``U(t, grid[0])`` on ``grid`` from Magnus cells refined to ``cfg.rtol``.
 
-    Each grid cell starts as ``ceil(width / max_step)`` Magnus cells, or
-    as many as the norm guard asks at ``H(grid[0])`` if more, and the
-    count doubles until the finer of two successive counts is within
-    ``rtol`` at every sample, or until doubling stops shrinking their
-    difference (rounding then dominates); the finer run is kept.  The
-    method is fourth order, so the finer run is off by about a fifteenth
-    of the difference.  ``assemble`` maps the propagators on ``grid`` to
-    those of the samples (the powers of a one-period solve), so the
-    comparison sees every sample the caller keeps: the powers multiply the
-    period-end error by the number of periods, which the one-period
-    propagators alone do not show.  Every run is bounded as
-    :func:`_magnus_states` bounds it.  Returns the stack and its metadata.
+    Each grid cell starts with as many Magnus cells as the norm guard asks
+    at ``H(grid[0])``, and the count doubles until the finer of two
+    successive counts is within ``rtol`` at every sample, or until doubling
+    stops shrinking their difference (rounding then dominates); the finer
+    run is kept.  The method is fourth order, so the finer run is off by
+    about a fifteenth of the difference.  ``assemble`` maps the
+    propagators on ``grid`` to those of the samples (the powers of a
+    one-period solve), so the comparison sees every sample the caller
+    keeps: the powers multiply the period-end error by the number of
+    periods, which the one-period propagators alone do not show.  Every
+    run is bounded as :func:`_magnus_states` bounds it.  Returns the stack
+    and its metadata.
     """
     eye = np.eye(block.h0.shape[0], dtype=complex)
 
@@ -771,7 +765,7 @@ def _refined_magnus(block: DrivenBlock, grid: np.ndarray, cfg: IntegratorConfig,
     # so a coarse grid never asks the guard for a huge split
     width = float(np.max(np.abs(np.diff(grid))))
     rate = float(np.linalg.norm(block(float(grid[0])))) / (HBAR_MEV_PS * _MAX_MAGNUS_NORM)
-    u, nfev, substeps = run(max(1.0, float(np.ceil(width * max(rate, 1.0 / cfg.max_step)))))
+    u, nfev, substeps = run(max(1.0, float(np.ceil(width * rate))))
     nfev += 1
     gap = math.inf
     while True:
@@ -792,7 +786,7 @@ def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
     worst = np.max(drift)
     # written so that a nan norm or trace fails
     if not (drift[-1] <= _FINAL_DRIFT_TOL and worst <= _ANY_DRIFT_TOL):
-        hint = ("tighten rtol/atol or shrink max_step" if math.isfinite(worst)
+        hint = ("tighten rtol/atol" if math.isfinite(worst)
                 else "the inputs overflow double precision")
         raise IntegrationError(f"{quantity} drifted by {worst:.3e}; {hint}")
 
@@ -1096,8 +1090,7 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     return Trajectory(times, states, state.basis, state.frame, "pure")
 
 
-def accumulated_phase(traj: Trajectory, label: str,
-                      floor: float = PHASE_FLOOR) -> np.ndarray:
+def accumulated_phase(traj: Trajectory, label: str) -> np.ndarray:
     """Unwrapped phase of ``traj.amplitude(label)`` at each of ``traj.times``.
 
     Samples below the magnitude floor take the phase linearly interpolated
@@ -1107,16 +1100,16 @@ def accumulated_phase(traj: Trajectory, label: str,
     if traj.times.size > 1 and traj.times[0] > traj.times[-1]:
         raise ValueError("phase accumulation expects a forward-time trajectory")
     amp = traj.amplitude(label)
-    defined = np.abs(amp) >= floor
+    defined = np.abs(amp) >= PHASE_FLOOR
     n_def = int(np.count_nonzero(defined))
     if n_def < 2:
         raise PhaseUndefinedError(
-            f"amplitude {label!r} has {n_def} samples above the floor {floor:g}; "
+            f"amplitude {label!r} has {n_def} samples above the floor {PHASE_FLOOR:g}; "
             "no phase can be tracked"
         )
     if n_def < 0.5 * amp.size:
         raise PhaseUndefinedError(
-            f"amplitude {label!r} sits below the floor {floor:g} for "
+            f"amplitude {label!r} sits below the floor {PHASE_FLOOR:g} for "
             f"{amp.size - n_def} of {amp.size} samples; phase is undefined "
             "over most of the window"
         )
@@ -1148,34 +1141,3 @@ def to_rotating_frame(traj: Trajectory, omega_l: float,
         states = traj.states * f[:, :, None] * f[:, None, :].conj()
     return Trajectory(traj.times, states, traj.basis, rotating_frame_tag(omega_l),
                       traj.kind, dict(traj.metadata))
-
-
-def concatenate_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
-    """Join consecutive trajectory segments into one.
-
-    Segments must share basis, frame, and kind, and each must start where
-    the previous one ended (the duplicated junction sample is dropped).
-    Metadata is merged with later segments winning, except ``nfev``, which
-    is summed.
-    """
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    first = parts[0]
-    times = [first.times]
-    states = [first.states]
-    for prev, cur in zip(parts[:-1], parts[1:]):
-        if cur.basis.labels != first.basis.labels or cur.frame != first.frame \
-                or cur.kind != first.kind:
-            raise BasisMismatchError("trajectory segments disagree on basis, frame, or kind")
-        skip = 1 if cur.times[0] == prev.times[-1] else 0
-        if cur.times[skip if skip < cur.times.size else -1] < prev.times[-1]:
-            raise ValueError("trajectory segments overlap in time")
-        times.append(cur.times[skip:])
-        states.append(cur.states[skip:])
-    meta: dict[str, Any] = {}
-    for part in parts:
-        meta.update(part.metadata)
-    if "nfev" in meta:
-        meta["nfev"] = sum(part.metadata.get("nfev", 0) for part in parts)
-    return Trajectory(np.concatenate(times), np.concatenate(states, axis=0),
-                      first.basis, first.frame, first.kind, meta)

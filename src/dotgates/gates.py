@@ -39,7 +39,6 @@ from .dynamics import (
     PhaseUndefinedError,
     Trajectory,
     check_drift,
-    concatenate_trajectories,
     evolve_lindblad,
     evolve_schrodinger,
 )
@@ -527,24 +526,25 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
         check_drift(np.linalg.norm(states, axis=1))
         return states
 
-    seg1 = Trajectory(columns[0].times, pulse_states(psi0), SINGLE_DOT, LAB_FRAME, "pure",
-                      meta)
-    mid_state = seg1.final_state()
+    first = pulse_states(psi0)
+    mid_state = QuantumState(first[-1], SINGLE_DOT)
 
     # main arm: free wait, then the second pulse from where the wait ends;
-    # the one solve is counted once, with the first pulse
-    parts = [seg1]
+    # each junction keeps one sample, and the one solve is counted once
+    times, states = [columns[0].times], [first]
     if gate.wait > 0:
         h_free = np.zeros((3, 3), dtype=complex)
         h_free[SINGLE_DOT.index("X"), SINGLE_DOT.index("X")] = p.omega_a
         free = evolve_schrodinger(h_free, mid_state, (t1, t1 + gate.wait), cfg)
-        parts.append(free)
+        times.append(free.times[1:])
+        states.append(free.states[1:])
         after_wait = free.states[-1]
     else:
         after_wait = mid_state.amplitudes
-    parts.append(Trajectory((t1 + gate.wait) + offsets, pulse_states(after_wait), SINGLE_DOT,
-                            LAB_FRAME, "pure", {"propagator": meta["propagator"]}))
-    traj = concatenate_trajectories(parts)
+    times.append((t1 + gate.wait) + offsets[1:])
+    states.append(pulse_states(after_wait)[1:])
+    traj = Trajectory(np.concatenate(times), np.concatenate(states), SINGLE_DOT, LAB_FRAME,
+                      "pure", meta)
 
     # baseline arm: identical second pulse immediately after the first
     fin_base = pulse_states(mid_state.amplitudes)[-1]
@@ -685,7 +685,7 @@ def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
     if params.gamma > 0:
         sink = np.zeros((4, 4), dtype=complex)
         sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
-        channels = (CollapseChannel(sink, params.gamma, "radiative loss"),)
+        channels = (CollapseChannel(sink, params.gamma),)
 
     rho0 = QuantumState.basis_state(RAMAN_LEVELS, "0", h.frame).density()
     traj = evolve_lindblad(h, rho0, (0.0, window), channels, cfg)

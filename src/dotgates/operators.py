@@ -7,9 +7,8 @@ Conventions used throughout the package:
 * Every matrix and state carries an ordered tuple of level labels (a
   :class:`Basis`) and a frame tag, either ``LAB_FRAME`` or the string
   returned by :func:`rotating_frame_tag`.  There is no operator
-  arithmetic; the propagators and
-  :func:`~dotgates.dynamics.concatenate_trajectories` raise
-  :class:`BasisMismatchError` when their inputs disagree on basis or frame.
+  arithmetic; the propagators raise :class:`BasisMismatchError` when
+  their inputs disagree on basis or frame.
 * Product spaces order the first factor as the major index: the labels of
   ``product_basis(u, v)`` are ``a + b`` for ``a`` in ``u`` and ``b`` in
   ``v``.
@@ -155,16 +154,12 @@ class OperatorMatrix:
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """A pure-state amplitude vector over a labelled basis.
-
-    By default the norm must be 1 within ``1e-6``; pass ``normalized=False``
-    for intermediate unnormalized vectors.
-    """
+    """A pure-state amplitude vector over a labelled basis, whose norm
+    must be 1 within ``1e-6``."""
 
     amplitudes: np.ndarray
     basis: Basis
     frame: str = LAB_FRAME
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         v = _frozen_array(self.amplitudes, "vector")
@@ -172,7 +167,7 @@ class QuantumState:
             raise BasisMismatchError(
                 f"vector dim {v.shape[0]} != basis {self.basis.name!r} dim {self.basis.dim}"
             )
-        if self.normalized and abs(np.linalg.norm(v) - 1.0) > _STATE_NORM_ATOL:
+        if abs(np.linalg.norm(v) - 1.0) > _STATE_NORM_ATOL:
             raise ValueError(f"state norm {np.linalg.norm(v):.9f} is not 1")
         object.__setattr__(self, "amplitudes", v)
 

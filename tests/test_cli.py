@@ -125,7 +125,7 @@ def test_unknown_key_fails_with_suggestion(tmp_path):
 def test_cphase_rejects_solver_tolerances(tmp_path):
     # no cphase run takes an adaptive solve, so the keys would do nothing
     for key, readers in (("rtol=1e-3", "read only by zrot"), ("atol=1e-3", "no run reads it"),
-                         ("max_step=5", "read only by zrot")):
+                         ("max_step=5", "no run reads it")):
         result = _invoke(["cphase", "--out", str(tmp_path / "x"),
                           "--set", "pulse_shape=gaussian", "--set", key])
         assert result.exit_code == 1
@@ -138,13 +138,14 @@ def test_cphase_rejects_solver_tolerances(tmp_path):
     assert result.exit_code == 1
     assert "config error" in _text(result)
     assert not (tmp_path / "x").exists() and not (tmp_path / "s").exists()
-    # zrot still reads rtol and max_step on its Magnus path
-    cfg = build_config({"kind": "zrot", "rtol": 1e-10, "max_step": 0.5})
-    assert cfg.integrator() == IntegratorConfig(rtol=1e-10, max_step=0.5)
-    with pytest.raises(ConfigError, match="'atol' for kind 'zrot'; no run reads it"):
-        build_config({"kind": "zrot", "atol": 1e-13})
+    # zrot still reads rtol on its Magnus path
+    cfg = build_config({"kind": "zrot", "rtol": 1e-10})
+    assert cfg.integrator() == IntegratorConfig(rtol=1e-10)
+    for key in ("atol", "max_step"):
+        with pytest.raises(ConfigError, match=f"'{key}' for kind 'zrot'; no run reads it"):
+            build_config({"kind": "zrot", key: 0.5})
     for key, readers in (("rtol", "; read only by zrot"), ("atol", "; no run reads it"),
-                         ("max_step", "; read only by zrot")):
+                         ("max_step", "; no run reads it")):
         with pytest.raises(ConfigError, match=f"'{key}' for kind 'raman'{readers}"):
             build_config({"kind": "raman", key: 0.5})
 
@@ -741,15 +742,6 @@ def test_zrot_gaussian_pulse_runs_at_coarse_sampling(tmp_path, dt):
     code, lines = _verify_lines(out)
     assert code == 0
     assert lines[-1] == "verified 3 files, 0 failures"
-
-
-def test_zrot_magnus_work_limit_exits_at_once(tmp_path):
-    # a max_step asking for billions of Magnus cells is refused before any run
-    start = time.perf_counter()
-    result = _invoke(["zrot", "--out", str(tmp_path / "z"), "--set", "max_step=1e-12"])
-    assert result.exit_code == 2
-    assert "Magnus solve would take" in _text(result)
-    assert time.perf_counter() - start < 5.0
 
 
 def test_cphase_magnus_work_limit_exits_at_once(tmp_path):

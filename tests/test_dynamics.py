@@ -13,7 +13,6 @@ from dotgates.dynamics import (
     PhaseUndefinedError,
     Trajectory,
     accumulated_phase,
-    concatenate_trajectories,
     evolve_expm,
     evolve_lindblad,
     evolve_schrodinger,
@@ -58,8 +57,7 @@ def test_integrator_config_validation():
     assert cfg.rtol == 1e-9
     assert cfg.atol == 1e-12
     assert cfg.sample_interval == 0.01
-    for bad in (dict(rtol=0.0), dict(atol=-1e-12), dict(max_step=0.0),
-                dict(sample_interval=0.0)):
+    for bad in (dict(rtol=0.0), dict(atol=-1e-12), dict(sample_interval=0.0)):
         with pytest.raises(ValueError):
             IntegratorConfig(**bad)
 
@@ -398,24 +396,6 @@ def test_rotating_frame_is_the_closed_form_phase():
         to_rotating_frame(rot, om, (0, 0, 1))  # already rotating
     with pytest.raises(ValueError):
         to_rotating_frame(lab, om, (0, 0))
-
-
-def test_concatenate_trajectories():
-    h = OperatorMatrix(np.diag([0.0, 1.0]), B2, hermitian=True)
-    psi0 = QuantumState(np.array([1.0, 1.0]) / math.sqrt(2.0), B2)
-    first = evolve_schrodinger(h, psi0, (0.0, 1.0))
-    second = evolve_schrodinger(h, first.final_state(), (1.0, 2.0))
-    joined = concatenate_trajectories([first, second])
-    assert joined.n_samples == first.n_samples + second.n_samples - 1
-    assert joined.times[0] == 0.0 and joined.times[-1] == 2.0
-    np.testing.assert_allclose(joined.states[-1], second.states[-1])
-    with pytest.raises(ValueError):
-        concatenate_trajectories([second, first])  # wrong order
-    rot = to_rotating_frame(first, 1.0, (0, 1))
-    with pytest.raises(BasisMismatchError):
-        concatenate_trajectories([first, rot])
-    with pytest.raises(ValueError):
-        concatenate_trajectories([])
 
 
 def test_constant_hamiltonian_eigh_matches_adaptive():

@@ -260,10 +260,26 @@ def test_zgate_params_validation():
         ZGateParams(good, wait=0.1, amplitudes=(1.0, 1.0))  # not normalized
 
 
-@pytest.mark.parametrize("wait", [0.05, 0.5])
-def test_run_z_rotation_imprints_optical_phase(wait):
+@pytest.mark.parametrize("wait", [0.0, 0.05, 0.5])
+def test_run_z_rotation_imprints_optical_phase(monkeypatch, wait):
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(evolve_schrodinger(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(gates, "evolve_schrodinger", recorded)
     pulse = SquarePulse(1.0, pi_pulse_time(1.0))
     report, traj = run_z_rotation(PAIR, ZGateParams(pulse, wait))
+    # the pulse solve, then the free wait if there is one
+    assert len(solves) == (2 if wait > 0 else 1)
+    pulse_solve = solves[0][0]
+    wait_cells = solves[1].n_samples - 1 if wait > 0 else 0
+    # each junction keeps one shared sample
+    assert np.all(np.diff(traj.times) > 0)
+    assert traj.n_samples == 2 * pulse_solve.n_samples - 1 + wait_cells
+    # the one pulse solve, its nfev counted once
+    assert dict(traj.metadata) == dict(pulse_solve.metadata)
     assert report.target_phase == pytest.approx(
         wrap_phase(PAIR.omega_a * wait / HBAR_MEV_PS), abs=1e-12)
     assert abs(report.phase_error) < 1e-6

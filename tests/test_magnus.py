@@ -17,10 +17,13 @@ from dotgates.gates import (
 )
 from dotgates.model import (
     PSI_SUBSPACE,
+    SINGLE_DOT,
     SPECTATOR_B_IDLE,
     DotPairParams,
     DrivenBlock,
     GaussianPulse,
+    LaserDrive,
+    lab_single_dot_generator,
     rwa_subspace_generator,
     spectator_generator,
 )
@@ -83,6 +86,21 @@ def test_magnus_refuses_a_step_beyond_the_substep_limit():
     psi0 = QuantumState.basis_state(PSI_SUBSPACE, "11", block.frame)
     with pytest.raises(IntegrationError, match="substeps"):
         evolve_schrodinger(block, psi0, env.support())
+
+
+def test_lab_frame_magnus_refuses_past_the_work_limit(monkeypatch):
+    # at omega_a = 1e9 meV the norm guard asks 1.5e8 Magnus cells in each
+    # sample cell, so the work bound refuses the solve before any chunk
+    def no_chunk(*args):
+        raise AssertionError("a Magnus chunk ran")
+
+    monkeypatch.setattr(dynamics, "_magnus_exponents", no_chunk)
+    env = GaussianPulse(peak=1.0, sigma=0.825)
+    lo, hi = env.support()
+    block = lab_single_dot_generator(1e9, LaserDrive(env, 1e9, carrier_origin=lo))
+    psi0 = QuantumState.basis_state(SINGLE_DOT, "1")
+    with pytest.raises(IntegrationError, match=r"the Magnus solve would take 1e\+11 steps"):
+        evolve_schrodinger(block, psi0, (lo, hi))
 
 
 def test_batched_calls_match_stacked_scalar_calls():

@@ -75,8 +75,6 @@ def test_quantum_state_norm_check():
     np.testing.assert_array_equal(s.amplitudes, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         QuantumState(np.array([1.0, 1.0, 0.0]), B3)
-    # intermediate vectors may skip the check
-    QuantumState(np.array([1.0, 1.0, 0.0]), B3, normalized=False)
 
 
 def test_density_matrix_checks():

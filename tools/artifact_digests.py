@@ -71,12 +71,15 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     # an explicit duration, 0.15% short of the calibrated 29.24 ps
     ("cphase-square-duration", ("cphase", "--set", "duration=29.2")),
     ("zrot-square", ("zrot",)),
+    # the second pulse straight after the first: one shared junction sample
+    ("zrot-square-nowait", ("zrot", "--set", "wait=0")),
     ("zrot-square-shifted", ("zrot", "--set", "omega_a=173.3", "--set", "wait=0.37")),
     # a pulse shorter than one carrier period: Magnus, not Floquet
     ("zrot-square-subperiod", ("zrot", "--set", "omega_a=1.5")),
     # Floquet from a carrier origin away from zero
     ("zrot-square-late", ("zrot", "--set", "omega_a=173.3", "--set", "t_start=0.4")),
     ("zrot-gaussian", ("zrot", *GAUSSIAN, "--set", "omega_a=300")),
+    ("zrot-gaussian-nowait", ("zrot", *GAUSSIAN, "--set", "omega_a=300", "--set", "wait=0")),
     ("zrot-gaussian-default", ("zrot", *GAUSSIAN)),
     # an explicit width instead of the one calibrated from omega
     ("zrot-gaussian-sigma", ("zrot", *GAUSSIAN, "--set", "sigma=0.825")),
