@@ -13,7 +13,8 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
 failures (integration, a failed linear-algebra routine, pulse calibration,
-undefined phases, a report value that is ``nan`` or ``inf``).  A run prints no numpy floating-point warning:
+undefined phases, a report value that is ``nan`` or ``inf``, an output that
+cannot be written).  A run prints no numpy floating-point warning:
 a non-finite result fails a conservation check or the report instead.
 
 ``dotgates verify --out DIR`` re-reads every emitted CSV and JSON file and
@@ -28,6 +29,7 @@ counting the header as line 1.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -38,7 +40,7 @@ import shutil
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 import click
 import numpy as np
@@ -107,6 +109,27 @@ def _non_finite_key(obj: Any, key: str = "") -> str | None:
     return next(filter(None, found), None)
 
 
+@contextlib.contextmanager
+def _publish(path: Path) -> Iterator[BinaryIO]:
+    """Write ``path`` through ``<name>.tmp``: yield the open ``.tmp`` handle,
+    then remove any old file at ``path`` and rename the ``.tmp`` onto the
+    free name.  Renaming over an existing file makes ext4 start writeback
+    of the new one (its replace-via-rename heuristic); removing the old
+    file first avoids that.  A file under its final name is always
+    complete; nothing is fsynced.  On any failure the ``.tmp`` is deleted
+    and the error re-raised."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        with contextlib.suppress(FileNotFoundError):
+            path.unlink()
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, obj: Mapping[str, Any]) -> None:
     try:
         payload = json.dumps(round_floats(dict(obj)), indent=2, sort_keys=True,
@@ -114,9 +137,8 @@ def _write_json(path: Path, obj: Mapping[str, Any]) -> None:
     except ValueError:
         raise NonFiniteReportError(
             f"{path.name} would hold a non-finite {_non_finite_key(dict(obj))}") from None
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload + "\n")
-    os.replace(tmp, path)
+    with _publish(path) as fh:
+        fh.write((payload + "\n").encode())
 
 
 @functools.cache
@@ -221,14 +243,13 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 def _write_csv(path: Path, header: Sequence[str],
                columns: Sequence[np.ndarray]) -> None:
+    """Write the columns under ``header`` to ``path``, published by `_publish`."""
     n = int(columns[0].size) if columns else 0
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
+    with _publish(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for i in range(0, n, _CSV_BLOCK_ROWS):
             block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
             fh.write(_format_rows(block.astype(np.float64, copy=False)))
-    os.replace(tmp, path)
 
 
 def _traj_header(traj: Trajectory) -> list[str]:
@@ -257,9 +278,10 @@ def _traj_columns(traj: Trajectory) -> list[np.ndarray]:
 
 
 def _write_trajectories(out: Path, trajs: Mapping[str, Trajectory]) -> None:
-    """Write each trajectory to ``out / name``.  One with the same rows as an
-    earlier one (the idle ``cphase`` blocks of a resonant pair) streams that
-    file's data rows under its own header instead of formatting them again."""
+    """Write each trajectory to ``out / name``, published by `_publish`.  One
+    with the same rows as an earlier one (the idle ``cphase`` blocks of a
+    resonant pair) streams that file's data rows under its own header
+    instead of formatting them again."""
     written: list[tuple[str, list[np.ndarray], Path]] = []
     for name, traj in trajs.items():
         path = out / name
@@ -270,12 +292,10 @@ def _write_trajectories(out: Path, trajs: Mapping[str, Trajectory]) -> None:
         if twin is None:
             _write_csv(path, _traj_header(traj), _traj_columns(traj))
         else:
-            tmp = path.with_name(name + ".tmp")
-            with twin.open("rb") as src, tmp.open("wb") as fh:
+            with twin.open("rb") as src, _publish(path) as fh:
                 src.readline()
                 fh.write((",".join(_traj_header(traj)) + "\n").encode())
                 shutil.copyfileobj(src, fh)
-            os.replace(tmp, path)
         written.append((traj.kind, bits, path))
 
 
@@ -479,7 +499,7 @@ def _execute(kind: str, config_path: str | None, out: str,
     try:
         run_experiment(cfg, Path(out), jobs=jobs)
     except (IntegrationError, PulseAreaError, PhaseUndefinedError, NonFiniteReportError,
-            np.linalg.LinAlgError) as e:
+            np.linalg.LinAlgError, OSError) as e:
         click.echo(f"runtime error: {e}", err=True)
         sys.exit(2)
     if _empty_run_list(cfg):

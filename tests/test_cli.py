@@ -77,13 +77,54 @@ def test_cphase_writes_report_and_trajectories(tmp_path):
     assert report["warnings"] == []
 
 
-def test_cphase_reruns_are_byte_identical(tmp_path):
+def _tree(root):
+    """``relpath -> bytes`` of every file under ``root``."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_cphase_reruns_are_byte_identical(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        result = _invoke(["cphase", "--out", str(out)])
-        assert result.exit_code == 0
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    assert (a / "traj_11.csv").read_bytes() == (b / "traj_11.csv").read_bytes()
+    replace, taken = os.replace, []
+
+    def spy(src, dst):
+        taken.append((Path(dst), os.path.lexists(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    # defaults, then a run whose every file changes size, then defaults again
+    for sets in ([], ["--set", "omega=0.17"], []):
+        assert _invoke(["cphase", *sets, "--out", str(a)]).exit_code == 0
+    monkeypatch.undo()
+    assert _invoke(["cphase", "--out", str(b)]).exit_code == 0
+    assert len(taken) == 3 * len(_tree(b))
+    assert [dst for dst, existed in taken if existed] == []
+    assert _tree(a) == _tree(b)
+    assert not list(a.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("layout", ["out-is-a-file", "csv-name-is-a-directory"])
+def test_unwritable_output_exits_with_one_line(tmp_path, layout):
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    if layout == "out-is-a-file":
+        out.write_text("not a directory\n")
+    else:
+        (out / "traj_00.csv").mkdir(parents=True)
+        (out / "traj_00.csv" / "keep.txt").write_text("kept\n")
+        (out / "notes.txt").write_text("notes\n")
+    before = _tree(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", "cphase",
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("runtime error:")
+    assert not (out / "report.json").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert _tree(tmp_path) == before
 
 
 def test_cphase_trajectory_csv_columns(tmp_path):

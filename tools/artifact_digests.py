@@ -11,8 +11,11 @@ Each invocation runs as ``python -m dotgates.cli`` in a fresh temporary
 directory, followed by ``verify`` of its output.  For every invocation the
 script prints the exit code, stdout and stderr (with the temporary
 directory replaced by ``<tmp>``), then ``sha256  relpath`` for every file
-written.  Last, it runs ``verify`` on a copy of ``cphase-square`` with one
-cell of ``traj_10.csv`` changed, whose data rows otherwise equal those of
+written.  ``cphase-square-rerun`` writes ``cphase-square`` twice into one
+directory, so that every file of the second run replaces one of the first;
+the script prints whether its files equal those of ``cphase-square``.
+Last, it runs ``verify`` on a copy of ``cphase-square`` with one cell of
+``traj_10.csv`` changed, whose data rows otherwise equal those of
 ``traj_01.csv``.  It needs nothing beyond the standard library and the
 package.
 
@@ -120,20 +123,27 @@ def run_all(tmp: Path) -> None:
     """Run every invocation under ``tmp`` and print what each wrote."""
     sweep = tmp / "sweep.json"
     sweep.write_text(json.dumps(SWEEP))
+    runs = tmp / "runs"
     for run, args in RUNS:
-        out = tmp / "runs" / run
+        out = runs / run
         argv = [a.replace("{sweep}", str(sweep)) for a in args]
         print(f"=== {run}: {' '.join(args)}")
         print(cli([*argv, "--out", str(out)], tmp), end="")
         print(f"=== verify {run}")
         print(cli(["verify", "--out", str(out)], tmp), end="")
+    rerun = runs / "cphase-square-rerun"
+    for write in ("first", "second"):
+        print(f"=== cphase-square-rerun, {write} write: cphase")
+        print(cli(["cphase", "--out", str(rerun)], tmp), end="")
+    same = digests(rerun) == digests(runs / "cphase-square")
+    print(f"=== cphase-square-rerun files equal cphase-square's: {same}")
     edited = tmp / "edited"
-    shutil.copytree(tmp / "runs" / "cphase-square", edited)
+    shutil.copytree(runs / "cphase-square", edited)
     edit_cell(edited / "traj_10.csv", 7, "re_10", "5.00000000000e-01")
     print("=== verify cphase-square, traj_10.csv line 7 re_10 set to 0.5")
     print(cli(["verify", "--out", str(edited)], tmp), end="")
     print("=== artifacts")
-    print("\n".join(digests(tmp / "runs")))
+    print("\n".join(digests(runs)))
 
 
 def leaves(value: Any, path: str = "") -> Iterator[tuple[str, Any]]:
