@@ -38,6 +38,7 @@ import math
 import os
 import shutil
 import sys
+import threading
 import warnings
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
@@ -71,7 +72,10 @@ from .model import check_conditions
 __all__ = ["main", "run_experiment", "round_floats", "NonFiniteReportError"]
 
 _CSV_FMT = "%.11e"  # 12 significant digits
-_CSV_BLOCK_ROWS = 1024  # rows formatted per numpy pass; bounds the writer's memory
+# rows per numpy pass; every block is computed in one reused, per-thread working
+# set (`_CellWork`) of at most this many rows x columns cells: fresh temporaries
+# per block would be trimmed from the heap and faulted back in by the next block
+_CSV_BLOCK_ROWS = 1024
 _CELL_BYTES = 20  # a padded "-d.ddddddddddde+ddd" cell plus its separator
 _EXP_OFFSET = 320  # decimal exponents handled by the lookup tables: [-320, 320)
 _P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 160)
@@ -176,16 +180,57 @@ def _cell_tables() -> dict[str, np.ndarray]:
     }
 
 
-def _scaled(a: np.ndarray, e: np.ndarray, p10: np.ndarray) -> np.ndarray:
-    """``a * 10**(11 - e)`` through two correctly rounded factors, so that
-    no intermediate overflows or goes subnormal for ``a`` in [1e-300, 1e300]."""
-    k = 11 - e
-    h = k >> 1
-    return a * p10[h + _P10_OFFSET] * p10[k - h + _P10_OFFSET]
+class _CellWork:
+    """The buffers `_format_rows` reuses for every block of up to ``cells`` cells.
+
+    ``floats`` holds the block (``x``), then ``|x|``, the scaled value and
+    the mantissa, each also a scratch once its value is spent; ``ints`` the
+    decimal exponent and two table indices; ``flags`` the fast-path mask
+    and a scratch; ``word`` one gathered word a cell; ``text`` the 5-word
+    cells, ``words`` its ``(cells, 5)`` view.  82 bytes a cell.
+    """
+
+    def __init__(self, cells: int) -> None:
+        self.cells = cells
+        self.floats = np.empty((4, cells))
+        self.ints = np.empty((3, cells), dtype=np.intp)
+        self.flags = np.empty((2, cells), dtype=bool)
+        self.word = np.empty(cells, dtype=np.uint32)
+        self.text = bytearray(cells * _CELL_BYTES)
+        self.words = np.frombuffer(self.text, dtype=np.uint32).reshape(cells, 5)
 
 
-def _format_rows(block: np.ndarray) -> bytes:
-    """CSV lines for a 2-d float block, byte-identical to ``"%.11e" % x`` per cell.
+_cell_work_local = threading.local()
+
+
+def _cell_work(cells: int) -> _CellWork:
+    """This thread's `_CellWork`, kept for the life of the process and
+    replaced by a larger one only when ``cells`` exceeds every earlier block."""
+    work = getattr(_cell_work_local, "work", None)
+    if work is None or work.cells < cells:
+        work = _cell_work_local.work = _CellWork(cells)
+    return work
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, p10: np.ndarray, k: np.ndarray,
+            h: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``a * 10**(11 - e)`` into ``out`` through two correctly rounded
+    factors, so that no intermediate overflows or goes subnormal for ``a``
+    in [1e-300, 1e300]; ``k``, ``h`` and ``scratch`` are overwritten."""
+    np.subtract(11, e, out=k)
+    np.right_shift(k, 1, out=h)
+    k -= h
+    h += _P10_OFFSET
+    k += _P10_OFFSET
+    np.take(p10, h, out=out, mode="clip")
+    np.multiply(a, out, out=out)
+    np.take(p10, k, out=scratch, mode="clip")
+    out *= scratch
+
+
+def _format_rows(columns: Sequence[np.ndarray]) -> bytearray:
+    """CSV lines for equal-length float columns (``block.T`` for a 2-d
+    block), byte-identical to ``"%.11e" % x`` per cell.
 
     The decimal mantissa is ``rint(|x| * 10**(11-e))``; the float scaling is
     off the exact product by under 5e-16 relative, i.e. under 5e-4 for a
@@ -193,41 +238,74 @@ def _format_rows(block: np.ndarray) -> bytes:
     within 1e-3 of a half.  Those cells, ``inf`` and magnitudes outside
     [1e-300, 1e300] are printed by ``%`` itself; zeros and ``nan`` take
     fixed patterns.
+
+    Every intermediate lives in one reused, per-thread working set
+    (`_CellWork`), kept for the life of the process and grown only for a
+    block of more cells than any before it: at most ``_CSV_BLOCK_ROWS`` x
+    columns cells.  Fresh temporaries for each block (1.7 MB at 1024 x 13)
+    would be handed back to the kernel by glibc's heap trim and faulted in
+    again by the next block, some 500-850 minor page faults a
+    ``cphase-square`` job; a block allocates little beyond its output.
+    Lookups use ``np.take(mode="clip")``: every index is in range, and the
+    default ``"raise"`` copies through a temporary.
     """
     t = _cell_tables()
-    rows, ncols = block.shape
-    x = block.ravel()
-    a = np.abs(x)
-    fast = (a >= 1e-300) & (a <= 1e300)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    s = _scaled(a, e, t["p10"])
-    off = (s >= 1e12).astype(np.intp) - (s < 1e11)
-    if off.any():
-        e += off
-        s = _scaled(a, e, t["p10"])
-    m = np.rint(s)
-    fast &= (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) >= 1e-3)
-    m = np.where(fast, m, 0.0)  # zeros print as 0.00000000000e+00
+    ncols, rows = len(columns), len(columns[0])
+    n = rows * ncols
+    work = _cell_work(n)
+    x, a, s, m = work.floats[:, :n]
+    e, k, h = work.ints[:, :n]
+    fast, tmp = work.flags[:, :n]
+    word = work.word[:n]
+    w = work.words[:n]
+    block = x.reshape(rows, ncols)
+    for j, c in enumerate(columns):
+        block[:, j] = c
+    np.abs(x, out=a)
+    np.greater_equal(a, 1e-300, out=fast)
+    fast &= np.less_equal(a, 1e300, out=tmp)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=tmp))
+    np.log10(a, out=s)
+    np.floor(s, out=s)
+    np.copyto(e, s, casting="unsafe")
+    _scaled(a, e, t["p10"], k, h, s, m)
+    off = np.greater_equal(s, 1e12, out=tmp).any()
+    e += tmp
+    off |= np.less(s, 1e11, out=tmp).any()
+    e -= tmp
+    if off:
+        _scaled(a, e, t["p10"], k, h, s, m)
+    np.rint(s, out=m)
+    fast &= np.greater_equal(s, 1e11, out=tmp)
+    fast &= np.less(m, 1e12, out=tmp)
+    np.floor(s, out=a)
+    np.subtract(s, a, out=a)
+    a -= 0.5
+    np.abs(a, out=a)
+    fast &= np.greater_equal(a, 1e-3, out=tmp)
+    not_fast = np.logical_not(fast, out=fast)  # `fast` is spent
+    np.copyto(m, 0.0, where=not_fast)  # zeros print as 0.00000000000e+00
     # digit groups [d0 d1] [d2..d5] [d6..d9] [d10 d11]; every step is exact
-    q0 = np.floor(m / 1e10)
-    m -= q0 * 1e10
-    q1 = np.floor(m / 1e6)
-    m -= q1 * 1e6
-    q2 = np.floor(m / 1e2)
-    m -= q2 * 1e2
+    for col, scale, table in ((0, 1e10, t["lead"]), (1, 1e6, t["quad"]), (2, 1e2, t["quad"])):
+        np.divide(m, scale, out=a)
+        np.floor(a, out=a)
+        np.copyto(k, a, casting="unsafe")
+        a *= scale
+        m -= a
+        np.take(table, k, out=word, mode="clip")
+        w[:, col] = word
+    np.bitwise_or(w[:, 0], t["minus"], out=w[:, 0], where=np.signbit(x, out=tmp))
     e += _EXP_OFFSET
-    cells = np.empty((rows, ncols, 5), dtype=np.uint32)
-    w = cells.reshape(-1, 5)
-    w[:, 0] = t["lead"][q0.astype(np.intp)] | np.signbit(x) * t["minus"]
-    w[:, 1] = t["quad"][q1.astype(np.intp)]
-    w[:, 2] = t["quad"][q2.astype(np.intp)]
-    w[:, 3] = t["tail"][m.astype(np.intp)] | t["esign"][e]
-    cells[:, :, 4] = t["exp"][e].reshape(rows, ncols)
+    np.copyto(k, m, casting="unsafe")
+    w[:, 3] = np.take(t["tail"], k, out=word, mode="clip")
+    w[:, 3] |= np.take(t["esign"], e, out=word, mode="clip")
+    cells = w.reshape(rows, ncols, 5)
+    cells[:, :, 4] = np.take(t["exp"], e, out=word, mode="clip").reshape(rows, ncols)
     cells[:, :-1, 4] |= t["comma"]
     cells[:, -1, 4] |= t["newline"]
     buf = w.view(np.uint8)
-    slow = np.flatnonzero(~fast & (x != 0))
+    not_fast &= np.not_equal(x, 0, out=tmp)
+    slow = np.flatnonzero(not_fast)
     if slow.size:
         nan = np.isnan(x[slow])
         w[slow[nan], 0] = t["nan"]
@@ -238,7 +316,9 @@ def _format_rows(block: np.ndarray) -> bytes:
         texts = b"".join([(_CSV_FMT % v).encode().ljust(_CELL_BYTES - 1, b"\0")
                           for v in x[other].tolist()])
         buf[other, :_CELL_BYTES - 1] = np.frombuffer(texts, np.uint8).reshape(-1, _CELL_BYTES - 1)
-    return buf.tobytes().translate(None, b"\0")
+    # past a smaller block's cells lie an earlier, larger block's
+    text = work.text if n == work.cells else work.text[:n * _CELL_BYTES]
+    return text.translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: Sequence[str],
@@ -248,8 +328,7 @@ def _write_csv(path: Path, header: Sequence[str],
     with _publish(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for i in range(0, n, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write(_format_rows(block.astype(np.float64, copy=False)))
+            fh.write(_format_rows([c[i:i + _CSV_BLOCK_ROWS] for c in columns]))
 
 
 def _traj_header(traj: Trajectory) -> list[str]:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -565,13 +566,15 @@ def _assert_writes_like_percent(tmp_path, values, ncols=3):
     assert not (tmp_path / "golden.csv.tmp").exists()
 
 
+_SPECIAL_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e-300, 1e300, 1e-301, 1e301,
+                   1e308, -1e308, 1.7976931348623157e308, 1e100, -1e-100, 1.5e-245,
+                   9.99999999999e99, 9.999999999995e99, 1.0, -1.0, 0.5, 123.456]
+
+
 def test_csv_writer_matches_percent_format_on_special_values(tmp_path):
-    specials = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-                2.2250738585072014e-308, 1e-300, 1e300, 1e-301, 1e301,
-                1e308, -1e308, 1.7976931348623157e308, 1e100, -1e-100, 1.5e-245,
-                9.99999999999e99, 9.999999999995e99, 1.0, -1.0, 0.5, 123.456]
-    for ncols in (1, 3, len(specials)):
-        _assert_writes_like_percent(tmp_path, specials, ncols)
+    for ncols in (1, 3, len(_SPECIAL_VALUES)):
+        _assert_writes_like_percent(tmp_path, _SPECIAL_VALUES, ncols)
 
 
 def test_csv_writer_matches_percent_format_on_decimal_ties(tmp_path):
@@ -602,11 +605,85 @@ def test_csv_writer_matches_percent_format_on_random_values(tmp_path):
     _assert_writes_like_percent(tmp_path, np.concatenate([values, bits]), ncols=13)
 
 
-@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                                  _CSV_BLOCK_ROWS + 1])
-def test_csv_writer_block_edges(tmp_path, rows):
-    rng = np.random.default_rng(rows)
-    _assert_writes_like_percent(tmp_path, rng.standard_normal(rows * 4), ncols=4)
+def _write_shrinking_shapes(directory, seed):
+    """Write 13 x (_CSV_BLOCK_ROWS + 1), 4 x 3, 7 x _CSV_BLOCK_ROWS and 1 x 1
+    (columns x rows) files into ``directory``, in that order; the special
+    values go only into the three later, smaller ones.  Returns the names of
+    the files that differ from ``"%.11e"``."""
+    rng = np.random.default_rng(seed)
+    wrong = []
+    shapes = [(13, _CSV_BLOCK_ROWS + 1), (4, 3), (7, _CSV_BLOCK_ROWS), (1, 1)]
+    for index, (ncols, rows) in enumerate(shapes):
+        values = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
+        if index:
+            picks = rng.permutation(len(_SPECIAL_VALUES))[:values.size]
+            values[rng.choice(values.size, picks.size, replace=False)] = \
+                np.array(_SPECIAL_VALUES)[picks]
+        columns = list(values.reshape(rows, ncols).T)
+        header = [f"c{i}" for i in range(ncols)]
+        path = directory / f"shape{index}.csv"
+        _write_csv(path, header, columns)
+        if path.read_bytes() != _reference_csv(header, columns):
+            wrong.append(path.name)
+    return wrong
+
+
+def test_csv_writer_reuses_its_working_set_across_shapes(tmp_path):
+    # the formatter's working set is grown to the largest block so far: a
+    # smaller block must print none of an earlier block's cells
+    assert _write_shrinking_shapes(tmp_path, 21) == []
+    _assert_writes_like_percent(tmp_path, [], ncols=4)  # header only
+
+
+def test_csv_writer_keeps_one_working_set_per_thread(tmp_path):
+    # threads that format at once must not share one working set
+    names = ["t1", "t2", "t3"]
+    barrier = threading.Barrier(len(names), timeout=60)
+    results = {}
+
+    def worker(name, seed):
+        directory = tmp_path / name
+        directory.mkdir()
+        results[name] = []
+        for r in range(4):
+            barrier.wait()
+            results[name].append(_write_shrinking_shapes(directory, seed + r))
+
+    threads = [threading.Thread(target=worker, args=(name, 100 * i))
+               for i, name in enumerate(names)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {name: [[]] * 4 for name in names}
+
+
+def test_format_rows_allocates_little_beyond_its_output():
+    # numpy reports its buffers to tracemalloc; fresh temporaries for every
+    # block peaked at 6.8 times the output
+    columns = list(np.random.default_rng(8).standard_normal((_CSV_BLOCK_ROWS, 13)).T)
+    ratio = []
+
+    def measure():  # in a new thread, whose working set is only this shape's
+        _format_rows(columns)
+        tracemalloc.start()
+        try:
+            out = _format_rows(columns)
+            ratio.append(tracemalloc.get_traced_memory()[1] / len(out))
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=measure)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert ratio and ratio[0] <= 1.5
 
 
 def _set_cell(path, line, column, text):
@@ -865,7 +942,7 @@ def test_format_rows_matches_percent_on_edge_cells():
         block = np.array(values).reshape(-1, ncols)
         expected = "".join(",".join("%.11e" % v for v in row) + "\n"
                            for row in block.tolist())
-        assert _format_rows(block) == expected.encode()
+        assert _format_rows(block.T) == expected.encode()
 
 
 def test_idle_block_csvs_share_one_body(tmp_path):
