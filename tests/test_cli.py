@@ -605,6 +605,13 @@ def test_csv_writer_matches_percent_format_on_random_values(tmp_path):
     _assert_writes_like_percent(tmp_path, np.concatenate([values, bits]), ncols=13)
 
 
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                  _CSV_BLOCK_ROWS + 1])
+def test_csv_writer_block_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    _assert_writes_like_percent(tmp_path, rng.standard_normal(rows * 4), ncols=4)
+
+
 def _write_shrinking_shapes(directory, seed):
     """Write 13 x (_CSV_BLOCK_ROWS + 1), 4 x 3, 7 x _CSV_BLOCK_ROWS and 1 x 1
     (columns x rows) files into ``directory``, in that order; the special
