@@ -40,6 +40,7 @@ import shutil
 import sys
 import threading
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
@@ -489,7 +490,7 @@ def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
                            cfg["threshold_spectator"])
     return {
         "kind": "conditions",
-        "dot_params": {"omega_a": p.omega_a, "v_f": p.v_f, "v_xx": p.v_xx},
+        "dot_params": asdict(p),
         "pulse": pulse_summary(env),
         "conditions": rep.as_dict(),
     }

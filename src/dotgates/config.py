@@ -117,11 +117,10 @@ _REQUIRED = object()
 class _Key:
     default: Any
     coerce: Callable[[str, Any], Any]
-    sweepable: bool = False
 
 
 _SAMPLE_KEYS: dict[str, _Key] = {
-    "sample_interval": _Key(0.01, _make_float(positive=True), True),
+    "sample_interval": _Key(IntegratorConfig.sample_interval, _make_float(positive=True)),
 }
 
 # only zrot adds a solver key: rtol refines its lab-frame Magnus cells.
@@ -130,27 +129,27 @@ _SAMPLE_KEYS: dict[str, _Key] = {
 # the IntegratorConfig defaults), and no run reads atol or max_step
 _SOLVER_KEYS: dict[str, _Key] = {
     **_SAMPLE_KEYS,
-    "rtol": _Key(1e-9, _make_float(positive=True), True),
+    "rtol": _Key(IntegratorConfig.rtol, _make_float(positive=True)),
 }
 
 _PAIR_KEYS: dict[str, _Key] = {
-    "omega_a": _Key(2.0e6, _make_float(positive=True), True),
-    "v_f": _Key(0.85, _make_float(nonzero=True), True),
-    "v_xx": _Key(5.0, _make_float(), True),
+    "omega_a": _Key(DotPairParams.omega_a, _make_float(positive=True)),
+    "v_f": _Key(DotPairParams.v_f, _make_float(nonzero=True)),
+    "v_xx": _Key(DotPairParams.v_xx, _make_float()),
 }
 
 _PULSE_KEYS: dict[str, _Key] = {
     "pulse_shape": _Key("square", _make_choice("square", "gaussian")),
-    "omega": _Key(0.1, _make_float(nonneg=True), True),
-    "duration": _Key(None, _make_opt_float(nonneg=True), True),
-    "sigma": _Key(None, _make_opt_float(positive=True), True),
-    "truncation": _Key(4.0, _make_float(positive=True), True),
-    "t_start": _Key(0.0, _make_float(), True),
+    "omega": _Key(0.1, _make_float(nonneg=True)),
+    "duration": _Key(None, _make_opt_float(nonneg=True)),
+    "sigma": _Key(None, _make_opt_float(positive=True)),
+    "truncation": _Key(GaussianPulse.truncation, _make_float(positive=True)),
+    "t_start": _Key(0.0, _make_float()),
 }
 
 _THRESHOLD_KEYS: dict[str, _Key] = {
-    "threshold_biexciton": _Key(0.1, _make_float(positive=True), True),
-    "threshold_spectator": _Key(0.1, _make_float(positive=True), True),
+    "threshold_biexciton": _Key(0.1, _make_float(positive=True)),
+    "threshold_spectator": _Key(0.1, _make_float(positive=True)),
 }
 
 
@@ -164,20 +163,20 @@ def _schema(kind: str) -> dict[str, _Key]:
     if kind == "zrot":
         # the single addressed dot: omega_a is the one pair energy it reads
         return {
-            "omega_a": _Key(2.0e3, _make_float(positive=True), True),
+            "omega_a": _Key(2.0e3, _make_float(positive=True)),
             **_PULSE_KEYS,
-            "omega": _Key(1.0, _make_float(nonneg=True), True),
+            "omega": _Key(1.0, _make_float(nonneg=True)),
             **_SOLVER_KEYS,
-            "wait": _Key(0.5, _make_float(nonneg=True), True),
+            "wait": _Key(0.5, _make_float(nonneg=True)),
         }
     if kind == "raman":
         return {
             **_SAMPLE_KEYS,
-            "rabi": _Key(1.33, _make_float(positive=True), True),
-            "detuning": _Key(4.0, _make_float(nonzero=True), True),
-            "gamma": _Key(0.1, _make_float(nonneg=True), True),
-            "target_angle": _Key(math.pi, _make_float(positive=True), True),
-            "time_window": _Key(None, _make_opt_float(positive=True), True),
+            "rabi": _Key(RamanParams.rabi, _make_float(positive=True)),
+            "detuning": _Key(RamanParams.detuning, _make_float(nonzero=True)),
+            "gamma": _Key(RamanParams.gamma, _make_float(nonneg=True)),
+            "target_angle": _Key(RamanParams.target_angle, _make_float(positive=True)),
+            "time_window": _Key(None, _make_opt_float(positive=True)),
             "detunings": _Key(None, _make_float_list(nonzero=True)),
             "gammas": _Key(None, _make_float_list(nonneg=True)),
         }
@@ -185,8 +184,8 @@ def _schema(kind: str) -> dict[str, _Key]:
         return {**_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS}
     if kind == "sweep":
         return {
-            "sweep_kind": _Key("cphase", _make_choice("cphase", "zrot", "raman",
-                                                      "conditions")),
+            "sweep_kind": _Key("cphase",
+                               _make_choice(*(k for k in EXPERIMENT_KINDS if k != "sweep"))),
             "sweep_param": _Key(_REQUIRED, _str),
             "sweep_values": _Key(_REQUIRED, _make_float_list()),
         }
@@ -261,26 +260,20 @@ class ExperimentConfig:
         if self.kind not in _PULSE_AREAS:
             raise ConfigError(f"kind {self.kind!r} does not define a pulse")
         om = self["omega"] if omega is None else float(omega)
-        square = self["pulse_shape"] == "square"
-        t_start, trunc = self["t_start"], self["truncation"]
+        shape, trunc = self["pulse_shape"], self["truncation"]
+        square = shape == "square"
         width = self["duration" if square else "sigma"]
         commensurate = self.values.get("commensurate")
         if commensurate and not square:
             raise ConfigError("commensurate timing applies to square pulses only")
-        if width is None:
-            if om <= 0:
-                raise ConfigError(
-                    f"omega must be > 0 to derive the pulse {'duration' if square else 'width'}")
-            env = (SquarePulse(om, commensurate_gate_time(self.dot_params(), om), t_start)
-                   if commensurate else calibrated_pulse(
-                       self["pulse_shape"], om, _PULSE_AREAS[self.kind], t_start, trunc))
-        elif commensurate:
-            raise ConfigError("commensurate timing requires duration=null")
-        elif square:
-            env = SquarePulse(amplitude=om, duration=width, t_start=t_start)
-        else:
-            env = GaussianPulse(peak=om, sigma=width, center=t_start + trunc * width,
-                                truncation=trunc)
+        if width is None and om <= 0:
+            raise ConfigError(
+                f"omega must be > 0 to derive the pulse {'duration' if square else 'width'}")
+        if commensurate:
+            if width is not None:
+                raise ConfigError("commensurate timing requires duration=null")
+            width = commensurate_gate_time(self.dot_params(), om)
+        env = calibrated_pulse(shape, om, _PULSE_AREAS[self.kind], self["t_start"], trunc, width)
         lo, hi = env.support()
         length = env.duration if square else 2.0 * trunc * env.sigma
         if not abs((hi - lo) - length) <= _SUPPORT_RTOL * length:
@@ -391,8 +384,7 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if param not in child_schema:
             raise ConfigError(
                 f"sweep_param {param!r} is not a config key of kind {child_kind!r}")
-        if not child_schema[param].sweepable:
-            raise ConfigError(f"sweep_param {param!r} is not a numeric, sweepable key")
+        child_schema[param].coerce(param, 1.0)  # a sweep sets numbers: the key must take one
         # validate the child base, then every child, before anything runs
         _validate_keys({**child_raw, "kind": child_kind}, child_kind, child_schema)
         cfg = ExperimentConfig("sweep", {**values, "child_base": dict(child_raw)})

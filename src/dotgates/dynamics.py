@@ -272,10 +272,6 @@ class Trajectory:
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     @property
-    def n_samples(self) -> int:
-        return self.times.size
-
-    @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
@@ -306,33 +302,32 @@ class Trajectory:
         sym = 0.5 * (self.states + np.conj(np.swapaxes(self.states, 1, 2)))
         return float(np.min(np.linalg.eigvalsh(sym)))
 
-    def final_state(self) -> QuantumState | DensityMatrix:
-        if self.kind == "pure":
-            return QuantumState(self.states[-1], self.basis, self.frame)
-        return DensityMatrix(self.states[-1], self.basis, self.frame)
-
     def final_amplitude(self, label: str) -> complex:
         return complex(self.amplitude(label)[-1])
 
 
-def _as_matrix_fn(h: Any, basis: Basis, frame: str,
-                  t_probe: float) -> np.ndarray | Callable[[float], np.ndarray]:
+def _as_matrix_fn(h: Any, basis: Basis, frame: str, t_probe: float,
+                  breakpoints: Sequence[float] = (),
+                  ) -> tuple[np.ndarray | Callable[[float], np.ndarray], tuple[float, ...]]:
     """Normalize Hamiltonian inputs: the matrix itself when ``h`` is
-    constant, else ``t -> ndarray``.  An :class:`OperatorMatrix` or a
-    :class:`~dotgates.model.DrivenBlock` must carry the state's basis and
+    constant, else ``t -> ndarray``, with the ``breakpoints`` to solve by,
+    which a :class:`~dotgates.model.DrivenBlock`'s own join.  An
+    :class:`OperatorMatrix` or a block must carry the state's basis and
     frame; any other input is checked for shape, a callable at ``t_probe``."""
+    breakpoints = tuple(breakpoints)
     if isinstance(h, (OperatorMatrix, DrivenBlock)):
         if h.basis.labels != basis.labels or h.frame != frame:
             raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
         if isinstance(h, OperatorMatrix):
-            return h.matrix
+            return h.matrix, breakpoints
+        breakpoints += h.breakpoints()
     elif not (callable(h) or isinstance(h, np.ndarray)):
         raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
     sample = h(t_probe) if callable(h) else h
     d = basis.dim
     if np.shape(sample) != (d, d):
         raise BasisMismatchError(f"Hamiltonian shape {np.shape(sample)} != ({d}, {d})")
-    return h if callable(h) else np.asarray(h, dtype=complex)
+    return (h if callable(h) else np.asarray(h, dtype=complex)), breakpoints
 
 
 def check_sample_count(span: float, dt: float) -> int:
@@ -934,10 +929,9 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     if any(s.basis != basis or s.frame != frame for s in inputs):
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
-    h = _as_matrix_fn(h_of_t, basis, frame, t0)
+    h, breakpoints = _as_matrix_fn(h_of_t, basis, frame, t0, breakpoints)
     if isinstance(h, DrivenBlock):
-        times, states, meta = _propagate_components(h, psi0, t0, t1, cfg,
-                                                    (*breakpoints, *h.breakpoints()))
+        times, states, meta = _propagate_components(h, psi0, t0, t1, cfg, breakpoints)
     else:
         times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg, breakpoints)
     for s in states:
@@ -980,18 +974,20 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     and when the eigenvectors are too ill-conditioned to trust, the equation
     is integrated adaptively; an ill-conditioned generator too stiff for
     that (a loss rate of ``1e10``/ps, say) raises :class:`IntegrationError`
-    at once.  Collapse terms use rates in 1/ps and are not divided by hbar.
-    The trace must stay within ``1e-7`` of one at the end (``1e-6``
-    anywhere) and every sample must be positive to ``-1e-6``, or
-    :class:`IntegrationError` is raised.  Positivity is decided by the
-    Cholesky factorization of ``(rho + rho^H)/2 + 1e-6 I``, whole stacks of
-    samples at a time; only a failure computes the eigenvalues, so the
-    message still quotes the exact minimum.
+    at once.  A :class:`~dotgates.model.DrivenBlock`'s envelope edges join
+    ``breakpoints``, as in :func:`evolve_schrodinger`.  Collapse terms use
+    rates in 1/ps and are not divided by hbar.  The trace must stay within
+    ``1e-7`` of one at the end (``1e-6`` anywhere) and every sample must be
+    positive to ``-1e-6``, or :class:`IntegrationError` is raised.
+    Positivity is decided by the Cholesky factorization of
+    ``(rho + rho^H)/2 + 1e-6 I``, whole stacks of samples at a time; only a
+    failure computes the eigenvalues, so the message still quotes the exact
+    minimum.
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     d = rho0.basis.dim
-    h = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0)
+    h, breakpoints = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0, breakpoints)
     ops: list[tuple[np.ndarray, np.ndarray, float]] = []
     for ch in channels:
         L = ch.operator.matrix if isinstance(ch.operator, OperatorMatrix) else np.asarray(
@@ -1080,7 +1076,7 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    h = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
+    h, _ = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
     states = np.empty((times.size, state.basis.dim), dtype=complex)
     states[0] = state.amplitudes
     for i in range(1, times.size):

@@ -26,7 +26,7 @@ Three protocols are implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -98,7 +98,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-#: relative tolerance on the sqrt(2)-enhanced pulse area before a cphase run
+#: relative tolerance on the area of a cphase or zrot pulse before the run
 PULSE_AREA_RTOL = 0.01
 
 #: bare pulse area (meV ps) of the cphase pulse: sqrt(2)-enhanced area 2 pi hbar
@@ -127,22 +127,27 @@ def wrap_phase(x: float) -> float:
 
 
 def calibrated_pulse(shape: str, peak: float, area: float, t_start: float = 0.0,
-                     truncation: float = 4.0) -> SquarePulse | GaussianPulse:
+                     truncation: float = 4.0,
+                     width: float | None = None) -> SquarePulse | GaussianPulse:
     """Pulse of ``shape`` (``"square"`` or ``"gaussian"``) with bare area ``area``.
 
     ``peak`` (meV, > 0) is the square amplitude or the Gaussian peak; the
     duration is ``area / peak``, and the Gaussian width is solved from the
     truncated-Gaussian area so the calibration holds exactly despite the
-    cutoff at ``truncation`` sigma.  The support starts at ``t_start``.
-    Raises :class:`ValueError` for any other shape or ``peak <= 0``.
+    cutoff at ``truncation`` sigma.  A given ``width`` (the square's
+    duration or the Gaussian's sigma) replaces the calibrated one; ``area``
+    is then not read and ``peak`` may be 0.  The support starts at
+    ``t_start``.  Raises :class:`ValueError` for any other shape or, with
+    no ``width``, ``peak <= 0``.
     """
     if shape not in ("square", "gaussian"):
         raise ValueError(f"shape must be 'square' or 'gaussian', got {shape!r}")
-    if not peak > 0:
+    if width is None and not peak > 0:
         raise ValueError(f"peak must be positive, got {peak!r}")
     if shape == "square":
-        return SquarePulse(amplitude=peak, duration=area / peak, t_start=t_start)
-    sigma = area / GaussianPulse(peak=peak, sigma=1.0, truncation=truncation).area()
+        return SquarePulse(peak, area / peak if width is None else width, t_start)
+    sigma = (area / GaussianPulse(peak=peak, sigma=1.0, truncation=truncation).area()
+             if width is None else width)
     return GaussianPulse(peak=peak, sigma=sigma, center=t_start + truncation * sigma,
                          truncation=truncation)
 
@@ -239,6 +244,17 @@ def pi_pulse_time(rabi: float) -> float:
     return calibrated_pulse("square", rabi, PI_AREA).duration
 
 
+def _check_area(area: float, target: float, scale: float, quantity: str,
+                target_name: str) -> None:
+    """Raise :class:`PulseAreaError` when ``area`` deviates from ``target`` by
+    more than :data:`PULSE_AREA_RTOL`; the message quotes both times ``scale``."""
+    dev = abs(area - target) / target
+    if dev > PULSE_AREA_RTOL:
+        raise PulseAreaError(
+            f"{quantity} {scale * area:.6f} deviates from {target_name} = "
+            f"{scale * target:.6f} by {dev:.2%} (limit {PULSE_AREA_RTOL:.0%})")
+
+
 def pulse_summary(env: SquarePulse | GaussianPulse) -> dict[str, Any]:
     lo, hi = env.support()
     d: dict[str, Any] = {
@@ -291,11 +307,7 @@ class GateReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "kind": "cphase",
-            "dot_params": {
-                "omega_a": self.params.omega_a,
-                "v_f": self.params.v_f,
-                "v_xx": self.params.v_xx,
-            },
+            "dot_params": asdict(self.params),
             "pulse": dict(self.pulse),
             "gate_time": self.gate_time,
             "phases": dict(self.phases),
@@ -330,13 +342,7 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
     if area == 0.0:
         warn.append("zero-area pulse: no gate is applied")
     else:
-        dev = abs(area - CPHASE_AREA) / CPHASE_AREA
-        if dev > PULSE_AREA_RTOL:
-            raise PulseAreaError(
-                f"sqrt(2)-enhanced pulse area {(_SQRT2 * area):.6f} deviates from "
-                f"2*pi*hbar = {_SQRT2 * CPHASE_AREA:.6f} by {dev:.2%} (limit "
-                f"{PULSE_AREA_RTOL:.0%})"
-            )
+        _check_area(area, CPHASE_AREA, _SQRT2, "sqrt(2)-enhanced pulse area", "2*pi*hbar")
 
     t0, t1 = envelope.support()
     frame = rotating_frame_tag(p.omega_a + p.v_f)
@@ -413,12 +419,7 @@ class ZGateParams:
     def __post_init__(self) -> None:
         if self.wait < 0:
             raise ValueError("wait must be >= 0")
-        dev = abs(self.pulse.area() - PI_AREA) / PI_AREA
-        if dev > PULSE_AREA_RTOL:
-            raise PulseAreaError(
-                f"pulse area {self.pulse.area():.6f} deviates from pi*hbar = "
-                f"{PI_AREA:.6f} by {dev:.2%}; the exciton shelving needs pi pulses"
-            )
+        _check_area(self.pulse.area(), PI_AREA, 1.0, "pulse area", "pi*hbar")
         a0, a1 = complex(self.amplitudes[0]), complex(self.amplitudes[1])
         norm = math.hypot(abs(a0), abs(a1))
         if abs(norm - 1.0) > 1e-6:
@@ -649,10 +650,7 @@ class RamanReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "kind": "raman",
-            "rabi": self.params.rabi,
-            "detuning": self.params.detuning,
-            "gamma": self.params.gamma,
-            "target_angle": self.params.target_angle,
+            **asdict(self.params),
             "effective_rabi": self.effective_rabi,
             "pi_time_estimate": self.pi_time_estimate,
             "pi_time": self.pi_time,

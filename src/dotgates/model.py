@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,10 +158,6 @@ class SquarePulse:
     def support(self) -> tuple[float, float]:
         return (self.t_start, self.t_start + self.duration)
 
-    def breakpoints(self) -> tuple[float, ...]:
-        # discontinuities the integrator must not step across
-        return (self.t_start, self.t_start + self.duration)
-
     def shifted(self, dt: float) -> "SquarePulse":
         return replace(self, t_start=self.t_start + dt)
 
@@ -208,10 +204,6 @@ class GaussianPulse:
     def support(self) -> tuple[float, float]:
         half = self.truncation * self.sigma
         return (self.center - half, self.center + half)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        # the truncation edges are only C0; flag them to the integrator
-        return self.support()
 
     def shifted(self, dt: float) -> "GaussianPulse":
         return replace(self, center=self.center + dt)
@@ -276,9 +268,11 @@ class DrivenBlock:
         return OperatorMatrix(self(t), self.basis, self.frame, hermitian=True)
 
     def breakpoints(self) -> tuple[float, ...]:
-        """The kinks of the envelope, bare or under a carrier; none for any other ``f``."""
+        """The kinks of the envelope, bare or under a carrier: the edges of its
+        support, where a square jumps and a truncated Gaussian is only C0;
+        none for any other ``f``."""
         env = getattr(self.f, "envelope", self.f)
-        return env.breakpoints() if isinstance(env, (SquarePulse, GaussianPulse)) else ()
+        return env.support() if isinstance(env, (SquarePulse, GaussianPulse)) else ()
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """The coupled components: the level indices that the nonzero
@@ -480,16 +474,8 @@ class ConditionReport:
         return self.biexciton_ok and self.spectator_ok
 
     def as_dict(self) -> dict:
-        return {
-            "r_biexciton": self.r_biexciton,
-            "r_spectator": self.r_spectator,
-            "threshold_biexciton": self.threshold_biexciton,
-            "threshold_spectator": self.threshold_spectator,
-            "peak_rabi": self.peak_rabi,
-            "biexciton_ok": self.biexciton_ok,
-            "spectator_ok": self.spectator_ok,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "biexciton_ok": self.biexciton_ok,
+                "spectator_ok": self.spectator_ok, "all_ok": self.all_ok}
 
 
 def check_conditions(p: DotPairParams, envelope: SquarePulse | GaussianPulse,

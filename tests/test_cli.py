@@ -26,7 +26,8 @@ from dotgates.cli import (
 )
 from dotgates.config import ConfigError, build_config
 from dotgates.dynamics import IntegratorConfig, Trajectory, accumulated_phase
-from dotgates.gates import run_cphase
+from dotgates.gates import RamanParams, run_cphase
+from dotgates.model import DotPairParams, GaussianPulse
 from dotgates.operators import Basis
 
 RUNNER = CliRunner()
@@ -219,6 +220,16 @@ def test_invalid_json_reports_position(tmp_path):
                       "--out", str(tmp_path / "x")])
     assert result.exit_code == 1
     assert "line" in _text(result)
+
+
+def test_bare_configs_take_the_library_defaults():
+    for kind in ("cphase", "conditions"):
+        assert build_config({"kind": kind}).dot_params() == DotPairParams()
+    assert build_config({"kind": "raman"}).raman_params() == RamanParams()
+    for kind in ("cphase", "zrot", "raman"):
+        assert build_config({"kind": kind}).integrator() == IntegratorConfig()
+    gauss = build_config({"kind": "cphase", "pulse_shape": "gaussian"}).envelope()
+    assert gauss.truncation == GaussianPulse(1.0, 1.0).truncation
 
 
 def test_missing_config_file_is_config_error(tmp_path):

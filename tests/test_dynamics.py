@@ -99,7 +99,7 @@ def test_square_pulse_edges_handled_exactly():
         return np.array([[0.0, g], [g, -vf]], dtype=complex)
 
     psi0 = QuantumState.basis_state(B2, "g")
-    traj = evolve_schrodinger(h, psi0, (0.0, 2.0), breakpoints=env.breakpoints())
+    traj = evolve_schrodinger(h, psi0, (0.0, 2.0), breakpoints=env.support())
     exact = evolve_expm(h, psi0, [0.0, 0.5, 1.5, 2.0])
     np.testing.assert_allclose(traj.states[-1], exact.states[-1], atol=1e-9)
     # the sample grid carries the breakpoints exactly
@@ -125,9 +125,9 @@ def test_time_reversal_returns_initial_state():
         return np.array([[0.0, g], [g, -0.5]], dtype=complex)
 
     psi0 = QuantumState(np.array([0.8, 0.6j]), B2)
-    fwd = evolve_schrodinger(h, psi0, (0.0, 2.0), breakpoints=env.breakpoints())
-    back = evolve_schrodinger(h, fwd.final_state(), (2.0, 0.0),
-                              breakpoints=env.breakpoints())
+    fwd = evolve_schrodinger(h, psi0, (0.0, 2.0), breakpoints=env.support())
+    end = QuantumState(fwd.states[-1], fwd.basis, fwd.frame)
+    back = evolve_schrodinger(h, end, (2.0, 0.0), breakpoints=env.support())
     assert back.times[0] == 2.0 and back.times[-1] == 0.0
     np.testing.assert_allclose(back.states[-1], psi0.amplitudes, atol=1e-7)
 
@@ -191,7 +191,7 @@ def test_zero_span_returns_single_sample():
     h = OperatorMatrix(np.eye(2), B2, hermitian=True)
     psi0 = QuantumState.basis_state(B2, "e")
     traj = evolve_schrodinger(h, psi0, (1.0, 1.0))
-    assert traj.n_samples == 1
+    assert traj.times.size == 1
     assert traj.times[0] == 1.0
     np.testing.assert_allclose(traj.states[0], psi0.amplitudes)
 
@@ -200,7 +200,7 @@ def test_trajectory_validation_and_accessors():
     times = np.linspace(0.0, 1.0, 11)
     states = np.tile(np.array([1.0, 0.0], dtype=complex), (11, 1))
     traj = Trajectory(times, states, B2, LAB_FRAME, "pure", {"tag": 1})
-    assert traj.n_samples == 11
+    assert traj.times.size == 11
     assert traj.duration == pytest.approx(1.0)
     assert traj.metadata["tag"] == 1
     with pytest.raises(TypeError):
@@ -294,6 +294,21 @@ def test_lindblad_without_channels_matches_schrodinger():
     pure = evolve_schrodinger(lambda t: block(t), psi0, (0.0, 4.0))
     mixed = evolve_lindblad(block, psi0.density(), (0.0, 4.0))
     assert mixed.metadata["propagator"] == "DOP853"
+    psi = pure.states
+    np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
+                               rtol=0, atol=1e-8)
+
+
+def test_lindblad_samples_a_blocks_envelope_edges():
+    # off the sample grid, both edges of the square join it in either equation,
+    # so DOP853 restarts there instead of stepping across the kink
+    env = SquarePulse(0.3, 1.0, t_start=1.2345)
+    block = spectator_generator(DotPairParams(), env)
+    psi0 = QuantumState.basis_state(block.basis, "01", block.frame)
+    pure = evolve_schrodinger(block, psi0, (0.0, 4.0))
+    mixed = evolve_lindblad(block, psi0.density(), (0.0, 4.0))
+    np.testing.assert_array_equal(mixed.times, pure.times)
+    assert set(env.support()) <= set(mixed.times.tolist())
     psi = pure.states
     np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
                                rtol=0, atol=1e-8)
@@ -597,7 +612,7 @@ ROUTES = {
     "rotating square past its support": (
         _pure(_rotating(_SQUARE), _PAST), "magnus4",
         _pure(lambda t: _rotating(_SQUARE)(t), _PAST, _rotating(_SQUARE), _TIGHT,
-              _SQUARE.breakpoints()), 1e-8),
+              _SQUARE.support()), 1e-8),
     "lab square over many carrier periods": (
         _pure(_lab(_SQUARE), (1.0, 4.0)), "floquet", None, None),
     "lab square shorter than one carrier period": (
@@ -656,7 +671,7 @@ def test_several_states_are_checked_and_must_share_basis_and_frame():
     with pytest.raises(ValueError):
         evolve_schrodinger(h, [], (0.0, 1.0))
     zero = evolve_schrodinger(h, pair, (1.0, 1.0))
-    assert [t.n_samples for t in zero] == [1, 1]
+    assert [t.times.size for t in zero] == [1, 1]
     np.testing.assert_array_equal(zero[1].states[0], pair[1].amplitudes)
 
 

@@ -6,10 +6,12 @@ import pytest
 from dotgates import dynamics, gates
 from dotgates.dynamics import IntegrationError, IntegratorConfig, evolve_schrodinger
 from dotgates.gates import (
+    CPHASE_AREA,
     PulseAreaError,
     RamanParams,
     ZGateParams,
     analytic_11_evolution,
+    calibrated_pulse,
     commensurate_gate_time,
     cphase_fidelity,
     entangling_phase,
@@ -203,7 +205,7 @@ def test_commensurate_gate_time_zeroes_spectator_leakage():
         traj = evolve_schrodinger(
             spectator_generator(PAIR, env),
             QuantumState.basis_state(SPECTATOR_A_IDLE, "01", frame),
-            (0.0, duration), breakpoints=env.breakpoints())
+            (0.0, duration), breakpoints=env.support())
         leak[tag] = float(traj.population("0X")[-1])
     assert leak["nominal"] == pytest.approx(3.5916840336e-4, rel=1e-4)
     assert leak["comm"] < 1e-12
@@ -274,10 +276,10 @@ def test_run_z_rotation_imprints_optical_phase(monkeypatch, wait):
     # the pulse solve, then the free wait if there is one
     assert len(solves) == (2 if wait > 0 else 1)
     pulse_solve = solves[0][0]
-    wait_cells = solves[1].n_samples - 1 if wait > 0 else 0
+    wait_cells = solves[1].times.size - 1 if wait > 0 else 0
     # each junction keeps one shared sample
     assert np.all(np.diff(traj.times) > 0)
-    assert traj.n_samples == 2 * pulse_solve.n_samples - 1 + wait_cells
+    assert traj.times.size == 2 * pulse_solve.times.size - 1 + wait_cells
     # the one pulse solve, its nfev counted once
     assert dict(traj.metadata) == dict(pulse_solve.metadata)
     assert report.target_phase == pytest.approx(
@@ -392,7 +394,7 @@ def test_run_z_rotation_second_pulse_matches_its_own_solve(shape):
     drive = LaserDrive(second, pair.omega_a, carrier_origin=lo)
     block = lab_single_dot_generator(pair.omega_a, drive)
     own = evolve_schrodinger(lambda t: block(t), QuantumState(start, SINGLE_DOT), (lo, hi),
-                             tight, breakpoints=second.breakpoints())
+                             tight, breakpoints=second.support())
     np.testing.assert_allclose(traj.states[-1], own.states[-1], rtol=0, atol=1e-10)
     assert traj.times[-1] == pytest.approx(hi, abs=1e-12)
 
@@ -492,6 +494,20 @@ def test_config_and_library_pulses_share_one_calibration():
             pi_pulse_time(om)
         comm = build_config({"kind": "cphase", "omega": om, "commensurate": True})
         assert comm.envelope().duration == commensurate_gate_time(cph.dot_params(), om)
+        # an explicit duration or sigma takes the same one constructor
+        for shape, key in (("square", "duration"), ("gaussian", "sigma")):
+            width = 2.0 / om
+            explicit = build_config({"kind": "cphase", "omega": om, "pulse_shape": shape,
+                                     key: width, "truncation": 3.0, "t_start": 0.7})
+            assert explicit.envelope() == calibrated_pulse(shape, om, CPHASE_AREA, 0.7, 3.0,
+                                                           width=width)
+    # a given width is taken as is: zero is a valid length, and a zero peak a
+    # zero-area pulse; only a calibrated width needs a positive peak
+    assert calibrated_pulse("square", 0.1, CPHASE_AREA, width=0.0) == SquarePulse(0.1, 0.0)
+    for shape in ("square", "gaussian"):
+        assert calibrated_pulse(shape, 0.0, CPHASE_AREA, width=1.0).area() == 0.0
+        with pytest.raises(ValueError, match="peak must be positive"):
+            calibrated_pulse(shape, 0.0, CPHASE_AREA)
 
 
 # each start state of the lab pair and the spin block it stays in

@@ -58,7 +58,7 @@ def test_gaussian_cphase_matches_tight_dop853(r, v_f, v_xx):
     _, trajs = run_cphase(p, env)
     assert trajs["11"].metadata["propagator"] == "magnus4"
     assert trajs["11"].metadata["substeps"] == 1
-    assert trajs["11"].metadata["nfev"] == 2 * (trajs["11"].n_samples - 1)
+    assert trajs["11"].metadata["nfev"] == 2 * (trajs["11"].times.size - 1)
     assert_states_close(trajs, tight_dop853_cphase(p, env), 1e-10)
 
 
@@ -178,7 +178,7 @@ def test_chunked_and_unchunked_magnus_agree(monkeypatch):
                                   ("zrot-gaussian", 2, (100,), 1e-11)):
         monkeypatch.undo()
         whole = _chunk_case(case)
-        cells = max((t.n_samples - 1) * t.metadata.get("substeps", 0) for t in whole.values())
+        cells = max((t.times.size - 1) * t.metadata.get("substeps", 0) for t in whole.values())
         assert cells > 50 * max(chunks)
         # chunk lengths in cells of the d x d driven component, 11, psi+, XX
         # or 1, X (a smaller block takes more)
@@ -208,7 +208,7 @@ def test_gaussian_cphase_memory_is_its_states_plus_one_chunk():
         tracemalloc.stop()
     states = sum(t.states.nbytes for t in trajs.values())
     assert peak < 2 * states + 9 * 2048 * 16 * 4 * 4
-    assert trajs["11"].n_samples - 1 > 2 * (dynamics._MAGNUS_CHUNK_BYTES // (16 * 3 * 3))
+    assert trajs["11"].times.size - 1 > 2 * (dynamics._MAGNUS_CHUNK_BYTES // (16 * 3 * 3))
 
 
 def test_magnus_guard_restarts_off_the_grid_keep_the_time(monkeypatch):
@@ -250,7 +250,8 @@ def test_magnus_runs_backwards_in_time():
     t0, t1 = env.support()
     psi0 = QuantumState.basis_state(PSI_SUBSPACE, "11", block.frame)
     fwd = evolve_schrodinger(block, psi0, (t0, t1))
-    back = evolve_schrodinger(block, fwd.final_state(), (t1, t0))
+    end = QuantumState(fwd.states[-1], fwd.basis, fwd.frame)
+    back = evolve_schrodinger(block, end, (t1, t0))
     np.testing.assert_allclose(back.states[-1], psi0.amplitudes, atol=1e-12)
 
 

@@ -51,7 +51,6 @@ def test_square_pulse_geometry():
     env = SquarePulse(amplitude=0.2, duration=5.0, t_start=1.0)
     assert env.area() == pytest.approx(1.0)
     assert env.support() == (1.0, 6.0)
-    assert env.breakpoints() == (1.0, 6.0)
     assert env(1.0) == 0.2  # closed at the left edge
     assert env(3.0) == 0.2
     assert env(6.0) == 0.0  # open at the right edge
