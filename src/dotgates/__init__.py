@@ -49,7 +49,7 @@ from .model import (
     lab_pair_generator,
     lab_psi_subspace_generator,
     lab_single_dot_generator,
-    raman_hamiltonian,
+    raman_generator,
     rwa_subspace_generator,
     spectator_generator,
     two_dot_excitations,

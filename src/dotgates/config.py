@@ -384,7 +384,11 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if param not in child_schema:
             raise ConfigError(
                 f"sweep_param {param!r} is not a config key of kind {child_kind!r}")
-        child_schema[param].coerce(param, 1.0)  # a sweep sets numbers: the key must take one
+        try:  # a sweep sets numbers: the key must take one
+            child_schema[param].coerce(param, 1.0)
+        except ConfigError:
+            raise ConfigError(f"sweep_param {param!r} is not a numeric key of kind "
+                              f"{child_kind!r}") from None
         # validate the child base, then every child, before anything runs
         _validate_keys({**child_raw, "kind": child_kind}, child_kind, child_schema)
         cfg = ExperimentConfig("sweep", {**values, "child_base": dict(child_raw)})

@@ -35,9 +35,10 @@ exp(t lam)``, with ``exp`` called only at every 64th sample and the rows in
 between their anchor's times powers of ``exp(lam step)``; where the
 rounding of the sample times (or an inserted breakpoint) would move a row
 by more than 1e-13 that way, every sample takes ``exp``
-(:func:`_growth`).  A Lindblad generator calls its ``eig``
-path ``liouvillian-eig``, and eigenvectors too ill-conditioned to trust
-hand it to DOP853.  Magnus cells are evaluated,
+(:func:`_growth`).  :func:`evolve_lindblad` asks a block's ``structure``
+once, unsplit: one matrix over the span takes ``eig``, named
+``liouvillian-eig``, and any other block DOP853, as do eigenvectors too
+ill-conditioned to trust.  Magnus cells are evaluated,
 exponentiated and chained in batched numpy (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)), a chunk of bounded bytes at a time; the
 cellwise matrix products of the Taylor exponential are unrolled ufunc
@@ -968,18 +969,18 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     """Propagate the Lindblad master equation for ``rho0`` over ``t_span``.
 
     The generator is the ``d^2 x d^2`` Liouvillian on row-major ``vec(rho)``.
-    With a constant ``h_of_t`` it is eigendecomposed once and
-    ``rho(t) = V exp(lam t) V^-1 rho0`` (``liouvillian-eig``).  For a
-    time-dependent ``h_of_t`` (the Liouvillian rebuilt at each evaluation),
-    and when the eigenvectors are too ill-conditioned to trust, the equation
-    is integrated adaptively; an ill-conditioned generator too stiff for
-    that (a loss rate of ``1e10``/ps, say) raises :class:`IntegrationError`
-    at once.  A :class:`~dotgates.model.DrivenBlock`'s envelope edges join
-    ``breakpoints``, as in :func:`evolve_schrodinger`.  Collapse terms use
-    rates in 1/ps and are not divided by hbar.  The trace must stay within
-    ``1e-7`` of one at the end (``1e-6`` anywhere) and every sample must be
-    positive to ``-1e-6``, or :class:`IntegrationError` is raised.
-    Positivity is decided by the Cholesky factorization of
+    With a constant ``h_of_t``, or a :class:`~dotgates.model.DrivenBlock`
+    whose ``structure`` over the span is one matrix, it is eigendecomposed
+    once and ``rho(t) = V exp(lam t) V^-1 rho0`` (``liouvillian-eig``).  Any
+    other input (the Liouvillian rebuilt at each evaluation), and
+    eigenvectors too ill-conditioned to trust, are integrated adaptively;
+    an ill-conditioned generator too stiff for that (a loss rate of
+    ``1e10``/ps, say) raises :class:`IntegrationError` at once.  A block's
+    envelope edges join ``breakpoints``, as in :func:`evolve_schrodinger`.
+    Collapse terms use rates in 1/ps and are not divided by hbar.  The trace
+    must stay within ``1e-7`` of one at the end (``1e-6`` anywhere) and
+    every sample must be positive to ``-1e-6``, or :class:`IntegrationError`
+    is raised.  Positivity is decided by the Cholesky factorization of
     ``(rho + rho^H)/2 + 1e-6 I``, whole stacks of samples at a time; only a
     failure computes the eigenvalues, so the message still quotes the exact
     minimum.
@@ -996,6 +997,8 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
             raise BasisMismatchError(f"collapse operator shape {L.shape} != ({d}, {d})")
         if ch.rate > 0:
             ops.append((L, L.conj().T @ L, float(ch.rate)))
+    if isinstance(h, DrivenBlock) and isinstance(found := h.structure(t0, t1), np.ndarray):
+        h = found  # constant over the span: the one matrix, as in _propagate_components
     gen = _liouvillian(h, ops) if isinstance(h, np.ndarray) else (
         lambda t: _liouvillian(h(t), ops))
     times, states, meta = _propagate(gen, 1.0, rho0.matrix.reshape(1, d * d), t0, t1, cfg,

@@ -55,7 +55,7 @@ from .model import (
     SquarePulse,
     check_conditions,
     lab_single_dot_generator,
-    raman_hamiltonian,
+    raman_generator,
     rwa_subspace_generator,
     spectator_generator,
 )
@@ -530,20 +530,13 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     first = pulse_states(psi0)
     mid_state = QuantumState(first[-1], SINGLE_DOT)
 
-    # main arm: free wait, then the second pulse from where the wait ends;
-    # each junction keeps one sample, and the one solve is counted once
-    times, states = [columns[0].times], [first]
-    if gate.wait > 0:
-        h_free = np.zeros((3, 3), dtype=complex)
-        h_free[SINGLE_DOT.index("X"), SINGLE_DOT.index("X")] = p.omega_a
-        free = evolve_schrodinger(h_free, mid_state, (t1, t1 + gate.wait), cfg)
-        times.append(free.times[1:])
-        states.append(free.states[1:])
-        after_wait = free.states[-1]
-    else:
-        after_wait = mid_state.amplitudes
-    times.append((t1 + gate.wait) + offsets[1:])
-    states.append(pulse_states(after_wait)[1:])
+    # main arm: free wait (zero-length for a zero wait), then the second pulse;
+    # each junction keeps one sample, and the one pulse solve is counted once
+    h_free = np.zeros((3, 3), dtype=complex)
+    h_free[SINGLE_DOT.index("X"), SINGLE_DOT.index("X")] = p.omega_a
+    free = evolve_schrodinger(h_free, mid_state, (t1, t1 + gate.wait), cfg)
+    times = [columns[0].times, free.times[1:], (t1 + gate.wait) + offsets[1:]]
+    states = [first, free.states[1:], pulse_states(free.states[-1])[1:]]
     traj = Trajectory(np.concatenate(times), np.concatenate(states), SINGLE_DOT, LAB_FRAME,
                       "pure", meta)
 
@@ -666,9 +659,11 @@ def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
                 ) -> tuple[RamanReport, Trajectory]:
     """Simulate a Raman rotation starting from spin ``0``.
 
-    The master equation includes a collapse channel dumping the excited
-    level into a sink at rate ``gamma``, a pessimistic stand-in for
-    radiative decay (every emitted photon is treated as lost population).
+    The drive is a :func:`~dotgates.model.raman_generator` block, square over
+    the whole window, so it runs as one matrix (``liouvillian-eig``).  The
+    master equation includes a collapse channel dumping the excited level
+    into a sink at rate ``gamma``, a pessimistic stand-in for radiative decay
+    (every emitted photon is treated as lost population).
     The rotation time is read off as the location of the populated-``1``
     maximum inside the window, defaulting to 1.6 times the rate estimate.
     """
@@ -678,12 +673,10 @@ def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
     if window <= 0:
         raise ValueError("time_window must be positive")
 
-    h = raman_hamiltonian(params.rabi, params.detuning)
-    channels: tuple[CollapseChannel, ...] = ()
-    if params.gamma > 0:
-        sink = np.zeros((4, 4), dtype=complex)
-        sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
-        channels = (CollapseChannel(sink, params.gamma),)
+    h = raman_generator(params.detuning, SquarePulse(params.rabi, window))
+    sink = np.zeros((4, 4), dtype=complex)  # a zero gamma leaves the channel out
+    sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
+    channels = (CollapseChannel(sink, params.gamma),)
 
     rho0 = QuantumState.basis_state(RAMAN_LEVELS, "0", h.frame).density()
     traj = evolve_lindblad(h, rho0, (0.0, window), channels, cfg)

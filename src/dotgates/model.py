@@ -58,12 +58,12 @@ __all__ = [
     "LaserDrive",
     "DrivenBlock",
     "effective_hamiltonian",
-    "raman_hamiltonian",
     "lab_pair_generator",
     "lab_single_dot_generator",
     "lab_psi_subspace_generator",
     "rwa_subspace_generator",
     "spectator_generator",
+    "raman_generator",
     "two_dot_excitations",
     "ConditionReport",
     "check_conditions",
@@ -424,25 +424,20 @@ def effective_hamiltonian(p: DotPairParams, omega_prime: float) -> OperatorMatri
                           rotating_frame_tag(p.omega_a + p.v_f), hermitian=True)
 
 
-def raman_hamiltonian(rabi: float, detuning: float) -> OperatorMatrix:
+def raman_generator(detuning: float, envelope: Callable[[float], float]) -> DrivenBlock:
     """Single-dot Raman block: both spin levels coupled to a lossy excited level.
 
     Rotating frame at the laser frequency; the excited level ``e`` sits at
-    ``detuning`` and couples to ``0`` and ``1`` with equal strength
-    ``rabi/2``.  The fourth level ``s`` is a population sink with no
-    coherent couplings; pair it with a collapse operator ``|s><e|`` to
-    model radiative loss out of the lambda system.
+    ``detuning`` and couples to ``0`` and ``1`` with equal strength ``f/2``.
+    The fourth level ``s`` is a population sink with no coherent couplings;
+    pair it with a collapse operator ``|s><e|`` to model radiative loss out
+    of the lambda system.
     """
     if detuning == 0.0:
         raise ValueError("detuning must be nonzero for a Raman process")
-    m = np.zeros((4, 4), dtype=complex)
-    ie = RAMAN_LEVELS.index("e")
-    m[ie, ie] = detuning
-    g = rabi / 2.0
-    for lbl in ("0", "1"):
-        i = RAMAN_LEVELS.index(lbl)
-        m[i, ie] = m[ie, i] = g
-    return OperatorMatrix(m, RAMAN_LEVELS, "rotating@laser", hermitian=True)
+    h0 = np.diag(np.array([0.0, 0.0, detuning, 0.0], dtype=complex))
+    v = _coupling(RAMAN_LEVELS, (("0", "e"), ("1", "e")), 0.5)
+    return DrivenBlock(RAMAN_LEVELS, "rotating@laser", h0, v, envelope)
 
 
 @dataclass(frozen=True)

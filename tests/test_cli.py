@@ -514,13 +514,15 @@ def test_overflowing_block_energy_is_a_config_error(tmp_path, sets, energy, keys
 
 def test_sweep_rejects_bad_parameter(tmp_path):
     base = {"kind": "sweep", "sweep_kind": "raman", "sweep_values": [1.0]}
-    for param in ("bogus", "detunings"):  # unknown, and not sweepable
+    # unknown, and not sweepable: the message names the sweep, not a probe value
+    for param, what in (("bogus", "a config key"), ("detunings", "a numeric key")):
         cfg = tmp_path / f"{param}.json"
         cfg.write_text(json.dumps({**base, "sweep_param": param}))
         result = _invoke(["sweep", "--config", str(cfg),
                           "--out", str(tmp_path / param)])
         assert result.exit_code == 1
-        assert "config error" in _text(result)
+        assert _text(result).splitlines()[-1] == (
+            f"config error: sweep_param {param!r} is not {what} of kind 'raman'")
 
 
 def test_sweep_rejects_bad_child_before_running(tmp_path):

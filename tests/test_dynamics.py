@@ -28,7 +28,7 @@ from dotgates.model import (
     LaserDrive,
     SquarePulse,
     lab_single_dot_generator,
-    raman_hamiltonian,
+    raman_generator,
     rwa_subspace_generator,
     spectator_generator,
 )
@@ -588,12 +588,14 @@ def _pure(h, span, like=None, cfg=None, breakpoints=()):
     return lambda: evolve_schrodinger(h, psi0, span, cfg, breakpoints)
 
 
-def _raman():
+_RAMAN = raman_generator(4.0, SquarePulse(1.33, 5.0))
+
+
+def _raman(h=_RAMAN, span=(0.0, 5.0)):
     sink = np.zeros((4, 4), dtype=complex)
     sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
     rho0 = QuantumState.basis_state(RAMAN_LEVELS, "0", "rotating@laser").density()
-    return evolve_lindblad(raman_hamiltonian(1.33, 4.0), rho0, (0.0, 5.0),
-                           (CollapseChannel(sink, 0.1),))
+    return evolve_lindblad(h, rho0, span, (CollapseChannel(sink, 0.1),))
 
 
 def _undriven():
@@ -626,7 +628,9 @@ ROUTES = {
     "block behind a plain callable": (
         _pure(lambda t: _rotating(_SQUARE)(t), (1.0, 4.0), _rotating(_SQUARE)), "DOP853",
         None, None),
-    "constant Raman Liouvillian": (_raman, "liouvillian-eig", None, None),
+    "Raman block inside its support": (
+        _raman, "liouvillian-eig", lambda: _raman(_RAMAN.at(2.5)), 0.0),
+    "Raman block past its support": (lambda: _raman(span=(0.0, 5.5)), "DOP853", None, None),
     "block with a zero drive": (
         _pure(_undriven(), _GAUSSIAN.support()), "eigh",
         _pure(_undriven().h0, _GAUSSIAN.support(), _undriven()), 0.0),

@@ -273,10 +273,10 @@ def test_run_z_rotation_imprints_optical_phase(monkeypatch, wait):
     monkeypatch.setattr(gates, "evolve_schrodinger", recorded)
     pulse = SquarePulse(1.0, pi_pulse_time(1.0))
     report, traj = run_z_rotation(PAIR, ZGateParams(pulse, wait))
-    # the pulse solve, then the free wait if there is one
-    assert len(solves) == (2 if wait > 0 else 1)
+    # the pulse solve, then the free wait, of zero length for a zero wait
+    assert len(solves) == 2
     pulse_solve = solves[0][0]
-    wait_cells = solves[1].times.size - 1 if wait > 0 else 0
+    wait_cells = solves[1].times.size - 1
     # each junction keeps one shared sample
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times.size == 2 * pulse_solve.times.size - 1 + wait_cells

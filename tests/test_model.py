@@ -20,7 +20,7 @@ from dotgates.model import (
     lab_pair_generator,
     lab_psi_subspace_generator,
     lab_single_dot_generator,
-    raman_hamiltonian,
+    raman_generator,
     rwa_subspace_generator,
     spectator_generator,
     two_dot_excitations,
@@ -210,17 +210,21 @@ def test_effective_hamiltonian_stark_shift():
         effective_hamiltonian(p, omega_prime=10.0)
 
 
-def test_raman_hamiltonian_structure():
-    h = raman_hamiltonian(rabi=1.33, detuning=4.0)
+def test_raman_generator_structure():
+    block = raman_generator(detuning=4.0, envelope=SquarePulse(1.33, 10.0))
+    assert block.frame == "rotating@laser"
+    h = block.at(5.0)
     assert h.basis.labels == RAMAN_LEVELS.labels == ("0", "1", "e", "s")
-    assert h.element("e", "e") == pytest.approx(4.0)
-    assert h.element("0", "e") == pytest.approx(0.665)
-    assert h.element("1", "e") == pytest.approx(0.665)
+    assert h.element("e", "e") == 4.0
+    # f * 0.5 is rabi / 2 exactly
+    assert h.element("0", "e") == h.element("1", "e") == 1.33 / 2.0
     assert h.element("0", "1") == 0.0
     # the sink is fully decoupled from the coherent dynamics
     assert np.all(h.matrix[RAMAN_LEVELS.index("s"), :] == 0.0)
+    # past the envelope only the detuning is left
+    np.testing.assert_array_equal(block(20.0), block.h0)
     with pytest.raises(ValueError):
-        raman_hamiltonian(1.33, 0.0)
+        raman_generator(0.0, SquarePulse(1.33, 10.0))
 
 
 def test_check_conditions_ratios():
@@ -263,9 +267,9 @@ def test_package_exports_one_name_per_driven_block():
     names = set(dotgates.__all__)
     assert {"DrivenBlock", "lab_pair_generator", "lab_single_dot_generator",
             "lab_psi_subspace_generator", "rwa_subspace_generator",
-            "spectator_generator"} <= names
+            "spectator_generator", "raman_generator"} <= names
     builders = {n for n in names if n.endswith("_hamiltonian")}
-    assert builders == {"effective_hamiltonian", "raman_hamiltonian"}
+    assert builders == {"effective_hamiltonian"}
     assert not names & {"operators", "model", "dynamics", "gates"}
     assert all(hasattr(dotgates, n) for n in names)
 
