@@ -414,16 +414,9 @@ def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         ]
         name = f"family_ratio_{r:g}.csv"
         _write_csv(out / name, list(columns), cols)
-        runs.append({
-            "ratio": r,
-            "omega": r * abs(p.v_f),
-            "file": name,
-            "gate_time": report.gate_time,
-            "phases": dict(report.phases),
-            "theta": report.theta,
-            "fidelity": report.fidelity,
-            "warnings": list(report.warnings),
-        })
+        d = report.to_dict()
+        runs.append({"ratio": r, "omega": r * abs(p.v_f), "file": name, **{
+            k: d[k] for k in ("gate_time", "phases", "theta", "fidelity", "warnings")}})
     schema = {
         "family": "cphase_ratio",
         "parameter": "omega / v_f",
@@ -460,15 +453,9 @@ def _run_raman_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
                                        cfg.integrator(), cfg["time_window"])
             name = f"raman_nu_{nu:g}_gamma_{g:g}.csv"
             _write_trajectories(out, {name: traj})
-            runs.append({
-                "detuning": nu,
-                "gamma": g,
-                "file": name,
-                "pi_time_estimate": report.pi_time_estimate,
-                "pi_time": report.pi_time,
-                "fidelity": report.fidelity,
-                "lost": report.lost,
-            })
+            d = report.to_dict()
+            runs.append({"file": name, **{k: d[k] for k in (
+                "detuning", "gamma", "pi_time_estimate", "pi_time", "fidelity", "lost")}})
     schema = {
         "family": "raman_detuning_gamma",
         "parameters": ["detuning", "gamma"],
@@ -492,7 +479,7 @@ def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         "kind": "conditions",
         "dot_params": asdict(p),
         "pulse": pulse_summary(env),
-        "conditions": rep.as_dict(),
+        "conditions": rep.to_dict(),
     }
 
 
@@ -506,10 +493,19 @@ def _run_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> dict[str, Any]:
     dirs = [out / f"{param}_{v:g}" for v, _ in children]
     raws = [raw for _, raw in children]
     if jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_sweep_child, raws, [str(d) for d in dirs]))
+        # spawned workers load numpy afresh, with one BLAS thread unless the user set a count
+        blas = "OPENBLAS_NUM_THREADS"
+        user_set = blas in os.environ
+        os.environ.setdefault(blas, "1")
+        try:
+            with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn")) as pool:
+                reports = list(pool.map(_run_sweep_child, raws, [str(d) for d in dirs]))
+        finally:
+            if not user_set:
+                del os.environ[blas]
     else:
         reports = [_run_sweep_child(raw, str(d)) for raw, d in zip(raws, dirs)]
     runs = [

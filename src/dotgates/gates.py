@@ -26,7 +26,7 @@ Three protocols are implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -49,6 +49,7 @@ from .model import (
     LaserDrive,
     PSI_SUBSPACE,
     RAMAN_LEVELS,
+    Report,
     SINGLE_DOT,
     SPECTATOR_A_IDLE,
     SPECTATOR_B_IDLE,
@@ -271,7 +272,7 @@ def pulse_summary(env: SquarePulse | GaussianPulse) -> dict[str, Any]:
 
 
 @dataclass(frozen=True, eq=False)
-class GateReport:
+class GateReport(Report):
     """Outcome of a controlled-phase run, one entry per spin configuration.
 
     ``phases`` are the wrapped arguments of the returning computational
@@ -281,7 +282,8 @@ class GateReport:
     the controlled-phase overlap of the assembled diagonal.
     """
 
-    params: DotPairParams
+    kind: str = field(default="cphase", init=False)
+    dot_params: DotPairParams
     pulse: Mapping[str, Any]
     gate_time: float
     phases: Mapping[str, float]
@@ -295,32 +297,11 @@ class GateReport:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pulse", MappingProxyType(dict(self.pulse)))
-        object.__setattr__(self, "phases", MappingProxyType(dict(self.phases)))
-        object.__setattr__(self, "amplitudes", MappingProxyType(dict(self.amplitudes)))
-        object.__setattr__(self, "populations", MappingProxyType(dict(self.populations)))
+        for name in ("pulse", "phases", "amplitudes", "populations", "leakage"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         object.__setattr__(self, "residuals", MappingProxyType(
             {k: MappingProxyType(dict(v)) for k, v in self.residuals.items()}))
-        object.__setattr__(self, "leakage", MappingProxyType(dict(self.leakage)))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "cphase",
-            "dot_params": asdict(self.params),
-            "pulse": dict(self.pulse),
-            "gate_time": self.gate_time,
-            "phases": dict(self.phases),
-            "amplitudes": {k: {"re": v.real, "im": v.imag}
-                           for k, v in self.amplitudes.items()},
-            "populations": dict(self.populations),
-            "residuals": {k: dict(v) for k, v in self.residuals.items()},
-            "leakage": dict(self.leakage),
-            "theta": self.theta,
-            "fidelity": self.fidelity,
-            "conditions": self.conditions.as_dict(),
-            "warnings": list(self.warnings),
-        }
 
 
 def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
@@ -386,7 +367,7 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
             f"{conditions.threshold_spectator:g}: idle blocks are driven hard")
 
     report = GateReport(
-        params=p,
+        dot_params=p,
         pulse=pulse_summary(envelope),
         gate_time=t1 - t0,
         phases=phases,
@@ -406,31 +387,20 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
 class ZGateParams:
     """Two resonant pi pulses around a free wait, acting on one dot.
 
-    ``pulse`` must carry bare area ``pi hbar`` within 1%.  ``amplitudes``
-    is the initial spin superposition ``(a0, a1)``; the default is the
-    equal superposition, which maximizes the visibility of the relative
-    phase.
+    ``pulse`` must carry bare area ``pi hbar`` within 1%.
     """
 
     pulse: SquarePulse | GaussianPulse
     wait: float
-    amplitudes: tuple[complex, complex] = (1.0 / _SQRT2, 1.0 / _SQRT2)
 
     def __post_init__(self) -> None:
         if self.wait < 0:
             raise ValueError("wait must be >= 0")
         _check_area(self.pulse.area(), PI_AREA, 1.0, "pulse area", "pi*hbar")
-        a0, a1 = complex(self.amplitudes[0]), complex(self.amplitudes[1])
-        norm = math.hypot(abs(a0), abs(a1))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"initial amplitudes have norm {norm:.9f}, expected 1")
-        if abs(a0) < 1e-12 or abs(a1) < 1e-12:
-            raise ValueError("both spin amplitudes must be nonzero to read a relative phase")
-        object.__setattr__(self, "amplitudes", (a0, a1))
 
 
 @dataclass(frozen=True, eq=False)
-class ZRotationReport:
+class ZRotationReport(Report):
     """Relative-phase outcome of the shelve/wait/unshelve sequence.
 
     ``achieved_phase`` is the wait-induced relative phase after the
@@ -441,40 +411,26 @@ class ZRotationReport:
     gathered during the first pulse stays in it: for square pi pulses of
     length ``T`` it is ``wrap(pi - omega_a * T / hbar)``, which is +-pi only
     when the carrier makes whole cycles per pulse.  ``trion_leakage`` is
-    the population stranded in the exciton level at the end.
+    the population stranded in the exciton level at the end, and
+    ``phase_error`` the wrapped ``achieved_phase - target_phase``.
     """
 
+    kind: str = field(default="zrot", init=False)
     omega_a: float
     wait: float
     target_phase: float
     achieved_phase: float
+    phase_error: float = field(init=False)
     composite_phase: float
     trion_leakage: float
-    final_amplitudes: tuple[complex, complex, complex]
+    final_amplitudes: Mapping[str, complex]
     warnings: tuple[str, ...] = ()
 
-    @property
-    def phase_error(self) -> float:
-        return wrap_phase(self.achieved_phase - self.target_phase)
-
-    def to_dict(self) -> dict[str, Any]:
-        a0, a1, ax = self.final_amplitudes
-        return {
-            "kind": "zrot",
-            "omega_a": self.omega_a,
-            "wait": self.wait,
-            "target_phase": self.target_phase,
-            "achieved_phase": self.achieved_phase,
-            "phase_error": self.phase_error,
-            "composite_phase": self.composite_phase,
-            "trion_leakage": self.trion_leakage,
-            "final_amplitudes": {
-                "0": {"re": a0.real, "im": a0.imag},
-                "1": {"re": a1.real, "im": a1.imag},
-                "X": {"re": ax.real, "im": ax.imag},
-            },
-            "warnings": list(self.warnings),
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phase_error",
+                           wrap_phase(self.achieved_phase - self.target_phase))
+        object.__setattr__(self, "final_amplitudes",
+                           MappingProxyType(dict(self.final_amplitudes)))
 
 
 def run_z_rotation(p: DotPairParams, gate: ZGateParams,
@@ -506,8 +462,8 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
             "(e.g. 2e3 meV) and a correspondingly chosen wait."
         )
 
-    a0, a1 = gate.amplitudes
-    psi0 = np.array([a0, a1, 0.0], dtype=complex)
+    # the equal superposition shows the relative phase best
+    psi0 = np.array([1.0 / _SQRT2, 1.0 / _SQRT2, 0.0], dtype=complex)
 
     # Every pulse restarts the carrier with its envelope, so its H depends
     # only on the time since it began: one propagator U(t - t0), whose
@@ -557,8 +513,7 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     phi_base = rel_phase(fin_base)
     achieved = wrap_phase(phi_base - phi_main)
     target = wrap_phase(p.omega_a * gate.wait / HBAR_MEV_PS)
-    phi_in = rel_phase(np.array([a0, a1], dtype=complex))
-    composite = wrap_phase(phi_base - phi_in)
+    composite = wrap_phase(phi_base - rel_phase(psi0))
 
     leak = float(abs(fin_main[SINGLE_DOT.index("X")]) ** 2)
     if leak > 1e-2:
@@ -571,8 +526,7 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
         achieved_phase=achieved,
         composite_phase=composite,
         trion_leakage=leak,
-        final_amplitudes=(complex(fin_main[0]), complex(fin_main[1]),
-                          complex(fin_main[2])),
+        final_amplitudes=dict(zip(SINGLE_DOT.labels, map(complex, fin_main))),
         warnings=tuple(warn),
     )
     return report, traj
@@ -623,11 +577,16 @@ class RamanParams:
 
 
 @dataclass(frozen=True, eq=False)
-class RamanReport:
-    """Outcome of a Raman rotation: when the transfer peaks and how much
-    population survives the lossy intermediate level."""
+class RamanReport(Report):
+    """Outcome of a Raman rotation: the drive's :class:`RamanParams`, when
+    the transfer peaks and how much population survives the lossy
+    intermediate level."""
 
-    params: RamanParams
+    kind: str = field(default="raman", init=False)
+    rabi: float
+    detuning: float
+    gamma: float
+    target_angle: float
     effective_rabi: float
     pi_time_estimate: float
     pi_time: float
@@ -639,19 +598,6 @@ class RamanReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "populations", MappingProxyType(dict(self.populations)))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "raman",
-            **asdict(self.params),
-            "effective_rabi": self.effective_rabi,
-            "pi_time_estimate": self.pi_time_estimate,
-            "pi_time": self.pi_time,
-            "fidelity": self.fidelity,
-            "populations": dict(self.populations),
-            "lost": self.lost,
-            "warnings": list(self.warnings),
-        }
 
 
 def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
@@ -689,7 +635,7 @@ def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
     t_pi = float(traj.times[i])
     pops = {lbl: float(traj.population(lbl)[i]) for lbl in RAMAN_LEVELS.labels}
     report = RamanReport(
-        params=params,
+        **asdict(params),
         effective_rabi=raman_rate(params.rabi, params.detuning),
         pi_time_estimate=t_est,
         pi_time=t_pi,

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ __all__ = [
     "spectator_generator",
     "raman_generator",
     "two_dot_excitations",
+    "Report",
     "ConditionReport",
     "check_conditions",
 ]
@@ -440,14 +441,43 @@ def raman_generator(detuning: float, envelope: Callable[[float], float]) -> Driv
     return DrivenBlock(RAMAN_LEVELS, "rotating@laser", h0, v, envelope)
 
 
+def _json_value(value: Any) -> Any:
+    """``value`` as a report writes it; see :meth:`Report.to_dict`."""
+    if isinstance(value, (float, int, str)):
+        return value
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _json_value(v) for k, v in value.items()}
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is None:
+        return value
+    return {name: _json_value(getattr(value, name)) for name in fields}
+
+
+class Report:
+    """Base of every report dataclass: its fields are its JSON keys.
+
+    :meth:`to_dict` walks the fields in order and writes nested
+    dataclasses and mappings as objects, tuples as lists and a ``complex``
+    as ``{"re": ..., "im": ...}``; every other value is kept as it is.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        return _json_value(self)
+
+
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Report):
     """Dimensionless validity ratios for a proposed gate pulse.
 
     ``r_biexciton`` compares the sqrt(2)-enhanced Rabi energy to the
     biexciton detuning (controls leakage into ``XX``); ``r_spectator``
     compares the bare Rabi energy to the transfer coupling (controls how
-    strongly spectator blocks are driven off-resonantly).
+    strongly spectator blocks are driven off-resonantly).  Each ``_ok``
+    flag holds when its ratio is below its threshold.
     """
 
     r_biexciton: float
@@ -455,22 +485,16 @@ class ConditionReport:
     threshold_biexciton: float
     threshold_spectator: float
     peak_rabi: float
+    biexciton_ok: bool = field(init=False)
+    spectator_ok: bool = field(init=False)
+    all_ok: bool = field(init=False)
 
-    @property
-    def biexciton_ok(self) -> bool:
-        return self.r_biexciton < self.threshold_biexciton
-
-    @property
-    def spectator_ok(self) -> bool:
-        return self.r_spectator < self.threshold_spectator
-
-    @property
-    def all_ok(self) -> bool:
-        return self.biexciton_ok and self.spectator_ok
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "biexciton_ok": self.biexciton_ok,
-                "spectator_ok": self.spectator_ok, "all_ok": self.all_ok}
+    def __post_init__(self) -> None:
+        bi = self.r_biexciton < self.threshold_biexciton
+        sp = self.r_spectator < self.threshold_spectator
+        object.__setattr__(self, "biexciton_ok", bi)
+        object.__setattr__(self, "spectator_ok", sp)
+        object.__setattr__(self, "all_ok", bi and sp)
 
 
 def check_conditions(p: DotPairParams, envelope: SquarePulse | GaussianPulse,

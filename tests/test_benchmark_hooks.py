@@ -57,7 +57,7 @@ def test_gates_agree_when_the_traced_factories_return_plain_callables(monkeypatc
         cphase, trajs = run_cphase(p, square_cphase_pulse(0.2), cfg)
         zrot, traj = run_z_rotation(p, zgate, cfg)
         values = [*cphase.amplitudes.values(), *cphase.phases.values(),
-                  *zrot.final_amplitudes, zrot.achieved_phase, zrot.composite_phase]
+                  *zrot.final_amplitudes.values(), zrot.achieved_phase, zrot.composite_phase]
         return np.array(values), (trajs["11"], trajs["01"], traj)
 
     untraced, _ = run()

@@ -372,6 +372,40 @@ def test_sweep_parallel_matches_serial(tmp_path):
         (parallel / "detuning_4" / "populations.csv").read_bytes()
 
 
+@pytest.mark.parametrize("user_threads", [None, "3"])
+def test_sweep_workers_spawn_with_one_blas_thread(tmp_path, monkeypatch, user_threads):
+    # the pool is replaced by one that records how it was made and runs in process
+    import concurrent.futures
+
+    made = []
+
+    class Pool:
+        def __init__(self, jobs, context):
+            made.append((jobs, context.get_start_method(),
+                         os.environ.get("OPENBLAS_NUM_THREADS")))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    if user_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_threads)
+    result = _invoke(["sweep", "--set", "sweep_kind=conditions", "--set", "sweep_param=omega",
+                      "--set", "sweep_values=[0.1,0.2]", "--out", str(tmp_path), "--jobs", "2"])
+    assert result.exit_code == 0
+    assert made == [(2, "spawn", user_threads or "1")]
+    # the parent's own environment is left as it was
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == user_threads
+
+
 def test_sweep_with_no_values_writes_nothing(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({

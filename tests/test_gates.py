@@ -256,10 +256,6 @@ def test_zgate_params_validation():
         ZGateParams(SquarePulse(1.0, 2.5), wait=0.1)
     with pytest.raises(ValueError):
         ZGateParams(good, wait=-0.1)
-    with pytest.raises(ValueError):
-        ZGateParams(good, wait=0.1, amplitudes=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        ZGateParams(good, wait=0.1, amplitudes=(1.0, 1.0))  # not normalized
 
 
 @pytest.mark.parametrize("wait", [0.0, 0.05, 0.5])

@@ -242,7 +242,7 @@ def test_check_conditions_ratios():
     # gaussian pulses report their peak
     gauss = check_conditions(p, GaussianPulse(peak=0.1, sigma=10.0))
     assert gauss.peak_rabi == pytest.approx(0.1)
-    d = rep.as_dict()
+    d = rep.to_dict()
     assert d["all_ok"] is True
     assert set(d) >= {"r_biexciton", "r_spectator", "peak_rabi"}
 

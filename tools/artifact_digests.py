@@ -50,8 +50,15 @@ from typing import Any, Iterator
 
 GAUSSIAN = ("--set", "pulse_shape=gaussian")
 PAIR = ("--set", "omega=0.17", "--set", "v_f=0.9", "--set", "v_xx=4.4")
-SWEEP = {"kind": "sweep", "sweep_kind": "cphase", "sweep_param": "omega",
-         "sweep_values": [0.08, 0.12]}
+# sweep configs, each written to ``<name>.json`` and named ``{<name>}`` in RUNS
+SWEEPS = {
+    "sweep": {"kind": "sweep", "sweep_kind": "cphase", "sweep_param": "omega",
+              "sweep_values": [0.08, 0.12]},
+    "sweep-zrot": {"kind": "sweep", "sweep_kind": "zrot", "sweep_param": "wait",
+                   "sweep_values": [0.1, 0.37]},
+    "sweep-raman": {"kind": "sweep", "sweep_kind": "raman", "sweep_param": "detuning",
+                    "sweep_values": [3, 5.5]},
+}
 
 # (name, subcommand and options); the output directory is appended
 RUNS: list[tuple[str, tuple[str, ...]]] = [
@@ -93,6 +100,8 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("conditions", ("conditions",)),
     ("sweep-jobs-1", ("sweep", "--config", "{sweep}", "--jobs", "1")),
     ("sweep-jobs-2", ("sweep", "--config", "{sweep}", "--jobs", "2")),
+    ("sweep-zrot", ("sweep", "--config", "{sweep-zrot}", "--jobs", "2")),
+    ("sweep-raman", ("sweep", "--config", "{sweep-raman}")),
 ]
 
 
@@ -121,12 +130,14 @@ def edit_cell(path: Path, line: int, column: str, text: str) -> None:
 
 def run_all(tmp: Path) -> None:
     """Run every invocation under ``tmp`` and print what each wrote."""
-    sweep = tmp / "sweep.json"
-    sweep.write_text(json.dumps(SWEEP))
+    configs = {}
+    for name, sweep in SWEEPS.items():
+        configs[f"{{{name}}}"] = path = tmp / f"{name}.json"
+        path.write_text(json.dumps(sweep))
     runs = tmp / "runs"
     for run, args in RUNS:
         out = runs / run
-        argv = [a.replace("{sweep}", str(sweep)) for a in args]
+        argv = [str(configs.get(a, a)) for a in args]
         print(f"=== {run}: {' '.join(args)}")
         print(cli([*argv, "--out", str(out)], tmp), end="")
         print(f"=== verify {run}")
