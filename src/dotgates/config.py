@@ -124,9 +124,9 @@ _SAMPLE_KEYS: dict[str, _Key] = {
 }
 
 # only zrot adds a solver key: rtol refines its lab-frame Magnus cells.
-# cphase and raman runs read none (the DOP853 fallback of an
-# ill-conditioned Liouvillian, which no valid raman input reaches, keeps
-# the IntegratorConfig defaults), and no run reads atol or max_step
+# cphase and raman runs read none (the DOP853 fallback of a Liouvillian too
+# ill-conditioned or stiff for eig keeps the IntegratorConfig defaults, and
+# refuses a stiff one at once), and no run reads atol or max_step
 _SOLVER_KEYS: dict[str, _Key] = {
     **_SAMPLE_KEYS,
     "rtol": _Key(IntegratorConfig.rtol, _make_float(positive=True)),

@@ -2,25 +2,29 @@
 
 :func:`evolve_schrodinger` propagates pure states and
 :func:`evolve_lindblad` density matrices with collapse channels.  Both are
-the linear ODE ``y' = G(t) y``, ``G = -iH/hbar`` on a state vector or the
-Lindblad superoperator on row-major ``vec(rho)`` (Havel, J. Math. Phys. 44,
-534 (2003)), solved by one private core for a stack of start vectors on a
-regular grid.  The input's structure picks the method, which
+the linear ODE ``i hbar y' = G(t) y``: ``G = H`` on a state vector, or
+``K = i hbar L`` for the Lindblad superoperator ``L`` on row-major
+``vec(rho)`` (Havel, J. Math. Phys. 44, 534 (2003)), so one private core
+routes and solves both for a stack of start vectors on a regular grid.
+The input's structure picks the method, which
 ``Trajectory.metadata["propagator"]`` names.  A
-:class:`~dotgates.model.DrivenBlock` ``H = h0 + f(t) v`` is first split
-into its coupled components
+:class:`~dotgates.model.DrivenBlock` ``H = h0 + f(t) v`` (its ``K``, the
+block ``K(h0) + f(t) [v, .]``) is first split into its coupled components
 (:meth:`~dotgates.model.DrivenBlock.components`), the levels that the
 nonzero off-diagonal entries of ``h0`` and ``v`` connect.  Evolution never
 leaves a component, so each one that a start state touches runs on its
 own sub-block and every other level stays exactly ``+0.0``: the
 ``cphase`` 11 block runs as ``11, psi+, XX`` without the dark ``psi-``,
 the lab single dot as ``1, X`` and a constant ``0``, the 9-level lab pair
-as its four spin blocks.  Each component reports its own structure over
-the span (:meth:`~dotgates.model.DrivenBlock.structure`):
+as its four spin blocks, a Raman ``rho`` from spin ``0`` as the 10 entries
+of ``vec(rho)`` it reaches, its sink coherences zero.  Each component
+reports its own structure over the span
+(:meth:`~dotgates.model.DrivenBlock.structure`):
 
 =============================  =======  =====================================
-constant, ``H`` Hermitian      eigh     one ``eigh``, ``C = V^H y0``
-other constant                 eig      one ``eig``, ``C = solve(V, y0)``
+constant, ``G`` Hermitian      eigh     one ``eigh``, ``C = V^H y0``
+other constant                 eig      one ``eig``, ``C = solve(V, y0)``;
+                                        DOP853 if ill-conditioned or stiff
 component constant over span   eigh     ``h0`` (a zero ``v``) or its one
                                         matrix (a square envelope)
 component periodic over span   floquet  one period, then its powers (a
@@ -30,20 +34,16 @@ any other callable             DOP853   adaptive high-order Runge-Kutta,
                                         unsplit
 =============================  =======  =====================================
 
-Both spectral paths give ``y(t) = growth(t) (C V^T)``, ``growth =
-exp(t lam)``, with ``exp`` called only at every 64th sample and the rows in
-between their anchor's times powers of ``exp(lam step)``; where the
-rounding of the sample times (or an inserted breakpoint) would move a row
-by more than 1e-13 that way, every sample takes ``exp``
-(:func:`_growth`).  :func:`evolve_lindblad` asks a block's ``structure``
-once, unsplit: one matrix over the span takes ``eig``, named
-``liouvillian-eig``, and any other block DOP853, as do eigenvectors too
-ill-conditioned to trust.  Magnus cells are evaluated,
-exponentiated and chained in batched numpy (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 151 (2009)), a chunk of bounded bytes at a time; the
-cellwise matrix products of the Taylor exponential are unrolled ufunc
-passes over the chunk, a multiply and an add per term of each entry,
-not ``einsum`` (:func:`_mm`).  Since
+A Lindblad run names either spectral path ``liouvillian-eig``.  Both give
+``y(t) = growth(t) (C V^T)``, ``growth = exp(-i t lam / hbar)``, with
+``exp`` called only at every 64th sample and the rows in between their
+anchor's times powers of one step's, unless that would move a row by more
+than 1e-13 (:func:`_growth`).  Magnus cells are evaluated, exponentiated
+and chained in batched numpy (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+151 (2009)), a chunk of bounded bytes at a time; the cellwise matrix
+products of the Taylor exponential are unrolled ufunc passes over the
+chunk, a multiply and an add per term of each entry, not ``einsum``
+(:func:`_mm`).  Since
 ``[h0 + f2 v, h0 + f1 v] = (f1 - f2) [h0, v]``, a cell's exponent is
 ``-i (w/2) (2 h0 + (f1 + f2) v) - (sqrt3/12) w^2 (f1 - f2) [h0, v]``
 (``w = dt/hbar``, ``f1``, ``f2`` at the two Gauss-Legendre nodes): three
@@ -129,6 +129,10 @@ _ADAPTIVE_METHOD = "DOP853"
 # close to defective to trust (errors grow as cond * eps); DOP853 takes over.
 _MAX_EIGVEC_COND = 1e6
 
+# Nor where their rounding, eps max|lam| |t1 - t0| / hbar, passes this: the
+# trace drifts by up to ~2.3 times it (Raman losses of 1e4-1e10/ps over 15 ps).
+_MAX_EIGVAL_ROUNDING = 1e-8
+
 # Gauss-Legendre nodes of the fourth-order Magnus step, as fractions of a cell
 _GAUSS_LEGENDRE_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -192,13 +196,11 @@ class IntegratorConfig:
     on the rotating-frame Magnus path it is also the step (split into
     substeps where one step would be too large).  On the lab-frame Magnus
     path, the one-period solve of a periodic block among them, the Magnus
-    cells double until the finer count is within ``rtol``; ``atol`` is not
-    read there.  A Magnus run in either frame that would take more than
-    ``_MAX_MAGNUS_STEPS`` cells raises :class:`IntegrationError` instead.
-    ``rtol`` and ``atol`` govern the DOP853 solves: a
-    callable that is not a block and an ill-conditioned constant
-    generator.  The exact ``eigh`` and ``eig`` paths and the
-    rotating-frame Magnus path read none of them.
+    cells double until the finer count is within ``rtol``.  A Magnus run of
+    more than ``_MAX_MAGNUS_STEPS`` cells raises :class:`IntegrationError`.
+    ``rtol`` and ``atol`` govern the DOP853 solves, of a callable that is
+    not a block or a constant generator ``eig`` cannot be trusted with.  The
+    exact paths and the rotating-frame Magnus path read neither.
     """
 
     rtol: float = 1e-9
@@ -363,18 +365,17 @@ def _sample_grid(t0: float, t1: float, dt: float,
     return grid, interior, (t1 - t0) / n
 
 
-def _growth(times: np.ndarray, step: float, lam: np.ndarray, scale: complex) -> np.ndarray:
-    """``exp(scale * lam * (t - times[0]))`` at every sample, shaped ``(n, D)``.
+def _growth(times: np.ndarray, step: float, lam: np.ndarray) -> np.ndarray:
+    """``exp(-i lam (t - times[0]) / hbar)`` at every sample, shaped ``(n, D)``.
 
     ``times`` is a grid from :func:`_sample_grid` and ``step`` its step.
     ``np.exp`` runs at anchors only, every ``_GROWTH_ANCHOR``-th sample; a
     sample ``j`` steps past its anchor takes the anchor's row times
-    ``exp(scale lam tau_j)``, ``tau_j = j * step``, computed once for
-    every ``j``.
+    ``exp(-i lam tau_j / hbar)``, ``tau_j = j * step``, computed once.
 
     A sample's float offset from its anchor misses ``tau_j`` by the
     rounding of the sample times (of order ``eps |t|``), which moves its
-    row by up to ``|scale lam|`` times that.  When that exceeds
+    row by up to ``|lam| / hbar`` times that.  When that exceeds
     ``_GROWTH_TOL`` (a 2000 meV level a few ps from the origin: 1e-12)
     every sample takes the direct exponential instead, bit for bit.  So
     does a grid with inserted breakpoints, whose later samples sit a
@@ -385,6 +386,7 @@ def _growth(times: np.ndarray, step: float, lam: np.ndarray, scale: complex) -> 
     j = np.arange(n) % _GROWTH_ANCHOR
     tau = np.arange(min(n, _GROWTH_ANCHOR)) * step
     miss = np.max(np.abs((u - u[np.arange(n) - j]) - tau[j]))
+    scale = -1j / HBAR_MEV_PS
 
     def exponentials(offsets: np.ndarray) -> np.ndarray:
         e = np.outer(offsets, lam).astype(complex, copy=False)
@@ -404,20 +406,20 @@ def _growth(times: np.ndarray, step: float, lam: np.ndarray, scale: complex) -> 
     return growth
 
 
-def _integrate(gen: Callable[[float], np.ndarray], scale: complex, y0: np.ndarray,
-               grid: np.ndarray, interior: list[float],
-               cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
-    """Adaptive solve of ``Y' = scale * gen(t) Y`` (``Y`` shaped as ``y0``) onto ``grid``,
+def _integrate(gen: Callable[[float], np.ndarray], y0: np.ndarray, grid: np.ndarray,
+               interior: list[float], cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+    """Adaptive solve of ``i hbar Y' = gen(t) Y`` (``Y`` shaped as ``y0``) onto ``grid``,
     restarting at each interior breakpoint.
 
-    An explicit step cannot be much longer than ``1 / |scale G|``, so when
-    ``|scale| max|G| |t1 - t0|``, with ``G`` taken at both ends and the
+    An explicit step cannot be much longer than ``hbar / |G|``, so when
+    ``max|G| |t1 - t0| / hbar``, with ``G`` taken at both ends and the
     breakpoints, exceeds :data:`MAX_SAMPLES` the solve would run for hours:
     :class:`IntegrationError` is raised before it starts.  Returns the
     flattened states and the number of right-hand-side evaluations.
     """
     t0, t1 = float(grid[0]), float(grid[-1])
     knots = [t0, *interior, t1]
+    scale = -1j / HBAR_MEV_PS
     steps = abs(scale) * max(float(np.max(np.abs(gen(t)))) for t in knots) * abs(t1 - t0)
     if not steps <= MAX_SAMPLES:
         raise IntegrationError(
@@ -787,22 +789,19 @@ def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
         raise IntegrationError(f"{quantity} drifted by {worst:.3e}; {hint}")
 
 
-def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
-               y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig,
+def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], y0: np.ndarray,
+               t0: float, t1: float, cfg: IntegratorConfig,
                breakpoints: Sequence[float] = (), period: float | None = None,
                ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Solve ``y' = scale * gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
+    """Solve ``i hbar y' = gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
 
-    ``gen`` is a constant ``(D, D)`` matrix, one coupled component of a
-    Schrodinger :class:`~dotgates.model.DrivenBlock` (as
-    :func:`_propagate_components` hands it over) or any other callable,
-    routed as the module docstring tables.  A ``period`` declares ``gen``
-    periodic: a forward span of at least one period takes Floquet, the one
-    period solved by Magnus for a block and by DOP853 for any other
-    callable.
-    Returns the sample times, the ``(k, n, D)`` states and the metadata
-    (``propagator``, with ``nfev`` and ``substeps`` where they apply; none
-    for a zero-length span).
+    ``gen`` is a constant ``(D, D)`` matrix, one coupled component of a block
+    (from :func:`_propagate_components`) or any other callable, routed as the
+    module docstring tables.  A ``period`` declares ``gen`` periodic: a
+    forward span of at least one period takes Floquet, the one period solved
+    by Magnus for a block and by DOP853 for any other callable.  Returns the
+    sample times, the ``(k, n, D)`` states and the metadata (``propagator``,
+    with ``nfev`` and ``substeps`` where they apply; none for a zero span).
     """
     if t0 == t1:
         return np.array([t0]), y0[:, None, :], {}
@@ -815,10 +814,11 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
             coeffs = [v.conj().T @ y for y in y0]
         else:
             name, (lam, v) = "eig", np.linalg.eig(gen)
-            trusted = np.linalg.cond(v) <= _MAX_EIGVEC_COND
+            rounding = np.finfo(float).eps * np.max(np.abs(lam)) * abs(t1 - t0) / HBAR_MEV_PS
+            trusted = rounding <= _MAX_EIGVAL_ROUNDING and np.linalg.cond(v) <= _MAX_EIGVEC_COND
             coeffs = [np.linalg.solve(v, y) for y in y0] if trusted else None
         if coeffs is not None:
-            growth = _growth(times, step, lam, scale)
+            growth = _growth(times, step, lam)
             states = np.empty((k, times.size, d), dtype=complex)
             for j, c in enumerate(coeffs):
                 # the state's coefficients folded into V: no (n, D) product per state
@@ -832,8 +832,8 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
             u, meta = _refined_magnus(replace(gen, f=lambda s: f(t0 + s)), offsets, cfg,
                                       assemble)
         else:
-            flat, nfev = _integrate(lambda s: gen(t0 + s), scale, np.eye(d, dtype=complex),
-                                    offsets, [], cfg)
+            flat, nfev = _integrate(lambda s: gen(t0 + s), np.eye(d, dtype=complex), offsets,
+                                    [], cfg)
             u, meta = assemble(flat.reshape(-1, d, d)), {"nfev": nfev}
         return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", **meta}
     elif isinstance(gen, DrivenBlock) and gen.frame == LAB_FRAME:
@@ -844,27 +844,27 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], scale: complex,
         return times, states, {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
     matrices = gen if callable(gen) else lambda t: gen
     # one state keeps the matrix-vector product, bit for bit
-    flat, nfev = _integrate(matrices, scale, y0[0] if k == 1 else y0.T, times, interior, cfg)
+    flat, nfev = _integrate(matrices, y0[0] if k == 1 else y0.T, times, interior, cfg)
     states = flat.reshape(times.size, d, k).transpose(2, 0, 1)
     return times, states, {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
 
 
-def _propagate_components(block: DrivenBlock, psi0: np.ndarray, t0: float, t1: float,
+def _propagate_components(block: Any, psi0: np.ndarray, t0: float, t1: float,
                           cfg: IntegratorConfig, breakpoints: Sequence[float],
                           ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """:func:`_propagate` of ``block`` from every row of ``psi0``, one coupled
-    component at a time.
+    component at a time; any input but a block runs whole.
 
     Each component that a row touches runs on its own sub-block, from the
     rows that touch it, by the method its ``structure`` over the span
     allows; every other amplitude stays exactly ``+0.0``.  A component
     that holds every level and is touched by every row runs on ``block``
-    and ``psi0`` themselves, with nothing to restrict or scatter.  The metadata
-    name the method of the driven components (``eigh`` when none is
-    driven), sum their ``nfev`` and keep the largest ``substeps``.
+    and ``psi0`` themselves.  The metadata name the method of the driven
+    components (``eigh`` when none is driven), sum their ``nfev`` and keep
+    the largest ``substeps``.
     """
-    if t0 == t1:
-        return np.array([t0]), psi0[:, None, :], {}
+    if t0 == t1 or not isinstance(block, DrivenBlock):
+        return _propagate(block, psi0, t0, t1, cfg, breakpoints)
     times, _, _ = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
     k, d = psi0.shape
     states = np.zeros((k, times.size, d), dtype=complex)
@@ -877,7 +877,7 @@ def _propagate_components(block: DrivenBlock, psi0: np.ndarray, t0: float, t1: f
         part = block if whole else block.restricted(levels)
         found = part.structure(t0, t1)
         constant = isinstance(found, np.ndarray)
-        _, sub, run = _propagate(found if constant else part, -1j / HBAR_MEV_PS,
+        _, sub, run = _propagate(found if constant else part,
                                  psi0 if whole else psi0[np.ix_(rows, levels)], t0, t1, cfg,
                                  breakpoints, None if constant else found)
         if whole:
@@ -903,11 +903,9 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     ``h_of_t`` is a constant :class:`OperatorMatrix` or a
     :class:`~dotgates.model.DrivenBlock`, whose basis and frame must be the
     states', or a bare ndarray or callable of time, checked for shape only.
-    What it is picks the method, as the module docstring tables: each
-    coupled component of a block that a state touches takes the method its
-    ``structure`` over the span allows, with the block's ``breakpoints``
-    joining ``breakpoints``.  ``t_span`` may run backwards for
-    time-reversed evolution.
+    What it is picks the method, as the module docstring tables, a block's
+    ``breakpoints`` joining ``breakpoints``.  ``t_span`` may run backwards
+    for time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
@@ -931,10 +929,7 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
     h, breakpoints = _as_matrix_fn(h_of_t, basis, frame, t0, breakpoints)
-    if isinstance(h, DrivenBlock):
-        times, states, meta = _propagate_components(h, psi0, t0, t1, cfg, breakpoints)
-    else:
-        times, states, meta = _propagate(h, -1j / HBAR_MEV_PS, psi0, t0, t1, cfg, breakpoints)
+    times, states, meta = _propagate_components(h, psi0, t0, t1, cfg, breakpoints)
     for s in states:
         check_drift(np.linalg.norm(s, axis=1))
     states.setflags(write=False)  # a fresh array: the trajectories adopt its rows
@@ -950,16 +945,31 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _liouvillian(h: np.ndarray, ops: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    """Lindblad generator acting on row-major ``vec(rho)``.
+    """``K = i hbar L`` for the Lindblad generator ``L`` on row-major ``vec(rho)``.
 
     Uses ``vec(A X B) = kron(A, B.T) vec(X)``; each item of ``ops`` is a
-    jump operator ``L``, its ``L^dagger L`` and its rate.
+    jump operator ``L``, its ``L^dagger L`` and its rate.  Without ``ops``
+    ``K`` is the commutator ``[h, .]``, Hermitian when ``h`` is.
     """
+    h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0])
-    sup = (-1j / HBAR_MEV_PS) * (_kron(h, eye) - _kron(eye, h.T))
+    sup = _kron(h, eye) - _kron(eye, h.T)
     for L, LdL, g in ops:
-        sup += g * (_kron(L, L.conj()) - 0.5 * _kron(LdL, eye) - 0.5 * _kron(eye, LdL.T))
+        sup += (1j * HBAR_MEV_PS * g) * (
+            _kron(L, L.conj()) - 0.5 * _kron(LdL, eye) - 0.5 * _kron(eye, LdL.T))
     return sup
+
+
+def _lifted(h: Any, ops: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> Any:
+    """``K`` (:func:`_liouvillian`) in the form of ``h``: a matrix, ``t -> K(t)``
+    or, as the channels do not depend on the drive, for a block the block
+    ``K(h0) + f(t) [v, .]`` on the ``d^2`` entries of ``vec(rho)``."""
+    if isinstance(h, DrivenBlock):
+        vec = Basis(tuple(map(str, range(h.basis.dim ** 2))), "vec(rho)")
+        return replace(h, basis=vec, h0=_liouvillian(h.h0, ops), v=_liouvillian(h.v, ()))
+    if isinstance(h, np.ndarray):
+        return _liouvillian(h, ops)
+    return lambda t: _liouvillian(h(t), ops)
 
 
 def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float],
@@ -968,22 +978,15 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
                     breakpoints: Sequence[float] = ()) -> Trajectory:
     """Propagate the Lindblad master equation for ``rho0`` over ``t_span``.
 
-    The generator is the ``d^2 x d^2`` Liouvillian on row-major ``vec(rho)``.
-    With a constant ``h_of_t``, or a :class:`~dotgates.model.DrivenBlock`
-    whose ``structure`` over the span is one matrix, it is eigendecomposed
-    once and ``rho(t) = V exp(lam t) V^-1 rho0`` (``liouvillian-eig``).  Any
-    other input (the Liouvillian rebuilt at each evaluation), and
-    eigenvectors too ill-conditioned to trust, are integrated adaptively;
-    an ill-conditioned generator too stiff for that (a loss rate of
-    ``1e10``/ps, say) raises :class:`IntegrationError` at once.  A block's
-    envelope edges join ``breakpoints``, as in :func:`evolve_schrodinger`.
-    Collapse terms use rates in 1/ps and are not divided by hbar.  The trace
-    must stay within ``1e-7`` of one at the end (``1e-6`` anywhere) and
-    every sample must be positive to ``-1e-6``, or :class:`IntegrationError`
-    is raised.  Positivity is decided by the Cholesky factorization of
-    ``(rho + rho^H)/2 + 1e-6 I``, whole stacks of samples at a time; only a
-    failure computes the eigenvalues, so the message still quotes the exact
-    minimum.
+    ``i hbar d vec(rho)/dt = K vec(rho)`` (:func:`_lifted`) takes the routing
+    of :func:`evolve_schrodinger`: a :class:`~dotgates.model.DrivenBlock`
+    runs the components of its ``K`` that ``rho0`` touches, every other
+    entry exactly ``+0.0``.  Either spectral path is named
+    ``liouvillian-eig``, ``eigh`` of a decay-free ``K`` too.  Collapse rates
+    are in 1/ps.  Too stiff a ``K`` (a loss rate of ``1e10``/ps, say) raises
+    :class:`IntegrationError` at once, as does a trace off one by ``1e-7``
+    at the end (``1e-6`` anywhere) or a sample less positive than ``-1e-6``
+    (:func:`_check_positivity`).
     """
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -997,13 +1000,9 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
             raise BasisMismatchError(f"collapse operator shape {L.shape} != ({d}, {d})")
         if ch.rate > 0:
             ops.append((L, L.conj().T @ L, float(ch.rate)))
-    if isinstance(h, DrivenBlock) and isinstance(found := h.structure(t0, t1), np.ndarray):
-        h = found  # constant over the span: the one matrix, as in _propagate_components
-    gen = _liouvillian(h, ops) if isinstance(h, np.ndarray) else (
-        lambda t: _liouvillian(h(t), ops))
-    times, states, meta = _propagate(gen, 1.0, rho0.matrix.reshape(1, d * d), t0, t1, cfg,
-                                     breakpoints)
-    if meta.get("propagator") == "eig":
+    times, states, meta = _propagate_components(_lifted(h, ops), rho0.matrix.reshape(1, d * d),
+                                                 t0, t1, cfg, breakpoints)
+    if meta.get("propagator") in ("eigh", "eig"):
         meta["propagator"] = "liouvillian-eig"
     states.setflags(write=False)  # a fresh array: the trajectory adopts it
     traj = Trajectory(times, states[0].reshape(times.size, d, d), rho0.basis, rho0.frame,

@@ -606,7 +606,8 @@ def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,
     """Simulate a Raman rotation starting from spin ``0``.
 
     The drive is a :func:`~dotgates.model.raman_generator` block, square over
-    the whole window, so it runs as one matrix (``liouvillian-eig``).  The
+    the whole window, so the 10 entries of ``vec(rho)`` that spin ``0``
+    reaches run as one matrix (``liouvillian-eig``); the rest stay zero.  The
     master equation includes a collapse channel dumping the excited level
     into a sink at rate ``gamma``, a pessimistic stand-in for radiative decay
     (every emitted photon is treated as lost population).

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,19 +290,28 @@ def test_lindblad_without_channels_matches_schrodinger():
     mixed2 = evolve_lindblad(h, psi0.density(), (0.0, 4.0),
                              channels=(CollapseChannel(lower, 0.0),))
     np.testing.assert_allclose(mixed2.states[-1], mixed.states[-1], atol=1e-9)
-    # a time-dependent H: the Liouvillian is rebuilt at every evaluation
-    block, _ = _carrier_two_level()
-    pure = evolve_schrodinger(lambda t: block(t), psi0, (0.0, 4.0))
-    mixed = evolve_lindblad(block, psi0.density(), (0.0, 4.0))
-    assert mixed.metadata["propagator"] == "DOP853"
-    psi = pure.states
-    np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
-                               rtol=0, atol=1e-8)
+    # a block takes the same route in either equation, and rho = psi psi^H
+    # at every sample: constant (eigh of a Hermitian K), periodic, smooth
+    square = spectator_generator(DotPairParams(), SquarePulse(0.3, 5.0))
+    lifted = dynamics._lifted(square, ()).structure(0.0, 4.0)
+    assert np.array_equal(lifted, lifted.conj().T)
+    for block, span, route in ((square, (0.0, 4.0), "eigh"),
+                               (_carrier_two_level()[0], (0.0, 4.0), "floquet"),
+                               (spectator_generator(DotPairParams(), _GAUSSIAN),
+                                _GAUSSIAN.support(), "magnus4")):
+        psi0 = QuantumState(np.array([0.6, 0.8j]), block.basis, block.frame)
+        pure = evolve_schrodinger(block, psi0, span)
+        mixed = evolve_lindblad(block, psi0.density(), span)
+        assert pure.metadata["propagator"] == route
+        assert mixed.metadata["propagator"] == {"eigh": "liouvillian-eig"}.get(route, route)
+        psi = pure.states
+        np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
+                                   rtol=0, atol=1e-12)
 
 
 def test_lindblad_samples_a_blocks_envelope_edges():
     # off the sample grid, both edges of the square join it in either equation,
-    # so DOP853 restarts there instead of stepping across the kink
+    # so no Magnus cell steps across the kink
     env = SquarePulse(0.3, 1.0, t_start=1.2345)
     block = spectator_generator(DotPairParams(), env)
     psi0 = QuantumState.basis_state(block.basis, "01", block.frame)
@@ -456,8 +466,9 @@ def test_constant_liouvillian_matches_adaptive(monkeypatch):
 
 
 def test_stiff_ill_conditioned_liouvillian_raises_at_once(monkeypatch):
-    # at 1e10/ps the eigenvectors fail the conditioning check, and DOP853
-    # would need ~1e11 steps: the core refuses before it starts
+    # at 1e10/ps the eigenvalues are too stiff and the eigenvectors too
+    # ill-conditioned to trust, and DOP853 would need ~1e11 steps: the core
+    # refuses before it starts
     h, basis, channels = _lossy_lambda()
     rho0 = QuantumState.basis_state(basis, "0").density()
     stiff = (CollapseChannel(channels[0].operator, 1e10),)
@@ -470,6 +481,27 @@ def test_stiff_ill_conditioned_liouvillian_raises_at_once(monkeypatch):
     with pytest.raises(IntegrationError, match="too stiff"):
         evolve_lindblad(h, rho0, (0.0, 12.0), stiff)
     assert time.perf_counter() - start < 1.0
+
+
+def test_stiff_loss_on_a_split_block_raises_at_once(monkeypatch):
+    # split, the 10 entries of vec(rho) that |0><0| reaches pass the
+    # conditioning check, but at 1e10/ps the rounding of their eigenvalues
+    # over 12 ps (~3e-5) would drift the trace: DOP853 takes over and refuses
+    h, basis, channels = _lossy_lambda()
+    block = DrivenBlock(basis, LAB_FRAME, h, np.zeros_like(h), lambda t: 0.0)
+    rho0 = QuantumState.basis_state(basis, "0").density()
+    stiff = (CollapseChannel(channels[0].operator, 1e10),)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("DOP853 started on a stiff generator")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", no_solve)
+    with pytest.raises(IntegrationError, match="too stiff"):
+        evolve_lindblad(block, rho0, (0.0, 12.0), stiff)
+    # trusted regardless, the spectral path would fail on the trace instead
+    monkeypatch.setattr(dynamics, "_MAX_EIGVAL_ROUNDING", math.inf)
+    with pytest.raises(IntegrationError, match="trace drifted"):
+        evolve_lindblad(block, rho0, (0.0, 12.0), stiff)
 
 
 def test_stiff_time_dependent_liouvillian_raises_at_once(monkeypatch):
@@ -591,11 +623,11 @@ def _pure(h, span, like=None, cfg=None, breakpoints=()):
 _RAMAN = raman_generator(4.0, SquarePulse(1.33, 5.0))
 
 
-def _raman(h=_RAMAN, span=(0.0, 5.0)):
+def _raman(h=_RAMAN, span=(0.0, 5.0), cfg=None, breakpoints=()):
     sink = np.zeros((4, 4), dtype=complex)
     sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
     rho0 = QuantumState.basis_state(RAMAN_LEVELS, "0", "rotating@laser").density()
-    return evolve_lindblad(h, rho0, span, (CollapseChannel(sink, 0.1),))
+    return evolve_lindblad(h, rho0, span, (CollapseChannel(sink, 0.1),), cfg, breakpoints)
 
 
 def _undriven():
@@ -628,9 +660,14 @@ ROUTES = {
     "block behind a plain callable": (
         _pure(lambda t: _rotating(_SQUARE)(t), (1.0, 4.0), _rotating(_SQUARE)), "DOP853",
         None, None),
+    # the reference splits the same way: a zero drive under the one matrix
     "Raman block inside its support": (
-        _raman, "liouvillian-eig", lambda: _raman(_RAMAN.at(2.5)), 0.0),
-    "Raman block past its support": (lambda: _raman(span=(0.0, 5.5)), "DOP853", None, None),
+        _raman, "liouvillian-eig",
+        lambda: _raman(replace(_RAMAN, h0=_RAMAN(2.5), v=0.0 * _RAMAN.v)), 0.0),
+    "Raman block past its support": (
+        lambda: _raman(span=(0.0, 5.5)), "magnus4",
+        lambda: _raman(lambda t: _RAMAN(t), (0.0, 5.5), IntegratorConfig(rtol=1e-13, atol=1e-15),
+                       _RAMAN.breakpoints()), 1e-12),
     "block with a zero drive": (
         _pure(_undriven(), _GAUSSIAN.support()), "eigh",
         _pure(_undriven().h0, _GAUSSIAN.support(), _undriven()), 0.0),
@@ -646,6 +683,24 @@ def test_each_input_takes_the_method_its_structure_allows(case):
         ref = reference()
         np.testing.assert_array_equal(traj.times, ref.times)
         np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("block, span, route", [
+    (_RAMAN, (0.0, 5.0), "liouvillian-eig"),
+    (_RAMAN, (0.0, 5.5), "magnus4"),
+    (raman_generator(4.0, _GAUSSIAN), _GAUSSIAN.support(), "magnus4"),
+    (raman_generator(4.0, LaserDrive(SquarePulse(1.33, 5.0), _CARRIER)), (0.0, 5.0), "floquet"),
+], ids=["constant", "past its support", "gaussian", "under a carrier"])
+def test_raman_sink_coherences_stay_exactly_zero(block, span, route):
+    # rho0 = |0><0| never reaches the (i, s) and (s, i) entries of vec(rho),
+    # which form components of their own: they stay +0.0, not rounding noise
+    traj = _raman(block, span)
+    assert traj.metadata["propagator"] == route
+    s = RAMAN_LEVELS.index("s")
+    coherences = np.concatenate([np.delete(traj.states[:, s, :], s, axis=1),
+                                 np.delete(traj.states[:, :, s], s, axis=1)])
+    assert not coherences.any() and not np.signbit(coherences.view(float)).any()
+    assert traj.population("1").max() > 0.0
 
 
 def test_magnus_exponents_match_the_commutator_of_the_node_hamiltonians():
@@ -719,18 +774,24 @@ def test_positivity_check_reaches_the_last_chunk():
 
 
 def _unitary_spectrum():
-    return np.linalg.eigvalsh(_random_hermitian(np.random.default_rng(3), 3)), -1j / HBAR_MEV_PS
+    return np.linalg.eigvalsh(_random_hermitian(np.random.default_rng(3), 3))
 
 
 def _decaying_spectrum():
     h, _, channels = _lossy_lambda()
     ops = [(c.operator, c.operator.conj().T @ c.operator, c.rate) for c in channels]
-    return np.linalg.eigvals(dynamics._liouvillian(h, ops)), 1.0
+    return np.linalg.eigvals(dynamics._liouvillian(h, ops))
 
 
 def _lab_wait_spectrum():
     # the free wait of a zrot at omega_a = 2000 meV
-    return np.array([0.0, 0.0, 2000.0]), -1j / HBAR_MEV_PS
+    return np.array([0.0, 0.0, 2000.0])
+
+
+def _direct_growth(times, lam):
+    e = np.outer(times - times[0], lam).astype(complex)
+    e *= -1j / HBAR_MEV_PS
+    return np.exp(e)
 
 
 # (t0, t1, sample_interval, breakpoints)
@@ -746,33 +807,27 @@ _GROWTH_GRIDS = {
 @pytest.mark.parametrize("spectrum", [_unitary_spectrum, _decaying_spectrum, _lab_wait_spectrum])
 @pytest.mark.parametrize("grid", list(_GROWTH_GRIDS))
 def test_growth_matches_the_direct_exponentials(spectrum, grid):
-    lam, scale = spectrum()
+    lam = spectrum()
     t0, t1, dt, breakpoints = _GROWTH_GRIDS[grid]
     times, _, step = dynamics._sample_grid(t0, t1, dt, breakpoints)
-    direct = np.exp(scale * np.outer(times - t0, lam))
-    growth = dynamics._growth(times, step, lam, scale)
-    np.testing.assert_allclose(growth, direct, rtol=0, atol=1e-13)
+    growth = dynamics._growth(times, step, lam)
+    np.testing.assert_allclose(growth, _direct_growth(times, lam), rtol=0, atol=1e-13)
 
 
 def test_growth_anchors_only_where_the_sample_rounding_allows():
-    def direct(times, lam, scale):
-        e = np.outer(times - times[0], lam).astype(complex)
-        e *= scale
-        return np.exp(e)
-
     # a Raman-like Liouvillian over its window takes the anchored powers ...
-    lam, scale = _decaying_spectrum()
+    lam = _decaying_spectrum()
     times, _, step = dynamics._sample_grid(0.0, 19.46, 0.01, ())
-    growth = dynamics._growth(times, step, lam, scale)
-    assert not np.array_equal(growth, direct(times, lam, scale))
-    np.testing.assert_allclose(growth, direct(times, lam, scale), rtol=0, atol=1e-13)
+    growth = dynamics._growth(times, step, lam)
+    assert not np.array_equal(growth, _direct_growth(times, lam))
+    np.testing.assert_allclose(growth, _direct_growth(times, lam), rtol=0, atol=1e-13)
     # ... a 2000 meV level 8 ps from the origin, and any grid with an
     # inserted breakpoint, the direct exponential bit for bit
-    for lam, scale, span, breakpoints in ((*_lab_wait_spectrum(), (7.9, 8.9), ()),
-                                          (*_decaying_spectrum(), (0.0, 19.46), (3.2137,))):
+    for lam, span, breakpoints in ((_lab_wait_spectrum(), (7.9, 8.9), ()),
+                                   (_decaying_spectrum(), (0.0, 19.46), (3.2137,))):
         times, _, step = dynamics._sample_grid(*span, 0.01, breakpoints)
-        growth = dynamics._growth(times, step, lam, scale)
-        np.testing.assert_array_equal(growth, direct(times, lam, scale))
+        growth = dynamics._growth(times, step, lam)
+        np.testing.assert_array_equal(growth, _direct_growth(times, lam))
 
 
 def test_liouvillian_is_the_kronecker_expression_bit_for_bit():
@@ -783,9 +838,10 @@ def test_liouvillian_is_the_kronecker_expression_bit_for_bit():
         L = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         ops.append((L, L.conj().T @ L, rate))
     eye = np.eye(4)
-    want = (-1j / HBAR_MEV_PS) * (np.kron(h, eye) - np.kron(eye, h.T))
+    want = np.kron(h, eye) - np.kron(eye, h.T)
     for L, LdL, g in ops:
-        want += g * (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
+        want += (1j * HBAR_MEV_PS * g) * (
+            np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
     assert dynamics._liouvillian(h, ops).tobytes() == want.tobytes()
 
 
