@@ -63,6 +63,7 @@ from .dynamics import (
 )
 from .gates import (
     PulseAreaError,
+    ZGateParams,
     pulse_summary,
     run_cphase,
     run_raman_x,
@@ -379,95 +380,71 @@ def _write_trajectories(out: Path, trajs: Mapping[str, Trajectory]) -> None:
         written.append((traj.kind, bits, path))
 
 
-def _run_cphase_single(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
-    p = cfg.dot_params()
-    report, trajs = run_cphase(p, cfg.envelope(), cfg.integrator(),
-                               cfg["threshold_biexciton"], cfg["threshold_spectator"])
-    _write_trajectories(out, {f"traj_{key}.csv": traj for key, traj in trajs.items()})
-    return report.to_dict()
+# the columns of a cphase ratio family's curves
+_RATIO_COLUMNS = {
+    "t_ps": "sample time (ps)",
+    "phase_10": "unwrapped phase of the returning 10 amplitude (rad)",
+    "amp_10": "magnitude of the 10 amplitude",
+    "phase_11": "unwrapped phase of the returning 11 amplitude (rad)",
+    "amp_11": "magnitude of the 11 amplitude",
+}
 
 
-def _run_cphase_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
-    """One run per drive-to-coupling ratio; emits per-ratio phase/amplitude
-    curves for the driven (11) and idle-partner (10) blocks."""
-    p = cfg.dot_params()
-    runs = []
-    columns = {
-        "t_ps": "sample time (ps)",
-        "phase_10": "unwrapped phase of the returning 10 amplitude (rad)",
-        "amp_10": "magnitude of the 10 amplitude",
-        "phase_11": "unwrapped phase of the returning 11 amplitude (rad)",
-        "amp_11": "magnitude of the 11 amplitude",
-    }
-    for r in cfg["ratios"]:
-        env = cfg.envelope(omega=r * abs(p.v_f))
-        report, trajs = run_cphase(p, env, cfg.integrator(),
-                                   cfg["threshold_biexciton"],
-                                   cfg["threshold_spectator"])
+def _family(out: Path, kind: str, rows: list[dict[str, Any]], **schema: Any) -> dict[str, Any]:
+    """Write ``schema.json`` for a family's ``rows`` and return its report."""
+    _write_json(out / "schema.json", {**schema, "files": [row["file"] for row in rows]})
+    return {"kind": f"{kind}_family", "runs": rows}
+
+
+def _run_cphase(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
+    """One run writes every block's trajectory; a ratio family, each run's
+    phase and amplitude curves of the driven (11) and idle-partner (10) blocks."""
+    p, rows = cfg.dot_params(), []
+    for run in cfg.runs():
+        report, trajs = run_cphase(p, run.input, cfg.integrator(),
+                                   cfg["threshold_biexciton"], cfg["threshold_spectator"])
+        if run.ratio is None:
+            _write_trajectories(out, {f"traj_{key}.csv": traj for key, traj in trajs.items()})
+            return report.to_dict()
         t10, t11 = trajs["10"], trajs["11"]
-        cols = [
-            t10.times,
-            accumulated_phase(t10, "10"),
-            np.abs(t10.amplitude("10")),
-            accumulated_phase(t11, "11"),
-            np.abs(t11.amplitude("11")),
-        ]
-        name = f"family_ratio_{r:g}.csv"
-        _write_csv(out / name, list(columns), cols)
+        name = f"family_ratio_{run.ratio:g}.csv"
+        _write_csv(out / name, list(_RATIO_COLUMNS),
+                   [t10.times, accumulated_phase(t10, "10"), np.abs(t10.amplitude("10")),
+                    accumulated_phase(t11, "11"), np.abs(t11.amplitude("11"))])
         d = report.to_dict()
-        runs.append({"ratio": r, "omega": r * abs(p.v_f), "file": name, **{
+        rows.append({"ratio": run.ratio, "omega": run.input.peak_value(), "file": name, **{
             k: d[k] for k in ("gate_time", "phases", "theta", "fidelity", "warnings")}})
-    schema = {
-        "family": "cphase_ratio",
-        "parameter": "omega / v_f",
-        "files": [run["file"] for run in runs],
-        "columns": columns,
-    }
-    _write_json(out / "schema.json", schema)
-    return {"kind": "cphase_family", "runs": runs}
+    return _family(out, "cphase", rows, family="cphase_ratio", parameter="omega / v_f",
+                   columns=_RATIO_COLUMNS)
 
 
 def _run_zrot(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     p = cfg.dot_params()
-    report, traj = run_z_rotation(p, cfg.zgate(), cfg.integrator())
+    (run,) = cfg.runs()
+    report, traj = run_z_rotation(p, ZGateParams(run.input, cfg["wait"]), cfg.integrator())
     # the rotating-frame copy divides the optical carrier out of the exciton amplitude
     rot = to_rotating_frame(traj, p.omega_a, (0, 0, 1))
     _write_trajectories(out, {"trajectory_lab.csv": traj, "trajectory_rot.csv": rot})
     return report.to_dict()
 
 
-def _run_raman_single(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
-    report, traj = run_raman_x(cfg.raman_params(), cfg.integrator(),
-                               cfg["time_window"])
-    _write_trajectories(out, {"populations.csv": traj})
-    return report.to_dict()
-
-
-def _run_raman_family(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
-    detunings = cfg["detunings"] or (cfg["detuning"],)
-    gammas = cfg["gammas"] if cfg["gammas"] is not None else (cfg["gamma"],)
-    runs = []
-    for g in gammas:
-        for nu in detunings:
-            report, traj = run_raman_x(cfg.raman_params(detuning=nu, gamma=g),
-                                       cfg.integrator(), cfg["time_window"])
-            name = f"raman_nu_{nu:g}_gamma_{g:g}.csv"
-            _write_trajectories(out, {name: traj})
-            d = report.to_dict()
-            runs.append({"file": name, **{k: d[k] for k in (
-                "detuning", "gamma", "pi_time_estimate", "pi_time", "fidelity", "lost")}})
-    schema = {
-        "family": "raman_detuning_gamma",
-        "parameters": ["detuning", "gamma"],
-        "files": [run["file"] for run in runs],
-        "columns": {
-            "t_ps": "sample time (ps)",
-            "pop_*": "level populations",
-            "coh_*": "coherence magnitudes |rho_ij|",
-        },
-    }
-    _write_json(out / "schema.json", schema)
-    return {"kind": "raman_family", "runs": runs}
+def _run_raman(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
+    """One run writes ``populations.csv``; a family writes one file a run."""
+    family, rows = cfg["detunings"] is not None or cfg["gammas"] is not None, []
+    for run in cfg.runs():
+        report, traj = run_raman_x(run.input, cfg.integrator(), cfg["time_window"])
+        if not family:
+            _write_trajectories(out, {"populations.csv": traj})
+            return report.to_dict()
+        name = f"raman_nu_{run.input.detuning:g}_gamma_{run.input.gamma:g}.csv"
+        _write_trajectories(out, {name: traj})
+        d = report.to_dict()
+        rows.append({"file": name, **{k: d[k] for k in (
+            "detuning", "gamma", "pi_time_estimate", "pi_time", "fidelity", "lost")}})
+    return _family(out, "raman", rows, family="raman_detuning_gamma",
+                   parameters=["detuning", "gamma"],
+                   columns={"t_ps": "sample time (ps)", "pop_*": "level populations",
+                            "coh_*": "coherence magnitudes |rho_ij|"})
 
 
 def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
@@ -481,6 +458,17 @@ def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         "pulse": pulse_summary(env),
         "conditions": rep.to_dict(),
     }
+
+
+# the plain subcommands: kind -> (help line, adapter); every adapter looks the
+# runners up as this module's globals when it is called
+_KINDS: dict[str, tuple[str, Callable[[ExperimentConfig, Path], dict[str, Any]]]] = {
+    "cphase": ("Two-qubit controlled-phase gate from one calibrated pulse.", _run_cphase),
+    "zrot": ("Single-qubit phase gate via exciton shelving between two pi pulses.", _run_zrot),
+    "raman": ("Raman spin flip through a lossy excited level.", _run_raman),
+    "conditions": ("Evaluate the weak-driving validity ratios for a pulse, no integration.",
+                   _run_conditions),
+}
 
 
 def _run_sweep_child(raw: dict[str, Any], out_str: str) -> dict[str, Any]:
@@ -537,19 +525,7 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str,
         click.echo(f"{empty} is empty; nothing to run")
         return {"kind": cfg.kind, "runs": []}
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.kind == "cphase":
-        d = (_run_cphase_single if cfg["ratios"] is None else _run_cphase_family)(cfg, out)
-    elif cfg.kind == "zrot":
-        d = _run_zrot(cfg, out)
-    elif cfg.kind == "raman":
-        family = cfg["detunings"] is not None or cfg["gammas"] is not None
-        d = (_run_raman_family if family else _run_raman_single)(cfg, out)
-    elif cfg.kind == "conditions":
-        d = _run_conditions(cfg, out)
-    elif cfg.kind == "sweep":
-        d = _run_sweep(cfg, out, jobs)
-    else:
-        raise ConfigError(f"unknown kind {cfg.kind!r}")
+    d = _run_sweep(cfg, out, jobs) if cfg.kind == "sweep" else _KINDS[cfg.kind][1](cfg, out)
     _write_json(out / "report.json", d)
     return d
 
@@ -599,32 +575,9 @@ def main() -> None:
     """Simulate optically driven spin gates in a coupled quantum-dot pair."""
 
 
-@main.command()
-@_common_options
-def cphase(config_path: str | None, out: str, overrides: tuple[str, ...]) -> None:
-    """Two-qubit controlled-phase gate from one calibrated pulse."""
-    _execute("cphase", config_path, out, overrides)
-
-
-@main.command()
-@_common_options
-def zrot(config_path: str | None, out: str, overrides: tuple[str, ...]) -> None:
-    """Single-qubit phase gate via exciton shelving between two pi pulses."""
-    _execute("zrot", config_path, out, overrides)
-
-
-@main.command()
-@_common_options
-def raman(config_path: str | None, out: str, overrides: tuple[str, ...]) -> None:
-    """Raman spin flip through a lossy excited level."""
-    _execute("raman", config_path, out, overrides)
-
-
-@main.command()
-@_common_options
-def conditions(config_path: str | None, out: str, overrides: tuple[str, ...]) -> None:
-    """Evaluate the weak-driving validity ratios for a pulse, no integration."""
-    _execute("conditions", config_path, out, overrides)
+# each plain subcommand runs `_execute` of its kind with the common options
+for _kind, (_help, _) in _KINDS.items():
+    main.command(name=_kind, help=_help)(_common_options(functools.partial(_execute, _kind)))
 
 
 @main.command()

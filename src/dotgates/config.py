@@ -22,6 +22,10 @@ The pulse is described by ``pulse_shape`` (``square`` or ``gaussian``),
 ``omega`` (peak Rabi energy in meV) and either an explicit ``duration`` /
 ``sigma`` or ``null`` to derive the calibrated value for the experiment's
 target area.
+
+Which runs a ``cphase``, ``zrot`` or ``raman`` config makes is written once,
+in :meth:`ExperimentConfig.runs`: :func:`build_config` checks every run's
+sample count over that list, and the command line runs the same list.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .dynamics import IntegratorConfig, check_sample_count
-from .gates import (CPHASE_AREA, PI_AREA, RamanParams, ZGateParams, calibrated_pulse,
+from .gates import (CPHASE_AREA, PI_AREA, RamanParams, calibrated_pulse,
                     commensurate_gate_time, raman_pi_time, raman_rate, raman_window)
 from .model import DotPairParams, GaussianPulse, SquarePulse
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config_file",
+__all__ = ["ConfigError", "ExperimentConfig", "Run", "load_config_file",
            "apply_overrides", "build_config", "EXPERIMENT_KINDS"]
 
 EXPERIMENT_KINDS = ("cphase", "zrot", "raman", "conditions", "sweep")
@@ -224,6 +228,21 @@ def apply_overrides(raw: dict[str, Any], overrides: tuple[str, ...]) -> dict[str
     return out
 
 
+@dataclass(frozen=True)
+class Run:
+    """One run of a config: its runner's input (a ``cphase`` or ``zrot`` pulse,
+    a ``raman`` :class:`RamanParams`), the span it samples and its ratio."""
+
+    input: SquarePulse | GaussianPulse | RamanParams
+    span: float
+    ratio: float | None = None
+
+
+def _span(env: SquarePulse | GaussianPulse) -> float:
+    lo, hi = env.support()
+    return hi - lo
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A validated, fully-defaulted experiment description."""
@@ -283,9 +302,6 @@ class ExperimentConfig:
                 "and the pulse length finite")
         return env
 
-    def zgate(self) -> ZGateParams:
-        return ZGateParams(pulse=self.envelope(), wait=self["wait"])
-
     def raman_params(self, detuning: float | None = None,
                      gamma: float | None = None) -> RamanParams:
         try:
@@ -298,39 +314,41 @@ class ExperimentConfig:
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
+    def runs(self) -> list[Run]:
+        """Every run of a ``cphase``, ``zrot`` or ``raman`` config, in order:
+        one, or one per ``ratios`` value at ``omega = r |v_f|``, or one per
+        ``gammas`` x ``detunings`` pair (gamma outermost).  The configured
+        pulse and every detuning's window, which must be finite and
+        positive, are checked whatever the lists hold."""
+        if self.kind != "raman":
+            env = self.envelope()
+            if self.kind == "zrot":  # both pulses and the wait between them
+                return [Run(env, 2.0 * _span(env) + self["wait"])]
+            if self["ratios"] is None:
+                return [Run(env, _span(env))]
+            pulses = [self.envelope(r * abs(self["v_f"])) for r in self["ratios"]]
+            return [Run(p, _span(p), r) for r, p in zip(self["ratios"], pulses)]
+        windows = []
+        for nu in self["detunings"] or (self["detuning"],):
+            params = self.raman_params(detuning=nu)
+            try:
+                derived = (raman_rate(params.rabi, nu),
+                           raman_pi_time(params.rabi, nu, params.target_angle),
+                           raman_window(params, self["time_window"]))
+            except (OverflowError, ZeroDivisionError):
+                derived = (math.nan,)
+            if not all(0.0 < x < math.inf for x in derived):
+                raise ConfigError(f"rabi={params.rabi:g} and detuning={nu:g} give a Raman rate, "
+                                  "pi time or window that is not finite and positive")
+            windows.append((nu, derived[-1]))
+        gammas = self["gammas"] if self["gammas"] is not None else (self["gamma"],)
+        return [Run(self.raman_params(nu, g), window) for g in gammas for nu, window in windows]
+
     def sweep_child_raws(self) -> list[tuple[float, dict[str, Any]]]:
         """``(value, raw child config)`` for each sweep value, in order."""
         base = dict(self["child_base"])
         return [(float(v), {**base, "kind": self["sweep_kind"], self["sweep_param"]: float(v)})
                 for v in self["sweep_values"]]
-
-
-def _run_spans(cfg: ExperimentConfig) -> list[float]:
-    """Time span of every trajectory a cphase, zrot or raman run samples."""
-    if cfg.kind == "cphase":
-        ratios = cfg["ratios"]
-        omegas = [None] if ratios is None else [r * abs(cfg["v_f"]) for r in ratios]
-        return [hi - lo for lo, hi in (cfg.envelope(om).support() for om in omegas)]
-    if cfg.kind == "zrot":
-        lo, hi = cfg.envelope().support()
-        return [2.0 * (hi - lo) + cfg["wait"]]
-    return [_checked_raman_window(cfg, nu) for nu in cfg["detunings"] or (cfg["detuning"],)]
-
-
-def _checked_raman_window(cfg: ExperimentConfig, nu: float) -> float:
-    """Window of the Raman run at detuning ``nu``; its rate, pi time and
-    window must be finite and positive."""
-    params = cfg.raman_params(detuning=nu)
-    try:
-        derived = (raman_rate(params.rabi, nu),
-                   raman_pi_time(params.rabi, nu, params.target_angle),
-                   raman_window(params, cfg["time_window"]))
-    except (OverflowError, ZeroDivisionError):
-        derived = (math.nan,)
-    if not all(0.0 < x < math.inf for x in derived):
-        raise ConfigError(f"rabi={params.rabi:g} and detuning={nu:g} give a Raman rate, pi "
-                          "time or window that is not finite and positive")
-    return derived[-1]
 
 
 def _validate_keys(raw: dict[str, Any], kind: str,
@@ -361,9 +379,9 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a flat config dict and return an :class:`ExperimentConfig`.
 
     Unknown keys, type errors, and out-of-range values raise
-    :class:`ConfigError`; resolvable physics objects (dot parameters,
-    pulse, integrator) are constructed once so bad combinations fail here
-    rather than mid-run.
+    :class:`ConfigError`; the dot parameters and the pulse or the
+    :meth:`~ExperimentConfig.runs` are built once, and every run's sample
+    count checked, so bad combinations fail here rather than mid-run.
     """
     raw = dict(raw)
     kind = raw.get("kind")
@@ -396,22 +414,16 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
             build_config(raw_child)
         return cfg
 
-    schema = _schema(kind)
-    values = _validate_keys(raw, kind, schema)
-    cfg = ExperimentConfig(kind, values)
-    # eager construction: surface parameter problems as ConfigError now
-    if kind in ("cphase", "zrot", "conditions"):
+    cfg = ExperimentConfig(kind, _validate_keys(raw, kind, _schema(kind)))
+    if kind != "raman":
         cfg.dot_params()
+    if kind == "conditions":
         cfg.envelope()
-    if kind in ("cphase", "zrot", "raman"):
-        cfg.integrator()
-    if kind == "raman":
-        cfg.raman_params()
-    if kind in ("cphase", "zrot", "raman"):
-        # reject a runaway sample grid here, before anything is allocated
-        for span in _run_spans(cfg):
-            try:
-                check_sample_count(span, cfg["sample_interval"])
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+        return cfg
+    # reject a runaway sample grid here, before anything is allocated
+    for run in cfg.runs():
+        try:
+            check_sample_count(run.span, cfg["sample_interval"])
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     return cfg

@@ -775,17 +775,21 @@ def _refined_magnus(block: DrivenBlock, grid: np.ndarray, cfg: IntegratorConfig,
             return u, {"nfev": nfev, "substeps": substeps}
 
 
-def check_drift(values: np.ndarray, quantity: str = "norm") -> None:
+def check_drift(values: np.ndarray, quantity: str = "norm", method: str | None = None,
+                frame: str = LAB_FRAME) -> None:
     """Raise :class:`IntegrationError` when ``values``, the norms or traces
     of a trajectory in sample order, leave 1 by more than ``1e-7`` at the
     end or ``1e-6`` anywhere, or hold a ``nan``; ``quantity`` names them in
-    the message."""
+    the message, with the setting that the route that ran (``method`` in
+    ``frame``) reads; the spectral routes read none, so blame the generator."""
     drift = np.abs(values - 1.0)
     worst = np.max(drift)
     # written so that a nan norm or trace fails
     if not (drift[-1] <= _FINAL_DRIFT_TOL and worst <= _ANY_DRIFT_TOL):
-        hint = ("tighten rtol/atol" if math.isfinite(worst)
-                else "the inputs overflow double precision")
+        hints = {_ADAPTIVE_METHOD: "tighten rtol/atol", "floquet": "tighten rtol",
+                 "magnus4": "tighten rtol" if frame == LAB_FRAME else "shorten sample_interval"}
+        hint = ("the inputs overflow double precision" if not math.isfinite(worst)
+                else hints.get(method, f"the generator does not conserve the {quantity}"))
         raise IntegrationError(f"{quantity} drifted by {worst:.3e}; {hint}")
 
 
@@ -931,7 +935,7 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     h, breakpoints = _as_matrix_fn(h_of_t, basis, frame, t0, breakpoints)
     times, states, meta = _propagate_components(h, psi0, t0, t1, cfg, breakpoints)
     for s in states:
-        check_drift(np.linalg.norm(s, axis=1))
+        check_drift(np.linalg.norm(s, axis=1), "norm", meta.get("propagator"), frame)
     states.setflags(write=False)  # a fresh array: the trajectories adopt its rows
     trajs = [Trajectory(times, s, basis, frame, "pure", meta) for s in states]
     return trajs[0] if isinstance(state, QuantumState) else trajs
@@ -1007,7 +1011,7 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     states.setflags(write=False)  # a fresh array: the trajectory adopts it
     traj = Trajectory(times, states[0].reshape(times.size, d, d), rho0.basis, rho0.frame,
                       "density", meta)
-    check_drift(traj.traces(), "trace")
+    check_drift(traj.traces(), "trace", meta.get("propagator"), rho0.frame)
     _check_positivity(traj)
     return traj
 

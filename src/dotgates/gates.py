@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from types import MappingProxyType
 from typing import Any, Mapping
 
 import numpy as np
@@ -296,13 +295,6 @@ class GateReport(Report):
     conditions: ConditionReport
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in ("pulse", "phases", "amplitudes", "populations", "leakage"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        object.__setattr__(self, "residuals", MappingProxyType(
-            {k: MappingProxyType(dict(v)) for k, v in self.residuals.items()}))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-
 
 def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
                config: IntegratorConfig | None = None,
@@ -427,10 +419,8 @@ class ZRotationReport(Report):
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "phase_error",
-                           wrap_phase(self.achieved_phase - self.target_phase))
-        object.__setattr__(self, "final_amplitudes",
-                           MappingProxyType(dict(self.final_amplitudes)))
+        super().__post_init__()
+        object.__setattr__(self, "phase_error", wrap_phase(self.achieved_phase - self.target_phase))
 
 
 def run_z_rotation(p: DotPairParams, gate: ZGateParams,
@@ -480,7 +470,7 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
 
     def pulse_states(start: np.ndarray) -> np.ndarray:
         states = u @ start
-        check_drift(np.linalg.norm(states, axis=1))
+        check_drift(np.linalg.norm(states, axis=1), "norm", meta.get("propagator"))
         return states
 
     first = pulse_states(psi0)
@@ -594,10 +584,6 @@ class RamanReport(Report):
     populations: Mapping[str, float]
     lost: float
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "populations", MappingProxyType(dict(self.populations)))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
 def run_raman_x(params: RamanParams, config: IntegratorConfig | None = None,

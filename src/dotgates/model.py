@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -457,13 +458,26 @@ def _json_value(value: Any) -> Any:
     return {name: _json_value(getattr(value, name)) for name in fields}
 
 
+def _frozen(value: Any) -> Any:
+    """``value`` with every mapping in it read-only and every list a tuple."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
 class Report:
     """Base of every report dataclass: its fields are its JSON keys.
 
+    Construction freezes the given fields (:func:`_frozen`); a subclass
+    ``__post_init__`` only adds its computed ones.
     :meth:`to_dict` walks the fields in order and writes nested
     dataclasses and mappings as objects, tuples as lists and a ``complex``
     as ``{"re": ..., "im": ...}``; every other value is kept as it is.
     """
+
+    def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self) if f.init):  # not the computed ones
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def to_dict(self) -> dict[str, Any]:
         return _json_value(self)
@@ -490,6 +504,7 @@ class ConditionReport(Report):
     all_ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         bi = self.r_biexciton < self.threshold_biexciton
         sp = self.r_spectator < self.threshold_spectator
         object.__setattr__(self, "biexciton_ok", bi)

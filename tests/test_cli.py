@@ -460,6 +460,59 @@ def test_empty_family_lists_write_nothing(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args, code, line", [
+    # an empty list leaves the other runs' inputs checked ...
+    (("raman", "--set", "gammas=[]", "--set", "rabi=1e200"), 1,
+     "config error: rabi=1e+200 and detuning=4 give a Raman rate, pi time or window that "
+     "is not finite and positive"),
+    (("raman", "--set", "gammas=[]", "--set", "target_angle=4"), 1,
+     "config error: target_angle must be in (0, pi]"),
+    # ... but samples nothing, so no sample count is checked
+    (("cphase", "--set", "ratios=[]", "--set", "duration=1e308"), 0,
+     "ratios is empty; nothing to run"),
+    # one runaway member stops the family before any member runs
+    (("raman", "--set", "detunings=[2,4e5]"), 1,
+     "config error: sample_interval 0.01 ps over a 1.49631e+06 ps span asks for 1.5e+08 "
+     "samples; the limit is 1e+06"),
+], ids=["empty-gammas-huge-rabi", "empty-gammas-bad-angle", "empty-ratios-huge-duration",
+        "runaway-detuning"])
+def test_run_list_edge_cases_write_nothing(tmp_path, args, code, line):
+    out = tmp_path / "run"
+    result = _invoke([*args, "--out", str(out)])
+    assert result.exit_code == code
+    assert result.output == line + "\n"
+    assert not out.exists()
+
+
+def test_raman_gammas_alone_run_at_the_configured_detuning(tmp_path):
+    out = tmp_path / "run"
+    assert _invoke(["raman", "--set", "gammas=[0.05,0.15]", "--out", str(out)]).exit_code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "raman_nu_4_gamma_0.05.csv", "raman_nu_4_gamma_0.15.csv", "report.json", "schema.json"]
+    runs = json.loads((out / "report.json").read_text())["runs"]
+    assert [(r["detuning"], r["gamma"]) for r in runs] == [(4.0, 0.05), (4.0, 0.15)]
+
+
+@pytest.mark.parametrize("command, help_line, extra", [
+    ("cphase", "Two-qubit controlled-phase gate from one calibrated pulse.", []),
+    ("zrot", "Single-qubit phase gate via exciton shelving between two pi pulses.", []),
+    ("raman", "Raman spin flip through a lossy excited level.", []),
+    ("conditions", "Evaluate the weak-driving validity ratios for a pulse, no integration.",
+     []),
+    ("sweep", "Run a child experiment once per value of one numeric config key.",
+     ["--jobs"]),
+])
+def test_subcommand_help_names_its_options(command, help_line, extra):
+    result = _invoke([command, "--help"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0].endswith(f" {command} [OPTIONS]") and lines[2].strip() == help_line
+    options = [line.split()[0] for line in lines[lines.index("Options:") + 1:]]
+    assert options == ["--set", "--out", "--config", *extra, "--help"]
+    listed = _invoke(["--help"]).output.splitlines()
+    assert any(line.split()[:1] == [command] for line in listed)
+
+
 @pytest.mark.parametrize("gamma", ["1e10", "1e308"])
 def test_raman_with_a_stiff_loss_rate_exits_at_once(tmp_path, gamma):
     # from gamma ~2e8 the Liouvillian's eigenvectors fail the conditioning

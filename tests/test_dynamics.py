@@ -14,6 +14,7 @@ from dotgates.dynamics import (
     PhaseUndefinedError,
     Trajectory,
     accumulated_phase,
+    check_drift,
     evolve_expm,
     evolve_lindblad,
     evolve_schrodinger,
@@ -139,6 +140,29 @@ def test_norm_drift_raises_integration_error():
     psi0 = QuantumState(np.array([1.0, 1.0]) / math.sqrt(2.0), B2)
     with pytest.raises(IntegrationError):
         evolve_schrodinger(h, psi0, (0.0, 1.0))
+
+
+def test_drift_on_a_spectral_route_names_no_tolerance():
+    # eig reads no rtol or atol: the generator itself loses the norm
+    with pytest.raises(IntegrationError, match="norm drifted by 5.322e-01") as err:
+        evolve_schrodinger(np.array([[0, 0], [0, -0.5j]]), QuantumState.basis_state(B2, "e"),
+                           (0.0, 1.0))
+    assert "rtol" not in str(err.value) and "atol" not in str(err.value)
+
+
+@pytest.mark.parametrize("method, frame, hint", [
+    ("DOP853", LAB_FRAME, "tighten rtol/atol"),
+    ("floquet", LAB_FRAME, "tighten rtol"),
+    ("magnus4", LAB_FRAME, "tighten rtol"),
+    ("magnus4", "rotating@5", "shorten sample_interval"),
+    ("eigh", LAB_FRAME, "the generator does not conserve the trace"),
+    ("eig", "rotating@5", "the generator does not conserve the trace"),
+    ("liouvillian-eig", LAB_FRAME, "the generator does not conserve the trace"),
+])
+def test_drift_hint_names_what_the_route_reads(method, frame, hint):
+    with pytest.raises(IntegrationError) as err:
+        check_drift(np.array([1.0, 0.5]), "trace", method, frame)
+    assert str(err.value) == f"trace drifted by 5.000e-01; {hint}"
 
 
 def test_hamiltonian_basis_frame_checks():

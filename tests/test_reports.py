@@ -1,7 +1,7 @@
 """The JSON layout of every report: a report's fields are its keys."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping
 
@@ -9,7 +9,17 @@ import pytest
 from click.testing import CliRunner
 
 from dotgates.cli import main
-from dotgates.model import Report
+from dotgates.dynamics import IntegratorConfig
+from dotgates.gates import (
+    RamanParams,
+    ZGateParams,
+    pi_pulse_time,
+    run_cphase,
+    run_raman_x,
+    run_z_rotation,
+    square_cphase_pulse,
+)
+from dotgates.model import DotPairParams, Report, SquarePulse
 
 _CONDITIONS = ("conditions.{r_biexciton,r_spectator,threshold_biexciton,threshold_spectator,"
                "peak_rabi,biexciton_ok,spectator_ok,all_ok}")
@@ -98,3 +108,31 @@ def test_report_to_dict_walks_the_fields():
     assert type(d["table"]) is dict and type(d["table"]["a"]) is dict
     assert type(d["pair"]) is list and d["flag"] is True
     json.dumps(d)
+
+
+def test_report_construction_freezes_mappings_and_lists():
+    rep = _Sample(0j, {"a": {"b": 0.5}}, _Inner(3.0, "t"), [1.5, 2.0j])
+    assert type(rep.table) is MappingProxyType and type(rep.table["a"]) is MappingProxyType
+    assert rep.pair == (1.5, 2.0j)
+    assert rep.to_dict()["pair"] == [1.5, {"re": 0.0, "im": 2.0}]
+
+
+def test_every_mapping_field_of_the_gate_reports_rejects_assignment():
+    p, cfg = DotPairParams(omega_a=150.0), IntegratorConfig(sample_interval=0.05)
+    reports = {
+        run_cphase(p, square_cphase_pulse(0.1), cfg)[0]:
+            {"pulse", "phases", "amplitudes", "populations", "residuals", "leakage"},
+        run_z_rotation(p, ZGateParams(SquarePulse(1.0, pi_pulse_time(1.0)), 0.5), cfg)[0]:
+            {"final_amplitudes"},
+        run_raman_x(RamanParams(), cfg)[0]: {"populations"},
+    }
+    for report, names in reports.items():
+        mappings = {f.name: getattr(report, f.name) for f in fields(report)
+                    if isinstance(getattr(report, f.name), Mapping)}
+        assert set(mappings) == names
+        nested = [v for m in mappings.values() for v in m.values() if isinstance(v, Mapping)]
+        assert len(nested) == (4 if "residuals" in names else 0)
+        for m in [*mappings.values(), *nested]:
+            with pytest.raises(TypeError):
+                m["00"] = 0.0
+        assert type(report.warnings) is tuple

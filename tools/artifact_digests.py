@@ -97,6 +97,15 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("raman-detunings", ("raman", "--set", "detunings=[3,4,5.5]")),
     ("raman-detunings-gammas", ("raman", "--set", "detunings=[3,5.5]",
                                 "--set", "gammas=[0,0.1]")),
+    ("raman-gammas", ("raman", "--set", "gammas=[0.05,0.15]")),
+    # a detuning whose window asks for 1.5e8 samples: nothing runs
+    ("raman-detunings-runaway", ("raman", "--set", "detunings=[2,4e5]")),
+    # an empty list still has the other keys checked: both exit 1
+    ("raman-gammas-empty-rabi", ("raman", "--set", "gammas=[]", "--set", "rabi=1e200")),
+    ("raman-gammas-empty-angle", ("raman", "--set", "gammas=[]", "--set", "target_angle=4")),
+    # ... but checks no sample count: nothing to run, exit 0
+    ("cphase-ratios-empty-duration", ("cphase", "--set", "ratios=[]",
+                                      "--set", "duration=1e308")),
     ("conditions", ("conditions",)),
     ("sweep-jobs-1", ("sweep", "--config", "{sweep}", "--jobs", "1")),
     ("sweep-jobs-2", ("sweep", "--config", "{sweep}", "--jobs", "2")),
