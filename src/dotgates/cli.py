@@ -11,11 +11,12 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
   where the amplitude is too small to carry a phase.  Bit-identical rows
   (the idle ``cphase`` blocks) are formatted, and re-read by ``verify``, once.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 for runtime
-failures (integration, a failed linear-algebra routine, pulse calibration,
-undefined phases, a report value that is ``nan`` or ``inf``, an output that
-cannot be written).  A run prints no numpy floating-point warning:
-a non-finite result fails a conservation check or the report instead.
+Exit codes: 0 on success, 1 for configuration problems (a run's pulse
+area among them, checked before ``--out`` is made), 2 for runtime
+failures (integration, a failed linear-algebra routine, undefined phases,
+a report value that is ``nan`` or ``inf``, an output that cannot be
+written).  A run prints no numpy floating-point warning: a non-finite
+result fails a conservation check or the report instead.
 
 ``dotgates verify --out DIR`` re-reads every emitted CSV and JSON file and
 reports each one ``ok`` or ``FAIL``; it exits 2 on any failure.  CSV rows
@@ -61,14 +62,7 @@ from .dynamics import (
     accumulated_phase,
     to_rotating_frame,
 )
-from .gates import (
-    PulseAreaError,
-    ZGateParams,
-    pulse_summary,
-    run_cphase,
-    run_raman_x,
-    run_z_rotation,
-)
+from .gates import pulse_summary, run_cphase, run_raman_x, run_z_rotation
 from .model import check_conditions
 
 __all__ = ["main", "run_experiment", "round_floats", "NonFiniteReportError"]
@@ -421,7 +415,7 @@ def _run_cphase(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
 def _run_zrot(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     p = cfg.dot_params()
     (run,) = cfg.runs()
-    report, traj = run_z_rotation(p, ZGateParams(run.input, cfg["wait"]), cfg.integrator())
+    report, traj = run_z_rotation(p, run.input, cfg.integrator())
     # the rotating-frame copy divides the optical carrier out of the exciton amplitude
     rot = to_rotating_frame(traj, p.omega_a, (0, 0, 1))
     _write_trajectories(out, {"trajectory_lab.csv": traj, "trajectory_rot.csv": rot})
@@ -460,48 +454,26 @@ def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     }
 
 
-# the plain subcommands: kind -> (help line, adapter); every adapter looks the
-# runners up as this module's globals when it is called
+def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
+    """Run each child in turn, into ``<param>_<value>/``."""
+    param, runs = cfg["sweep_param"], []
+    for v, raw in cfg.sweep_child_raws():
+        d = out / f"{param}_{v:g}"
+        runs.append({"value": v, "dir": d.name, "report": run_experiment(build_config(raw), d)})
+    return {"kind": "sweep", "sweep_kind": cfg["sweep_kind"], "sweep_param": param,
+            "runs": runs}
+
+
+# every subcommand but verify: kind -> (help line, adapter); every adapter looks
+# the runners up as this module's globals when it is called
 _KINDS: dict[str, tuple[str, Callable[[ExperimentConfig, Path], dict[str, Any]]]] = {
     "cphase": ("Two-qubit controlled-phase gate from one calibrated pulse.", _run_cphase),
     "zrot": ("Single-qubit phase gate via exciton shelving between two pi pulses.", _run_zrot),
     "raman": ("Raman spin flip through a lossy excited level.", _run_raman),
     "conditions": ("Evaluate the weak-driving validity ratios for a pulse, no integration.",
                    _run_conditions),
+    "sweep": ("Run a child experiment once per value of one numeric config key.", _run_sweep),
 }
-
-
-def _run_sweep_child(raw: dict[str, Any], out_str: str) -> dict[str, Any]:
-    return run_experiment(build_config(raw), Path(out_str))
-
-
-def _run_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> dict[str, Any]:
-    children = cfg.sweep_child_raws()
-    param = cfg["sweep_param"]
-    dirs = [out / f"{param}_{v:g}" for v, _ in children]
-    raws = [raw for _, raw in children]
-    if jobs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawned workers load numpy afresh, with one BLAS thread unless the user set a count
-        blas = "OPENBLAS_NUM_THREADS"
-        user_set = blas in os.environ
-        os.environ.setdefault(blas, "1")
-        try:
-            with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn")) as pool:
-                reports = list(pool.map(_run_sweep_child, raws, [str(d) for d in dirs]))
-        finally:
-            if not user_set:
-                del os.environ[blas]
-    else:
-        reports = [_run_sweep_child(raw, str(d)) for raw, d in zip(raws, dirs)]
-    runs = [
-        {"value": v, "dir": d.name, "report": rep}
-        for (v, _), d, rep in zip(children, dirs, reports)
-    ]
-    return {"kind": "sweep", "sweep_kind": cfg["sweep_kind"], "sweep_param": param,
-            "runs": runs}
 
 
 def _empty_run_list(cfg: ExperimentConfig) -> str | None:
@@ -511,7 +483,7 @@ def _empty_run_list(cfg: ExperimentConfig) -> str | None:
 
 
 @np.errstate(all="ignore")
-def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str, Any]:
+def run_experiment(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     """Run one validated experiment and write its artifacts under ``out``.
 
     Returns the report dict exactly as serialized (before rounding).  An
@@ -525,7 +497,7 @@ def run_experiment(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict[str,
         click.echo(f"{empty} is empty; nothing to run")
         return {"kind": cfg.kind, "runs": []}
     out.mkdir(parents=True, exist_ok=True)
-    d = _run_sweep(cfg, out, jobs) if cfg.kind == "sweep" else _KINDS[cfg.kind][1](cfg, out)
+    d = _KINDS[cfg.kind][1](cfg, out)
     _write_json(out / "report.json", d)
     return d
 
@@ -542,15 +514,15 @@ def _prepare(kind: str, config_path: str | None,
 
 
 def _execute(kind: str, config_path: str | None, out: str,
-             overrides: tuple[str, ...], jobs: int = 1) -> None:
+             overrides: tuple[str, ...]) -> None:
     try:
         cfg = _prepare(kind, config_path, overrides)
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(1)
     try:
-        run_experiment(cfg, Path(out), jobs=jobs)
-    except (IntegrationError, PulseAreaError, PhaseUndefinedError, NonFiniteReportError,
+        run_experiment(cfg, Path(out))
+    except (IntegrationError, PhaseUndefinedError, NonFiniteReportError,
             np.linalg.LinAlgError, OSError) as e:
         click.echo(f"runtime error: {e}", err=True)
         sys.exit(2)
@@ -575,19 +547,9 @@ def main() -> None:
     """Simulate optically driven spin gates in a coupled quantum-dot pair."""
 
 
-# each plain subcommand runs `_execute` of its kind with the common options
+# each experiment subcommand runs `_execute` of its kind with the common options
 for _kind, (_help, _) in _KINDS.items():
     main.command(name=_kind, help=_help)(_common_options(functools.partial(_execute, _kind)))
-
-
-@main.command()
-@_common_options
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Parallel worker processes.")
-def sweep(config_path: str | None, out: str, overrides: tuple[str, ...],
-          jobs: int) -> None:
-    """Run a child experiment once per value of one numeric config key."""
-    _execute("sweep", config_path, out, overrides, jobs=jobs)
 
 
 class _CsvScan:

@@ -25,7 +25,8 @@ target area.
 
 Which runs a ``cphase``, ``zrot`` or ``raman`` config makes is written once,
 in :meth:`ExperimentConfig.runs`: :func:`build_config` checks every run's
-sample count over that list, and the command line runs the same list.
+pulse area and sample count over that list, and the command line runs the
+same list.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from .dynamics import IntegratorConfig, check_sample_count
-from .gates import (CPHASE_AREA, PI_AREA, RamanParams, calibrated_pulse,
-                    commensurate_gate_time, raman_pi_time, raman_rate, raman_window)
+from .gates import (CPHASE_AREA, PI_AREA, PulseAreaError, RamanParams, ZGateParams,
+                    calibrated_pulse, check_cphase_pulse, commensurate_gate_time,
+                    raman_pi_time, raman_rate, raman_window)
 from .model import DotPairParams, GaussianPulse, SquarePulse
 
 __all__ = ["ConfigError", "ExperimentConfig", "Run", "load_config_file",
@@ -230,10 +232,11 @@ def apply_overrides(raw: dict[str, Any], overrides: tuple[str, ...]) -> dict[str
 
 @dataclass(frozen=True)
 class Run:
-    """One run of a config: its runner's input (a ``cphase`` or ``zrot`` pulse,
-    a ``raman`` :class:`RamanParams`), the span it samples and its ratio."""
+    """One run of a config: its runner's checked input (a ``cphase`` pulse, a
+    ``zrot`` :class:`ZGateParams`, a ``raman`` :class:`RamanParams`), the
+    span it samples and its ratio."""
 
-    input: SquarePulse | GaussianPulse | RamanParams
+    input: SquarePulse | GaussianPulse | ZGateParams | RamanParams
     span: float
     ratio: float | None = None
 
@@ -319,14 +322,21 @@ class ExperimentConfig:
         one, or one per ``ratios`` value at ``omega = r |v_f|``, or one per
         ``gammas`` x ``detunings`` pair (gamma outermost).  The configured
         pulse and every detuning's window, which must be finite and
-        positive, are checked whatever the lists hold."""
+        positive, are checked whatever the lists hold; each run's pulse
+        must meet its gate's area as the runner requires."""
         if self.kind != "raman":
             env = self.envelope()
-            if self.kind == "zrot":  # both pulses and the wait between them
-                return [Run(env, 2.0 * _span(env) + self["wait"])]
-            if self["ratios"] is None:
-                return [Run(env, _span(env))]
-            pulses = [self.envelope(r * abs(self["v_f"])) for r in self["ratios"]]
+            try:
+                if self.kind == "zrot":  # both pulses and the wait between them
+                    return [Run(ZGateParams(env, self["wait"]), 2.0 * _span(env) + self["wait"])]
+                if self["ratios"] is None:
+                    check_cphase_pulse(env)
+                    return [Run(env, _span(env))]
+                pulses = [self.envelope(r * abs(self["v_f"])) for r in self["ratios"]]
+                for p in pulses:
+                    check_cphase_pulse(p)
+            except PulseAreaError as e:
+                raise ConfigError(str(e)) from None
             return [Run(p, _span(p), r) for r, p in zip(self["ratios"], pulses)]
         windows = []
         for nu in self["detunings"] or (self["detuning"],):
@@ -380,8 +390,9 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
 
     Unknown keys, type errors, and out-of-range values raise
     :class:`ConfigError`; the dot parameters and the pulse or the
-    :meth:`~ExperimentConfig.runs` are built once, and every run's sample
-    count checked, so bad combinations fail here rather than mid-run.
+    :meth:`~ExperimentConfig.runs` are built once, and every run's pulse
+    area and sample count checked, so bad combinations fail here rather
+    than mid-run.
     """
     raw = dict(raw)
     kind = raw.get("kind")

@@ -78,6 +78,7 @@ __all__ = [
     "commensurate_gate_time",
     "GateReport",
     "pulse_summary",
+    "check_cphase_pulse",
     "run_cphase",
     "entangling_phase",
     "cphase_fidelity",
@@ -255,6 +256,16 @@ def _check_area(area: float, target: float, scale: float, quantity: str,
             f"{scale * target:.6f} by {dev:.2%} (limit {PULSE_AREA_RTOL:.0%})")
 
 
+def check_cphase_pulse(envelope: SquarePulse | GaussianPulse) -> float:
+    """The bare area of a cphase ``envelope``: zero, or with ``sqrt(2) * area``
+    within :data:`PULSE_AREA_RTOL` of ``2 pi hbar`` (:class:`PulseAreaError`
+    otherwise)."""
+    area = envelope.area()
+    if area != 0.0:
+        _check_area(area, CPHASE_AREA, _SQRT2, "sqrt(2)-enhanced pulse area", "2*pi*hbar")
+    return area
+
+
 def pulse_summary(env: SquarePulse | GaussianPulse) -> dict[str, Any]:
     lo, hi = env.support()
     d: dict[str, Any] = {
@@ -310,12 +321,7 @@ def run_cphase(p: DotPairParams, envelope: SquarePulse | GaussianPulse,
     the initial spin configuration.
     """
     cfg = config or IntegratorConfig()
-    area = envelope.area()
-    warn: list[str] = []
-    if area == 0.0:
-        warn.append("zero-area pulse: no gate is applied")
-    else:
-        _check_area(area, CPHASE_AREA, _SQRT2, "sqrt(2)-enhanced pulse area", "2*pi*hbar")
+    warn = [] if check_cphase_pulse(envelope) else ["zero-area pulse: no gate is applied"]
 
     t0, t1 = envelope.support()
     frame = rotating_frame_tag(p.omega_a + p.v_f)

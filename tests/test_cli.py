@@ -17,6 +17,7 @@ import numpy as np
 import dotgates
 from dotgates.cli import (
     _CSV_BLOCK_ROWS,
+    _KINDS,
     _SCAN_BYTES,
     _format_rows,
     _write_csv,
@@ -24,7 +25,7 @@ from dotgates.cli import (
     main,
     round_floats,
 )
-from dotgates.config import ConfigError, build_config
+from dotgates.config import EXPERIMENT_KINDS, ConfigError, build_config
 from dotgates.dynamics import IntegratorConfig, Trajectory, accumulated_phase
 from dotgates.gates import RamanParams, run_cphase
 from dotgates.model import DotPairParams, GaussianPulse
@@ -239,11 +240,14 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert "config error" in _text(result)
 
 
-def test_wrong_pulse_area_is_runtime_error(tmp_path):
-    result = _invoke(["cphase", "--out", str(tmp_path / "x"),
-                      "--set", "duration=20"])
-    assert result.exit_code == 2
-    assert "runtime error" in _text(result)
+def test_wrong_pulse_area_is_config_error(tmp_path):
+    out = tmp_path / "x"
+    result = _invoke(["cphase", "--out", str(out), "--set", "duration=20"])
+    assert result.exit_code == 1
+    assert result.output == (
+        "config error: sqrt(2)-enhanced pulse area 2.828427 deviates from 2*pi*hbar = "
+        "4.135668 by 31.61% (limit 1%)\n")
+    assert not out.exists()
 
 
 def test_zero_duration_run_writes_single_row(tmp_path):
@@ -357,55 +361,6 @@ def test_sweep_serial(tmp_path):
         0.9565232098141527, abs=1e-9)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "kind": "sweep", "sweep_kind": "raman",
-        "sweep_param": "detuning", "sweep_values": [2.0, 4.0],
-    }))
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert _invoke(["sweep", "--config", str(cfg), "--out", str(serial)]).exit_code == 0
-    assert _invoke(["sweep", "--config", str(cfg), "--out", str(parallel),
-                    "--jobs", "2"]).exit_code == 0
-    assert (serial / "report.json").read_bytes() == (parallel / "report.json").read_bytes()
-    assert (serial / "detuning_4" / "populations.csv").read_bytes() == \
-        (parallel / "detuning_4" / "populations.csv").read_bytes()
-
-
-@pytest.mark.parametrize("user_threads", [None, "3"])
-def test_sweep_workers_spawn_with_one_blas_thread(tmp_path, monkeypatch, user_threads):
-    # the pool is replaced by one that records how it was made and runs in process
-    import concurrent.futures
-
-    made = []
-
-    class Pool:
-        def __init__(self, jobs, context):
-            made.append((jobs, context.get_start_method(),
-                         os.environ.get("OPENBLAS_NUM_THREADS")))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, *args):
-            return map(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    if user_threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_threads)
-    result = _invoke(["sweep", "--set", "sweep_kind=conditions", "--set", "sweep_param=omega",
-                      "--set", "sweep_values=[0.1,0.2]", "--out", str(tmp_path), "--jobs", "2"])
-    assert result.exit_code == 0
-    assert made == [(2, "spawn", user_threads or "1")]
-    # the parent's own environment is left as it was
-    assert os.environ.get("OPENBLAS_NUM_THREADS") == user_threads
-
-
 def test_sweep_with_no_values_writes_nothing(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -474,8 +429,12 @@ def test_empty_family_lists_write_nothing(tmp_path):
     (("raman", "--set", "detunings=[2,4e5]"), 1,
      "config error: sample_interval 0.01 ps over a 1.49631e+06 ps span asks for 1.5e+08 "
      "samples; the limit is 1e+06"),
+    # a member's pulse area is checked before --out is made
+    (("cphase", "--set", "ratios=[0.3]", "--set", "duration=29.2"), 1,
+     "config error: sqrt(2)-enhanced pulse area 10.530234 deviates from 2*pi*hbar = "
+     "4.135668 by 154.62% (limit 1%)"),
 ], ids=["empty-gammas-huge-rabi", "empty-gammas-bad-angle", "empty-ratios-huge-duration",
-        "runaway-detuning"])
+        "runaway-detuning", "ratio-off-area"])
 def test_run_list_edge_cases_write_nothing(tmp_path, args, code, line):
     out = tmp_path / "run"
     result = _invoke([*args, "--out", str(out)])
@@ -499,10 +458,11 @@ def test_raman_gammas_alone_run_at_the_configured_detuning(tmp_path):
     ("raman", "Raman spin flip through a lossy excited level.", []),
     ("conditions", "Evaluate the weak-driving validity ratios for a pulse, no integration.",
      []),
-    ("sweep", "Run a child experiment once per value of one numeric config key.",
-     ["--jobs"]),
+    ("sweep", "Run a child experiment once per value of one numeric config key.", []),
 ])
 def test_subcommand_help_names_its_options(command, help_line, extra):
+    # every experiment kind is registered from the one table
+    assert set(_KINDS) == set(EXPERIMENT_KINDS)
     result = _invoke([command, "--help"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
@@ -612,16 +572,22 @@ def test_sweep_rejects_bad_parameter(tmp_path):
             f"config error: sweep_param {param!r} is not {what} of kind 'raman'")
 
 
-def test_sweep_rejects_bad_child_before_running(tmp_path):
+@pytest.mark.parametrize("sweep, line", [
+    ({"sweep_kind": "cphase", "sweep_param": "v_f", "sweep_values": [0.85, 0.0]},
+     "config error: key 'v_f' must be nonzero"),
+    # the first child's pulse passes, the second's misses pi*hbar: neither runs
+    ({"sweep_kind": "zrot", "sweep_param": "sigma", "sweep_values": [0.825, 2],
+      "pulse_shape": "gaussian", "omega_a": 300},
+     "config error: pulse area 5.012939 deviates from pi*hbar = 2.067834 by 142.42% "
+     "(limit 1%)"),
+], ids=["zero-v_f", "zrot-off-area"])
+def test_sweep_rejects_bad_child_before_running(tmp_path, sweep, line):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "kind": "sweep", "sweep_kind": "cphase",
-        "sweep_param": "v_f", "sweep_values": [0.85, 0.0],
-    }))
+    cfg.write_text(json.dumps({"kind": "sweep", **sweep}))
     out = tmp_path / "run"
     result = _invoke(["sweep", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 1
-    assert "config error" in _text(result)
+    assert result.output == line + "\n"
     assert not out.exists()
 
 

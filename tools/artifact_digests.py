@@ -58,6 +58,9 @@ SWEEPS = {
                    "sweep_values": [0.1, 0.37]},
     "sweep-raman": {"kind": "sweep", "sweep_kind": "raman", "sweep_param": "detuning",
                     "sweep_values": [3, 5.5]},
+    "sweep-zrot-sigma": {"kind": "sweep", "sweep_kind": "zrot", "sweep_param": "sigma",
+                         "sweep_values": [0.825, 2], "pulse_shape": "gaussian",
+                         "omega_a": 300},
 }
 
 # (name, subcommand and options); the output directory is appended
@@ -106,11 +109,14 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     # ... but checks no sample count: nothing to run, exit 0
     ("cphase-ratios-empty-duration", ("cphase", "--set", "ratios=[]",
                                       "--set", "duration=1e308")),
+    # a ratio's pulse misses the cphase area: exit 1, nothing written
+    ("cphase-ratios-off-area", ("cphase", "--set", "ratios=[0.3]", "--set", "duration=29.2")),
     ("conditions", ("conditions",)),
-    ("sweep-jobs-1", ("sweep", "--config", "{sweep}", "--jobs", "1")),
-    ("sweep-jobs-2", ("sweep", "--config", "{sweep}", "--jobs", "2")),
-    ("sweep-zrot", ("sweep", "--config", "{sweep-zrot}", "--jobs", "2")),
+    ("sweep", ("sweep", "--config", "{sweep}")),
+    ("sweep-zrot", ("sweep", "--config", "{sweep-zrot}")),
     ("sweep-raman", ("sweep", "--config", "{sweep-raman}")),
+    # the second child's pulse misses pi*hbar: exit 1 before the first runs
+    ("sweep-zrot-sigma-off-area", ("sweep", "--config", "{sweep-zrot-sigma}")),
 ]
 
 
