@@ -433,8 +433,12 @@ def test_empty_family_lists_write_nothing(tmp_path):
     (("cphase", "--set", "ratios=[0.3]", "--set", "duration=29.2"), 1,
      "config error: sqrt(2)-enhanced pulse area 10.530234 deviates from 2*pi*hbar = "
      "4.135668 by 154.62% (limit 1%)"),
+    # so is a single zrot pulse's
+    (("zrot", "--set", "pulse_shape=gaussian", "--set", "omega_a=300", "--set", "sigma=2"), 1,
+     "config error: pulse area 5.012939 deviates from pi*hbar = 2.067834 by 142.42% "
+     "(limit 1%)"),
 ], ids=["empty-gammas-huge-rabi", "empty-gammas-bad-angle", "empty-ratios-huge-duration",
-        "runaway-detuning", "ratio-off-area"])
+        "runaway-detuning", "ratio-off-area", "zrot-off-area"])
 def test_run_list_edge_cases_write_nothing(tmp_path, args, code, line):
     out = tmp_path / "run"
     result = _invoke([*args, "--out", str(out)])
@@ -570,6 +574,15 @@ def test_sweep_rejects_bad_parameter(tmp_path):
         assert result.exit_code == 1
         assert _text(result).splitlines()[-1] == (
             f"config error: sweep_param {param!r} is not {what} of kind 'raman'")
+
+
+def test_sweep_has_no_jobs_option(tmp_path):
+    # children run in turn; there is no parallel path to select
+    out = tmp_path / "run"
+    result = _invoke(["sweep", "--jobs", "2", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "No such option '--jobs'" in _text(result)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sweep, line", [
