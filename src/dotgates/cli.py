@@ -609,11 +609,11 @@ def _first_bad_line(path: Path, width: int) -> str | None:
     return None
 
 
-def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum across each row, column by column (the order a per-row loop adds in)."""
+def _row_sum(terms: np.ndarray, power: int = 1) -> np.ndarray:
+    """Sum of each row of ``terms ** power``, column by column (a per-row loop's order)."""
     total = np.zeros(terms.shape[0])
     for col in terms.T:
-        total += col
+        total += col ** power
     return total
 
 
@@ -636,8 +636,8 @@ def _verify_csv(path: Path, scan: _CsvScan) -> tuple[bool, str]:
     Amplitude files (``re_``/``im_``) must keep the norm at 1, population
     files (``pop_``) must keep populations non-negative and the trace at 1,
     and family files (``amp_``) must keep every magnitude in
-    [0, 1 + _NORM_CHECK_TOL].  Comparisons are written so that ``nan`` and
-    ``inf`` fail them.
+    [0, 1 + _NORM_CHECK_TOL]; a ``t_ps`` column must be finite and never
+    fall (rounding may tie it).  ``nan`` and ``inf`` fail every comparison.
     """
     header: list[str] = []
     try:
@@ -652,23 +652,29 @@ def _verify_csv(path: Path, scan: _CsvScan) -> tuple[bool, str]:
                     else named["pop_"] or named["amp_"])
             if not cols:
                 return False, "no re_, pop_ or amp_ columns to check"
-            data = scan.parse(fh, head, cols, len(header))
+            timed = "t_ps" in header
+            data = scan.parse(fh, head, cols + [header.index("t_ps")] * timed, len(header))
     except ValueError as e:  # also a UnicodeDecodeError
         reason = _first_bad_line(path, len(header)) if header else None
         return False, f"unparseable ({reason or (str(e) or type(e).__name__).splitlines()[0]})"
     rows = data.shape[0]
     if not rows:
         return False, "no data rows"
+    times = []
+    if timed:
+        t, data = data[:, -1], data[:, :-1]
+        times = [(~np.isfinite(t), lambda i: f"non-finite t_ps {t[i]}"),
+                 (np.append(False, ~(t[1:] >= t[:-1])), lambda i: f"t_ps {t[i]:.12g} runs back")]
     if named["re_"]:
-        norm = _row_sum(data ** 2)
-        failure = _first_failure([
+        norm = _row_sum(data, 2)
+        failure = _first_failure(times + [
             (~(np.abs(norm - 1.0) <= _NORM_CHECK_TOL),
              lambda i: f"norm {norm[i]:.9f} deviates from 1"),
         ])
         return failure is None, failure or f"{rows} rows, norm conserved"
     if named["pop_"]:
         low, trace = data.min(axis=1), _row_sum(data)
-        failure = _first_failure([
+        failure = _first_failure(times + [
             (~np.isfinite(data).all(axis=1), lambda i: "non-finite population"),
             (~(low >= -1e-6), lambda i: f"negative population {low[i]:.3e}"),
             (~(np.abs(trace - 1.0) <= _NORM_CHECK_TOL),
@@ -681,7 +687,7 @@ def _verify_csv(path: Path, scan: _CsvScan) -> tuple[bool, str]:
         j = int(np.flatnonzero(~inside[i])[0])
         return f"{header[cols[j]]} {data[i, j]:.9f} outside [0, 1]"
 
-    failure = _first_failure([(~inside.all(axis=1), outside)])
+    failure = _first_failure(times + [(~inside.all(axis=1), outside)])
     return failure is None, failure or f"{rows} rows, amplitudes within [0, 1]"
 
 

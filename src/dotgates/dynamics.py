@@ -6,10 +6,13 @@ the linear ODE ``i hbar y' = G(t) y``: ``G = H`` on a state vector, or
 ``K = i hbar L`` for the Lindblad superoperator ``L`` on row-major
 ``vec(rho)`` (Havel, J. Math. Phys. 44, 534 (2003)), so one private core
 routes and solves both for a stack of start vectors on a regular grid.
-The input's structure picks the method, which
-``Trajectory.metadata["propagator"]`` names.  A
+The span is cut into pieces at the breakpoints, a block's envelope edges
+among them, which run in order, each from the last state of the one
+before.  The input's structure on each piece picks the method, and
+``Trajectory.metadata["propagator"]`` names the least exact that ran, in
+the order ``eigh``, ``eig``, ``floquet``, ``magnus4``, ``DOP853``.  A
 :class:`~dotgates.model.DrivenBlock` ``H = h0 + f(t) v`` (its ``K``, the
-block ``K(h0) + f(t) [v, .]``) is first split into its coupled components
+block ``K(h0) + f(t) [v, .]``) is also split into its coupled components
 (:meth:`~dotgates.model.DrivenBlock.components`), the levels that the
 nonzero off-diagonal entries of ``h0`` and ``v`` connect.  Evolution never
 leaves a component, so each one that a start state touches runs on its
@@ -18,16 +21,17 @@ own sub-block and every other level stays exactly ``+0.0``: the
 the lab single dot as ``1, X`` and a constant ``0``, the 9-level lab pair
 as its four spin blocks, a Raman ``rho`` from spin ``0`` as the 10 entries
 of ``vec(rho)`` it reaches, its sink coherences zero.  Each component
-reports its own structure over the span
+reports its own structure on each piece
 (:meth:`~dotgates.model.DrivenBlock.structure`):
 
 =============================  =======  =====================================
 constant, ``G`` Hermitian      eigh     one ``eigh``, ``C = V^H y0``
 other constant                 eig      one ``eig``, ``C = solve(V, y0)``;
                                         DOP853 if ill-conditioned or stiff
-component constant over span   eigh     ``h0`` (a zero ``v``) or its one
-                                        matrix (a square envelope)
-component periodic over span   floquet  one period, then its powers (a
+component constant on piece    eigh     ``h0`` (a zero ``v``, or outside the
+                                        envelope) or the one matrix of a
+                                        square envelope
+component periodic on piece    floquet  one period, then its powers (a
                                         square envelope under a carrier)
 any other component            magnus4  fourth-order Magnus steps, chained
 any other callable             DOP853   adaptive high-order Runge-Kutta,
@@ -52,11 +56,10 @@ rotating frame one step per sample cell suffices (split where its exponent
 is too large).  In the lab frame the optical carrier sets the step: the
 cells are halved until the finer of two successive counts is within
 ``rtol`` at every sample, the one-period Floquet solve compared after the
-powers that carry it there (Shirley, Phys. Rev. 138, B979 (1965)).  A
-block's envelope edges join the ``breakpoints``, where the sample grid
-gets a point and DOP853 restarts instead of stepping across a kink.
-Several states on one basis and frame share one run of the method.  Every
-pure state must keep unit norm and every density trajectory unit trace
+powers that carry it there (Shirley, Phys. Rev. 138, B979 (1965)).  No
+method steps across a breakpoint, which is a sample.  Several states on
+one basis and frame share one run of the method.  Every pure state must
+keep unit norm and every density trajectory unit trace
 (:func:`check_drift`) and positivity, and a ``nan`` fails each check.
 
 :func:`evolve_expm` is the deliberately simple reference propagator; it is
@@ -124,6 +127,9 @@ MAX_SAMPLES = 1_000_000
 
 # the adaptive scheme behind every non-exact path
 _ADAPTIVE_METHOD = "DOP853"
+
+# the routes from the most exact to the least: a run is named by the least that ran
+_ROUTE_ORDER = ("eigh", "eig", "floquet", "magnus4", _ADAPTIVE_METHOD)
 
 # Above this condition number the eigenvectors of a constant generator are too
 # close to defective to trust (errors grow as cond * eps); DOP853 takes over.
@@ -198,9 +204,10 @@ class IntegratorConfig:
     path, the one-period solve of a periodic block among them, the Magnus
     cells double until the finer count is within ``rtol``.  A Magnus run of
     more than ``_MAX_MAGNUS_STEPS`` cells raises :class:`IntegrationError`.
-    ``rtol`` and ``atol`` govern the DOP853 solves, of a callable that is
-    not a block or a constant generator ``eig`` cannot be trusted with.  The
-    exact paths and the rotating-frame Magnus path read neither.
+    ``rtol`` and ``atol`` govern the DOP853 solves, one per piece, of a
+    callable that is not a block or a constant generator ``eig`` cannot be
+    trusted with.  The exact paths and the rotating-frame Magnus path read
+    neither.
     """
 
     rtol: float = 1e-9
@@ -310,27 +317,23 @@ class Trajectory:
 
 
 def _as_matrix_fn(h: Any, basis: Basis, frame: str, t_probe: float,
-                  breakpoints: Sequence[float] = (),
-                  ) -> tuple[np.ndarray | Callable[[float], np.ndarray], tuple[float, ...]]:
+                  ) -> np.ndarray | Callable[[float], np.ndarray]:
     """Normalize Hamiltonian inputs: the matrix itself when ``h`` is
-    constant, else ``t -> ndarray``, with the ``breakpoints`` to solve by,
-    which a :class:`~dotgates.model.DrivenBlock`'s own join.  An
-    :class:`OperatorMatrix` or a block must carry the state's basis and
+    constant, else ``t -> ndarray``.  An :class:`OperatorMatrix` or a
+    :class:`~dotgates.model.DrivenBlock` must carry the state's basis and
     frame; any other input is checked for shape, a callable at ``t_probe``."""
-    breakpoints = tuple(breakpoints)
     if isinstance(h, (OperatorMatrix, DrivenBlock)):
         if h.basis.labels != basis.labels or h.frame != frame:
             raise BasisMismatchError("Hamiltonian and state disagree on basis or frame")
         if isinstance(h, OperatorMatrix):
-            return h.matrix, breakpoints
-        breakpoints += h.breakpoints()
+            return h.matrix
     elif not (callable(h) or isinstance(h, np.ndarray)):
         raise TypeError(f"cannot interpret {type(h).__name__} as a Hamiltonian")
     sample = h(t_probe) if callable(h) else h
     d = basis.dim
     if np.shape(sample) != (d, d):
         raise BasisMismatchError(f"Hamiltonian shape {np.shape(sample)} != ({d}, {d})")
-    return (h if callable(h) else np.asarray(h, dtype=complex)), breakpoints
+    return h if callable(h) else np.asarray(h, dtype=complex)
 
 
 def check_sample_count(span: float, dt: float) -> int:
@@ -349,20 +352,22 @@ def check_sample_count(span: float, dt: float) -> int:
 
 
 def _sample_grid(t0: float, t1: float, dt: float,
-                 breakpoints: Sequence[float]) -> tuple[np.ndarray, list[float], float]:
-    """Sample grid from t0 to t1 plus the interior breakpoints, in order,
-    and the signed step of its uniform samples, ``(t1 - t0) / cells``."""
+                 breakpoints: Sequence[float]) -> tuple[np.ndarray, list[int], float]:
+    """Sample grid from t0 to t1 plus the interior breakpoints, in order, the
+    indices of its piece ends (its first and last sample and every interior
+    breakpoint), and the signed step of its uniform samples, ``(t1 - t0) / cells``."""
     forward = t1 > t0
     lo, hi = (t0, t1) if forward else (t1, t0)
-    interior = sorted({float(b) for b in breakpoints if lo < float(b) < hi})
+    interior = np.array(sorted({float(b) for b in breakpoints if lo < float(b) < hi}))
     n = check_sample_count(hi - lo, dt)
     grid = np.linspace(lo, hi, n + 1)
-    if interior:
-        grid = np.unique(np.concatenate([grid, np.asarray(interior)]))
+    if interior.size:
+        grid = np.unique(np.concatenate([grid, interior]))
+    ends = [0, *np.searchsorted(grid, interior).tolist(), grid.size - 1]
     if not forward:
         grid = grid[::-1].copy()
-        interior = interior[::-1]
-    return grid, interior, (t1 - t0) / n
+        ends = [grid.size - 1 - i for i in reversed(ends)]
+    return grid, ends, (t1 - t0) / n
 
 
 def _growth(times: np.ndarray, step: float, lam: np.ndarray) -> np.ndarray:
@@ -378,7 +383,7 @@ def _growth(times: np.ndarray, step: float, lam: np.ndarray) -> np.ndarray:
     row by up to ``|lam| / hbar`` times that.  When that exceeds
     ``_GROWTH_TOL`` (a 2000 meV level a few ps from the origin: 1e-12)
     every sample takes the direct exponential instead, bit for bit.  So
-    does a grid with inserted breakpoints, whose later samples sit a
+    does a piece cut at an inserted breakpoint, whose samples sit a
     fraction of a step off the powers.
     """
     n = times.size
@@ -407,20 +412,19 @@ def _growth(times: np.ndarray, step: float, lam: np.ndarray) -> np.ndarray:
 
 
 def _integrate(gen: Callable[[float], np.ndarray], y0: np.ndarray, grid: np.ndarray,
-               interior: list[float], cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
+               cfg: IntegratorConfig) -> tuple[np.ndarray, int]:
     """Adaptive solve of ``i hbar Y' = gen(t) Y`` (``Y`` shaped as ``y0``) onto ``grid``,
-    restarting at each interior breakpoint.
+    one piece, in one call of the solver.
 
     An explicit step cannot be much longer than ``hbar / |G|``, so when
-    ``max|G| |t1 - t0| / hbar``, with ``G`` taken at both ends and the
-    breakpoints, exceeds :data:`MAX_SAMPLES` the solve would run for hours:
+    ``max|G| |t1 - t0| / hbar``, with ``G`` taken at both ends, exceeds
+    :data:`MAX_SAMPLES` the solve would run for hours:
     :class:`IntegrationError` is raised before it starts.  Returns the
     flattened states and the number of right-hand-side evaluations.
     """
     t0, t1 = float(grid[0]), float(grid[-1])
-    knots = [t0, *interior, t1]
     scale = -1j / HBAR_MEV_PS
-    steps = abs(scale) * max(float(np.max(np.abs(gen(t)))) for t in knots) * abs(t1 - t0)
+    steps = abs(scale) * max(float(np.max(np.abs(gen(t)))) for t in (t0, t1)) * abs(t1 - t0)
     if not steps <= MAX_SAMPLES:
         raise IntegrationError(
             f"generator too stiff: DOP853 would need ~{steps:.3g} steps "
@@ -430,24 +434,11 @@ def _integrate(gen: Callable[[float], np.ndarray], y0: np.ndarray, grid: np.ndar
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return (scale * (gen(t) @ y.reshape(shape))).ravel()
 
-    y = y0.ravel()
-    states = np.empty((grid.size, y.size), dtype=complex)
-    states[0] = y
-    pos = 1
-    nfev = 0
-    forward = t1 > t0
-    for a, b in zip(knots[:-1], knots[1:]):
-        mask = ((grid > a) & (grid <= b)) if forward else ((grid < a) & (grid >= b))
-        pts = grid[mask]
-        sol = solve_ivp(rhs, (a, b), y, method=_ADAPTIVE_METHOD, t_eval=pts,
-                        rtol=cfg.rtol, atol=cfg.atol)
-        if not sol.success:
-            raise IntegrationError(f"solver failed on [{a:g}, {b:g}]: {sol.message}")
-        states[pos:pos + pts.size] = sol.y.T
-        pos += pts.size
-        nfev += sol.nfev
-        y = states[pos - 1]
-    return states, nfev
+    sol = solve_ivp(rhs, (t0, t1), y0.ravel(), method=_ADAPTIVE_METHOD, t_eval=grid[1:],
+                    rtol=cfg.rtol, atol=cfg.atol)
+    if not sol.success:
+        raise IntegrationError(f"solver failed on [{t0:g}, {t1:g}]: {sol.message}")
+    return np.vstack([y0.ravel(), sol.y.T]), sol.nfev
 
 
 def _floquet_offsets(grid: np.ndarray, period: float,
@@ -794,22 +785,20 @@ def check_drift(values: np.ndarray, quantity: str = "norm", method: str | None =
 
 
 def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], y0: np.ndarray,
-               t0: float, t1: float, cfg: IntegratorConfig,
-               breakpoints: Sequence[float] = (), period: float | None = None,
-               ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """Solve ``i hbar y' = gen(t) y`` from every row of ``y0`` over ``[t0, t1]``.
+               times: np.ndarray, step: float, cfg: IntegratorConfig,
+               period: float | None = None) -> tuple[np.ndarray, dict[str, Any]]:
+    """Solve ``i hbar y' = gen(t) y`` from every row of ``y0`` over one piece.
 
-    ``gen`` is a constant ``(D, D)`` matrix, one coupled component of a block
-    (from :func:`_propagate_components`) or any other callable, routed as the
-    module docstring tables.  A ``period`` declares ``gen`` periodic: a
-    forward span of at least one period takes Floquet, the one period solved
-    by Magnus for a block and by DOP853 for any other callable.  Returns the
-    sample times, the ``(k, n, D)`` states and the metadata (``propagator``,
-    with ``nfev`` and ``substeps`` where they apply; none for a zero span).
+    ``times`` is the piece's part of the sample grid and ``step`` the grid's
+    step (:func:`_sample_grid`).  ``gen`` is a constant ``(D, D)`` matrix,
+    one coupled component of a block (from :func:`_propagate_components`) or
+    any other callable, routed as the module docstring tables.  A ``period``
+    declares ``gen`` periodic: a forward piece of at least one period takes
+    Floquet, the one period solved by Magnus for a block and by DOP853 for
+    any other callable.  Returns the ``(k, n, D)`` states and the metadata
+    (``propagator``, with ``nfev`` and ``substeps`` where they apply).
     """
-    if t0 == t1:
-        return np.array([t0]), y0[:, None, :], {}
-    times, interior, step = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    t0, t1 = float(times[0]), float(times[-1])
     k, d = y0.shape
     if isinstance(gen, np.ndarray):
         # both spectral paths give growth(t) (C V^T) from one decomposition
@@ -828,7 +817,7 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], y0: np.ndarray,
                 # the state's coefficients folded into V: no (n, D) product per state
                 np.matmul(growth, c[:, None] * v.T, out=states[j])
             states[:, 0] = y0
-            return times, states, {"propagator": name}
+            return states, {"propagator": name}
     elif period is not None and t1 - t0 >= period:
         offsets, assemble = _floquet_offsets(times, period)
         if isinstance(gen, DrivenBlock):
@@ -837,65 +826,74 @@ def _propagate(gen: np.ndarray | Callable[[float], np.ndarray], y0: np.ndarray,
                                       assemble)
         else:
             flat, nfev = _integrate(lambda s: gen(t0 + s), np.eye(d, dtype=complex), offsets,
-                                    [], cfg)
+                                    cfg)
             u, meta = assemble(flat.reshape(-1, d, d)), {"nfev": nfev}
-        return times, np.stack([u @ y for y in y0]), {"propagator": "floquet", **meta}
+        return np.stack([u @ y for y in y0]), {"propagator": "floquet", **meta}
     elif isinstance(gen, DrivenBlock) and gen.frame == LAB_FRAME:
         u, meta = _refined_magnus(gen, times, cfg)
-        return times, np.stack([u @ y for y in y0]), {"propagator": "magnus4", **meta}
+        return np.stack([u @ y for y in y0]), {"propagator": "magnus4", **meta}
     elif isinstance(gen, DrivenBlock):
         states, nfev, substeps = _magnus_states(gen, y0, times)
-        return times, states, {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
+        return states, {"propagator": "magnus4", "nfev": nfev, "substeps": substeps}
     matrices = gen if callable(gen) else lambda t: gen
     # one state keeps the matrix-vector product, bit for bit
-    flat, nfev = _integrate(matrices, y0[0] if k == 1 else y0.T, times, interior, cfg)
+    flat, nfev = _integrate(matrices, y0[0] if k == 1 else y0.T, times, cfg)
     states = flat.reshape(times.size, d, k).transpose(2, 0, 1)
-    return times, states, {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
+    return states, {"propagator": _ADAPTIVE_METHOD, "nfev": nfev}
 
 
-def _propagate_components(block: Any, psi0: np.ndarray, t0: float, t1: float,
+def _propagate_components(gen: Any, psi0: np.ndarray, t0: float, t1: float,
                           cfg: IntegratorConfig, breakpoints: Sequence[float],
                           ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-    """:func:`_propagate` of ``block`` from every row of ``psi0``, one coupled
-    component at a time; any input but a block runs whole.
+    """:func:`_propagate` of ``gen`` from every row of ``psi0``, piece by piece
+    and, for a block, one coupled component at a time.
 
-    Each component that a row touches runs on its own sub-block, from the
-    rows that touch it, by the method its ``structure`` over the span
-    allows; every other amplitude stays exactly ``+0.0``.  A component
-    that holds every level and is touched by every row runs on ``block``
-    and ``psi0`` themselves.  The metadata name the method of the driven
-    components (``eigh`` when none is driven), sum their ``nfev`` and keep
-    the largest ``substeps``.
+    The ``breakpoints``, and a block's own, cut the sample grid into pieces,
+    each run from the last states of the one before.  Each component of a
+    block that a row touches runs on its own sub-block, from the rows that
+    touch it, by the method its ``structure`` on the piece allows; every
+    other amplitude stays exactly ``+0.0``.  A component that holds every
+    level and is touched by every row, and any input but a block, runs on
+    ``gen`` itself.  The metadata name the least exact method that ran,
+    sum the ``nfev`` and keep the largest ``substeps``; a zero span has none.
     """
-    if t0 == t1 or not isinstance(block, DrivenBlock):
-        return _propagate(block, psi0, t0, t1, cfg, breakpoints)
-    times, _, _ = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    if t0 == t1:
+        return np.array([t0]), psi0[:, None, :], {}
     k, d = psi0.shape
-    states = np.zeros((k, times.size, d), dtype=complex)
-    meta: dict[str, Any] = {}
-    for levels in map(list, block.components()):
+    components = [range(d)]
+    if isinstance(gen, DrivenBlock):
+        components, breakpoints = gen.components(), (*breakpoints, *gen.breakpoints())
+    parts = []  # (rows, levels, part) of every touched component
+    for levels in map(list, components):
         rows = np.flatnonzero(psi0[:, levels].any(axis=1))
-        if rows.size == 0:
-            continue
-        whole = len(levels) == d and rows.size == k  # levels are sorted
-        part = block if whole else block.restricted(levels)
-        found = part.structure(t0, t1)
-        constant = isinstance(found, np.ndarray)
-        _, sub, run = _propagate(found if constant else part,
-                                 psi0 if whole else psi0[np.ix_(rows, levels)], t0, t1, cfg,
-                                 breakpoints, None if constant else found)
-        if whole:
-            states = sub
-        else:
-            for row, s in zip(rows, sub):
-                states[row][:, levels] = s
-        if part.v.any() or not meta:  # a driven component names the run
-            meta["propagator"] = run["propagator"]
-        if "nfev" in run:
-            meta["nfev"] = meta.get("nfev", 0) + run["nfev"]
-        if "substeps" in run:
-            meta["substeps"] = max(meta.get("substeps", 0), run["substeps"])
-    return times, states, meta
+        if rows.size:
+            whole = len(levels) == d and rows.size == k  # levels are sorted
+            parts.append((rows, levels, gen if whole else gen.restricted(levels)))
+    times, ends, step = _sample_grid(t0, t1, cfg.sample_interval, breakpoints)
+    states = np.zeros((k, times.size, d), dtype=complex)
+    names: set[str] = set()
+    meta: dict[str, Any] = {}
+    start = psi0
+    for a, b in zip(ends[:-1], ends[1:]):
+        piece = times[a:b + 1]
+        for rows, levels, part in parts:
+            found = part.structure(piece[0], piece[-1]) if isinstance(part, DrivenBlock) else None
+            constant = isinstance(found, np.ndarray)
+            whole = part is gen
+            sub, run = _propagate(found if constant else part,
+                                  start if whole else start[np.ix_(rows, levels)], piece, step,
+                                  cfg, None if constant else found)
+            if whole:
+                states[:, a:b + 1] = sub
+            else:
+                states[rows[:, None], a:b + 1, levels] = sub.transpose(0, 2, 1)
+            names.add(run.pop("propagator"))
+            if "nfev" in run:
+                meta["nfev"] = meta.get("nfev", 0) + run["nfev"]
+            if "substeps" in run:
+                meta["substeps"] = max(meta.get("substeps", 0), run["substeps"])
+        start = states[:, b].copy()
+    return times, states, {"propagator": max(names, key=_ROUTE_ORDER.index), **meta}
 
 
 def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState],
@@ -907,9 +905,9 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     ``h_of_t`` is a constant :class:`OperatorMatrix` or a
     :class:`~dotgates.model.DrivenBlock`, whose basis and frame must be the
     states', or a bare ndarray or callable of time, checked for shape only.
-    What it is picks the method, as the module docstring tables, a block's
-    ``breakpoints`` joining ``breakpoints``.  ``t_span`` may run backwards
-    for time-reversed evolution.
+    What it is picks the method on each piece between the ``breakpoints``
+    and a block's own, as the module docstring tables.  ``t_span`` may run
+    backwards for time-reversed evolution.
 
     ``state`` is one :class:`QuantumState`, which gives one
     :class:`Trajectory`, or a sequence of states on one basis and frame,
@@ -932,7 +930,7 @@ def evolve_schrodinger(h_of_t: Any, state: QuantumState | Sequence[QuantumState]
     if any(s.basis != basis or s.frame != frame for s in inputs):
         raise BasisMismatchError("the states disagree on basis or frame")
     psi0 = np.array([s.amplitudes for s in inputs], dtype=complex)
-    h, breakpoints = _as_matrix_fn(h_of_t, basis, frame, t0, breakpoints)
+    h = _as_matrix_fn(h_of_t, basis, frame, t0)
     times, states, meta = _propagate_components(h, psi0, t0, t1, cfg, breakpoints)
     for s in states:
         check_drift(np.linalg.norm(s, axis=1), "norm", meta.get("propagator"), frame)
@@ -995,7 +993,7 @@ def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float
     cfg = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     d = rho0.basis.dim
-    h, breakpoints = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0, breakpoints)
+    h = _as_matrix_fn(h_of_t, rho0.basis, rho0.frame, t0)
     ops: list[tuple[np.ndarray, np.ndarray, float]] = []
     for ch in channels:
         L = ch.operator.matrix if isinstance(ch.operator, OperatorMatrix) else np.asarray(
@@ -1082,7 +1080,7 @@ def evolve_expm(h_of_t: Any, state: QuantumState, t_grid: Sequence[float]) -> Tr
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    h, _ = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
+    h = _as_matrix_fn(h_of_t, state.basis, state.frame, float(times[0]))
     states = np.empty((times.size, state.basis.dim), dtype=complex)
     states[0] = state.amplitudes
     for i in range(1, times.size):

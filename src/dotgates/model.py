@@ -248,9 +248,9 @@ class DrivenBlock:
     at one time gives the bare matrix, as integrators want it; :meth:`at`
     wraps the same matrix as a Hermitian
     :class:`~dotgates.operators.OperatorMatrix`.  The propagators split
-    the block into its :meth:`components`, ask each :meth:`restricted`
-    part which exact method fits a span (:meth:`structure`) and the block
-    where not to step across a kink (:meth:`breakpoints`), and evaluate
+    the block into its :meth:`components` and its span into pieces at
+    its kinks (:meth:`breakpoints`), ask each :meth:`restricted` part
+    which exact method fits a piece (:meth:`structure`), and evaluate
     ``f`` on arrays of times (as both pulse shapes and a
     :class:`LaserDrive` allow).
     """
@@ -296,22 +296,24 @@ class DrivenBlock:
         return replace(self, basis=basis, h0=self.h0[cut], v=self.v[cut])
 
     def structure(self, t0: float, t1: float) -> np.ndarray | float | None:
-        """What ``H`` is over the span from ``t0`` to ``t1``.
+        """What ``H`` is on the piece from ``t0`` to ``t1``.
 
-        A zero ``v`` leaves ``H`` constant: the result is ``h0``.  So does
-        a square envelope whose support covers the span when ``f`` is the
-        envelope itself: the result is that one matrix, ``H`` at the span's
-        midpoint.  Under a carrier the square envelope leaves ``H``
-        periodic: the result is the carrier period ``2 pi hbar / omega_l``.
-        A span past the support, or any other envelope, gives ``None``.
+        A zero ``v``, or a piece outside the support of a square or Gaussian
+        envelope, bare or under a carrier, gives ``h0``.  A square envelope
+        that covers the piece gives, bare, the one matrix ``H`` at the
+        piece's midpoint and, under a carrier, which makes ``H`` periodic,
+        the carrier period ``2 pi hbar / omega_l``.  Any other piece or
+        envelope gives ``None``.
         """
         if not self.v.any():
             return self.h0
         env = getattr(self.f, "envelope", self.f)
-        if not isinstance(env, SquarePulse):
+        if not isinstance(env, (SquarePulse, GaussianPulse)):
             return None
         lo, hi = env.support()
-        if not lo <= min(t0, t1) <= max(t0, t1) <= hi:
+        if max(t0, t1) <= lo or min(t0, t1) >= hi:
+            return self.h0
+        if not (isinstance(env, SquarePulse) and lo <= min(t0, t1) <= max(t0, t1) <= hi):
             return None
         if env is self.f:
             return self(0.5 * (t0 + t1))

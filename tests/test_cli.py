@@ -437,8 +437,13 @@ def test_empty_family_lists_write_nothing(tmp_path):
     (("zrot", "--set", "pulse_shape=gaussian", "--set", "omega_a=300", "--set", "sigma=2"), 1,
      "config error: pulse area 5.012939 deviates from pi*hbar = 2.067834 by 142.42% "
      "(limit 1%)"),
+    # and a commensurate pulse's, after its duration is snapped to whole
+    # spectator periods: fine near omega=0.1, 5.86% off at 0.3
+    (("cphase", "--set", "omega=0.3", "--set", "commensurate=true"), 1,
+     "config error: sqrt(2)-enhanced pulse area 3.893142 deviates from 2*pi*hbar = "
+     "4.135668 by 5.86% (limit 1%)"),
 ], ids=["empty-gammas-huge-rabi", "empty-gammas-bad-angle", "empty-ratios-huge-duration",
-        "runaway-detuning", "ratio-off-area", "zrot-off-area"])
+        "runaway-detuning", "ratio-off-area", "zrot-off-area", "commensurate-off-area"])
 def test_run_list_edge_cases_write_nothing(tmp_path, args, code, line):
     out = tmp_path / "run"
     result = _invoke([*args, "--out", str(out)])
@@ -795,6 +800,35 @@ def test_verify_fails_non_finite_amplitude(tmp_path):
         assert f"FAIL traj_11.csv: line 7: norm {text} deviates from 1" in lines
 
 
+@pytest.mark.parametrize("phase", [None, "abc"])
+@pytest.mark.parametrize("time, verdict", [
+    ("xyz", "unparseable (line 5: could not convert string to float: 'xyz')"),
+    ("nan", "line 5: non-finite t_ps nan"),
+    ("-inf", "line 5: non-finite t_ps -inf"),
+    ("0.01", "line 5: t_ps 0.01 runs back"),
+])
+def test_verify_checks_the_time_column(tmp_path, time, verdict, phase):
+    # the phase columns stay unchecked: a word there alone passes
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    path = out / "traj_01.csv"
+    if phase:
+        _set_cell(path, 9, "phase_01", phase)
+        assert _verify_lines(out)[0] == 0
+    _set_cell(path, 5, "t_ps", time)
+    code, lines = _verify_lines(out)
+    assert code == 2
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [f"FAIL traj_01.csv: {verdict}"]
+
+
+def test_verify_lets_rounded_times_tie(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    path = out / "traj_01.csv"
+    _set_cell(path, 5, "t_ps", path.read_text().splitlines()[3].split(",")[0])
+    assert _verify_lines(out)[0] == 0
+
+
 def test_verify_reports_unparseable_cell_and_short_row(tmp_path):
     out = tmp_path / "c"
     assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
@@ -1076,9 +1110,9 @@ def test_verify_fails_only_the_changed_twin(tmp_path, changed, kept):
 
 
 def test_verify_streams_each_csv(tmp_path):
-    # verify holds two 64 KiB buffers and at most two parsed arrays (the one
-    # being loaded and, during the row checks, its squares); it never reads
-    # a whole file into memory: traj_11.csv alone is ~2 MB
+    # verify holds two 64 KiB buffers, the parsed array (the checked columns,
+    # the time and the last) and a few columns of row results, never a whole
+    # file: traj_11.csv alone is ~2 MB
     out = tmp_path / "g"
     assert _invoke(["cphase", "--set", "pulse_shape=gaussian", "--out", str(out)]).exit_code == 0
     parsed = []

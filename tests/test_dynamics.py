@@ -556,12 +556,14 @@ def test_periodic_hamiltonian_floquet_matches_adaptive():
     assert 0 < flo.metadata["nfev"] < ref.metadata["nfev"]
     np.testing.assert_array_equal(flo.times, ref.times)
     np.testing.assert_allclose(flo.states, ref.states, atol=1e-8)
-    # less than one period takes Magnus; the block, not a caller's interior
-    # breakpoint, says where its envelope is flat
+    # less than one period takes Magnus; so does a caller's breakpoint that
+    # leaves a tail piece shorter than one period, which names the whole run
     short = evolve_schrodinger(h, psi0, (0.3, 0.3 + 0.5 * period))
     assert short.metadata["propagator"] == "magnus4"
     kinked = evolve_schrodinger(h, psi0, span, breakpoints=(1.0,))
-    assert kinked.metadata["propagator"] == "floquet"
+    assert span[1] - 1.0 < period
+    assert kinked.metadata["propagator"] == "magnus4"
+    np.testing.assert_allclose(kinked.states[-1], ref.states[-1], atol=1e-8)
 
 
 def test_sample_grid_cap_allocates_nothing():
@@ -668,15 +670,23 @@ ROUTES = {
         _pure(_rotating(_SQUARE), (1.0, 4.0)), "eigh",
         _pure(_rotating(_SQUARE)(2.5), (1.0, 4.0), _rotating(_SQUARE)), 0.0),
     "rotating square past its support": (
-        _pure(_rotating(_SQUARE), _PAST), "magnus4",
+        _pure(_rotating(_SQUARE), _PAST), "eigh",
         _pure(lambda t: _rotating(_SQUARE)(t), _PAST, _rotating(_SQUARE), _TIGHT,
               _SQUARE.support()), 1e-8),
     "lab square over many carrier periods": (
         _pure(_lab(_SQUARE), (1.0, 4.0)), "floquet", None, None),
+    "lab square past its support": (
+        _pure(_lab(_SQUARE), _PAST), "floquet",
+        _pure(lambda t: _lab(_SQUARE)(t), _PAST, _lab(_SQUARE), _TIGHT, _SQUARE.support()),
+        1e-8),
     "lab square shorter than one carrier period": (
         _pure(_lab(SquarePulse(0.2, 0.05, 1.0)), (1.0, 1.05)), "magnus4", None, None),
     "rotating gaussian": (_pure(_rotating(_GAUSSIAN), _GAUSSIAN.support()), "magnus4",
                           None, None),
+    "rotating gaussian past its support": (
+        _pure(_rotating(_GAUSSIAN), (0.503, 5.497)), "magnus4",
+        _pure(lambda t: _rotating(_GAUSSIAN)(t), (0.503, 5.497), _rotating(_GAUSSIAN), _TIGHT,
+              _GAUSSIAN.support()), 1e-8),
     "lab gaussian": (_pure(_lab(_GAUSSIAN), _GAUSSIAN.support()), "magnus4", None, None),
     "plain callable": (
         _pure(lambda t: np.diag([0.0, 1.0, t]).astype(complex), (0.0, 1.0), _lab(_SQUARE)),
@@ -689,7 +699,7 @@ ROUTES = {
         _raman, "liouvillian-eig",
         lambda: _raman(replace(_RAMAN, h0=_RAMAN(2.5), v=0.0 * _RAMAN.v)), 0.0),
     "Raman block past its support": (
-        lambda: _raman(span=(0.0, 5.5)), "magnus4",
+        lambda: _raman(span=(0.0, 5.5)), "liouvillian-eig",
         lambda: _raman(lambda t: _RAMAN(t), (0.0, 5.5), IntegratorConfig(rtol=1e-13, atol=1e-15),
                        _RAMAN.breakpoints()), 1e-12),
     "block with a zero drive": (
@@ -709,9 +719,20 @@ def test_each_input_takes_the_method_its_structure_allows(case):
         np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=atol)
 
 
+def test_a_run_builds_its_sample_grid_once(monkeypatch):
+    # the pieces and the components of a run all take their samples from
+    # the one grid: two pieces of the Raman block, each of its components
+    grids = []
+    real = dynamics._sample_grid
+    monkeypatch.setattr(dynamics, "_sample_grid", lambda *a: grids.append(a) or real(*a))
+    traj = _raman(span=(0.0, 5.5))
+    assert len(grids) == 1
+    assert 5.0 in traj.times.tolist()
+
+
 @pytest.mark.parametrize("block, span, route", [
     (_RAMAN, (0.0, 5.0), "liouvillian-eig"),
-    (_RAMAN, (0.0, 5.5), "magnus4"),
+    (_RAMAN, (0.0, 5.5), "liouvillian-eig"),
     (raman_generator(4.0, _GAUSSIAN), _GAUSSIAN.support(), "magnus4"),
     (raman_generator(4.0, LaserDrive(SquarePulse(1.33, 5.0), _CARRIER)), (0.0, 5.0), "floquet"),
 ], ids=["constant", "past its support", "gaussian", "under a carrier"])

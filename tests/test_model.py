@@ -161,6 +161,30 @@ def test_blocks_report_their_coupled_components():
     np.testing.assert_array_equal(dark.structure(0.0, 1.0), [[-2.0 * p.v_f]])
 
 
+_EDGES = (1.0, 4.0)  # the support of each envelope below
+
+
+@pytest.mark.parametrize("block, inside", [
+    (spectator_generator(DotPairParams(), SquarePulse(0.2, 3.0, 1.0)), "matrix"),
+    (spectator_generator(DotPairParams(), GaussianPulse(0.2, 0.375, 2.5)), None),
+    (lab_single_dot_generator(40.0, LaserDrive(SquarePulse(0.2, 3.0, 1.0), 40.0)),
+     2.0 * math.pi * HBAR_MEV_PS / 40.0),
+], ids=["square", "gaussian", "square under a carrier"])
+def test_structure_answers_per_piece(block, inside):
+    assert block.breakpoints() == _EDGES
+    # a piece outside the support, touching an edge or not, either way round
+    for piece in ((0.0, 1.0), (0.5, -2.0), (4.0, 6.0), (6.0, 4.5)):
+        assert block.structure(*piece) is block.h0
+    # a piece across an edge
+    for piece in ((0.5, 1.5), (4.5, 3.5), (0.0, 5.0)):
+        assert block.structure(*piece) is None
+    found = block.structure(1.5, 4.0)
+    if inside == "matrix":
+        np.testing.assert_array_equal(found, block(2.75))
+    else:
+        assert found == inside
+
+
 def test_lab_single_dot_block():
     drive = LaserDrive(SquarePulse(0.4, 10.0), omega_l=30.0)
     h = lab_single_dot_generator(30.0, drive).at(0.2)

@@ -16,8 +16,9 @@ directory, so that every file of the second run replaces one of the first;
 the script prints whether its files equal those of ``cphase-square``.
 Last, it runs ``verify`` on a copy of ``cphase-square`` with one cell of
 ``traj_10.csv`` changed, whose data rows otherwise equal those of
-``traj_01.csv``.  It needs nothing beyond the standard library and the
-package.
+``traj_01.csv``, and on another with a word in one ``t_ps`` cell and one
+phase cell of ``traj_01.csv``.  It needs nothing beyond the standard
+library and the package.
 
 A change that moves the numbers within a stated tolerance is checked on
 the artifacts themselves: ``--keep DIR`` runs in ``DIR`` (which must not
@@ -79,6 +80,9 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("cphase-ratios-square", ("cphase", "--set", "ratios=[0.3,0.15]")),
     ("cphase-ratios-gaussian", ("cphase", *GAUSSIAN, "--set", "ratios=[0.3,0.15]")),
     ("cphase-commensurate", ("cphase", "--set", "commensurate=true")),
+    # the snapped duration misses the cphase area by 5.86%: exit 1, nothing written
+    ("cphase-commensurate-off-area", ("cphase", "--set", "omega=0.3",
+                                      "--set", "commensurate=true")),
     # eigh at a midpoint away from the origin
     ("cphase-square-late", ("cphase", "--set", "t_start=3.3")),
     # an explicit duration, 0.15% short of the calibrated 29.24 ps
@@ -168,6 +172,12 @@ def run_all(tmp: Path) -> None:
     edit_cell(edited / "traj_10.csv", 7, "re_10", "5.00000000000e-01")
     print("=== verify cphase-square, traj_10.csv line 7 re_10 set to 0.5")
     print(cli(["verify", "--out", str(edited)], tmp), end="")
+    timed = tmp / "edited-t_ps"
+    shutil.copytree(runs / "cphase-square", timed)
+    edit_cell(timed / "traj_01.csv", 5, "t_ps", "xyz")
+    edit_cell(timed / "traj_01.csv", 9, "phase_01", "abc")
+    print("=== verify cphase-square, traj_01.csv line 5 t_ps set to xyz, line 9 phase_01 to abc")
+    print(cli(["verify", "--out", str(timed)], tmp), end="")
     print("=== artifacts")
     print("\n".join(digests(runs)))
 
