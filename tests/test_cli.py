@@ -1048,6 +1048,18 @@ def test_verify_numbers_parse_errors_by_file_line(tmp_path):
     assert "FAIL traj_01.csv: unparseable (line 10: 6 cells, the header has 7)" in lines
     assert ("FAIL traj_10.csv: unparseable (line 4: could not convert string to float: "
             "'1.0x')") in lines
+    # a blank line is skipped, but still counted
+    out = tmp_path / "blank"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    path = out / "traj_01.csv"
+    _set_cell(path, 7, "re_01", "abc")
+    lines = path.read_text().splitlines()
+    lines[3] = ""  # file line 4
+    path.write_text("\n".join(lines) + "\n")
+    code, lines = _verify_lines(out)
+    assert code == 2
+    assert ("FAIL traj_01.csv: unparseable (line 7: could not convert string to float: "
+            "'abc')") in lines
 
 
 def test_format_rows_matches_percent_on_edge_cells():

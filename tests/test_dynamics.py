@@ -1,7 +1,8 @@
 import math
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from dotgates.operators import (
     LAB_FRAME,
     Basis,
     BasisMismatchError,
+    DensityMatrix,
     OperatorMatrix,
     QuantumState,
     matrix_exponential,
@@ -314,23 +316,9 @@ def test_lindblad_without_channels_matches_schrodinger():
     mixed2 = evolve_lindblad(h, psi0.density(), (0.0, 4.0),
                              channels=(CollapseChannel(lower, 0.0),))
     np.testing.assert_allclose(mixed2.states[-1], mixed.states[-1], atol=1e-9)
-    # a block takes the same route in either equation, and rho = psi psi^H
-    # at every sample: constant (eigh of a Hermitian K), periodic, smooth
-    square = spectator_generator(DotPairParams(), SquarePulse(0.3, 5.0))
-    lifted = dynamics._lifted(square, ()).structure(0.0, 4.0)
+    # a square block's K is Hermitian, so its constant pieces take eigh
+    lifted = dynamics._lifted(_SPECTATOR_SQUARE, ()).structure(0.0, 4.0)
     assert np.array_equal(lifted, lifted.conj().T)
-    for block, span, route in ((square, (0.0, 4.0), "eigh"),
-                               (_carrier_two_level()[0], (0.0, 4.0), "floquet"),
-                               (spectator_generator(DotPairParams(), _GAUSSIAN),
-                                _GAUSSIAN.support(), "magnus4")):
-        psi0 = QuantumState(np.array([0.6, 0.8j]), block.basis, block.frame)
-        pure = evolve_schrodinger(block, psi0, span)
-        mixed = evolve_lindblad(block, psi0.density(), span)
-        assert pure.metadata["propagator"] == route
-        assert mixed.metadata["propagator"] == {"eigh": "liouvillian-eig"}.get(route, route)
-        psi = pure.states
-        np.testing.assert_allclose(mixed.states, psi[:, :, None] * psi[:, None, :].conj(),
-                                   rtol=0, atol=1e-12)
 
 
 def test_lindblad_samples_a_blocks_envelope_edges():
@@ -447,21 +435,6 @@ def test_rotating_frame_is_the_closed_form_phase():
         to_rotating_frame(lab, om, (0, 0))
 
 
-def test_constant_hamiltonian_eigh_matches_adaptive():
-    rng = np.random.default_rng(3)
-    m = _random_hermitian(rng, 3)
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    psi0 = QuantumState(v / np.linalg.norm(v), B3)
-    exact = evolve_schrodinger(OperatorMatrix(m, B3, hermitian=True), psi0, (0.2, 2.7),
-                               breakpoints=(1.234,))
-    adaptive = evolve_schrodinger(lambda t: m, psi0, (0.2, 2.7), breakpoints=(1.234,))
-    assert exact.metadata["propagator"] == "eigh"
-    assert adaptive.metadata["propagator"] == "DOP853"
-    assert adaptive.metadata["nfev"] > 0
-    np.testing.assert_array_equal(exact.times, adaptive.times)
-    np.testing.assert_allclose(exact.states, adaptive.states, atol=1e-8)
-
-
 def _lossy_lambda():
     # Raman-like block: two ground levels, a detuned excited level, a sink
     h = np.zeros((4, 4), dtype=complex)
@@ -473,18 +446,13 @@ def _lossy_lambda():
     return h, basis, (CollapseChannel(sink, 0.2),)
 
 
-def test_constant_liouvillian_matches_adaptive(monkeypatch):
+def test_untrusted_liouvillian_eigenvectors_fall_back_to_dop853(monkeypatch):
+    # eigenvectors too ill-conditioned to trust hand over to the adaptive path
     h, basis, channels = _lossy_lambda()
     rho0 = QuantumState.basis_state(basis, "0").density()
-    exact = evolve_lindblad(h, rho0, (0.0, 12.0), channels)
-    adaptive = evolve_lindblad(lambda t: h, rho0, (0.0, 12.0), channels)
-    assert exact.metadata["propagator"] == "liouvillian-eig"
-    assert adaptive.metadata["propagator"] == "DOP853"
-    np.testing.assert_array_equal(exact.times, adaptive.times)
-    np.testing.assert_allclose(exact.states, adaptive.states, atol=1e-8)
-    # eigenvectors too ill-conditioned to trust hand over to the adaptive path
     monkeypatch.setattr(dynamics, "_MAX_EIGVEC_COND", 0.0)
     fallback = evolve_lindblad(h, rho0, (0.0, 12.0), channels)
+    adaptive = evolve_lindblad(lambda t: h, rho0, (0.0, 12.0), channels)
     assert fallback.metadata["propagator"] == "DOP853"
     np.testing.assert_allclose(fallback.states, adaptive.states, atol=1e-12)
 
@@ -543,27 +511,6 @@ def test_stiff_time_dependent_liouvillian_raises_at_once(monkeypatch):
     with pytest.raises(IntegrationError, match="too stiff"):
         evolve_lindblad(lambda t: h, rho0, (0.0, 12.0), stiff)
     assert time.perf_counter() - start < 1.0
-
-
-def test_periodic_hamiltonian_floquet_matches_adaptive():
-    h, period = _carrier_two_level()
-    psi0 = QuantumState(np.array([0.6, 0.8j]), B2)
-    span = (0.3, 0.3 + 7.4 * period)
-    flo = evolve_schrodinger(h, psi0, span)
-    ref = evolve_schrodinger(lambda t: h(t), psi0, span,
-                             IntegratorConfig(rtol=1e-12, atol=1e-14))
-    assert flo.metadata["propagator"] == "floquet"
-    assert 0 < flo.metadata["nfev"] < ref.metadata["nfev"]
-    np.testing.assert_array_equal(flo.times, ref.times)
-    np.testing.assert_allclose(flo.states, ref.states, atol=1e-8)
-    # less than one period takes Magnus; so does a caller's breakpoint that
-    # leaves a tail piece shorter than one period, which names the whole run
-    short = evolve_schrodinger(h, psi0, (0.3, 0.3 + 0.5 * period))
-    assert short.metadata["propagator"] == "magnus4"
-    kinked = evolve_schrodinger(h, psi0, span, breakpoints=(1.0,))
-    assert span[1] - 1.0 < period
-    assert kinked.metadata["propagator"] == "magnus4"
-    np.testing.assert_allclose(kinked.states[-1], ref.states[-1], atol=1e-8)
 
 
 def test_sample_grid_cap_allocates_nothing():
@@ -639,84 +586,129 @@ def _lab(env):
     return lab_single_dot_generator(_CARRIER, LaserDrive(env, _CARRIER, env.support()[0]))
 
 
-def _pure(h, span, like=None, cfg=None, breakpoints=()):
-    """A call that evolves the second basis state of ``like`` (``h`` by default)."""
-    block = like or h
-    psi0 = QuantumState.basis_state(block.basis, block.basis.labels[1], block.frame)
-    return lambda: evolve_schrodinger(h, psi0, span, cfg, breakpoints)
-
-
 _RAMAN = raman_generator(4.0, SquarePulse(1.33, 5.0))
+_RAMAN_START = QuantumState.basis_state(RAMAN_LEVELS, "0", "rotating@laser").density()
+_SINK = np.zeros((4, 4), dtype=complex)
+_SINK[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
+_RAMAN_LOSS = (CollapseChannel(_SINK, 0.1),)
 
 
-def _raman(h=_RAMAN, span=(0.0, 5.0), cfg=None, breakpoints=()):
-    sink = np.zeros((4, 4), dtype=complex)
-    sink[RAMAN_LEVELS.index("s"), RAMAN_LEVELS.index("e")] = 1.0
-    rho0 = QuantumState.basis_state(RAMAN_LEVELS, "0", "rotating@laser").density()
-    return evolve_lindblad(h, rho0, span, (CollapseChannel(sink, 0.1),), cfg, breakpoints)
+def _raman(h=_RAMAN, span=(0.0, 5.0)):
+    return evolve_lindblad(h, _RAMAN_START, span, _RAMAN_LOSS)
 
 
-def _undriven():
-    h0 = _random_hermitian(np.random.default_rng(3), 3)
-    return DrivenBlock(B3, LAB_FRAME, h0, np.zeros((3, 3), dtype=complex), _GAUSSIAN)
+@dataclass
+class _Route:
+    """``h`` (a block, a constant or a plain callable) run over ``span``, cut
+    at ``breakpoints``, must take ``route``.  ``start`` is a state, or
+    amplitudes on the block's basis (by default its second basis state); a
+    density runs the master equation under ``channels``.  The states match
+    a ``twin`` input's bit for bit or else unsplit DOP853's to ``atol``.  A
+    block's pure run matches its channel-free master equation to
+    ``lift_atol``: 1e-12, or up to 1e-9 where Magnus splits the lifted cells
+    otherwise."""
+    h: Any
+    span: tuple[float, float]
+    route: str
+    start: QuantumState | DensityMatrix | np.ndarray | None = None
+    breakpoints: tuple[float, ...] = ()
+    channels: tuple[CollapseChannel, ...] = ()
+    twin: Any = None
+    atol: float = 1e-8
+    lift_atol: float = 1e-12
+
+    def __post_init__(self):
+        if not isinstance(self.start, (QuantumState, DensityMatrix)):
+            amplitudes = np.eye(self.h.basis.dim)[1] if self.start is None else self.start
+            self.start = QuantumState(amplitudes, self.h.basis, self.h.frame)
 
 
-_TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
+def _evolve(h, row, config=None):
+    if isinstance(row.start, QuantumState):
+        return evolve_schrodinger(h, row.start, row.span, config, row.breakpoints)
+    return evolve_lindblad(h, row.start, row.span, row.channels, config, row.breakpoints)
+
+
 _PAST = (0.503, 4.497)  # past both edges of _SQUARE's support, inside sample cells
+_FLOQUET, _PERIOD = _carrier_two_level()
+_FLOQUET_SPAN = (0.3, 0.3 + 7.4 * _PERIOD)
+_SEEDED = np.random.default_rng(3)
+_CONSTANT = OperatorMatrix(_random_hermitian(_SEEDED, 3), B3, hermitian=True)
+_CONSTANT_START = _random_states(_SEEDED, B3, 1)[0]
+_LOSSY, _LOSSY_BASIS, _LOSSY_LOSS = _lossy_lambda()
+_UNDRIVEN = DrivenBlock(B3, LAB_FRAME, _CONSTANT.matrix, np.zeros_like(_CONSTANT.matrix), _GAUSSIAN)
+_SPECTATOR_SQUARE = spectator_generator(DotPairParams(), SquarePulse(0.3, 5.0))
+_TILTED = np.array([0.6, 0.8j])
 
-# input, its method, and a reference it must match to atol (0: bit for bit)
 ROUTES = {
-    "rotating square inside its support": (
-        _pure(_rotating(_SQUARE), (1.0, 4.0)), "eigh",
-        _pure(_rotating(_SQUARE)(2.5), (1.0, 4.0), _rotating(_SQUARE)), 0.0),
-    "rotating square past its support": (
-        _pure(_rotating(_SQUARE), _PAST), "eigh",
-        _pure(lambda t: _rotating(_SQUARE)(t), _PAST, _rotating(_SQUARE), _TIGHT,
-              _SQUARE.support()), 1e-8),
-    "lab square over many carrier periods": (
-        _pure(_lab(_SQUARE), (1.0, 4.0)), "floquet", None, None),
-    "lab square past its support": (
-        _pure(_lab(_SQUARE), _PAST), "floquet",
-        _pure(lambda t: _lab(_SQUARE)(t), _PAST, _lab(_SQUARE), _TIGHT, _SQUARE.support()),
-        1e-8),
-    "lab square shorter than one carrier period": (
-        _pure(_lab(SquarePulse(0.2, 0.05, 1.0)), (1.0, 1.05)), "magnus4", None, None),
-    "rotating gaussian": (_pure(_rotating(_GAUSSIAN), _GAUSSIAN.support()), "magnus4",
-                          None, None),
-    "rotating gaussian past its support": (
-        _pure(_rotating(_GAUSSIAN), (0.503, 5.497)), "magnus4",
-        _pure(lambda t: _rotating(_GAUSSIAN)(t), (0.503, 5.497), _rotating(_GAUSSIAN), _TIGHT,
-              _GAUSSIAN.support()), 1e-8),
-    "lab gaussian": (_pure(_lab(_GAUSSIAN), _GAUSSIAN.support()), "magnus4", None, None),
-    "plain callable": (
-        _pure(lambda t: np.diag([0.0, 1.0, t]).astype(complex), (0.0, 1.0), _lab(_SQUARE)),
-        "DOP853", None, None),
-    "block behind a plain callable": (
-        _pure(lambda t: _rotating(_SQUARE)(t), (1.0, 4.0), _rotating(_SQUARE)), "DOP853",
-        None, None),
-    # the reference splits the same way: a zero drive under the one matrix
-    "Raman block inside its support": (
-        _raman, "liouvillian-eig",
-        lambda: _raman(replace(_RAMAN, h0=_RAMAN(2.5), v=0.0 * _RAMAN.v)), 0.0),
-    "Raman block past its support": (
-        lambda: _raman(span=(0.0, 5.5)), "liouvillian-eig",
-        lambda: _raman(lambda t: _RAMAN(t), (0.0, 5.5), IntegratorConfig(rtol=1e-13, atol=1e-15),
-                       _RAMAN.breakpoints()), 1e-12),
-    "block with a zero drive": (
-        _pure(_undriven(), _GAUSSIAN.support()), "eigh",
-        _pure(_undriven().h0, _GAUSSIAN.support(), _undriven()), 0.0),
+    "rotating square inside its support": _Route(
+        _rotating(_SQUARE), (1.0, 4.0), "eigh", twin=_rotating(_SQUARE)(2.5)),
+    "rotating square past its support": _Route(_rotating(_SQUARE), _PAST, "eigh"),
+    "lab square over many carrier periods": _Route(_lab(_SQUARE), (1.0, 4.0), "floquet"),
+    "lab square past its support": _Route(_lab(_SQUARE), _PAST, "floquet"),
+    "lab square shorter than one carrier period": _Route(
+        _lab(SquarePulse(0.2, 0.05, 1.0)), (1.0, 1.05), "magnus4", lift_atol=1e-9),
+    "rotating gaussian": _Route(
+        _rotating(_GAUSSIAN), _GAUSSIAN.support(), "magnus4", lift_atol=1e-9),
+    "rotating gaussian past its support": _Route(
+        _rotating(_GAUSSIAN), (0.503, 5.497), "magnus4", lift_atol=1e-9),
+    "lab gaussian": _Route(_lab(_GAUSSIAN), _GAUSSIAN.support(), "magnus4", lift_atol=1e-9),
+    "plain callable": _Route(
+        lambda t: np.diag([0.0, 1.0, t]).astype(complex), (0.0, 1.0), "DOP853",
+        QuantumState.basis_state(B3, "1")),
+    "block behind a plain callable": _Route(
+        lambda t: _rotating(_SQUARE)(t), (1.0, 4.0), "DOP853",
+        QuantumState.basis_state(PSI_SUBSPACE, "psi+", _rotating(_SQUARE).frame)),
+    # the twin splits the same way: a zero drive under the one matrix
+    "Raman block inside its support": _Route(
+        _RAMAN, (0.0, 5.0), "liouvillian-eig", _RAMAN_START, channels=_RAMAN_LOSS,
+        twin=replace(_RAMAN, h0=_RAMAN(2.5), v=0.0 * _RAMAN.v)),
+    "Raman block past its support": _Route(
+        _RAMAN, (0.0, 5.5), "liouvillian-eig", _RAMAN_START, channels=_RAMAN_LOSS, atol=1e-12),
+    "block with a zero drive": _Route(_UNDRIVEN, _GAUSSIAN.support(), "eigh", twin=_UNDRIVEN.h0),
+    "constant with a breakpoint": _Route(_CONSTANT, (0.2, 2.7), "eigh", _CONSTANT_START, (1.234,)),
+    "constant Liouvillian": _Route(
+        _LOSSY, (0.0, 12.0), "liouvillian-eig",
+        QuantumState.basis_state(_LOSSY_BASIS, "0").density(), channels=_LOSSY_LOSS),
+    "carrier over 7.4 periods": _Route(_FLOQUET, _FLOQUET_SPAN, "floquet", _TILTED),
+    "carrier over half a period": _Route(
+        _FLOQUET, (0.3, 0.3 + 0.5 * _PERIOD), "magnus4", _TILTED, lift_atol=1e-9),
+    # the breakpoint leaves a tail piece shorter than one period (0.065 ps),
+    # which names the whole run
+    "carrier with a kinked tail": _Route(
+        _FLOQUET, _FLOQUET_SPAN, "magnus4", _TILTED, (1.0,), lift_atol=1e-9),
+    "spectator square": _Route(_SPECTATOR_SQUARE, (0.0, 4.0), "eigh", _TILTED),
+    "spectator gaussian": _Route(
+        spectator_generator(DotPairParams(), _GAUSSIAN), _GAUSSIAN.support(), "magnus4", _TILTED),
 }
 
 
 @pytest.mark.parametrize("case", list(ROUTES))
 def test_each_input_takes_the_method_its_structure_allows(case):
-    run, propagator, reference, atol = ROUTES[case]
-    traj = run()
-    assert traj.metadata["propagator"] == propagator
-    if reference is not None:
-        ref = reference()
-        np.testing.assert_array_equal(traj.times, ref.times)
-        np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=atol)
+    row = ROUTES[case]
+    h = row.h
+    traj = _evolve(h, row)
+    assert traj.metadata["propagator"] == row.route
+    if row.twin is not None:
+        ref, atol = _evolve(row.twin, row), 0.0
+    else:
+        own = h.breakpoints() if isinstance(h, DrivenBlock) else ()
+        unsplit = (lambda t: h(t)) if callable(h) else (lambda t: getattr(h, "matrix", h))
+        ref, atol = _evolve(unsplit, replace(row, breakpoints=(*row.breakpoints, *own)),
+                            IntegratorConfig(rtol=1e-13, atol=1e-15)), row.atol
+        assert ref.metadata["propagator"] == "DOP853"
+        if row.route == "floquet":  # one period solved, then its powers
+            assert 0 < traj.metadata["nfev"] < ref.metadata["nfev"]
+    np.testing.assert_array_equal(traj.times, ref.times)
+    np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=atol)
+    if isinstance(h, DrivenBlock) and isinstance(row.start, QuantumState):
+        lift = _evolve(h, replace(row, start=row.start.density()))
+        assert lift.metadata["propagator"] == {"eigh": "liouvillian-eig"}.get(row.route, row.route)
+        if row.lift_atol != 1e-12:
+            assert row.lift_atol <= 1e-9 and lift.metadata["substeps"] != traj.metadata["substeps"]
+        psi = traj.states
+        np.testing.assert_allclose(lift.states, psi[:, :, None] * psi[:, None, :].conj(),
+                                   rtol=0, atol=row.lift_atol)
 
 
 def test_a_run_builds_its_sample_grid_once(monkeypatch):
@@ -803,12 +795,17 @@ def test_positivity_check_agrees_with_eigenvalues(monkeypatch, lam_min):
         with pytest.raises(IntegrationError, match="lost positivity"):
             dynamics._check_positivity(traj)
     else:
-        # a passing stack is decided by the factorization alone
-        def no_eigenvalues(self):
-            raise AssertionError("eigenvalues computed for a positive stack")
-
-        monkeypatch.setattr(Trajectory, "min_eigenvalue", no_eigenvalues)
+        # a passing stack is decided by the factorization alone or, where
+        # that refuses, by one exact pass over all three chunks
+        monkeypatch.setattr(dynamics, "_POSITIVITY_CHUNK_BYTES", 16 * 4 * 4 * 100)
+        exact, calls = Trajectory.min_eigenvalue, []
+        monkeypatch.setattr(Trajectory, "min_eigenvalue",
+                            lambda self: calls.append(self) or exact(self))
         dynamics._check_positivity(traj)
+        assert calls == []
+        monkeypatch.setattr(dynamics, "_factorizes", lambda m: False)
+        dynamics._check_positivity(traj)
+        assert calls == [traj]
 
 
 def test_positivity_check_reaches_the_last_chunk():
@@ -842,7 +839,7 @@ def _direct_growth(times, lam):
 # (t0, t1, sample_interval, breakpoints)
 _GROWTH_GRIDS = {
     "1e5 uniform samples": (0.0, 10.0, 1e-4, ()),
-    # the grid of test_constant_hamiltonian_eigh_matches_adaptive
+    # the grid of the ROUTES row "constant with a breakpoint"
     "inserted breakpoint": (0.2, 2.7, 0.01, (1.234,)),
     "inserted breakpoint, backwards": (2.7, 0.2, 0.01, (1.234,)),
     "lab wait after a pi pulse": (2.0672, 2.5672, 0.01, ()),

@@ -18,7 +18,9 @@ Last, it runs ``verify`` on a copy of ``cphase-square`` with one cell of
 ``traj_10.csv`` changed, whose data rows otherwise equal those of
 ``traj_01.csv``, and on another with a word in one ``t_ps`` cell and one
 phase cell of ``traj_01.csv``.  It needs nothing beyond the standard
-library and the package.
+library and the package, which the runs' interpreter must import: without
+it the script prints one line naming ``PYTHONPATH`` and exits 2 before the
+first run.
 
 A change that moves the numbers within a stated tolerance is checked on
 the artifacts themselves: ``--keep DIR`` runs in ``DIR`` (which must not
@@ -130,6 +132,14 @@ def cli(args: list[str], tmp: Path) -> str:
                           capture_output=True, text=True)
     text = f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
     return text.replace(str(tmp), "<tmp>")
+
+
+def check_package() -> None:
+    """Exit 2 with one line unless the runs' interpreter imports ``dotgates.cli``."""
+    probe = subprocess.run([sys.executable, "-c", "import dotgates.cli"], capture_output=True)
+    if probe.returncode:
+        print("cannot import dotgates.cli: run with PYTHONPATH=<checkout>/src", file=sys.stderr)
+        sys.exit(2)
 
 
 def digests(root: Path) -> list[str]:
@@ -275,6 +285,7 @@ def main() -> None:
     if args.compare:
         old, new = (root / "runs" for root in args.compare)
         sys.exit(compare(old, new))
+    check_package()
     if args.keep:
         args.keep.mkdir(parents=True)
         run_all(args.keep.resolve())
