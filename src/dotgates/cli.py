@@ -12,11 +12,12 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
   (the idle ``cphase`` blocks) are formatted, and re-read by ``verify``, once.
 
 Exit codes: 0 on success, 1 for configuration problems (a run's pulse
-area among them, checked before ``--out`` is made), 2 for runtime
-failures (integration, a failed linear-algebra routine, undefined phases,
-a report value that is ``nan`` or ``inf``, an output that cannot be
-written).  A run prints no numpy floating-point warning: a non-finite
-result fails a conservation check or the report instead.
+area, validity ratios and ``zrot`` carrier among them, checked before
+``--out`` is made), 2 for runtime failures (integration, a failed
+linear-algebra routine, undefined phases, a report value that is ``nan``
+or ``inf``, an output that cannot be written).  A run prints no numpy
+floating-point warning: a non-finite result fails a conservation check
+or the report instead.
 
 ``dotgates verify --out DIR`` re-reads every emitted CSV and JSON file and
 reports each one ``ok`` or ``FAIL``; it exits 2 on any failure.  CSV rows

@@ -25,8 +25,8 @@ target area.
 
 Which runs a ``cphase``, ``zrot`` or ``raman`` config makes is written once,
 in :meth:`ExperimentConfig.runs`: :func:`build_config` checks every run's
-pulse area and sample count over that list, and the command line runs the
-same list.
+pulse area, validity ratios, sample count and ``zrot`` carrier over that
+list, and the command line runs the same list.
 """
 
 from __future__ import annotations
@@ -39,17 +39,14 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
-from .dynamics import IntegratorConfig, check_sample_count
+from .dynamics import IntegrationError, IntegratorConfig, check_sample_count
 from .gates import (CPHASE_AREA, PI_AREA, PulseAreaError, RamanParams, ZGateParams,
-                    calibrated_pulse, check_cphase_pulse, commensurate_gate_time,
-                    raman_pi_time, raman_rate, raman_window)
-from .model import DotPairParams, GaussianPulse, SquarePulse
+                    calibrated_pulse, check_cphase_pulse, check_zrot_carrier,
+                    commensurate_gate_time, raman_pi_time, raman_rate, raman_window)
+from .model import DotPairParams, GaussianPulse, SquarePulse, check_conditions
 
 __all__ = ["ConfigError", "ExperimentConfig", "Run", "load_config_file",
            "apply_overrides", "build_config", "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = ("cphase", "zrot", "raman", "conditions", "sweep")
-
 
 # bare pulse area each calibrated experiment targets
 _PULSE_AREAS = {"cphase": CPHASE_AREA, "conditions": CPHASE_AREA, "zrot": PI_AREA}
@@ -159,43 +156,38 @@ _THRESHOLD_KEYS: dict[str, _Key] = {
 }
 
 
-def _schema(kind: str) -> dict[str, _Key]:
-    if kind == "cphase":
-        return {
-            **_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS, **_SAMPLE_KEYS,
-            "commensurate": _Key(False, _bool),
-            "ratios": _Key(None, _make_float_list(positive=True)),
-        }
-    if kind == "zrot":
-        # the single addressed dot: omega_a is the one pair energy it reads
-        return {
-            "omega_a": _Key(2.0e3, _make_float(positive=True)),
-            **_PULSE_KEYS,
-            "omega": _Key(1.0, _make_float(nonneg=True)),
-            **_SOLVER_KEYS,
-            "wait": _Key(0.5, _make_float(nonneg=True)),
-        }
-    if kind == "raman":
-        return {
-            **_SAMPLE_KEYS,
-            "rabi": _Key(RamanParams.rabi, _make_float(positive=True)),
-            "detuning": _Key(RamanParams.detuning, _make_float(nonzero=True)),
-            "gamma": _Key(RamanParams.gamma, _make_float(nonneg=True)),
-            "target_angle": _Key(RamanParams.target_angle, _make_float(positive=True)),
-            "time_window": _Key(None, _make_opt_float(positive=True)),
-            "detunings": _Key(None, _make_float_list(nonzero=True)),
-            "gammas": _Key(None, _make_float_list(nonneg=True)),
-        }
-    if kind == "conditions":
-        return {**_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS}
-    if kind == "sweep":
-        return {
-            "sweep_kind": _Key("cphase",
-                               _make_choice(*(k for k in EXPERIMENT_KINDS if k != "sweep"))),
-            "sweep_param": _Key(_REQUIRED, _str),
-            "sweep_values": _Key(_REQUIRED, _make_float_list()),
-        }
-    raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
+_SCHEMAS: dict[str, dict[str, _Key]] = {
+    "cphase": {
+        **_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS, **_SAMPLE_KEYS,
+        "commensurate": _Key(False, _bool),
+        "ratios": _Key(None, _make_float_list(positive=True)),
+    },
+    # the single addressed dot: omega_a is the one pair energy it reads
+    "zrot": {
+        "omega_a": _Key(2.0e3, _make_float(positive=True)),
+        **_PULSE_KEYS,
+        "omega": _Key(1.0, _make_float(nonneg=True)),
+        **_SOLVER_KEYS,
+        "wait": _Key(0.5, _make_float(nonneg=True)),
+    },
+    "raman": {
+        **_SAMPLE_KEYS,
+        "rabi": _Key(RamanParams.rabi, _make_float(positive=True)),
+        "detuning": _Key(RamanParams.detuning, _make_float(nonzero=True)),
+        "gamma": _Key(RamanParams.gamma, _make_float(nonneg=True)),
+        "target_angle": _Key(RamanParams.target_angle, _make_float(positive=True)),
+        "time_window": _Key(None, _make_opt_float(positive=True)),
+        "detunings": _Key(None, _make_float_list(nonzero=True)),
+        "gammas": _Key(None, _make_float_list(nonneg=True)),
+    },
+    "conditions": {**_PAIR_KEYS, **_PULSE_KEYS, **_THRESHOLD_KEYS},
+}
+_SCHEMAS["sweep"] = {
+    "sweep_kind": _Key("cphase", _make_choice(*_SCHEMAS)),
+    "sweep_param": _Key(_REQUIRED, _str),
+    "sweep_values": _Key(_REQUIRED, _make_float_list()),
+}
+EXPERIMENT_KINDS = tuple(_SCHEMAS)
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
@@ -244,6 +236,15 @@ class Run:
 def _span(env: SquarePulse | GaussianPulse) -> float:
     lo, hi = env.support()
     return hi - lo
+
+
+def _check_ratios(p: DotPairParams, env: SquarePulse | GaussianPulse) -> None:
+    """Refuse a pulse whose weak-driving ratios (:func:`check_conditions`) overflow."""
+    rep, at = check_conditions(p, env), f"omega={env.peak_value():g}, v_f={p.v_f:g}"
+    for name, ratio, keys in (("biexciton", rep.r_biexciton, f"{at}, v_xx={p.v_xx:g}"),
+                              ("spectator", rep.r_spectator, at)):
+        if not math.isfinite(ratio):
+            raise ConfigError(f"the {name} ratio is not finite for {keys}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,22 +323,22 @@ class ExperimentConfig:
         one, or one per ``ratios`` value at ``omega = r |v_f|``, or one per
         ``gammas`` x ``detunings`` pair (gamma outermost).  The configured
         pulse and every detuning's window, which must be finite and
-        positive, are checked whatever the lists hold; each run's pulse
-        must meet its gate's area as the runner requires."""
+        positive, are checked whatever the lists hold; each run's pulse must
+        meet its gate's area, and a cphase pulse give finite validity ratios."""
         if self.kind != "raman":
             env = self.envelope()
             try:
                 if self.kind == "zrot":  # both pulses and the wait between them
                     return [Run(ZGateParams(env, self["wait"]), 2.0 * _span(env) + self["wait"])]
-                if self["ratios"] is None:
-                    check_cphase_pulse(env)
-                    return [Run(env, _span(env))]
-                pulses = [self.envelope(r * abs(self["v_f"])) for r in self["ratios"]]
-                for p in pulses:
-                    check_cphase_pulse(p)
+                ratios = self["ratios"]
+                pulses = [env] if ratios is None else [
+                    self.envelope(r * abs(self["v_f"])) for r in ratios]
+                for pulse in pulses:
+                    check_cphase_pulse(pulse)
+                    _check_ratios(self.dot_params(), pulse)
             except PulseAreaError as e:
                 raise ConfigError(str(e)) from None
-            return [Run(p, _span(p), r) for r, p in zip(self["ratios"], pulses)]
+            return [Run(p, _span(p), r) for r, p in zip(ratios or (None,), pulses)]
         windows = []
         for nu in self["detunings"] or (self["detuning"],):
             params = self.raman_params(detuning=nu)
@@ -368,7 +369,7 @@ def _validate_keys(raw: dict[str, Any], kind: str,
         if key == "kind":
             continue
         if key not in schema:
-            readers = [k for k in EXPERIMENT_KINDS if k != "sweep" and key in _schema(k)]
+            readers = [k for k, keys in _SCHEMAS.items() if k != "sweep" and key in keys]
             hint = difflib.get_close_matches(key, schema, n=1)
             extra = f"; did you mean {hint[0]!r}?" if hint else ""
             if readers:  # a key of other kinds is no typo
@@ -391,8 +392,8 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     Unknown keys, type errors, and out-of-range values raise
     :class:`ConfigError`; the dot parameters and the pulse or the
     :meth:`~ExperimentConfig.runs` are built once, and every run's pulse
-    area and sample count checked, so bad combinations fail here rather
-    than mid-run.
+    area, validity ratios, sample count and ``zrot`` carrier checked, so
+    bad combinations fail here rather than mid-run.
     """
     raw = dict(raw)
     kind = raw.get("kind")
@@ -403,12 +404,12 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
             f"unknown experiment kind {kind!r}; expected one of {EXPERIMENT_KINDS}")
 
     if kind == "sweep":
-        schema = _schema("sweep")
+        schema = _SCHEMAS["sweep"]
         own = {k: v for k, v in raw.items() if k in schema or k == "kind"}
         child_raw = {k: v for k, v in raw.items() if k not in schema and k != "kind"}
         values = _validate_keys(own, "sweep", schema)
         child_kind = values["sweep_kind"]
-        child_schema = _schema(child_kind)
+        child_schema = _SCHEMAS[child_kind]
         param = values["sweep_param"]
         if param not in child_schema:
             raise ConfigError(
@@ -425,16 +426,18 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
             build_config(raw_child)
         return cfg
 
-    cfg = ExperimentConfig(kind, _validate_keys(raw, kind, _schema(kind)))
+    cfg = ExperimentConfig(kind, _validate_keys(raw, kind, _SCHEMAS[kind]))
     if kind != "raman":
         cfg.dot_params()
     if kind == "conditions":
-        cfg.envelope()
+        _check_ratios(cfg.dot_params(), cfg.envelope())
         return cfg
-    # reject a runaway sample grid here, before anything is allocated
+    # reject a runaway sample grid or zrot carrier here, before anything is allocated
     for run in cfg.runs():
         try:
             check_sample_count(run.span, cfg["sample_interval"])
-        except ValueError as e:
+            if kind == "zrot":
+                check_zrot_carrier(cfg["omega_a"], run.input)
+        except (ValueError, IntegrationError) as e:
             raise ConfigError(str(e)) from None
     return cfg

@@ -963,15 +963,16 @@ def _liouvillian(h: np.ndarray, ops: Sequence[tuple[np.ndarray, np.ndarray, floa
 
 
 def _lifted(h: Any, ops: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> Any:
-    """``K`` (:func:`_liouvillian`) in the form of ``h``: a matrix, ``t -> K(t)``
-    or, as the channels do not depend on the drive, for a block the block
+    """``K`` (:func:`_liouvillian`) in the form of ``h``, its drive-free channel part
+    built once: a matrix, ``t -> [h(t), .] + K(0)`` or, for a block, the block
     ``K(h0) + f(t) [v, .]`` on the ``d^2`` entries of ``vec(rho)``."""
     if isinstance(h, DrivenBlock):
         vec = Basis(tuple(map(str, range(h.basis.dim ** 2))), "vec(rho)")
         return replace(h, basis=vec, h0=_liouvillian(h.h0, ops), v=_liouvillian(h.v, ()))
     if isinstance(h, np.ndarray):
         return _liouvillian(h, ops)
-    return lambda t: _liouvillian(h(t), ops)
+    channels = _liouvillian(np.zeros_like(ops[0][0]), ops) if ops else 0.0
+    return lambda t: _liouvillian(h(t), ()) + channels
 
 
 def evolve_lindblad(h_of_t: Any, rho0: DensityMatrix, t_span: tuple[float, float],

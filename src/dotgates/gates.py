@@ -87,6 +87,7 @@ __all__ = [
     "pi_pulse_time",
     "ZGateParams",
     "ZRotationReport",
+    "check_zrot_carrier",
     "run_z_rotation",
     "raman_rate",
     "raman_pi_time",
@@ -107,9 +108,7 @@ CPHASE_AREA = _TWO_PI * HBAR_MEV_PS / _SQRT2
 #: bare pulse area (meV ps) of a pi pulse
 PI_AREA = math.pi * HBAR_MEV_PS
 
-# Above this many carrier radians a lab-frame integration is impractically
-# slow; the relative-phase physics depends only on omega_a * wait / hbar, so
-# scaled-down omega_a values reproduce it exactly.
+# the most carrier radians a lab-frame zrot run integrates (check_zrot_carrier)
 _MAX_CARRIER_RADIANS = 1.0e6
 
 _DARK_BLOCK = Basis(("00",), "dark-00-block")
@@ -429,6 +428,20 @@ class ZRotationReport(Report):
         object.__setattr__(self, "phase_error", wrap_phase(self.achieved_phase - self.target_phase))
 
 
+def check_zrot_carrier(omega_a: float, gate: ZGateParams) -> None:
+    """Raise :class:`IntegrationError` when the lab-frame carrier at ``omega_a``
+    would turn through more than ``_MAX_CARRIER_RADIANS`` over ``gate``'s pulses and wait."""
+    lo, hi = gate.pulse.support()
+    total_radians = omega_a * (2.0 * (hi - lo) + gate.wait) / HBAR_MEV_PS
+    if total_radians > _MAX_CARRIER_RADIANS:
+        raise IntegrationError(
+            f"lab-frame carrier would oscillate through {total_radians:.3g} radians; "
+            "this is impractically slow to integrate.  The imprinted phase depends "
+            "only on omega_a * wait / hbar, so rerun with a scaled-down omega_a "
+            "(e.g. 2e3 meV) and a correspondingly chosen wait."
+        )
+
+
 def run_z_rotation(p: DotPairParams, gate: ZGateParams,
                    config: IntegratorConfig | None = None,
                    ) -> tuple[ZRotationReport, Trajectory]:
@@ -446,17 +459,9 @@ def run_z_rotation(p: DotPairParams, gate: ZGateParams,
     Returns the report and the full lab-frame trajectory of the main run.
     """
     cfg = config or IntegratorConfig()
+    check_zrot_carrier(p.omega_a, gate)
     pulse = gate.pulse
     t0, t1 = pulse.support()
-    span = t1 - t0
-    total_radians = p.omega_a * (2.0 * span + gate.wait) / HBAR_MEV_PS
-    if total_radians > _MAX_CARRIER_RADIANS:
-        raise IntegrationError(
-            f"lab-frame carrier would oscillate through {total_radians:.3g} radians; "
-            "this is impractically slow to integrate.  The imprinted phase depends "
-            "only on omega_a * wait / hbar, so rerun with a scaled-down omega_a "
-            "(e.g. 2e3 meV) and a correspondingly chosen wait."
-        )
 
     # the equal superposition shows the relative phase best
     psi0 = np.array([1.0 / _SQRT2, 1.0 / _SQRT2, 0.0], dtype=complex)

@@ -2,11 +2,14 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,13 @@ def _text(result):
         return result.output + result.stderr
     except (ValueError, AttributeError):
         return result.output
+
+
+def _subprocess_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(dotgates.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _read_csv(path):
@@ -105,28 +115,230 @@ def test_cphase_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert not list(a.rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("layout", ["out-is-a-file", "csv-name-is-a-directory"])
-def test_unwritable_output_exits_with_one_line(tmp_path, layout):
-    src = str(Path(dotgates.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "out"
-    if layout == "out-is-a-file":
-        out.write_text("not a directory\n")
-    else:
-        (out / "traj_00.csv").mkdir(parents=True)
-        (out / "traj_00.csv" / "keep.txt").write_text("kept\n")
-        (out / "notes.txt").write_text("notes\n")
+@dataclass(frozen=True)
+class _Rejection:
+    """``dotgates <args> --out <tmp>/out`` must exit ``code`` with the one line
+    ``line`` and write nothing; ``<tmp>`` stands for the test's tmp path.
+    ``config`` (a dict, or raw text) is written to ``c.json`` and passed as
+    ``--config``; ``files`` (relpath -> text) exist before the run."""
+    args: str
+    code: int
+    line: str
+    config: dict | str | None = None
+    files: dict[str, str] = field(default_factory=dict)
+
+
+def _sweep(kind, param, values, **base):
+    return {"kind": "sweep", "sweep_kind": kind, "sweep_param": param,
+            "sweep_values": values, **base}
+
+
+_UNKNOWN = "config error: unknown config key"
+_SWEEP_PARAM = "config error: sweep_param"
+_RAMAN = "give a Raman rate, pi time or window that is not finite and positive"
+_CPHASE_AREA = "config error: sqrt(2)-enhanced pulse area"
+_OF_2PI = "deviates from 2*pi*hbar = 4.135668 by"
+_ENERGY = "config error: the block energy"
+_ZROT_AREA = ("config error: pulse area 5.012939 deviates from pi*hbar = 2.067834 by 142.42% "
+              "(limit 1%)")
+_LATE = "config error: the pulse support [1e+300, 1e+300] ps does not span the pulse's"
+_SUPPORT = "ps (limit 1e-09 relative); keep t_start near 0 and the pulse length finite"
+_TINY_V_F = "omega=0.1, v_f=9.99989e-321"  # 1e-320 is subnormal: %g shows its stored value
+_SPECTATOR = f"config error: the spectator ratio is not finite for {_TINY_V_F}"
+_INF_SAMPLES = ("config error: sample_interval 0.01 ps over a 1e+308 ps span asks for inf "
+                "samples; the limit is 1e+06")
+_CARRIER = ("config error: lab-frame carrier would oscillate through 7.04e+09 radians; this "
+            "is impractically slow to integrate.  The imprinted phase depends only on "
+            "omega_a * wait / hbar, so rerun with a scaled-down omega_a (e.g. 2e3 meV) and a "
+            "correspondingly chosen wait.")
+_MAGNUS = "runtime error: the Magnus solve would take"
+
+REJECTIONS = {
+    # an output that cannot be written; the files already there stay
+    "out is a file": _Rejection(
+        "cphase", 2, "runtime error: [Errno 17] File exists: '<tmp>/out'",
+        files={"out": "not a directory\n"}),
+    "a csv name is a directory": _Rejection(
+        "cphase", 2, "runtime error: [Errno 21] Is a directory: '<tmp>/out/traj_00.csv'",
+        files={"out/traj_00.csv/keep.txt": "kept\n", "out/notes.txt": "notes\n"}),
+    "verify without a directory": _Rejection("verify", 1, "config error: no such directory "
+                                             "'<tmp>/out'"),
+    # config files
+    "kind mismatch": _Rejection("cphase", 1, "config error: config kind 'raman' does not match "
+                                "subcommand 'cphase'", config={"kind": "raman"}),
+    "invalid json": _Rejection(
+        "cphase", 1, "config error: invalid JSON in <tmp>/c.json: line 2 column 3: Expecting "
+        "property name enclosed in double quotes", config='{"kind": "cphase",\n  omega: 0.1}'),
+    "missing config file": _Rejection(
+        "cphase --config <tmp>/absent.json", 1, "config error: cannot read config file "
+        "<tmp>/absent.json: [Errno 2] No such file or directory: '<tmp>/absent.json'"),
+    # keys: a typo gets a hint, a key of other kinds names its readers; no
+    # cphase run takes an adaptive solve, and the addressed dot reads omega_a only
+    "misspelt key": _Rejection("cphase --set omge=0.1", 1,
+                               f"{_UNKNOWN} 'omge' for kind 'cphase'; did you mean 'omega'?"),
+    "cphase rtol": _Rejection("cphase --set pulse_shape=gaussian --set rtol=1e-3", 1,
+                              f"{_UNKNOWN} 'rtol' for kind 'cphase'; read only by zrot"),
+    "cphase atol": _Rejection("cphase --set pulse_shape=gaussian --set atol=1e-3", 1,
+                              f"{_UNKNOWN} 'atol' for kind 'cphase'; no run reads it"),
+    "cphase max_step": _Rejection("cphase --set pulse_shape=gaussian --set max_step=5", 1,
+                                  f"{_UNKNOWN} 'max_step' for kind 'cphase'; no run reads it"),
+    "zrot v_f": _Rejection("zrot --set v_f=0.9", 1, f"{_UNKNOWN} 'v_f' for kind 'zrot'; "
+                           "read only by cphase and conditions"),
+    "zrot v_xx": _Rejection("zrot --set v_xx=4.4", 1, f"{_UNKNOWN} 'v_xx' for kind 'zrot'; "
+                            "read only by cphase and conditions"),
+    # not a key, or not a number: the message names the sweep, not a probe value
+    "sweep over cphase rtol": _Rejection(
+        "sweep", 1, f"{_SWEEP_PARAM} 'rtol' is not a config key of kind 'cphase'",
+        config=_sweep("cphase", "rtol", [1e-6])),
+    "sweep over an unknown key": _Rejection(
+        "sweep", 1, f"{_SWEEP_PARAM} 'bogus' is not a config key of kind 'raman'",
+        config=_sweep("raman", "bogus", [1.0])),
+    "sweep over a list key": _Rejection(
+        "sweep", 1, f"{_SWEEP_PARAM} 'detunings' is not a numeric key of kind 'raman'",
+        config=_sweep("raman", "detunings", [1.0])),
+    # an empty sweep or family list runs nothing and checks no sample count ...
+    "empty sweep_values": _Rejection("sweep", 0, "sweep_values is empty; nothing to run",
+                                     config=_sweep("raman", "detuning", [])),
+    "empty ratios": _Rejection("cphase --set ratios=[]", 0, "ratios is empty; nothing to run"),
+    "empty gammas": _Rejection("raman --set gammas=[]", 0, "gammas is empty; nothing to run"),
+    "empty detunings": _Rejection("raman --set detunings=[]", 0,
+                                  "detunings is empty; nothing to run"),
+    "empty child ratios": _Rejection("sweep", 0, "ratios is empty; nothing to run", config={
+        "kind": "sweep", "sweep_param": "omega", "sweep_values": [0.1], "ratios": []}),
+    "empty ratios, huge duration": _Rejection(
+        "cphase --set ratios=[] --set duration=1e308", 0, "ratios is empty; nothing to run"),
+    # ... but leaves the other runs' inputs checked
+    "empty gammas, huge rabi": _Rejection("raman --set gammas=[] --set rabi=1e200", 1,
+                                          f"config error: rabi=1e+200 and detuning=4 {_RAMAN}"),
+    "empty gammas, bad angle": _Rejection("raman --set gammas=[] --set target_angle=4", 1,
+                                          "config error: target_angle must be in (0, pi]"),
+    # a Raman rate that overflows or underflows
+    "huge rabi": _Rejection(
+        "raman --set rabi=1e200", 1, f"config error: rabi=1e+200 and detuning=4 {_RAMAN}"),
+    "tiny rabi": _Rejection(
+        "raman --set rabi=1e-300", 1, f"config error: rabi=1e-300 and detuning=4 {_RAMAN}"),
+    "huge detuning": _Rejection("raman --set detuning=1e308 --set time_window=1", 1,
+                                f"config error: rabi=1.33 and detuning=1e+308 {_RAMAN}"),
+    # each run's pulse area is checked before --out is made, a commensurate
+    # one after the snap to whole spectator periods: fine near omega=0.1
+    "off-area duration": _Rejection("cphase --set duration=20", 1,
+                                    f"{_CPHASE_AREA} 2.828427 {_OF_2PI} 31.61% (limit 1%)"),
+    "off-area ratio": _Rejection("cphase --set ratios=[0.3] --set duration=29.2", 1,
+                                 f"{_CPHASE_AREA} 10.530234 {_OF_2PI} 154.62% (limit 1%)"),
+    "off-area zrot": _Rejection(
+        "zrot --set pulse_shape=gaussian --set omega_a=300 --set sigma=2", 1, _ZROT_AREA),
+    "off-area commensurate": _Rejection("cphase --set omega=0.3 --set commensurate=true", 1,
+                                        f"{_CPHASE_AREA} 3.893142 {_OF_2PI} 5.86% (limit 1%)"),
+    "huge duration": _Rejection("cphase --set duration=1e308", 1, f"{_CPHASE_AREA} "
+                                f"{1.4142135623730953e307:.6f} {_OF_2PI} inf% (limit 1%)"),
+    # t_start + duration == t_start leaves no pulse
+    "zrot late start": _Rejection("zrot --set t_start=1e300", 1, f"{_LATE} 2.06783385 {_SUPPORT}"),
+    "cphase late start": _Rejection("cphase --set t_start=1e300", 1,
+                                    f"{_LATE} 29.2435867 {_SUPPORT}"),
+    # a block energy or a validity ratio that overflows
+    "huge v_f": _Rejection("cphase --set v_f=1e308", 1,
+                           f"{_ENERGY} 2 v_f is not finite for v_f=1e+308"),
+    "huge omega_a": _Rejection("cphase --set omega_a=1e308", 1, f"{_ENERGY} 2 omega_a + v_xx is "
+                               "not finite for omega_a=1e+308, v_xx=5"),
+    "huge v_xx - 2 v_f": _Rejection("cphase --set v_f=-8e307 --set v_xx=1.7e308", 1, f"{_ENERGY} "
+                                    "v_xx - 2 v_f is not finite for v_f=-8e+307, v_xx=1.7e+308"),
+    "cphase tiny v_f": _Rejection("cphase --set v_f=1e-320", 1, _SPECTATOR),
+    "conditions tiny v_f": _Rejection("conditions --set v_f=1e-320", 1, _SPECTATOR),
+    "cphase tiny v_xx - 2 v_f": _Rejection(
+        "cphase --set v_f=1e-320 --set v_xx=1.7e-320", 1,
+        f"config error: the biexciton ratio is not finite for {_TINY_V_F}, v_xx=1.70008e-320"),
+    # a lab-frame carrier too fast to integrate
+    "zrot huge omega_a": _Rejection("zrot --set omega_a=1e9", 1, _CARRIER),
+    # a sample count too large to allocate, or to round up
+    "tiny sample_interval": _Rejection(
+        "cphase --set sample_interval=1e-9", 1, "config error: sample_interval 1e-09 ps over "
+        "a 29.2436 ps span asks for 2.92e+10 samples; the limit is 1e+06"),
+    "runaway family detuning": _Rejection(
+        "raman --set detunings=[2,4e5]", 1, "config error: sample_interval 0.01 ps over a "
+        "1.49631e+06 ps span asks for 1.5e+08 samples; the limit is 1e+06"),
+    "huge wait": _Rejection("zrot --set wait=1e308", 1, _INF_SAMPLES),
+    "huge time_window": _Rejection("raman --set time_window=1e308", 1, _INF_SAMPLES),
+    # every sweep child is built before the first runs
+    "sweep child zero v_f": _Rejection("sweep", 1, "config error: key 'v_f' must be nonzero",
+                                       config=_sweep("cphase", "v_f", [0.85, 0.0])),
+    "sweep child off-area zrot": _Rejection("sweep", 1, _ZROT_AREA, config=_sweep(
+        "zrot", "sigma", [0.825, 2], pulse_shape="gaussian", omega_a=300)),
+    "sweep child tiny v_f": _Rejection(
+        "sweep", 1, _SPECTATOR, config=_sweep("cphase", "v_f", [0.85, 1e-320])),
+    "sweep child huge omega_a": _Rejection(
+        "sweep", 1, _CARRIER, config=_sweep("zrot", "omega_a", [2000, 1e9])),
+    # refused at run time before the first file: nan from overflow fails the
+    # norm or trace check, a stiff loss the Liouvillian's conditioning check,
+    # and the Magnus work bound a solve that would run for minutes
+    "cphase huge v_xx": _Rejection("cphase --set v_xx=1e308", 2, "runtime error: norm drifted "
+                                   "by nan; the inputs overflow double precision"),
+    "raman huge rabi and detuning": _Rejection(
+        "raman --set rabi=1e150 --set detuning=1e300", 2,
+        "runtime error: trace drifted by 2.000e+00; the generator does not conserve the trace"),
+    "stiff loss": _Rejection("raman --set gamma=1e10", 2, "runtime error: generator too stiff: "
+                             "DOP853 would need ~1.5e+11 steps (limit 1e+06)"),
+    "overflowing loss": _Rejection("raman --set gamma=1e308", 2, "runtime error: generator too "
+                                   "stiff: DOP853 would need ~inf steps (limit 1e+06)"),
+    "gaussian cphase huge v_xx": _Rejection(
+        "cphase --set pulse_shape=gaussian --set v_xx=1e5", 2, f"{_MAGNUS} 1.42e+08 steps, "
+        "1.52e+04 substeps in each of 9334 cells (limit 1.6e+07)"),
+    "zrot huge omega": _Rejection("zrot --set omega=1e300", 2, f"{_MAGNUS} inf steps, inf "
+                                  "substeps in each of 1 cells (limit 1.6e+07)"),
+}
+
+
+def _refusal_args(row, tmp_path):
+    """Make ``row``'s files and config under ``tmp_path``; return its arguments."""
+    for rel, text in row.files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    args = row.args.replace("<tmp>", str(tmp_path)).split()
+    if row.config is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(row.config if isinstance(row.config, str) else json.dumps(row.config))
+        args += ["--config", str(cfg)]
+    return [*args, "--out", str(tmp_path / "out")]
+
+
+def _assert_refused(row, tmp_path, code, stdout, stderr):
+    """One line on stdout for exit 0, on stderr otherwise; the other stream empty."""
+    shown, other = (stdout, stderr) if row.code == 0 else (stderr, stdout)
+    assert (code, shown.replace(str(tmp_path), "<tmp>"), other) == (row.code, row.line + "\n", "")
+
+
+@pytest.fixture
+def _deadline():
+    """Fail a test still running after 30 s.  ``pytest.fail`` raises an
+    ``OutcomeException``, which no ``except OSError`` in the CLI swallows."""
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("still running after 30 s"))
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_refused_input_exits_with_one_line_and_writes_nothing(tmp_path, case, _deadline):
+    row = REJECTIONS[case]
+    args = _refusal_args(row, tmp_path)
+    before, made = _tree(tmp_path), (tmp_path / "out").exists()
+    start = time.perf_counter()
+    with warnings.catch_warnings():  # a Python or numpy warning fails the row
+        warnings.simplefilter("error")
+        result = RUNNER.invoke(main, args, catch_exceptions=False)
+    assert time.perf_counter() - start < 5.0
+    _assert_refused(row, tmp_path, result.exit_code, result.stdout, result.stderr)
+    assert _tree(tmp_path) == before
+    if row.code < 2:
+        assert (tmp_path / "out").exists() == made
+
+
+def test_a_refusal_reads_the_same_from_a_fresh_process(tmp_path):
+    row = REJECTIONS["stiff loss"]
+    argv = [sys.executable, "-m", "dotgates.cli", *_refusal_args(row, tmp_path)]
     before = _tree(tmp_path)
-    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", "cphase",
-                           "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("runtime error:")
-    assert not (out / "report.json").exists()
-    assert not list(tmp_path.rglob("*.tmp"))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_subprocess_env(), timeout=60)
+    _assert_refused(row, tmp_path, proc.returncode, proc.stdout, proc.stderr)
     assert _tree(tmp_path) == before
 
 
@@ -157,72 +369,6 @@ def test_config_file_with_set_override_precedence(tmp_path):
     assert report["gate_time"] == pytest.approx(29.24358673002839, rel=1e-9)
 
 
-def test_unknown_key_fails_with_suggestion(tmp_path):
-    result = _invoke(["cphase", "--out", str(tmp_path / "x"),
-                      "--set", "omge=0.1"])
-    assert result.exit_code == 1
-    text = _text(result)
-    assert "config error" in text
-    assert "omega" in text  # close-match hint
-
-
-def test_cphase_rejects_solver_tolerances(tmp_path):
-    # no cphase run takes an adaptive solve, so the keys would do nothing
-    for key, readers in (("rtol=1e-3", "read only by zrot"), ("atol=1e-3", "no run reads it"),
-                         ("max_step=5", "no run reads it")):
-        result = _invoke(["cphase", "--out", str(tmp_path / "x"),
-                          "--set", "pulse_shape=gaussian", "--set", key])
-        assert result.exit_code == 1
-        assert f"unknown config key {key.split('=')[0]!r} for kind 'cphase'" in _text(result)
-        assert readers in _text(result)
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"kind": "sweep", "sweep_kind": "cphase",
-                               "sweep_param": "rtol", "sweep_values": [1e-6]}))
-    result = _invoke(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")])
-    assert result.exit_code == 1
-    assert "config error" in _text(result)
-    assert not (tmp_path / "x").exists() and not (tmp_path / "s").exists()
-    # zrot still reads rtol on its Magnus path
-    cfg = build_config({"kind": "zrot", "rtol": 1e-10})
-    assert cfg.integrator() == IntegratorConfig(rtol=1e-10)
-    for key in ("atol", "max_step"):
-        with pytest.raises(ConfigError, match=f"'{key}' for kind 'zrot'; no run reads it"):
-            build_config({"kind": "zrot", key: 0.5})
-    for key, readers in (("rtol", "; read only by zrot"), ("atol", "; no run reads it"),
-                         ("max_step", "; no run reads it")):
-        with pytest.raises(ConfigError, match=f"'{key}' for kind 'raman'{readers}"):
-            build_config({"kind": "raman", key: 0.5})
-
-
-def test_zrot_rejects_the_pair_couplings(tmp_path):
-    # the addressed dot's blocks read omega_a only
-    for key in ("v_f=0.9", "v_xx=4.4"):
-        result = _invoke(["zrot", "--out", str(tmp_path / "z"), "--set", key])
-        assert result.exit_code == 1
-        assert (f"unknown config key {key.split('=')[0]!r} for kind 'zrot'; "
-                "read only by cphase and conditions") in _text(result)
-    assert not (tmp_path / "z").exists()
-    assert build_config({"kind": "zrot", "omega_a": 300.0}).dot_params().omega_a == 300.0
-
-
-def test_kind_mismatch_rejected(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"kind": "raman"}))
-    result = _invoke(["cphase", "--config", str(cfg),
-                      "--out", str(tmp_path / "x")])
-    assert result.exit_code == 1
-    assert "config error" in _text(result)
-
-
-def test_invalid_json_reports_position(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text('{"kind": "cphase",\n  omega: 0.1}')
-    result = _invoke(["cphase", "--config", str(cfg),
-                      "--out", str(tmp_path / "x")])
-    assert result.exit_code == 1
-    assert "line" in _text(result)
-
-
 def test_bare_configs_take_the_library_defaults():
     for kind in ("cphase", "conditions"):
         assert build_config({"kind": kind}).dot_params() == DotPairParams()
@@ -233,21 +379,18 @@ def test_bare_configs_take_the_library_defaults():
     assert gauss.truncation == GaussianPulse(1.0, 1.0).truncation
 
 
-def test_missing_config_file_is_config_error(tmp_path):
-    result = _invoke(["cphase", "--config", str(tmp_path / "absent.json"),
-                      "--out", str(tmp_path / "x")])
-    assert result.exit_code == 1
-    assert "config error" in _text(result)
-
-
-def test_wrong_pulse_area_is_config_error(tmp_path):
-    out = tmp_path / "x"
-    result = _invoke(["cphase", "--out", str(out), "--set", "duration=20"])
-    assert result.exit_code == 1
-    assert result.output == (
-        "config error: sqrt(2)-enhanced pulse area 2.828427 deviates from 2*pi*hbar = "
-        "4.135668 by 31.61% (limit 1%)\n")
-    assert not out.exists()
+def test_zrot_alone_reads_rtol_and_omega_a():
+    # zrot reads rtol on its Magnus path, and omega_a is its one pair energy
+    cfg = build_config({"kind": "zrot", "rtol": 1e-10, "omega_a": 300.0})
+    assert cfg.integrator() == IntegratorConfig(rtol=1e-10)
+    assert cfg.dot_params().omega_a == 300.0
+    for kind, key, readers in (("zrot", "atol", "no run reads it"),
+                               ("zrot", "max_step", "no run reads it"),
+                               ("raman", "rtol", "read only by zrot"),
+                               ("raman", "atol", "no run reads it"),
+                               ("raman", "max_step", "no run reads it")):
+        with pytest.raises(ConfigError, match=f"'{key}' for kind '{kind}'; {readers}"):
+            build_config({"kind": kind, key: 0.5})
 
 
 def test_zero_duration_run_writes_single_row(tmp_path):
@@ -361,19 +504,6 @@ def test_sweep_serial(tmp_path):
         0.9565232098141527, abs=1e-9)
 
 
-def test_sweep_with_no_values_writes_nothing(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "kind": "sweep", "sweep_kind": "raman",
-        "sweep_param": "detuning", "sweep_values": [],
-    }))
-    out = tmp_path / "run"
-    result = _invoke(["sweep", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 0
-    assert "nothing to run" in result.output
-    assert not out.exists()
-
-
 def test_cphase_family_report_keeps_each_runs_warnings(tmp_path):
     out = tmp_path / "fam"
     assert _invoke(["cphase", "--out", str(out), "--set", "ratios=[0.3,1e300]"]).exit_code == 0
@@ -396,60 +526,6 @@ def test_cphase_warnings_print_a_huge_ratio_on_one_short_line(tmp_path):
     assert runs[1]["warnings"] == [
         "biexciton ratio 1.821e+299 >= threshold 0.1: XX leakage is not negligible",
         "spectator ratio 5.000e+299 >= threshold 0.1: idle blocks are driven hard"]
-
-
-def test_empty_family_lists_write_nothing(tmp_path):
-    # the rule of an empty sweep holds for every family list
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"kind": "sweep", "sweep_param": "omega",
-                               "sweep_values": [0.1], "ratios": []}))
-    cases = [("ratios", ["cphase", "--set", "ratios=[]"]),
-             ("gammas", ["raman", "--set", "gammas=[]"]),
-             ("detunings", ["raman", "--set", "detunings=[]"]),
-             ("ratios", ["sweep", "--config", str(cfg)])]
-    for i, (key, args) in enumerate(cases):
-        out = tmp_path / f"run{i}"
-        result = _invoke([*args, "--out", str(out)])
-        assert result.exit_code == 0, _text(result)
-        assert result.output == f"{key} is empty; nothing to run\n"
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("args, code, line", [
-    # an empty list leaves the other runs' inputs checked ...
-    (("raman", "--set", "gammas=[]", "--set", "rabi=1e200"), 1,
-     "config error: rabi=1e+200 and detuning=4 give a Raman rate, pi time or window that "
-     "is not finite and positive"),
-    (("raman", "--set", "gammas=[]", "--set", "target_angle=4"), 1,
-     "config error: target_angle must be in (0, pi]"),
-    # ... but samples nothing, so no sample count is checked
-    (("cphase", "--set", "ratios=[]", "--set", "duration=1e308"), 0,
-     "ratios is empty; nothing to run"),
-    # one runaway member stops the family before any member runs
-    (("raman", "--set", "detunings=[2,4e5]"), 1,
-     "config error: sample_interval 0.01 ps over a 1.49631e+06 ps span asks for 1.5e+08 "
-     "samples; the limit is 1e+06"),
-    # a member's pulse area is checked before --out is made
-    (("cphase", "--set", "ratios=[0.3]", "--set", "duration=29.2"), 1,
-     "config error: sqrt(2)-enhanced pulse area 10.530234 deviates from 2*pi*hbar = "
-     "4.135668 by 154.62% (limit 1%)"),
-    # so is a single zrot pulse's
-    (("zrot", "--set", "pulse_shape=gaussian", "--set", "omega_a=300", "--set", "sigma=2"), 1,
-     "config error: pulse area 5.012939 deviates from pi*hbar = 2.067834 by 142.42% "
-     "(limit 1%)"),
-    # and a commensurate pulse's, after its duration is snapped to whole
-    # spectator periods: fine near omega=0.1, 5.86% off at 0.3
-    (("cphase", "--set", "omega=0.3", "--set", "commensurate=true"), 1,
-     "config error: sqrt(2)-enhanced pulse area 3.893142 deviates from 2*pi*hbar = "
-     "4.135668 by 5.86% (limit 1%)"),
-], ids=["empty-gammas-huge-rabi", "empty-gammas-bad-angle", "empty-ratios-huge-duration",
-        "runaway-detuning", "ratio-off-area", "zrot-off-area", "commensurate-off-area"])
-def test_run_list_edge_cases_write_nothing(tmp_path, args, code, line):
-    out = tmp_path / "run"
-    result = _invoke([*args, "--out", str(out)])
-    assert result.exit_code == code
-    assert result.output == line + "\n"
-    assert not out.exists()
 
 
 def test_raman_gammas_alone_run_at_the_configured_detuning(tmp_path):
@@ -482,60 +558,6 @@ def test_subcommand_help_names_its_options(command, help_line, extra):
     assert any(line.split()[:1] == [command] for line in listed)
 
 
-@pytest.mark.parametrize("gamma", ["1e10", "1e308"])
-def test_raman_with_a_stiff_loss_rate_exits_at_once(tmp_path, gamma):
-    # from gamma ~2e8 the Liouvillian's eigenvectors fail the conditioning
-    # check; a subprocess with a timeout fails here instead of hanging
-    src = str(Path(dotgates.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "r"
-    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", "raman", "--set",
-                           f"gamma={gamma}", "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=30)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("runtime error: generator too stiff")
-    assert not (out / "report.json").exists()
-
-
-@pytest.mark.parametrize("args", [
-    # nan from overflow used to pass the norm and trace checks
-    ("cphase", "v_xx=1e308"),
-    ("raman", "rabi=1e150", "detuning=1e300"),
-    # a Raman rate that overflows or underflows
-    ("raman", "rabi=1e200"),
-    ("raman", "rabi=1e-300"),
-    ("raman", "detuning=1e308", "time_window=1"),
-    # t_start + duration == t_start leaves no pulse
-    ("zrot", "t_start=1e300"),
-    ("cphase", "t_start=1e300"),
-    # a report value of inf, and numpy overflow warnings before the message
-    ("conditions", "v_f=1e-320"),
-    ("zrot", "omega=1e300"),
-    # a block energy that overflows to inf
-    ("cphase", "v_f=1e308"),
-    # a sample count too large to round up
-    ("cphase", "duration=1e308"),
-    ("zrot", "wait=1e308"),
-    ("raman", "time_window=1e308"),
-], ids="-".join)
-def test_hostile_input_exits_with_one_line(tmp_path, args):
-    src = str(Path(dotgates.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "h"
-    sets = [a for key in args[1:] for a in ("--set", key)]
-    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", args[0], *sets,
-                           "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode in (1, 2), proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith(("config error:", "runtime error:"))
-    assert not (out / "report.json").exists()
-
-
 def test_gaussian_cphase_at_a_huge_peak_gives_the_sudden_kick(tmp_path):
     # The calibrated pulse is ~1e-199 ps long, so each block takes the kick
     # exp(-i sqrt2 pi v) of the pulse area: v has the eigenvalues 0 and +-1
@@ -554,58 +576,12 @@ def test_gaussian_cphase_at_a_huge_peak_gives_the_sudden_kick(tmp_path):
         assert abs(complex(amps[key]["re"], amps[key]["im"]) - closed) < 1e-9
 
 
-@pytest.mark.parametrize("sets, energy, keys", [
-    (["v_f=1e308"], "2 v_f", ["v_f=1e+308"]),
-    (["omega_a=1e308"], "2 omega_a + v_xx", ["omega_a=1e+308", "v_xx=5"]),
-    (["v_f=-8e307", "v_xx=1.7e308"], "v_xx - 2 v_f", ["v_f=-8e+307", "v_xx=1.7e+308"]),
-], ids=["v_f", "omega_a", "v_xx"])
-def test_overflowing_block_energy_is_a_config_error(tmp_path, sets, energy, keys):
-    out = tmp_path / "e"
-    result = _invoke(["cphase", *[a for key in sets for a in ("--set", key)], "--out", str(out)])
-    assert result.exit_code == 1
-    assert result.output.splitlines() == [
-        f"config error: the block energy {energy} is not finite for " + ", ".join(keys)]
-    assert not out.exists()
-
-
-def test_sweep_rejects_bad_parameter(tmp_path):
-    base = {"kind": "sweep", "sweep_kind": "raman", "sweep_values": [1.0]}
-    # unknown, and not sweepable: the message names the sweep, not a probe value
-    for param, what in (("bogus", "a config key"), ("detunings", "a numeric key")):
-        cfg = tmp_path / f"{param}.json"
-        cfg.write_text(json.dumps({**base, "sweep_param": param}))
-        result = _invoke(["sweep", "--config", str(cfg),
-                          "--out", str(tmp_path / param)])
-        assert result.exit_code == 1
-        assert _text(result).splitlines()[-1] == (
-            f"config error: sweep_param {param!r} is not {what} of kind 'raman'")
-
-
 def test_sweep_has_no_jobs_option(tmp_path):
     # children run in turn; there is no parallel path to select
     out = tmp_path / "run"
     result = _invoke(["sweep", "--jobs", "2", "--out", str(out)])
     assert result.exit_code == 2
     assert "No such option '--jobs'" in _text(result)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("sweep, line", [
-    ({"sweep_kind": "cphase", "sweep_param": "v_f", "sweep_values": [0.85, 0.0]},
-     "config error: key 'v_f' must be nonzero"),
-    # the first child's pulse passes, the second's misses pi*hbar: neither runs
-    ({"sweep_kind": "zrot", "sweep_param": "sigma", "sweep_values": [0.825, 2],
-      "pulse_shape": "gaussian", "omega_a": 300},
-     "config error: pulse area 5.012939 deviates from pi*hbar = 2.067834 by 142.42% "
-     "(limit 1%)"),
-], ids=["zero-v_f", "zrot-off-area"])
-def test_sweep_rejects_bad_child_before_running(tmp_path, sweep, line):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"kind": "sweep", **sweep}))
-    out = tmp_path / "run"
-    result = _invoke(["sweep", "--config", str(cfg), "--out", str(out)])
-    assert result.exit_code == 1
-    assert result.output == line + "\n"
     assert not out.exists()
 
 
@@ -874,7 +850,7 @@ def test_verify_fails_csvs_without_checkable_content(tmp_path):
     ]
 
 
-def test_sample_count_cap_rejects_run_before_allocating(tmp_path):
+def test_sample_count_cap_rejects_run_before_allocating():
     # 1e-9 ps over a 29 ps gate would be 3e10 samples (hundreds of GiB)
     for raw in ({"kind": "cphase", "sample_interval": 1e-9},
                 {"kind": "cphase", "ratios": [0.3, 0.01], "sample_interval": 1e-4},
@@ -885,31 +861,19 @@ def test_sample_count_cap_rejects_run_before_allocating(tmp_path):
         with pytest.raises(ConfigError, match="samples"):
             build_config(raw)
     build_config({"kind": "cphase", "ratios": [0.3, 0.15], "sample_interval": 1e-4})
-    out = tmp_path / "x"
-    result = _invoke(["cphase", "--out", str(out), "--set", "sample_interval=1e-9"])
-    assert result.exit_code == 1
-    lines = result.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error")
-    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.integrate and scipy.special cost ~0.6 s of every CLI start
-    src = str(Path(dotgates.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, dotgates.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
+                          env=_subprocess_env(), check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
 
 
 def test_zrot_runs_leave_scipy_integrate_unloaded(tmp_path):
     # both envelopes take the batched Magnus path, so no zrot run needs DOP853
-    src = str(Path(dotgates.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys; from pathlib import Path; "
         "from dotgates.cli import run_experiment; from dotgates.config import build_config; "
@@ -918,15 +882,10 @@ def test_zrot_runs_leave_scipy_integrate_unloaded(tmp_path):
         "'omega_a': 300.0}), Path('gaussian')); "
         "print('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, check=True, timeout=120)
+                          env=_subprocess_env(), cwd=tmp_path, check=True, timeout=120)
     assert proc.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "square" / "report.json").exists()
     assert (tmp_path / "gaussian" / "report.json").exists()
-
-
-def test_verify_missing_directory(tmp_path):
-    result = _invoke(["verify", "--out", str(tmp_path / "absent")])
-    assert result.exit_code == 1
 
 
 def test_installed_entry_point_runs():
@@ -980,26 +939,6 @@ def test_zrot_gaussian_pulse_runs_at_coarse_sampling(tmp_path, dt):
     code, lines = _verify_lines(out)
     assert code == 0
     assert lines[-1] == "verified 3 files, 0 failures"
-
-
-def test_cphase_magnus_work_limit_exits_at_once(tmp_path):
-    # the norm guard asks ~1.5e4 substeps in each of ~9300 sample cells; the
-    # work bound refuses it after one chunk instead of running for minutes
-    src = str(Path(dotgates.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "c"
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "dotgates.cli", "cphase", "--set",
-                           "pulse_shape=gaussian", "--set", "v_xx=1e5", "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert time.perf_counter() - start < 5.0
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("runtime error: the Magnus solve would take 1.42e+08 steps")
-    assert lines[0].endswith("(limit 1.6e+07)")
-    assert not (out / "report.json").exists()
 
 
 def test_verify_fails_row_with_extra_cell(tmp_path):

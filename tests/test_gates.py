@@ -486,8 +486,9 @@ def test_config_and_library_pulses_share_one_calibration():
                               "truncation": 3.0, "t_start": 0.7}).envelope()
         ref = gaussian_cphase_pulse(om, truncation=3.0, t_start=0.7)
         assert (gauss.sigma, gauss.center) == (ref.sigma, ref.center)
-        assert build_config({"kind": "zrot", "omega": om}).envelope().duration == \
-            pi_pulse_time(om)
+        # omega_a=300: the default 2e3 meV carrier is refused over the ~413 ps of omega=0.01
+        assert build_config({"kind": "zrot", "omega": om, "omega_a": 300.0}).envelope().duration \
+            == pi_pulse_time(om)
         # unvalidated: at a large omega the snapped duration misses the area
         comm = ExperimentConfig("cphase", {**cph.values, "commensurate": True})
         assert comm.envelope().duration == commensurate_gate_time(cph.dot_params(), om)

@@ -64,6 +64,10 @@ SWEEPS = {
     "sweep-zrot-sigma": {"kind": "sweep", "sweep_kind": "zrot", "sweep_param": "sigma",
                          "sweep_values": [0.825, 2], "pulse_shape": "gaussian",
                          "omega_a": 300},
+    "sweep-tiny-v_f": {"kind": "sweep", "sweep_kind": "cphase", "sweep_param": "v_f",
+                       "sweep_values": [0.85, 1e-320]},
+    "sweep-zrot-omega_a": {"kind": "sweep", "sweep_kind": "zrot", "sweep_param": "omega_a",
+                           "sweep_values": [2000, 1e9]},
 }
 
 # (name, subcommand and options); the output directory is appended
@@ -123,6 +127,13 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     ("sweep-raman", ("sweep", "--config", "{sweep-raman}")),
     # the second child's pulse misses pi*hbar: exit 1 before the first runs
     ("sweep-zrot-sigma-off-area", ("sweep", "--config", "{sweep-zrot-sigma}")),
+    # a subnormal v_f makes a validity ratio infinite: exit 1, nothing written
+    ("cphase-tiny-v_f", ("cphase", "--set", "v_f=1e-320")),
+    ("conditions-tiny-v_f", ("conditions", "--set", "v_f=1e-320")),
+    ("sweep-tiny-v_f", ("sweep", "--config", "{sweep-tiny-v_f}")),
+    # a lab-frame carrier past 1e6 radians: exit 1, nothing written
+    ("zrot-carrier-bound", ("zrot", "--set", "omega_a=1e9")),
+    ("sweep-zrot-omega_a", ("sweep", "--config", "{sweep-zrot-omega_a}")),
 ]
 
 
