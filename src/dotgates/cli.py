@@ -11,6 +11,11 @@ Every subcommand reads an optional flat JSON config (``--config``), applies
   where the amplitude is too small to carry a phase.  Bit-identical rows
   (the idle ``cphase`` blocks) are formatted, and re-read by ``verify``, once.
 
+A run writes its files into a hidden ``.dotgates-stage-*`` directory in
+``--out`` and moves each to its final name by one rename once the whole run
+has succeeded, so a failed run leaves ``--out`` as it was; a killed run can
+leave that directory behind, which ``verify`` skips.
+
 Exit codes: 0 on success, 1 for configuration problems (a run's pulse
 area, validity ratios and ``zrot`` carrier among them, checked before
 ``--out`` is made), 2 for runtime failures (integration, a failed
@@ -26,7 +31,9 @@ files, populations >= -1e-6) to 2e-6, and family ``amp_`` magnitudes must
 lie in [0, 1 + 2e-6]; ``nan`` or ``inf`` in a checked column fails, and so
 does an empty, header-only, uncheckable or unparseable CSV, and one with a
 row of more or fewer cells than its header.  Failures name the file line,
-counting the header as line 1.
+counting the header as line 1.  It parses only the ``re_`` and ``im_``,
+``pop_`` or ``amp_`` columns it checks, ``t_ps`` and the last column: text
+in any other ``phase_`` or ``coh_`` cell passes.
 """
 
 from __future__ import annotations
@@ -40,11 +47,12 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import click
 import numpy as np
@@ -79,6 +87,7 @@ _P10_OFFSET = 160  # correctly rounded 10**k in the scaling table: k in [-160, 1
 _NORM_CHECK_TOL = 2e-6  # integration drift plus serialization rounding
 _SCAN_BYTES = 1 << 16  # verify streams each CSV through reused buffers of this size
 _RUN_LISTS = ("sweep_values", "ratios", "detunings", "gammas")  # empty: nothing to run
+_STAGE_PREFIX = ".dotgates-stage-"  # a run's files are written in here, then moved out
 
 
 class NonFiniteReportError(ValueError):
@@ -87,8 +96,6 @@ class NonFiniteReportError(ValueError):
 
 def round_floats(obj: Any) -> Any:
     """Round every float in a JSON-like structure to 12 significant digits."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if obj == 0.0 or not math.isfinite(obj):
             return obj
@@ -110,25 +117,18 @@ def _non_finite_key(obj: Any, key: str = "") -> str | None:
     return next(filter(None, found), None)
 
 
-@contextlib.contextmanager
-def _publish(path: Path) -> Iterator[BinaryIO]:
-    """Write ``path`` through ``<name>.tmp``: yield the open ``.tmp`` handle,
-    then remove any old file at ``path`` and rename the ``.tmp`` onto the
-    free name.  Renaming over an existing file makes ext4 start writeback
-    of the new one (its replace-via-rename heuristic); removing the old
-    file first avoids that.  A file under its final name is always
-    complete; nothing is fsynced.  On any failure the ``.tmp`` is deleted
-    and the error re-raised."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            yield fh
+def _publish(stage: Path, out: Path) -> None:
+    """Move each file of the ``stage`` tree to its place under ``out`` by one
+    rename: other files in path order, then each ``report.json`` after the
+    files beside it (sort key 1 / depth: the top one last).  An old file of
+    the name is removed just before, since renaming over one makes ext4
+    start writeback of the new file (its replace-via-rename heuristic)."""
+    files = (Path(d, n).relative_to(stage) for d, _, names in os.walk(stage) for n in names)
+    for rel in sorted(files, key=lambda p: (p.name == "report.json" and 1 / len(p.parts), p)):
+        (out / rel).parent.mkdir(exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
-            path.unlink()
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+            (out / rel).unlink()
+        os.replace(stage / rel, out / rel)
 
 
 def _write_json(path: Path, obj: Mapping[str, Any]) -> None:
@@ -138,8 +138,7 @@ def _write_json(path: Path, obj: Mapping[str, Any]) -> None:
     except ValueError:
         raise NonFiniteReportError(
             f"{path.name} would hold a non-finite {_non_finite_key(dict(obj))}") from None
-    with _publish(path) as fh:
-        fh.write((payload + "\n").encode())
+    path.write_bytes((payload + "\n").encode())
 
 
 @functools.cache
@@ -320,9 +319,9 @@ def _format_rows(columns: Sequence[np.ndarray]) -> bytearray:
 
 def _write_csv(path: Path, header: Sequence[str],
                columns: Sequence[np.ndarray]) -> None:
-    """Write the columns under ``header`` to ``path``, published by `_publish`."""
+    """Write the columns under ``header`` to ``path``."""
     n = int(columns[0].size) if columns else 0
-    with _publish(path) as fh:
+    with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for i in range(0, n, _CSV_BLOCK_ROWS):
             fh.write(_format_rows([c[i:i + _CSV_BLOCK_ROWS] for c in columns]))
@@ -354,10 +353,9 @@ def _traj_columns(traj: Trajectory) -> list[np.ndarray]:
 
 
 def _write_trajectories(out: Path, trajs: Mapping[str, Trajectory]) -> None:
-    """Write each trajectory to ``out / name``, published by `_publish`.  One
-    with the same rows as an earlier one (the idle ``cphase`` blocks of a
-    resonant pair) streams that file's data rows under its own header
-    instead of formatting them again."""
+    """Write each trajectory to ``out / name``.  One with the same rows as an
+    earlier one (the idle ``cphase`` blocks of a resonant pair) streams that
+    file's data rows under its own header instead of formatting them again."""
     written: list[tuple[str, list[np.ndarray], Path]] = []
     for name, traj in trajs.items():
         path = out / name
@@ -368,7 +366,7 @@ def _write_trajectories(out: Path, trajs: Mapping[str, Trajectory]) -> None:
         if twin is None:
             _write_csv(path, _traj_header(traj), _traj_columns(traj))
         else:
-            with twin.open("rb") as src, _publish(path) as fh:
+            with twin.open("rb") as src, path.open("wb") as fh:
                 src.readline()
                 fh.write((",".join(_traj_header(traj)) + "\n").encode())
                 shutil.copyfileobj(src, fh)
@@ -402,12 +400,11 @@ def _run_cphase(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
             _write_trajectories(out, {f"traj_{key}.csv": traj for key, traj in trajs.items()})
             return report.to_dict()
         t10, t11 = trajs["10"], trajs["11"]
-        name = f"family_ratio_{run.ratio:g}.csv"
-        _write_csv(out / name, list(_RATIO_COLUMNS),
+        _write_csv(out / run.name, list(_RATIO_COLUMNS),
                    [t10.times, accumulated_phase(t10, "10"), np.abs(t10.amplitude("10")),
                     accumulated_phase(t11, "11"), np.abs(t11.amplitude("11"))])
         d = report.to_dict()
-        rows.append({"ratio": run.ratio, "omega": run.input.peak_value(), "file": name, **{
+        rows.append({"ratio": run.ratio, "omega": run.input.peak_value(), "file": run.name, **{
             k: d[k] for k in ("gate_time", "phases", "theta", "fidelity", "warnings")}})
     return _family(out, "cphase", rows, family="cphase_ratio", parameter="omega / v_f",
                    columns=_RATIO_COLUMNS)
@@ -425,16 +422,15 @@ def _run_zrot(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
 
 def _run_raman(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     """One run writes ``populations.csv``; a family writes one file a run."""
-    family, rows = cfg["detunings"] is not None or cfg["gammas"] is not None, []
+    rows = []
     for run in cfg.runs():
         report, traj = run_raman_x(run.input, cfg.integrator(), cfg["time_window"])
-        if not family:
+        if run.name is None:
             _write_trajectories(out, {"populations.csv": traj})
             return report.to_dict()
-        name = f"raman_nu_{run.input.detuning:g}_gamma_{run.input.gamma:g}.csv"
-        _write_trajectories(out, {name: traj})
+        _write_trajectories(out, {run.name: traj})
         d = report.to_dict()
-        rows.append({"file": name, **{k: d[k] for k in (
+        rows.append({"file": run.name, **{k: d[k] for k in (
             "detuning", "gamma", "pi_time_estimate", "pi_time", "fidelity", "lost")}})
     return _family(out, "raman", rows, family="raman_detuning_gamma",
                    parameters=["detuning", "gamma"],
@@ -443,25 +439,17 @@ def _run_raman(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
 
 
 def _run_conditions(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
-    p = cfg.dot_params()
-    env = cfg.envelope()
-    rep = check_conditions(p, env, cfg["threshold_biexciton"],
-                           cfg["threshold_spectator"])
-    return {
-        "kind": "conditions",
-        "dot_params": asdict(p),
-        "pulse": pulse_summary(env),
-        "conditions": rep.to_dict(),
-    }
+    p, env = cfg.dot_params(), cfg.envelope()
+    rep = check_conditions(p, env, cfg["threshold_biexciton"], cfg["threshold_spectator"])
+    return {"kind": "conditions", "dot_params": asdict(p), "pulse": pulse_summary(env),
+            "conditions": rep.to_dict()}
 
 
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     """Run each child in turn, into ``<param>_<value>/``."""
-    param, runs = cfg["sweep_param"], []
-    for v, raw in cfg.sweep_child_raws():
-        d = out / f"{param}_{v:g}"
-        runs.append({"value": v, "dir": d.name, "report": run_experiment(build_config(raw), d)})
-    return {"kind": "sweep", "sweep_kind": cfg["sweep_kind"], "sweep_param": param,
+    runs = [{"value": v, "dir": name, "report": run_experiment(build_config(raw), out / name)}
+            for v, name, raw in cfg.sweep_children()]
+    return {"kind": "sweep", "sweep_kind": cfg["sweep_kind"], "sweep_param": cfg["sweep_param"],
             "runs": runs}
 
 
@@ -487,7 +475,9 @@ def _empty_run_list(cfg: ExperimentConfig) -> str | None:
 def run_experiment(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
     """Run one validated experiment and write its artifacts under ``out``.
 
-    Returns the report dict exactly as serialized (before rounding).  An
+    Returns the report dict exactly as serialized (before rounding).  Files
+    are staged inside ``out`` and moved into place by :func:`_publish` once
+    the run has succeeded, so a failed run leaves ``out`` as it was.  An
     empty sweep or family list prints ``nothing to run`` and writes nothing.
     numpy floating-point warnings are silenced: a ``nan`` or ``inf`` fails
     a conservation check or :func:`_write_json` instead.
@@ -498,26 +488,20 @@ def run_experiment(cfg: ExperimentConfig, out: Path) -> dict[str, Any]:
         click.echo(f"{empty} is empty; nothing to run")
         return {"kind": cfg.kind, "runs": []}
     out.mkdir(parents=True, exist_ok=True)
-    d = _KINDS[cfg.kind][1](cfg, out)
-    _write_json(out / "report.json", d)
+    with tempfile.TemporaryDirectory(prefix=_STAGE_PREFIX, dir=out) as stage:
+        d = _KINDS[cfg.kind][1](cfg, Path(stage))
+        _write_json(Path(stage) / "report.json", d)
+        _publish(Path(stage), out)
     return d
-
-
-def _prepare(kind: str, config_path: str | None,
-             overrides: tuple[str, ...]) -> ExperimentConfig:
-    raw = load_config_file(config_path) if config_path else {}
-    if "kind" in raw and raw["kind"] != kind:
-        raise ConfigError(
-            f"config kind {raw['kind']!r} does not match subcommand {kind!r}")
-    raw = apply_overrides(raw, overrides)
-    raw["kind"] = kind
-    return build_config(raw)
 
 
 def _execute(kind: str, config_path: str | None, out: str,
              overrides: tuple[str, ...]) -> None:
     try:
-        cfg = _prepare(kind, config_path, overrides)
+        raw = load_config_file(config_path) if config_path else {}
+        if raw.get("kind", kind) != kind:
+            raise ConfigError(f"config kind {raw['kind']!r} does not match subcommand {kind!r}")
+        cfg = build_config({**apply_overrides(raw, overrides), "kind": kind})
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(1)
@@ -527,9 +511,8 @@ def _execute(kind: str, config_path: str | None, out: str,
             np.linalg.LinAlgError, OSError) as e:
         click.echo(f"runtime error: {e}", err=True)
         sys.exit(2)
-    if _empty_run_list(cfg):
-        return
-    click.echo(f"wrote {Path(out) / 'report.json'}")
+    if not _empty_run_list(cfg):
+        click.echo(f"wrote {Path(out) / 'report.json'}")
 
 
 def _common_options(fn):
@@ -692,38 +675,34 @@ def _verify_csv(path: Path, scan: _CsvScan) -> tuple[bool, str]:
     return failure is None, failure or f"{rows} rows, amplitudes within [0, 1]"
 
 
+def _verify_json(path: Path) -> tuple[bool, str]:
+    try:
+        json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        return False, f"invalid JSON ({e.msg})"
+    return True, "valid JSON"
+
+
 @main.command()
 @click.option("--out", default="out", show_default=True,
               help="Directory with previously emitted artifacts.")
 def verify(out: str) -> None:
     """Re-read emitted CSV/JSON artifacts and check conservation laws."""
     base = Path(out)
-    if not base.exists():
+    if not base.is_dir():
         click.echo(f"config error: no such directory {out!r}", err=True)
         sys.exit(1)
-    failed = 0
-    checked = 0
-    scan = _CsvScan()
-    for f in sorted(base.rglob("*.csv")):
-        passed, msg = _verify_csv(f, scan)
-        rel = f.relative_to(base)
-        if passed:
-            checked += 1
-            click.echo(f"ok   {rel}: {msg}")
-        else:
-            failed += 1
-            click.echo(f"FAIL {rel}: {msg}")
-    for f in sorted(base.rglob("*.json")):
-        rel = f.relative_to(base)
-        try:
-            json.loads(f.read_text())
-        except json.JSONDecodeError as e:
-            failed += 1
-            click.echo(f"FAIL {rel}: invalid JSON ({e.msg})")
-        else:
-            checked += 1
-            click.echo(f"ok   {rel}: valid JSON")
-    click.echo(f"verified {checked} files, {failed} failures")
+    scan, failed = _CsvScan(), 0
+    files = []
+    for d, dirs, names in os.walk(base, followlinks=True):  # not into a staging directory
+        dirs[:] = [n for n in dirs if not n.startswith(_STAGE_PREFIX)]
+        files += [Path(d, n) for n in names if Path(n).suffix in (".csv", ".json")]
+    files.sort(key=lambda f: (f.suffix == ".json", f))  # every CSV first, in path order
+    for f in files:
+        passed, msg = _verify_csv(f, scan) if f.suffix == ".csv" else _verify_json(f)
+        failed += not passed
+        click.echo(f"{'ok  ' if passed else 'FAIL'} {f.relative_to(base)}: {msg}")
+    click.echo(f"verified {len(files) - failed} files, {failed} failures")
     sys.exit(2 if failed else 0)
 
 

@@ -226,16 +226,26 @@ def apply_overrides(raw: dict[str, Any], overrides: tuple[str, ...]) -> dict[str
 class Run:
     """One run of a config: its runner's checked input (a ``cphase`` pulse, a
     ``zrot`` :class:`ZGateParams`, a ``raman`` :class:`RamanParams`), the
-    span it samples and its ratio."""
+    span it samples, its ratio and a family run's file name."""
 
     input: SquarePulse | GaussianPulse | ZGateParams | RamanParams
     span: float
     ratio: float | None = None
+    name: str | None = None
 
 
 def _span(env: SquarePulse | GaussianPulse) -> float:
     lo, hi = env.support()
     return hi - lo
+
+
+def _distinct(named: list[tuple[str, str]]) -> None:
+    """Refuse two runs of one name; ``named`` holds each run's ``(name, values)``."""
+    seen: dict[str, str] = {}
+    for name, at in named:
+        if name in seen:
+            raise ConfigError(f"runs at {seen[name]} and {at} share the name {name}")
+        seen[name] = at
 
 
 def _check_ratios(p: DotPairParams, env: SquarePulse | GaussianPulse) -> None:
@@ -324,7 +334,8 @@ class ExperimentConfig:
         ``gammas`` x ``detunings`` pair (gamma outermost).  The configured
         pulse and every detuning's window, which must be finite and
         positive, are checked whatever the lists hold; each run's pulse must
-        meet its gate's area, and a cphase pulse give finite validity ratios."""
+        meet its gate's area, a cphase pulse give finite validity ratios,
+        and no two family runs share a file name."""
         if self.kind != "raman":
             env = self.envelope()
             try:
@@ -338,7 +349,10 @@ class ExperimentConfig:
                     _check_ratios(self.dot_params(), pulse)
             except PulseAreaError as e:
                 raise ConfigError(str(e)) from None
-            return [Run(p, _span(p), r) for r, p in zip(ratios or (None,), pulses)]
+            runs = [Run(p, _span(p), r, None if r is None else f"family_ratio_{r:g}.csv")
+                    for r, p in zip(ratios or (None,), pulses)]
+            _distinct([(run.name, f"ratio={run.ratio!r}") for run in runs if run.name])
+            return runs
         windows = []
         for nu in self["detunings"] or (self["detuning"],):
             params = self.raman_params(detuning=nu)
@@ -353,13 +367,22 @@ class ExperimentConfig:
                                   "pi time or window that is not finite and positive")
             windows.append((nu, derived[-1]))
         gammas = self["gammas"] if self["gammas"] is not None else (self["gamma"],)
-        return [Run(self.raman_params(nu, g), window) for g in gammas for nu, window in windows]
+        family = self["detunings"] is not None or self["gammas"] is not None
+        runs = [Run(self.raman_params(nu, g), window,
+                    name=f"raman_nu_{nu:g}_gamma_{g:g}.csv" if family else None)
+                for g in gammas for nu, window in windows]
+        _distinct([(run.name, f"detuning={run.input.detuning!r}, gamma={run.input.gamma!r}")
+                   for run in runs if run.name])
+        return runs
 
-    def sweep_child_raws(self) -> list[tuple[float, dict[str, Any]]]:
-        """``(value, raw child config)`` for each sweep value, in order."""
-        base = dict(self["child_base"])
-        return [(float(v), {**base, "kind": self["sweep_kind"], self["sweep_param"]: float(v)})
-                for v in self["sweep_values"]]
+    def sweep_children(self) -> list[tuple[float, str, dict[str, Any]]]:
+        """``(value, directory name, raw child config)`` for each sweep value,
+        in order; no two values may share a name."""
+        base, param = dict(self["child_base"]), self["sweep_param"]
+        children = [(v, f"{param}_{v:g}", {**base, "kind": self["sweep_kind"], param: v})
+                    for v in self["sweep_values"]]
+        _distinct([(name, f"{param}={v!r}") for v, name, _ in children])
+        return children
 
 
 def _validate_keys(raw: dict[str, Any], kind: str,
@@ -405,24 +428,22 @@ def build_config(raw: Mapping[str, Any]) -> ExperimentConfig:
 
     if kind == "sweep":
         schema = _SCHEMAS["sweep"]
-        own = {k: v for k, v in raw.items() if k in schema or k == "kind"}
+        own = {k: v for k, v in raw.items() if k in schema}
         child_raw = {k: v for k, v in raw.items() if k not in schema and k != "kind"}
         values = _validate_keys(own, "sweep", schema)
-        child_kind = values["sweep_kind"]
+        child_kind, param = values["sweep_kind"], values["sweep_param"]
         child_schema = _SCHEMAS[child_kind]
-        param = values["sweep_param"]
         if param not in child_schema:
-            raise ConfigError(
-                f"sweep_param {param!r} is not a config key of kind {child_kind!r}")
+            raise ConfigError(f"sweep_param {param!r} is not a config key of kind {child_kind!r}")
         try:  # a sweep sets numbers: the key must take one
             child_schema[param].coerce(param, 1.0)
         except ConfigError:
             raise ConfigError(f"sweep_param {param!r} is not a numeric key of kind "
                               f"{child_kind!r}") from None
         # validate the child base, then every child, before anything runs
-        _validate_keys({**child_raw, "kind": child_kind}, child_kind, child_schema)
+        _validate_keys(child_raw, child_kind, child_schema)
         cfg = ExperimentConfig("sweep", {**values, "child_base": dict(child_raw)})
-        for _, raw_child in cfg.sweep_child_raws():
+        for _, _, raw_child in cfg.sweep_children():
             build_config(raw_child)
         return cfg
 

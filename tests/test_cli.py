@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from dotgates.cli import (
     _CSV_BLOCK_ROWS,
     _KINDS,
     _SCAN_BYTES,
+    _STAGE_PREFIX,
     _format_rows,
     _write_csv,
     _write_trajectories,
@@ -112,7 +114,8 @@ def test_cphase_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert len(taken) == 3 * len(_tree(b))
     assert [dst for dst, existed in taken if existed] == []
     assert _tree(a) == _tree(b)
-    assert not list(a.rglob("*.tmp"))
+    # nothing else: no staging directory and no partial file
+    assert {p.relative_to(a) for p in a.rglob("*")} == set(_tree(b))
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,8 @@ _CARRIER = ("config error: lab-frame carrier would oscillate through 7.04e+09 ra
             "omega_a * wait / hbar, so rerun with a scaled-down omega_a (e.g. 2e3 meV) and a "
             "correspondingly chosen wait.")
 _MAGNUS = "runtime error: the Magnus solve would take"
+_NAN_NORM = "runtime error: norm drifted by nan; the inputs overflow double precision"
+_SHARED = "config error: runs at"
 
 REJECTIONS = {
     # an output that cannot be written; the files already there stay
@@ -163,6 +168,8 @@ REJECTIONS = {
         files={"out/traj_00.csv/keep.txt": "kept\n", "out/notes.txt": "notes\n"}),
     "verify without a directory": _Rejection("verify", 1, "config error: no such directory "
                                              "'<tmp>/out'"),
+    "verify a regular file": _Rejection("verify", 1, "config error: no such directory '<tmp>/out'",
+                                        files={"out": "not a directory\n"}),
     # config files
     "kind mismatch": _Rejection("cphase", 1, "config error: config kind 'raman' does not match "
                                 "subcommand 'cphase'", config={"kind": "raman"}),
@@ -267,11 +274,27 @@ REJECTIONS = {
         "sweep", 1, _SPECTATOR, config=_sweep("cphase", "v_f", [0.85, 1e-320])),
     "sweep child huge omega_a": _Rejection(
         "sweep", 1, _CARRIER, config=_sweep("zrot", "omega_a", [2000, 1e9])),
+    # two runs whose %g names are one: the second would overwrite the first
+    "colliding sweep values": _Rejection(
+        "sweep", 1, f"{_SHARED} omega=0.1000001 and omega=0.1000002 share the name omega_0.1",
+        config=_sweep("cphase", "omega", [0.1000001, 0.1000002])),
+    "colliding ratios": _Rejection(
+        "cphase --set ratios=[0.15,0.15]", 1,
+        f"{_SHARED} ratio=0.15 and ratio=0.15 share the name family_ratio_0.15.csv"),
+    "colliding detunings": _Rejection(
+        "raman --set detunings=[4.0000001,4.0000002]", 1, f"{_SHARED} detuning=4.0000001, "
+        "gamma=0.1 and detuning=4.0000002, gamma=0.1 share the name raman_nu_4_gamma_0.1.csv"),
     # refused at run time before the first file: nan from overflow fails the
     # norm or trace check, a stiff loss the Liouvillian's conditioning check,
     # and the Magnus work bound a solve that would run for minutes
-    "cphase huge v_xx": _Rejection("cphase --set v_xx=1e308", 2, "runtime error: norm drifted "
-                                   "by nan; the inputs overflow double precision"),
+    "cphase huge v_xx": _Rejection("cphase --set v_xx=1e308", 2, _NAN_NORM),
+    # a sweep child that fails at run time: the children before it are not published,
+    # and an older run's file of the same name stays as it was
+    "sweep child huge v_xx": _Rejection("sweep", 2, _NAN_NORM,
+                                        config=_sweep("cphase", "v_xx", [5, 1e308])),
+    "sweep child huge v_xx over an older run": _Rejection(
+        "sweep", 2, _NAN_NORM, config=_sweep("cphase", "v_xx", [5, 1e308]),
+        files={"out/v_xx_5/report.json": "older run\n"}),
     "raman huge rabi and detuning": _Rejection(
         "raman --set rabi=1e150 --set detuning=1e300", 2,
         "runtime error: trace drifted by 2.000e+00; the generator does not conserve the trace"),
@@ -322,6 +345,7 @@ def test_refused_input_exits_with_one_line_and_writes_nothing(tmp_path, case, _d
     row = REJECTIONS[case]
     args = _refusal_args(row, tmp_path)
     before, made = _tree(tmp_path), (tmp_path / "out").exists()
+    entries = sorted((tmp_path / "out").rglob("*"))  # directories too: no staging left
     start = time.perf_counter()
     with warnings.catch_warnings():  # a Python or numpy warning fails the row
         warnings.simplefilter("error")
@@ -329,6 +353,7 @@ def test_refused_input_exits_with_one_line_and_writes_nothing(tmp_path, case, _d
     assert time.perf_counter() - start < 5.0
     _assert_refused(row, tmp_path, result.exit_code, result.stdout, result.stderr)
     assert _tree(tmp_path) == before
+    assert sorted((tmp_path / "out").rglob("*")) == entries
     if row.code < 2:
         assert (tmp_path / "out").exists() == made
 
@@ -483,15 +508,31 @@ def test_cphase_family_outputs(tmp_path):
     assert rows[-1][4] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_sweep_serial(tmp_path):
+def test_sweep_serial(tmp_path, monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "kind": "sweep", "sweep_kind": "raman",
         "sweep_param": "detuning", "sweep_values": [2.0, 4.0],
     }))
     out = tmp_path / "run"
+    replace, published = os.replace, []
+
+    def spy(src, dst):
+        rel = Path(dst).relative_to(out)
+        if not any(part.startswith(_STAGE_PREFIX) for part in rel.parts):
+            published.append(rel.as_posix())
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
     result = _invoke(["sweep", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0
+    # every file once, each report after the files beside it, the top one last
+    assert published == ["detuning_2/populations.csv", "detuning_4/populations.csv",
+                         "detuning_2/report.json", "detuning_4/report.json", "report.json"]
+    # and nothing else: no staging directory
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "detuning_2", "detuning_2/populations.csv", "detuning_2/report.json",
+        "detuning_4", "detuning_4/populations.csv", "detuning_4/report.json", "report.json"]
     report = json.loads((out / "report.json").read_text())
     assert report["sweep_param"] == "detuning"
     assert [r["value"] for r in report["runs"]] == [2.0, 4.0]
@@ -795,6 +836,21 @@ def test_verify_checks_the_time_column(tmp_path, time, verdict, phase):
     code, lines = _verify_lines(out)
     assert code == 2
     assert [ln for ln in lines if ln.startswith("FAIL")] == [f"FAIL traj_01.csv: {verdict}"]
+
+
+def test_verify_skips_a_leftover_staging_directory(tmp_path):
+    out = tmp_path / "c"
+    assert _invoke(["cphase", "--out", str(out)]).exit_code == 0
+    clean = _verify_lines(out)
+    # what a run killed mid-write leaves: a truncated CSV and report
+    stage = Path(tempfile.mkdtemp(prefix=_STAGE_PREFIX, dir=out))
+    text = (out / "traj_00.csv").read_text()
+    (stage / "traj_00.csv").write_text(text[:len(text) // 2])
+    (stage / "report.json").write_text('{"kind": ')
+    (out / "notes.csv").mkdir()  # a directory is no artifact either
+    assert clean[0] == 0 and _verify_lines(out) == clean
+    # read as a run directory of its own, the same files fail
+    assert _verify_lines(stage)[0] == 2
 
 
 def test_verify_lets_rounded_times_tie(tmp_path):

@@ -17,10 +17,10 @@ the script prints whether its files equal those of ``cphase-square``.
 Last, it runs ``verify`` on a copy of ``cphase-square`` with one cell of
 ``traj_10.csv`` changed, whose data rows otherwise equal those of
 ``traj_01.csv``, and on another with a word in one ``t_ps`` cell and one
-phase cell of ``traj_01.csv``.  It needs nothing beyond the standard
-library and the package, which the runs' interpreter must import: without
-it the script prints one line naming ``PYTHONPATH`` and exits 2 before the
-first run.
+phase cell of ``traj_01.csv``, and on the regular file ``sweep.json``.  It
+needs nothing beyond the standard library and the package, which the runs'
+interpreter must import: without it the script prints one line naming
+``PYTHONPATH`` and exits 2 before the first run.
 
 A change that moves the numbers within a stated tolerance is checked on
 the artifacts themselves: ``--keep DIR`` runs in ``DIR`` (which must not
@@ -68,6 +68,10 @@ SWEEPS = {
                        "sweep_values": [0.85, 1e-320]},
     "sweep-zrot-omega_a": {"kind": "sweep", "sweep_kind": "zrot", "sweep_param": "omega_a",
                            "sweep_values": [2000, 1e9]},
+    "sweep-huge-v_xx": {"kind": "sweep", "sweep_kind": "cphase", "sweep_param": "v_xx",
+                        "sweep_values": [5, 1e308]},
+    "sweep-colliding-omega": {"kind": "sweep", "sweep_kind": "cphase", "sweep_param": "omega",
+                              "sweep_values": [0.1000001, 0.1000002]},
 }
 
 # (name, subcommand and options); the output directory is appended
@@ -134,6 +138,13 @@ RUNS: list[tuple[str, tuple[str, ...]]] = [
     # a lab-frame carrier past 1e6 radians: exit 1, nothing written
     ("zrot-carrier-bound", ("zrot", "--set", "omega_a=1e9")),
     ("sweep-zrot-omega_a", ("sweep", "--config", "{sweep-zrot-omega_a}")),
+    # the second child's norm drifts by nan at run time: exit 2, no file written,
+    # not even the first child's
+    ("sweep-huge-v_xx", ("sweep", "--config", "{sweep-huge-v_xx}")),
+    # two runs whose %g names are one: exit 1, nothing written
+    ("sweep-colliding-omega", ("sweep", "--config", "{sweep-colliding-omega}")),
+    ("cphase-ratios-colliding", ("cphase", "--set", "ratios=[0.15,0.15]")),
+    ("raman-detunings-colliding", ("raman", "--set", "detunings=[4.0000001,4.0000002]")),
 ]
 
 
@@ -199,6 +210,9 @@ def run_all(tmp: Path) -> None:
     edit_cell(timed / "traj_01.csv", 9, "phase_01", "abc")
     print("=== verify cphase-square, traj_01.csv line 5 t_ps set to xyz, line 9 phase_01 to abc")
     print(cli(["verify", "--out", str(timed)], tmp), end="")
+    # a regular file is no run directory: exit 1, nothing written
+    print("=== verify a regular file: sweep.json")
+    print(cli(["verify", "--out", str(configs["{sweep}"])], tmp), end="")
     print("=== artifacts")
     print("\n".join(digests(runs)))
 
